@@ -60,8 +60,10 @@ impl AggregateFn {
                 r.iter().map(|&b| weights[b]).fold(f64::INFINITY, f64::min)
             }
             AggregateFn::L1(r) => {
-                let max = AggregateFn::Max(r.clone()).evaluate(weights);
-                let min = AggregateFn::Min(r.clone()).evaluate(weights);
+                // The `Max` and `Min` folds above, over `r` directly.
+                assert!(!r.is_empty(), "relevant assignment set must not be empty");
+                let max = r.iter().map(|&b| weights[b]).fold(0.0, f64::max);
+                let min = r.iter().map(|&b| weights[b]).fold(f64::INFINITY, f64::min);
                 max - min
             }
             AggregateFn::LthLargest { assignments, ell } => {

@@ -7,6 +7,7 @@
 //! (Section 3, "Adjusted weights").
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::estimate::template::Selected;
 use crate::variance::ht_variance_component;
@@ -20,13 +21,17 @@ use crate::weights::Key;
 /// probability)` pair behind the adjusted weight — which is what the
 /// variance estimators ([`AdjustedWeights::subset_variance`]) and the count
 /// estimator ([`AdjustedWeights::subset_count`]) consume. Derived summaries
-/// assembled outside the template (notably [`AdjustedWeights::difference`],
-/// the dispersed L1 construction) carry no support and report `None` for
-/// those.
+/// assembled outside the template (notably the dispersed L1 estimator,
+/// [`crate::DispersedEstimator::l1`]) carry no support and report `None`
+/// for those.
 #[derive(Debug, Clone, Default)]
 pub struct AdjustedWeights {
     entries: Vec<(Key, f64)>,
-    index: HashMap<Key, usize>,
+    /// Key → slot in `entries`, built by the first [`AdjustedWeights::get`].
+    /// The estimators emit entries in ascending key order, which rules out
+    /// duplicates without a map; any other order builds it at construction
+    /// to reject them.
+    index: OnceLock<HashMap<Key, usize>>,
     /// `(value, probability)` per entry, aligned with `entries`; empty when
     /// the summary was assembled without template support.
     support: Vec<Selected>,
@@ -59,7 +64,6 @@ impl AdjustedWeights {
         I: IntoIterator<Item = (Key, f64)>,
     {
         let mut stored = Vec::new();
-        let mut index = HashMap::new();
         for (key, value) in entries {
             assert!(
                 value >= 0.0 && value.is_finite(),
@@ -68,11 +72,9 @@ impl AdjustedWeights {
             if value == 0.0 {
                 continue;
             }
-            let previous = index.insert(key, stored.len());
-            assert!(previous.is_none(), "duplicate adjusted weight for key {key}");
             stored.push((key, value));
         }
-        Self { entries: stored, index, support: Vec::new() }
+        Self::with_entries(stored, Vec::new())
     }
 
     /// Builds an AW-summary from `(key, `[`Selected`]`)` pairs, retaining
@@ -92,9 +94,12 @@ impl AdjustedWeights {
     where
         I: IntoIterator<Item = (Key, Selected)>,
     {
-        let mut stored = Vec::new();
-        let mut index = HashMap::new();
-        let mut support = Vec::new();
+        let selections = selections.into_iter();
+        // Selections usually come from a pass over a known set of candidate
+        // keys: reserve for all of them rather than grow.
+        let (lower, upper) = selections.size_hint();
+        let mut stored = Vec::with_capacity(upper.unwrap_or(lower));
+        let mut support = Vec::with_capacity(upper.unwrap_or(lower));
         for (key, selected) in selections {
             let value = selected.adjusted_weight();
             assert!(
@@ -104,12 +109,37 @@ impl AdjustedWeights {
             if value == 0.0 {
                 continue;
             }
-            let previous = index.insert(key, stored.len());
-            assert!(previous.is_none(), "duplicate adjusted weight for key {key}");
             stored.push((key, value));
             support.push(selected);
         }
-        Self { entries: stored, index, support }
+        Self::with_entries(stored, support)
+    }
+
+    /// Wraps validated entries, rejecting duplicate keys: entries in
+    /// strictly ascending key order have none; any other order builds the
+    /// key index now, which finds them.
+    ///
+    /// # Panics
+    /// Panics on duplicate keys.
+    fn with_entries(entries: Vec<(Key, f64)>, support: Vec<Selected>) -> Self {
+        let index = OnceLock::new();
+        if !entries.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            let _ = index.set(Self::index_of(&entries));
+        }
+        Self { entries, index, support }
+    }
+
+    /// The key → slot map of `entries`.
+    ///
+    /// # Panics
+    /// Panics on duplicate keys.
+    fn index_of(entries: &[(Key, f64)]) -> HashMap<Key, usize> {
+        let mut index = HashMap::with_capacity(entries.len());
+        for (slot, &(key, _)) in entries.iter().enumerate() {
+            let previous = index.insert(key, slot);
+            assert!(previous.is_none(), "duplicate adjusted weight for key {key}");
+        }
+        index
     }
 
     /// `true` when every entry retains its `(value, probability)` support —
@@ -131,10 +161,12 @@ impl AdjustedWeights {
         })
     }
 
-    /// The adjusted weight of `key` (`0` for keys without an entry).
+    /// The adjusted weight of `key` (`0` for keys without an entry). The
+    /// first call builds the key index.
     #[must_use]
     pub fn get(&self, key: Key) -> f64 {
-        self.index.get(&key).map_or(0.0, |&slot| self.entries[slot].1)
+        let index = self.index.get_or_init(|| Self::index_of(&self.entries));
+        index.get(&key).map_or(0.0, |&slot| self.entries[slot].1)
     }
 
     /// Number of keys with a positive adjusted weight.
@@ -210,8 +242,8 @@ impl AdjustedWeights {
     /// the same predicate.
     ///
     /// Returns `None` when the summary carries no support detail (e.g. a
-    /// [`AdjustedWeights::difference`] summary, whose entries are differences
-    /// of correlated estimators with no per-key probability behind them).
+    /// dispersed L1 summary, whose entries are differences of correlated
+    /// estimators with no per-key probability behind them).
     #[must_use]
     pub fn subset_variance<P: Fn(Key) -> bool>(&self, predicate: P) -> Option<f64> {
         let iter = self.supported_iter()?;
@@ -246,24 +278,6 @@ impl AdjustedWeights {
             variance += ht_variance_component(1.0, selected.probability);
         }
         Some((count, variance))
-    }
-
-    /// Per-key difference `a(i) − b(i)` over the union of the supports,
-    /// clamped at zero from below.
-    ///
-    /// This is how the L1 (range) estimator `a^(L1) = a^(max) − a^(min)` is
-    /// assembled (Eq. 17); for consistent rank assignments the difference is
-    /// provably non-negative (Lemma 7.5), so the clamp only absorbs
-    /// floating-point noise.
-    #[must_use]
-    pub fn difference(minuend: &Self, subtrahend: &Self) -> Self {
-        let mut keys: Vec<Key> = minuend.iter().map(|(key, _)| key).collect();
-        keys.extend(subtrahend.iter().map(|(key, _)| key));
-        keys.sort_unstable();
-        keys.dedup();
-        Self::from_entries(
-            keys.into_iter().map(|key| (key, (minuend.get(key) - subtrahend.get(key)).max(0.0))),
-        )
     }
 }
 
@@ -302,20 +316,29 @@ mod tests {
     }
 
     #[test]
-    fn difference_clamps_at_zero() {
-        let a = AdjustedWeights::from_entries(vec![(1, 5.0), (2, 1.0)]);
-        let b = AdjustedWeights::from_entries(vec![(1, 2.0), (2, 3.0), (3, 1.0)]);
-        let d = AdjustedWeights::difference(&a, &b);
-        assert_eq!(d.get(1), 3.0);
-        assert_eq!(d.get(2), 0.0);
-        assert_eq!(d.get(3), 0.0);
-        assert_eq!(d.len(), 1);
+    #[should_panic(expected = "duplicate adjusted weight")]
+    fn duplicate_keys_rejected() {
+        let _ = AdjustedWeights::from_entries(vec![(1, 1.0), (1, 2.0)]);
     }
 
     #[test]
     #[should_panic(expected = "duplicate adjusted weight")]
-    fn duplicate_keys_rejected() {
-        let _ = AdjustedWeights::from_entries(vec![(1, 1.0), (1, 2.0)]);
+    fn duplicate_keys_rejected_out_of_order() {
+        let _ = AdjustedWeights::from_entries(vec![(3, 1.0), (1, 1.0), (3, 2.0)]);
+    }
+
+    #[test]
+    fn get_works_in_any_entry_order() {
+        let ascending = AdjustedWeights::from_entries(vec![(1, 1.0), (4, 2.0), (9, 3.0)]);
+        let shuffled = AdjustedWeights::from_entries(vec![(9, 3.0), (1, 1.0), (4, 2.0)]);
+        for aw in [&ascending, &shuffled] {
+            assert_eq!(aw.get(1), 1.0);
+            assert_eq!(aw.get(4), 2.0);
+            assert_eq!(aw.get(9), 3.0);
+            assert_eq!(aw.get(5), 0.0);
+        }
+        // A clone taken after the index was built still answers.
+        assert_eq!(ascending.clone().get(9), 3.0);
     }
 
     #[test]
@@ -371,18 +394,6 @@ mod tests {
         let (count, variance) = aw.subset_count(|k| k == 2).unwrap();
         assert!((count - 4.0).abs() < 1e-12);
         assert!((variance - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn difference_drops_support() {
-        let a =
-            AdjustedWeights::from_selected(vec![(1, Selected { value: 5.0, probability: 1.0 })]);
-        let b =
-            AdjustedWeights::from_selected(vec![(1, Selected { value: 2.0, probability: 1.0 })]);
-        let d = AdjustedWeights::difference(&a, &b);
-        assert_eq!(d.get(1), 3.0);
-        assert!(!d.has_support());
-        assert!(d.variance_total().is_none());
     }
 
     #[test]

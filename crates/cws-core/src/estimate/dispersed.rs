@@ -24,9 +24,8 @@
 use crate::error::{CwsError, Result};
 use crate::estimate::adjusted::AdjustedWeights;
 use crate::estimate::single::rc_adjusted_weights;
-use crate::estimate::template::{estimate_from_selection, Selected};
-use crate::summary::DispersedSummary;
-use crate::weights::Key;
+use crate::estimate::template::Selected;
+use crate::summary::{is_sampled, DispersedSummary};
 
 /// Which of the two selection rules to use for `min` / ℓ-th-largest
 /// estimators.
@@ -76,18 +75,36 @@ impl<'a> DispersedEstimator<'a> {
         Ok(())
     }
 
-    fn union_keys(&self) -> Vec<Key> {
-        let mut keys: Vec<Key> = self.summary.union_keys().collect();
-        keys.sort_unstable();
-        keys
+    /// The error for an estimator that needs coordinated sketches.
+    fn require_coordinated(&self, estimator: &'static str) -> Result<()> {
+        if self.coordinated() {
+            Ok(())
+        } else {
+            Err(CwsError::UnsupportedEstimator {
+                estimator,
+                reason: "requires coordinated (consistent) sketches",
+            })
+        }
     }
 
-    /// `r_k^{(min R)}(I \ {key})` — the smallest conditioning threshold over
-    /// the relevant assignments.
-    fn min_threshold(&self, key: Key, assignments: &[usize]) -> f64 {
+    /// Applies a selection rule to every row of the summary's membership
+    /// table (each union key, ascending, with its per-assignment cells) in
+    /// one pass, and assembles the adjusted weights.
+    fn over_rows<F>(&self, mut selection: F) -> AdjustedWeights
+    where
+        F: FnMut(&[Cell]) -> Option<Selected>,
+    {
+        AdjustedWeights::from_selected(
+            self.summary.rows().filter_map(|(key, row)| selection(row).map(|s| (key, s))),
+        )
+    }
+
+    /// `r_k^{(min R)}(I \ {i})` — the smallest conditioning threshold over
+    /// the relevant assignments, for the key of `row`.
+    fn min_threshold(&self, row: &[Cell], assignments: &[usize]) -> f64 {
         assignments
             .iter()
-            .map(|&b| self.summary.threshold_excluding(key, b))
+            .map(|&b| self.summary.conditioning_threshold(b, is_sampled(row[b])))
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -108,13 +125,8 @@ impl<'a> DispersedEstimator<'a> {
     /// estimator exists without known seeds) or invalid assignment sets.
     pub fn max(&self, assignments: &[usize]) -> Result<AdjustedWeights> {
         self.validate_assignments(assignments)?;
-        if !self.coordinated() {
-            return Err(CwsError::UnsupportedEstimator {
-                estimator: "max",
-                reason: "requires coordinated (consistent) sketches",
-            });
-        }
-        self.lth_largest(assignments, 1, SelectionKind::SSet)
+        self.require_coordinated("max")?;
+        Ok(self.over_rows(self.lth_largest_selection(assignments, 1, SelectionKind::SSet)))
     }
 
     /// The `min_R` estimator.
@@ -127,42 +139,50 @@ impl<'a> DispersedEstimator<'a> {
     /// Returns an error for invalid assignment sets.
     pub fn min(&self, assignments: &[usize], kind: SelectionKind) -> Result<AdjustedWeights> {
         self.validate_assignments(assignments)?;
+        Ok(self.over_rows(self.min_selection(assignments, kind)))
+    }
+
+    /// The `min_R` selection rule over one row, reusing one scratch buffer
+    /// across rows.
+    fn min_selection<'s>(
+        &'s self,
+        assignments: &'s [usize],
+        kind: SelectionKind,
+    ) -> impl FnMut(&[Cell]) -> Option<Selected> + 's {
         let summary = self.summary;
         let family = summary.family();
         let coordinated = self.coordinated();
-        Ok(estimate_from_selection(self.union_keys(), |key| {
+        let mut scratch = vec![(0, 0.0, 0.0); assignments.len()];
+        move |row| {
             // Selection: the key must be in the sketch of every relevant
             // assignment; the s-set additionally requires every rank to fall
             // below the smallest threshold.
-            let mut weights = Vec::with_capacity(assignments.len());
-            let mut ranks = Vec::with_capacity(assignments.len());
-            for &b in assignments {
-                let (rank, weight) = summary.entry(key, b)?;
-                weights.push(weight);
-                ranks.push(rank);
+            if gather(row, assignments, f64::INFINITY, &mut scratch) < assignments.len() {
+                return None;
             }
-            let value = weights.iter().copied().fold(f64::INFINITY, f64::min);
+            let cells = &scratch;
+            let value = cells.iter().map(|&(_, _, weight)| weight).fold(f64::INFINITY, f64::min);
             if value == 0.0 {
                 return None;
             }
             let probability = match kind {
                 SelectionKind::SSet => {
-                    let threshold = self.min_threshold(key, assignments);
-                    if ranks.iter().any(|&rank| rank >= threshold) {
+                    let threshold = self.min_threshold(row, assignments);
+                    if cells.iter().any(|&(_, rank, _)| rank >= threshold) {
                         return None;
                     }
                     if coordinated {
                         family.inclusion_probability(value, threshold)
                     } else {
-                        weights
+                        cells
                             .iter()
-                            .map(|&w| family.inclusion_probability(w, threshold))
+                            .map(|&(_, _, w)| family.inclusion_probability(w, threshold))
                             .product()
                     }
                 }
                 SelectionKind::LSet => {
-                    let per_assignment = assignments.iter().zip(&weights).map(|(&b, &w)| {
-                        family.inclusion_probability(w, summary.threshold_excluding(key, b))
+                    let per_assignment = cells.iter().map(|&(b, _, w)| {
+                        family.inclusion_probability(w, summary.conditioning_threshold(b, true))
                     });
                     if coordinated {
                         per_assignment.fold(f64::INFINITY, f64::min)
@@ -172,7 +192,7 @@ impl<'a> DispersedEstimator<'a> {
                 }
             };
             Some(Selected { value, probability })
-        }))
+        }
     }
 
     /// The ℓ-th-largest-weight estimator over coordinated sketches
@@ -194,87 +214,154 @@ impl<'a> DispersedEstimator<'a> {
         if ell < 1 || ell > assignments.len() {
             return Err(CwsError::InvalidDependenceOrder { ell, relevant: assignments.len() });
         }
-        if !self.coordinated() {
-            return Err(CwsError::UnsupportedEstimator {
-                estimator: "lth_largest",
-                reason: "requires coordinated (consistent) sketches",
-            });
-        }
+        self.require_coordinated("lth_largest")?;
+        Ok(self.over_rows(self.lth_largest_selection(assignments, ell, kind)))
+    }
+
+    /// The ℓ-th-largest selection rule over one row, reusing one scratch
+    /// buffer across rows. `ell` must be in `1..=|R|`.
+    fn lth_largest_selection<'s>(
+        &'s self,
+        assignments: &'s [usize],
+        ell: usize,
+        kind: SelectionKind,
+    ) -> impl FnMut(&[Cell]) -> Option<Selected> + 's {
         let summary = self.summary;
         let family = summary.family();
-        match kind {
-            SelectionKind::SSet => Ok(estimate_from_selection(self.union_keys(), |key| {
-                let threshold = self.min_threshold(key, assignments);
-                // R'(i): assignments whose rank for the key is below the
-                // smallest threshold (only sampled assignments can qualify).
-                let mut observed: Vec<f64> = assignments
-                    .iter()
-                    .filter_map(|&b| summary.entry(key, b))
-                    .filter(|&(rank, _)| rank < threshold)
-                    .map(|(_, weight)| weight)
-                    .collect();
-                if observed.len() < ell {
-                    return None;
-                }
-                observed.sort_by(|a, b| b.total_cmp(a));
-                let value = observed[ell - 1];
-                if value == 0.0 {
-                    return None;
-                }
-                Some(Selected {
-                    value,
-                    probability: family.inclusion_probability(value, threshold),
-                })
-            })),
-            SelectionKind::LSet => Ok(estimate_from_selection(self.union_keys(), |key| {
-                // R'(i): assignments whose sketch contains the key.
-                let mut observed: Vec<(usize, f64, f64)> = assignments
-                    .iter()
-                    .filter_map(|&b| summary.entry(key, b).map(|(rank, weight)| (b, rank, weight)))
-                    .collect();
-                if observed.len() < ell {
-                    return None;
-                }
-                observed.sort_by(|a, b| b.2.total_cmp(&a.2));
-                let value = observed[ell - 1].2;
-                if value == 0.0 {
-                    return None;
-                }
-                // Recover the shared seed from any observed (rank, weight).
-                let (_, rank0, weight0) = observed[0];
-                let seed = family.seed_from_rank(weight0, rank0);
-                let top: Vec<usize> = observed[..ell].iter().map(|&(b, _, _)| b).collect();
-                // The remaining assignments must be certifiably no larger
-                // than the ℓ-th largest weight: the shared seed must fall
-                // below F_{value}(threshold_b).
-                let mut probability = f64::INFINITY;
-                for &(b, _, weight) in &observed[..ell] {
-                    probability = probability.min(
-                        family.inclusion_probability(weight, summary.threshold_excluding(key, b)),
-                    );
-                }
-                for &b in assignments.iter().filter(|&&b| !top.contains(&b)) {
-                    let bound =
-                        family.inclusion_probability(value, summary.threshold_excluding(key, b));
-                    if seed >= bound {
+        let mut scratch = vec![(0, 0.0, 0.0); assignments.len()];
+        move |row| {
+            match kind {
+                SelectionKind::SSet => {
+                    let threshold = self.min_threshold(row, assignments);
+                    // R'(i): assignments whose rank for the key is below the
+                    // smallest threshold (only sampled assignments can
+                    // qualify).
+                    let kept = gather(row, assignments, threshold, &mut scratch);
+                    if kept < ell {
                         return None;
                     }
-                    probability = probability.min(bound);
+                    let observed = &mut scratch[..kept];
+                    sort_by_weight_descending(observed);
+                    let value = observed[ell - 1].2;
+                    if value == 0.0 {
+                        return None;
+                    }
+                    Some(Selected {
+                        value,
+                        probability: family.inclusion_probability(value, threshold),
+                    })
                 }
-                Some(Selected { value, probability })
-            })),
+                SelectionKind::LSet => {
+                    // R'(i): assignments whose sketch contains the key.
+                    let kept = gather(row, assignments, f64::INFINITY, &mut scratch);
+                    if kept < ell {
+                        return None;
+                    }
+                    let observed = &mut scratch[..kept];
+                    sort_by_weight_descending(observed);
+                    let value = observed[ell - 1].2;
+                    if value == 0.0 {
+                        return None;
+                    }
+                    // Recover the shared seed from any observed (rank, weight).
+                    let (_, rank0, weight0) = observed[0];
+                    let seed = family.seed_from_rank(weight0, rank0);
+                    let top = &observed[..ell];
+                    // The remaining assignments must be certifiably no larger
+                    // than the ℓ-th largest weight: the shared seed must fall
+                    // below F_{value}(threshold_b).
+                    let mut probability = f64::INFINITY;
+                    for &(b, _, weight) in top {
+                        probability = probability.min(family.inclusion_probability(
+                            weight,
+                            summary.conditioning_threshold(b, true),
+                        ));
+                    }
+                    for &b in assignments {
+                        if top.iter().any(|&(t, _, _)| t == b) {
+                            continue;
+                        }
+                        let bound = family.inclusion_probability(
+                            value,
+                            summary.conditioning_threshold(b, is_sampled(row[b])),
+                        );
+                        if seed >= bound {
+                            return None;
+                        }
+                        probability = probability.min(bound);
+                    }
+                    Some(Selected { value, probability })
+                }
+            }
         }
     }
 
     /// The L1 (range) estimator `a^(L1) = a^(max) − a^(min)` (Eq. 17), using
     /// the requested selection for the `min` part.
     ///
+    /// Both parts are evaluated in the same pass over the rows; each key's
+    /// entry is `(a^(max) − a^(min)).max(0)`, dropped when zero. For
+    /// consistent rank assignments the difference is provably non-negative
+    /// (Lemma 7.5), so the clamp only absorbs floating-point noise. The
+    /// result carries no per-key support: its entries are differences of
+    /// correlated estimators with no probability behind them.
+    ///
     /// # Errors
     /// Returns an error for independent sketches or invalid assignment sets.
     pub fn l1(&self, assignments: &[usize], kind: SelectionKind) -> Result<AdjustedWeights> {
-        let max = self.max(assignments)?;
-        let min = self.min(assignments, kind)?;
-        Ok(AdjustedWeights::difference(&max, &min))
+        self.validate_assignments(assignments)?;
+        self.require_coordinated("max")?;
+        let mut max = self.lth_largest_selection(assignments, 1, SelectionKind::SSet);
+        let mut min = self.min_selection(assignments, kind);
+        let adjusted = |selected: Option<Selected>| selected.map_or(0.0, |s| s.adjusted_weight());
+        Ok(AdjustedWeights::from_entries(
+            self.summary
+                .rows()
+                .map(|(key, row)| (key, (adjusted(max(row)) - adjusted(min(row))).max(0.0))),
+        ))
+    }
+}
+
+/// One cell of a [`DispersedSummary`] membership row: the key's `(rank,
+/// weight)` in one sketch, with rank `+∞` if it was not sampled there.
+type Cell = (f64, f64);
+
+/// Copies the cells of `row` over `assignments`, in order, to the front of
+/// `scratch` as `(assignment, rank, weight)`, keeping those whose rank is
+/// below `bound`, and returns how many it kept. A cell outside its sketch
+/// has rank `+∞`, so it is never kept (sampled ranks are finite).
+///
+/// The loop has no data-dependent branch: membership varies from key to
+/// key, so a branch per cell would be mispredicted about half the time.
+/// `scratch` holds at least `assignments.len()` slots.
+#[inline]
+fn gather(
+    row: &[Cell],
+    assignments: &[usize],
+    bound: f64,
+    scratch: &mut [(usize, f64, f64)],
+) -> usize {
+    let mut kept = 0;
+    for &b in assignments {
+        let (rank, weight) = row[b];
+        scratch[kept] = (b, rank, weight);
+        kept += usize::from(rank < bound);
+    }
+    kept
+}
+
+/// Sorts `(assignment, rank, weight)` cells by weight, largest first, keeping
+/// the assignment order of equal weights — the order `sort_by` gives. An
+/// insertion sort: the slices hold at most `|R|` cells, most rows one or
+/// two, where the general sort's set-up would cost more than the sort.
+#[inline]
+fn sort_by_weight_descending(cells: &mut [(usize, f64, f64)]) {
+    for i in 1..cells.len() {
+        let mut j = i;
+        while j > 0 && cells[j].2.total_cmp(&cells[j - 1].2).is_gt() {
+            cells.swap(j, j - 1);
+            j -= 1;
+        }
     }
 }
 
@@ -285,7 +372,7 @@ mod tests {
     use crate::coordination::CoordinationMode;
     use crate::ranks::RankFamily;
     use crate::summary::SummaryConfig;
-    use crate::weights::MultiWeighted;
+    use crate::weights::{Key, MultiWeighted};
 
     /// Two-period, skewed data with churn, mimicking the structure of the
     /// paper's dispersed IP data.
@@ -455,6 +542,54 @@ mod tests {
                 let l1 = estimator.l1(&[0, 1], kind).unwrap();
                 assert!(l1.iter().all(|(_, value)| value >= 0.0));
             }
+        }
+    }
+
+    #[test]
+    fn l1_is_the_clamped_difference_of_max_and_min() {
+        // The fused pass must give, key by key and bit for bit, the
+        // difference of the separately computed max and min estimators,
+        // clamped at zero, with zero entries dropped and no support.
+        let data = fixture(300, 3);
+        for family in [RankFamily::Ipps, RankFamily::Exp] {
+            let cfg = SummaryConfig::new(25, family, CoordinationMode::SharedSeed, 5);
+            let summary = DispersedSummary::build(&data, &cfg);
+            let estimator = DispersedEstimator::new(&summary);
+            for r in [&[0usize, 1][..], &[2, 0, 1]] {
+                for kind in [SelectionKind::SSet, SelectionKind::LSet] {
+                    let max = estimator.max(r).unwrap();
+                    let min = estimator.min(r, kind).unwrap();
+                    let expected: Vec<(Key, u64)> = summary
+                        .union_keys()
+                        .map(|key| (key, (max.get(key) - min.get(key)).max(0.0)))
+                        .filter(|&(_, value)| value != 0.0)
+                        .map(|(key, value)| (key, value.to_bits()))
+                        .collect();
+                    let l1 = estimator.l1(r, kind).unwrap();
+                    let got: Vec<(Key, u64)> =
+                        l1.iter().map(|(key, value)| (key, value.to_bits())).collect();
+                    assert_eq!(got, expected, "{family:?} {r:?} {kind:?}");
+                    assert!(!l1.has_support());
+                    assert!(l1.variance_total().is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weight_sort_matches_the_stable_library_sort() {
+        // Every ordering of a multiset with ties and signed zeros.
+        let weights = [3.0, 1.0, 3.0, 0.0, -0.0, 2.0];
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        for round in 0..200usize {
+            order.swap(round % weights.len(), (round * 7 + 3) % weights.len());
+            let cells: Vec<(usize, f64, f64)> =
+                order.iter().map(|&i| (i, i as f64, weights[i])).collect();
+            let mut ours = cells.clone();
+            sort_by_weight_descending(&mut ours);
+            let mut reference = cells;
+            reference.sort_by(|a, b| b.2.total_cmp(&a.2));
+            assert_eq!(ours, reference, "round {round}");
         }
     }
 

@@ -1,13 +1,21 @@
 //! The dispersed-weights summary: independent per-assignment bottom-k
 //! sketches coordinated only through the shared hash seed (Section 7).
 
-use std::collections::HashMap;
-
 use crate::coordination::CoordinationMode;
 use crate::ranks::RankFamily;
 use crate::sketch::bottomk::BottomKSketch;
 use crate::summary::SummaryConfig;
 use crate::weights::{Key, MultiWeighted};
+
+/// The membership cell of a key outside a sketch: rank `+∞`, the rank of a
+/// zero weight (sampled ranks are finite).
+const ABSENT: (f64, f64) = (f64::INFINITY, 0.0);
+
+/// Whether a membership cell holds a sampled `(rank, weight)`.
+#[inline]
+pub(crate) fn is_sampled(cell: (f64, f64)) -> bool {
+    cell.0 < f64::INFINITY
+}
 
 /// A multi-assignment summary in the dispersed-weights model.
 ///
@@ -20,9 +28,15 @@ use crate::weights::{Key, MultiWeighted};
 pub struct DispersedSummary {
     config: SummaryConfig,
     sketches: Vec<BottomKSketch>,
-    /// For every key in the union of the sketches: per assignment, its
-    /// `(rank, weight)` pair if it is included in that sketch.
-    membership: HashMap<Key, Vec<Option<(f64, f64)>>>,
+    /// The union of the sketches' keys, ascending.
+    keys: Vec<Key>,
+    /// Row-major `keys.len() × num_assignments` membership table: cell
+    /// `(row, b)` is the `(rank, weight)` of `keys[row]` in the sketch of
+    /// `b`, or `ABSENT` if it was not sampled there.
+    cells: Vec<(f64, f64)>,
+    /// Per assignment, `[r_k, r_{k+1}]` of its sketch: the conditioning
+    /// threshold of a key outside and inside the sketch.
+    thresholds: Vec<[f64; 2]>,
 }
 
 impl DispersedSummary {
@@ -75,14 +89,20 @@ impl DispersedSummary {
             "all sketches must use the configured k"
         );
         let assignments = sketches.len();
-        let mut membership: HashMap<Key, Vec<Option<(f64, f64)>>> = HashMap::new();
+        let mut keys: Vec<Key> =
+            sketches.iter().flat_map(|sketch| sketch.entries().iter().map(|e| e.key)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut cells = vec![ABSENT; keys.len() * assignments];
         for (b, sketch) in sketches.iter().enumerate() {
             for entry in sketch.entries() {
-                membership.entry(entry.key).or_insert_with(|| vec![None; assignments])[b] =
-                    Some((entry.rank, entry.weight));
+                let row =
+                    keys.binary_search(&entry.key).expect("every sampled key is in the union");
+                cells[row * assignments + b] = (entry.rank, entry.weight);
             }
         }
-        Self { config, sketches, membership }
+        let thresholds = sketches.iter().map(|s| [s.kth_rank(), s.next_rank()]).collect();
+        Self { config, sketches, keys, cells, thresholds }
     }
 
     /// The configuration used to build the summary.
@@ -131,19 +151,29 @@ impl DispersedSummary {
     /// storage footprint that coordination minimizes (Theorem 4.2).
     #[must_use]
     pub fn num_distinct_keys(&self) -> usize {
-        self.membership.len()
+        self.keys.len()
     }
 
-    /// Iterates over the keys in the union of the sketches.
+    /// Iterates over the keys in the union of the sketches, in ascending
+    /// order.
     pub fn union_keys(&self) -> impl Iterator<Item = Key> + '_ {
-        self.membership.keys().copied()
+        self.keys.iter().copied()
+    }
+
+    /// Each key of the union, ascending, with its row of the membership
+    /// table: per assignment, the key's `(rank, weight)` in that sketch, or
+    /// `ABSENT`. The estimators make one pass over these rows.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (Key, &[(f64, f64)])> + '_ {
+        self.keys.iter().copied().zip(self.cells.chunks_exact(self.sketches.len()))
     }
 
     /// The `(rank, weight)` of `key` in the sketch of `assignment`, if it was
-    /// sampled there.
+    /// sampled there (a binary search of the union).
     #[must_use]
     pub fn entry(&self, key: Key, assignment: usize) -> Option<(f64, f64)> {
-        self.membership.get(&key).and_then(|per| per[assignment])
+        let row = self.keys.binary_search(&key).ok()?;
+        let cell = self.cells[row * self.sketches.len() + assignment];
+        is_sampled(cell).then_some(cell)
     }
 
     /// Whether `key` appears in the sketch of `assignment`.
@@ -157,11 +187,16 @@ impl DispersedSummary {
     /// sketch, the `k`-th smallest otherwise.
     #[must_use]
     pub fn threshold_excluding(&self, key: Key, assignment: usize) -> f64 {
-        if self.in_sketch(key, assignment) {
-            self.sketches[assignment].next_rank()
-        } else {
-            self.sketches[assignment].kth_rank()
-        }
+        self.conditioning_threshold(assignment, self.in_sketch(key, assignment))
+    }
+
+    /// [`DispersedSummary::threshold_excluding`] for a key whose membership
+    /// in the sketch of `assignment` is already known.
+    #[inline]
+    pub(crate) fn conditioning_threshold(&self, assignment: usize, sampled: bool) -> f64 {
+        // A table lookup rather than a branch: membership varies from key
+        // to key, so the estimators' row passes could not predict it.
+        self.thresholds[assignment][usize::from(sampled)]
     }
 }
 
@@ -207,7 +242,9 @@ mod tests {
             let distinct = summary.num_distinct_keys();
             assert!(distinct >= 20, "{mode:?}: {distinct}");
             assert!(distinct <= 60, "{mode:?}: {distinct}");
-            assert_eq!(summary.union_keys().count(), distinct);
+            let keys: Vec<Key> = summary.union_keys().collect();
+            assert_eq!(keys.len(), distinct);
+            assert!(keys.windows(2).all(|pair| pair[0] < pair[1]), "union keys ascend");
         }
     }
 
@@ -245,6 +282,15 @@ mod tests {
         assert_eq!(summary.threshold_excluding(some_key, 0), summary.sketch(0).kth_rank());
         let member = summary.sketch(0).entries()[0].key;
         assert_eq!(summary.threshold_excluding(member, 0), summary.sketch(0).next_rank());
+        // A key outside the union is in no sketch.
+        assert_eq!(summary.entry(10_000, 0), None);
+        assert_eq!(summary.threshold_excluding(10_000, 0), summary.sketch(0).kth_rank());
+        // Every row agrees with the per-key lookup.
+        for (key, row) in summary.rows() {
+            for (b, &cell) in row.iter().enumerate() {
+                assert_eq!(is_sampled(cell).then_some(cell), summary.entry(key, b));
+            }
+        }
     }
 
     #[test]

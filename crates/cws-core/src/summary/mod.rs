@@ -15,6 +15,7 @@ mod colocated;
 mod dispersed;
 
 pub use colocated::{ColocatedRecord, ColocatedSummary};
+pub(crate) use dispersed::is_sampled;
 pub use dispersed::DispersedSummary;
 
 use crate::coordination::{CoordinationMode, RankGenerator};

@@ -108,7 +108,10 @@ pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<Estim
         // One fold, fanned out to every tap. Per accumulator this performs
         // the same additions in the same (entry) order as a standalone
         // query fold — see the module docs for why that yields bit-identical
-        // results.
+        // results. The per-key terms depend only on the entry, so each is
+        // computed once per entry, and only if some tap reads it.
+        let sums = taps.iter().any(|tap| tap.role == Role::Sum);
+        let counts = taps.iter().any(|tap| matches!(tap.role, Role::Count | Role::SumAndCount));
         let supported = adjusted.supported_iter();
         match supported {
             Some(iter) => {
@@ -116,6 +119,19 @@ pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<Estim
                     if index % stride == 0 {
                         check(&deadline)?;
                     }
+                    let variance = if sums {
+                        ht_variance_component(selected.value, selected.probability)
+                    } else {
+                        0.0
+                    };
+                    let (inverse, count_variance) = if counts {
+                        (
+                            1.0 / selected.probability,
+                            ht_variance_component(1.0, selected.probability),
+                        )
+                    } else {
+                        (0.0, 0.0)
+                    };
                     for tap in taps {
                         let spec = &specs[tap.spec];
                         if spec.predicate().is_none_or(|predicate| predicate(key)) {
@@ -123,19 +139,17 @@ pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<Estim
                             match tap.role {
                                 Role::Sum => {
                                     state.total += weight;
-                                    state.variance +=
-                                        ht_variance_component(selected.value, selected.probability);
+                                    state.variance += variance;
                                     state.observed += 1;
                                 }
                                 Role::Count => {
-                                    state.total += 1.0 / selected.probability;
-                                    state.variance +=
-                                        ht_variance_component(1.0, selected.probability);
+                                    state.total += inverse;
+                                    state.variance += count_variance;
                                     state.observed += 1;
                                 }
                                 Role::SumAndCount => {
                                     state.total += weight;
-                                    state.aux += 1.0 / selected.probability;
+                                    state.aux += inverse;
                                     state.observed += 1;
                                 }
                                 Role::RatioNumerator => {

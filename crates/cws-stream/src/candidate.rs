@@ -4,15 +4,18 @@
 //!
 //! This is the innermost structure of the ingestion hot path, so it is built
 //! for the common case — a record whose rank is too large to matter — to cost
-//! exactly one load and one floating-point compare. Storage is a single flat
-//! array maintained as a binary max-heap ordered by `(rank, key)`:
+//! exactly one load and one floating-point compare: the current heap-top rank
+//! is cached in `threshold`, so rejection does not even dereference the
+//! heap. Storage is two flat arrays, both allocated once at construction and
+//! never resized:
 //!
-//! * one allocation of `k + 1` slots at construction, never resized;
-//! * membership is answered by scanning the (contiguous, at most `k + 1`
-//!   entry) array instead of a side `HashSet`, so accepting a candidate
-//!   touches no second structure;
-//! * the current heap-top rank is cached in `threshold` so rejection does not
-//!   even dereference the heap.
+//! * a binary max-heap of `k + 1` slots ordered by `(rank, key)`, which
+//!   decides admission and eviction;
+//! * a [`KeyIndex`] over the same keys (open addressing, at most half full),
+//!   which answers membership with one probe. A competitive offer — about
+//!   `k · (1 + ln(n/k))` of `n` records per set — would otherwise pay an
+//!   `O(k)` duplicate scan of the heap; only a real duplicate, which an
+//!   aggregated stream never produces, still searches the heap for its slot.
 //!
 //! The `(rank, key)` total order matches `BottomKSketch::from_ranked`
 //! exactly, so a candidate set fed any permutation of a ranked population
@@ -66,12 +69,114 @@ impl OfferOutcome {
     /// the documented contract of the samplers — this is equivalent to
     /// "the key is a candidate after the call". The one divergence is a
     /// *re-offer* of an existing candidate with a rank above the current
-    /// threshold: the fast-reject fires before the duplicate scan, so the
+    /// threshold: the fast-reject fires before the duplicate guard, so the
     /// call reports `Rejected` even though the earlier entry remains; use
     /// [`CandidateSet::contains`] when that distinction matters.
     #[inline]
     pub(crate) fn is_candidate(self) -> bool {
         !matches!(self, OfferOutcome::Rejected)
+    }
+}
+
+/// Set of the keys held by a [`CandidateSet`]: an open-addressing table
+/// with linear probing and backward-shift deletion, sized once to at least
+/// twice the set's capacity so probe chains stay short.
+///
+/// [`KeyIndex::EMPTY`] marks a free slot; the one key equal to it is
+/// tracked by a flag instead of a slot.
+#[derive(Debug, Clone)]
+struct KeyIndex {
+    slots: Box<[Key]>,
+    /// `slots.len() - 1` (the length is a power of two).
+    mask: usize,
+    /// `64 - log2(slots.len())`: the home slot is the top bits of a
+    /// multiplicative hash.
+    shift: u32,
+    holds_empty_key: bool,
+}
+
+impl KeyIndex {
+    const EMPTY: Key = Key::MAX;
+
+    /// An empty index for up to `capacity` keys.
+    fn new(capacity: usize) -> Self {
+        let len = (2 * capacity).next_power_of_two();
+        Self {
+            slots: vec![Self::EMPTY; len].into_boxed_slice(),
+            mask: len - 1,
+            shift: 64 - len.trailing_zeros(),
+            holds_empty_key: false,
+        }
+    }
+
+    /// The slot probing for `key` starts at (Fibonacci hashing, so runs of
+    /// consecutive keys spread over the table).
+    #[inline]
+    fn home(&self, key: Key) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    #[inline]
+    fn contains(&self, key: Key) -> bool {
+        if key == Self::EMPTY {
+            return self.holds_empty_key;
+        }
+        let mut slot = self.home(key);
+        loop {
+            match self.slots[slot] {
+                held if held == key => return true,
+                Self::EMPTY => return false,
+                _ => slot = (slot + 1) & self.mask,
+            }
+        }
+    }
+
+    /// Adds `key`, which must not be present.
+    #[inline]
+    fn insert(&mut self, key: Key) {
+        if key == Self::EMPTY {
+            self.holds_empty_key = true;
+            return;
+        }
+        let mut slot = self.home(key);
+        while self.slots[slot] != Self::EMPTY {
+            debug_assert_ne!(self.slots[slot], key, "key {key} is already indexed");
+            slot = (slot + 1) & self.mask;
+        }
+        self.slots[slot] = key;
+    }
+
+    /// Removes `key`, which must be present, and shifts later members of
+    /// its probe run back so no lookup ever needs a tombstone.
+    #[inline]
+    fn remove(&mut self, key: Key) {
+        if key == Self::EMPTY {
+            self.holds_empty_key = false;
+            return;
+        }
+        let mut hole = self.home(key);
+        while self.slots[hole] != key {
+            debug_assert_ne!(self.slots[hole], Self::EMPTY, "key {key} is not indexed");
+            hole = (hole + 1) & self.mask;
+        }
+        let mut next = hole;
+        loop {
+            next = (next + 1) & self.mask;
+            let moved = self.slots[next];
+            if moved == Self::EMPTY {
+                break;
+            }
+            // `moved` may fill the hole unless its home lies strictly
+            // between the hole and its slot (cyclically): then it already
+            // sits as close to home as the run allows.
+            let from_home = next.wrapping_sub(self.home(moved)) & self.mask;
+            let from_hole = next.wrapping_sub(hole) & self.mask;
+            if from_home >= from_hole {
+                self.slots[hole] = moved;
+                hole = next;
+            }
+        }
+        self.slots[hole] = Self::EMPTY;
     }
 }
 
@@ -87,6 +192,8 @@ pub(crate) struct CandidateSet {
     k: usize,
     /// Binary max-heap by `(rank, key)`; `heap.len() <= k + 1`.
     heap: Vec<Candidate>,
+    /// Exactly the keys in `heap`.
+    index: KeyIndex,
     /// Cached rank of the heap top while the set is full, `+∞` otherwise:
     /// any strictly larger rank is rejected without touching the heap.
     threshold: f64,
@@ -101,6 +208,7 @@ impl CandidateSet {
         Self {
             k,
             heap: Vec::with_capacity(k + 1),
+            index: KeyIndex::new(k + 1),
             threshold: f64::INFINITY,
             inflated: f64::INFINITY,
         }
@@ -137,9 +245,10 @@ impl CandidateSet {
         }
         let candidate = Candidate { rank, key, weight };
 
-        // Duplicate guard: only reached when the rank is competitive, so the
-        // scan (contiguous, <= k + 1 entries) is off the fast-reject path.
-        if let Some(slot) = self.heap.iter().position(|c| c.key == key) {
+        // Duplicate guard: one index probe. Only a real duplicate searches
+        // the heap for its slot.
+        if self.index.contains(key) {
+            let slot = self.heap.iter().position(|c| c.key == key).expect("indexed keys are held");
             if rank < self.heap[slot].rank {
                 self.heap[slot] = candidate;
                 // The entry shrank, so it can only need to move away from the
@@ -152,6 +261,7 @@ impl CandidateSet {
 
         if self.heap.len() <= self.k {
             self.heap.push(candidate);
+            self.index.insert(key);
             self.sift_up(self.heap.len() - 1);
             self.refresh_threshold();
             return OfferOutcome::Inserted(None);
@@ -165,6 +275,8 @@ impl CandidateSet {
             return OfferOutcome::Rejected;
         }
         let evicted = std::mem::replace(&mut self.heap[0], candidate).key;
+        self.index.remove(evicted);
+        self.index.insert(key);
         self.sift_down(0);
         self.refresh_threshold();
         OfferOutcome::Inserted(Some(evicted))
@@ -244,16 +356,10 @@ impl CandidateSet {
         }
     }
 
-    /// Whether `key` is currently a candidate (a linear scan over the flat
-    /// array; for bulk membership tests collect [`CandidateSet::keys`] into
-    /// a set instead).
+    /// Whether `key` is currently a candidate (one index probe).
+    #[inline]
     pub(crate) fn contains(&self, key: Key) -> bool {
-        self.heap.iter().any(|c| c.key == key)
-    }
-
-    /// The keys currently held, in heap (not rank) order.
-    pub(crate) fn keys(&self) -> impl Iterator<Item = Key> + '_ {
-        self.heap.iter().map(|c| c.key)
+        self.index.contains(key)
     }
 
     /// Number of candidates currently held (at most `k + 1`).
@@ -376,6 +482,103 @@ mod tests {
             }
             assert_eq!(batched.into_sketch(), scalar.into_sketch(), "k={k}");
         }
+    }
+
+    /// Keys whose probe starts at `slot` of the index of a `k`-set.
+    fn colliding_keys(k: usize, slot: usize, count: usize) -> Vec<Key> {
+        let index = KeyIndex::new(k + 1);
+        (0..).filter(|&key| index.home(key) == slot).take(count).collect()
+    }
+
+    /// Asserts the index holds exactly the heap's keys, and that `probes`
+    /// agree with a scan of the heap.
+    fn assert_index_matches_heap(set: &CandidateSet, probes: &[Key], context: &str) {
+        for &key in probes {
+            let scanned = set.heap.iter().any(|c| c.key == key);
+            assert_eq!(set.contains(key), scanned, "{context}: key {key}");
+        }
+        assert!(set.heap.iter().all(|c| set.contains(c.key)), "{context}: heap key not indexed");
+        let indexed = set.index.slots.iter().filter(|&&key| key != KeyIndex::EMPTY).count()
+            + usize::from(set.index.holds_empty_key);
+        assert_eq!(indexed, set.heap.len(), "{context}: index and heap sizes differ");
+    }
+
+    #[test]
+    fn index_tracks_the_heap_through_seeded_offer_sequences() {
+        use cws_hash::{RandomSource, Xoshiro256};
+        use std::collections::HashMap;
+
+        for k in [1usize, 7, 1024] {
+            let mut rng = Xoshiro256::seeded(0x1DE7 ^ k as u64);
+            let mask = KeyIndex::new(k + 1).mask;
+            // The key pool: random keys, runs of keys sharing the first and
+            // the last home slot (the last run wraps around the table), and
+            // the key equal to the index's empty marker.
+            let mut pool: Vec<Key> = (0..3 * k as u64 + 8).map(|_| rng.next_u64() >> 1).collect();
+            pool.extend(colliding_keys(k, 0, k.min(16) + 2));
+            pool.extend(colliding_keys(k, mask, k.min(16) + 2));
+            pool.push(Key::MAX);
+            let mut set = CandidateSet::new(k);
+            // Best `(rank, weight)` offered per key: what the set must
+            // finalize to.
+            let mut best: HashMap<Key, (f64, f64)> = HashMap::new();
+            let mut offered: Vec<Key> = Vec::new();
+            for step in 0..12 * (k + 8) {
+                // One offer in four re-offers an earlier key, whether it is
+                // still held or was evicted since.
+                let key = if !offered.is_empty() && rng.next_below(4) == 0 {
+                    offered[rng.next_below(offered.len() as u64) as usize]
+                } else {
+                    pool[rng.next_below(pool.len() as u64) as usize]
+                };
+                let rank = rng.next_open01();
+                let weight = 1.0 + rng.next_unit();
+                let outcome = set.offer(key, rank, weight);
+                offered.push(key);
+                let entry = best.entry(key).or_insert((rank, weight));
+                if rank < entry.0 {
+                    *entry = (rank, weight);
+                }
+                let mut probes = vec![key, Key::MAX];
+                if let OfferOutcome::Inserted(Some(evicted)) = outcome {
+                    assert!(!set.contains(evicted), "k={k} step {step}: evicted key still held");
+                    probes.push(evicted);
+                }
+                if k <= 7 || step % 97 == 0 {
+                    probes.extend(&pool);
+                }
+                assert_index_matches_heap(&set, &probes, &format!("k={k} step {step}"));
+            }
+            let offline =
+                BottomKSketch::from_ranked(k, best.into_iter().map(|(key, (r, w))| (key, r, w)));
+            assert_eq!(set.into_sketch(), offline, "k={k}");
+        }
+    }
+
+    #[test]
+    fn index_deletion_keeps_wrapped_probe_runs_reachable() {
+        // A run of keys homed at the last slot wraps to the front of the
+        // table; deleting from its middle must shift the wrapped tail back
+        // without stranding any member.
+        let k = 7;
+        let mut index = KeyIndex::new(k + 1);
+        let run = colliding_keys(k, index.mask, 5);
+        let front = colliding_keys(k, 0, 2);
+        for &key in run.iter().chain(&front) {
+            index.insert(key);
+        }
+        index.insert(Key::MAX);
+        for (removed, &key) in run.iter().enumerate() {
+            index.remove(key);
+            assert!(!index.contains(key));
+            for &kept in run[removed + 1..].iter().chain(&front) {
+                assert!(index.contains(kept), "lost {kept} after removing {key}");
+            }
+            assert!(index.contains(Key::MAX));
+        }
+        index.remove(Key::MAX);
+        assert!(!index.contains(Key::MAX));
+        assert_eq!(index.slots.iter().filter(|&&key| key != KeyIndex::EMPTY).count(), 2);
     }
 
     #[test]

@@ -164,15 +164,11 @@ impl ColocatedStreamSampler {
         result
     }
 
-    /// Drops weight vectors of keys that are no longer candidates anywhere.
-    ///
-    /// Membership is collected into one hash set up front (`O(k · |W|)`)
-    /// so the retain pass is `O(1)` per vector — the flat candidate arrays
-    /// would otherwise cost a linear scan per lookup.
+    /// Drops weight vectors of keys that are no longer candidates anywhere
+    /// (one index probe per candidate set and vector).
     fn compact(&mut self) {
-        let live: std::collections::HashSet<Key> =
-            self.candidates.iter().flat_map(CandidateSet::keys).collect();
-        self.vectors.retain(|key, _| live.contains(key));
+        let candidates = &self.candidates;
+        self.vectors.retain(|&key, _| candidates.iter().any(|set| set.contains(key)));
     }
 
     /// Finalizes the pass into a colocated summary.

@@ -77,9 +77,12 @@ fn mixed_batch(selection: SelectionKind) -> QueryBatch {
         .collect()
 }
 
+/// A labelled query constructor.
+type Shape = (&'static str, fn() -> Query);
+
 /// The `Query` grid, labelled.
 fn queries() -> Vec<(String, Query)> {
-    let shapes: Vec<(&str, fn() -> Query)> = vec![
+    let shapes: Vec<Shape> = vec![
         ("single(0)", || Query::single(0)),
         ("single(5)", || Query::single(5)),
         ("max(0,1,2)", || Query::max([0, 1, 2])),
