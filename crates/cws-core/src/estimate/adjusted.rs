@@ -28,9 +28,9 @@ use crate::weights::Key;
 pub struct AdjustedWeights {
     entries: Vec<(Key, f64)>,
     /// Key → slot in `entries`, built by the first [`AdjustedWeights::get`].
-    /// The estimators emit entries in ascending key order, which rules out
-    /// duplicates without a map; any other order builds it at construction
-    /// to reject them.
+    /// Entries in ascending key order (the dispersed and colocated
+    /// estimators pass over keys that way) have no duplicates to find; any
+    /// other order builds the map at construction to reject them.
     index: OnceLock<HashMap<Key, usize>>,
     /// `(value, probability)` per entry, aligned with `entries`; empty when
     /// the summary was assembled without template support.
@@ -94,12 +94,8 @@ impl AdjustedWeights {
     where
         I: IntoIterator<Item = (Key, Selected)>,
     {
-        let selections = selections.into_iter();
-        // Selections usually come from a pass over a known set of candidate
-        // keys: reserve for all of them rather than grow.
-        let (lower, upper) = selections.size_hint();
-        let mut stored = Vec::with_capacity(upper.unwrap_or(lower));
-        let mut support = Vec::with_capacity(upper.unwrap_or(lower));
+        let mut stored = Vec::new();
+        let mut support = Vec::new();
         for (key, selected) in selections {
             let value = selected.adjusted_weight();
             assert!(

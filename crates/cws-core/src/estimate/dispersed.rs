@@ -230,39 +230,27 @@ impl<'a> DispersedEstimator<'a> {
         let family = summary.family();
         let mut scratch = vec![(0, 0.0, 0.0); assignments.len()];
         move |row| {
-            match kind {
-                SelectionKind::SSet => {
-                    let threshold = self.min_threshold(row, assignments);
-                    // R'(i): assignments whose rank for the key is below the
-                    // smallest threshold (only sampled assignments can
-                    // qualify).
-                    let kept = gather(row, assignments, threshold, &mut scratch);
-                    if kept < ell {
-                        return None;
-                    }
-                    let observed = &mut scratch[..kept];
-                    sort_by_weight_descending(observed);
-                    let value = observed[ell - 1].2;
-                    if value == 0.0 {
-                        return None;
-                    }
-                    Some(Selected {
-                        value,
-                        probability: family.inclusion_probability(value, threshold),
-                    })
-                }
+            // R'(i): for the s-set, the assignments whose rank for the key is
+            // below the smallest threshold (only sampled assignments can
+            // qualify); for the l-set, the assignments whose sketch contains
+            // the key.
+            let bound = match kind {
+                SelectionKind::SSet => self.min_threshold(row, assignments),
+                SelectionKind::LSet => f64::INFINITY,
+            };
+            let kept = gather(row, assignments, bound, &mut scratch);
+            if kept < ell {
+                return None;
+            }
+            let observed = &mut scratch[..kept];
+            sort_by_weight_descending(observed);
+            let value = observed[ell - 1].2;
+            if value == 0.0 {
+                return None;
+            }
+            let probability = match kind {
+                SelectionKind::SSet => family.inclusion_probability(value, bound),
                 SelectionKind::LSet => {
-                    // R'(i): assignments whose sketch contains the key.
-                    let kept = gather(row, assignments, f64::INFINITY, &mut scratch);
-                    if kept < ell {
-                        return None;
-                    }
-                    let observed = &mut scratch[..kept];
-                    sort_by_weight_descending(observed);
-                    let value = observed[ell - 1].2;
-                    if value == 0.0 {
-                        return None;
-                    }
                     // Recover the shared seed from any observed (rank, weight).
                     let (_, rank0, weight0) = observed[0];
                     let seed = family.seed_from_rank(weight0, rank0);
@@ -290,9 +278,10 @@ impl<'a> DispersedEstimator<'a> {
                         }
                         probability = probability.min(bound);
                     }
-                    Some(Selected { value, probability })
+                    probability
                 }
-            }
+            };
+            Some(Selected { value, probability })
         }
     }
 

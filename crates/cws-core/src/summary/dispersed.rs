@@ -172,7 +172,8 @@ impl DispersedSummary {
     #[must_use]
     pub fn entry(&self, key: Key, assignment: usize) -> Option<(f64, f64)> {
         let row = self.keys.binary_search(&key).ok()?;
-        let cell = self.cells[row * self.sketches.len() + assignment];
+        let assignments = self.sketches.len();
+        let cell = self.cells[row * assignments..][..assignments][assignment];
         is_sampled(cell).then_some(cell)
     }
 
