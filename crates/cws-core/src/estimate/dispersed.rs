@@ -234,11 +234,11 @@ impl<'a> DispersedEstimator<'a> {
             // below the smallest threshold (only sampled assignments can
             // qualify); for the l-set, the assignments whose sketch contains
             // the key.
-            let bound = match kind {
+            let rank_bound = match kind {
                 SelectionKind::SSet => self.min_threshold(row, assignments),
                 SelectionKind::LSet => f64::INFINITY,
             };
-            let kept = gather(row, assignments, bound, &mut scratch);
+            let kept = gather(row, assignments, rank_bound, &mut scratch);
             if kept < ell {
                 return None;
             }
@@ -249,7 +249,7 @@ impl<'a> DispersedEstimator<'a> {
                 return None;
             }
             let probability = match kind {
-                SelectionKind::SSet => family.inclusion_probability(value, bound),
+                SelectionKind::SSet => family.inclusion_probability(value, rank_bound),
                 SelectionKind::LSet => {
                     // Recover the shared seed from any observed (rank, weight).
                     let (_, rank0, weight0) = observed[0];
@@ -321,7 +321,7 @@ type Cell = (f64, f64);
 /// has rank `+∞`, so it is never kept (sampled ranks are finite).
 ///
 /// The loop has no data-dependent branch: membership varies from key to
-/// key, so a branch per cell would be mispredicted about half the time.
+/// key, so a branch per cell would often be mispredicted.
 /// `scratch` holds at least `assignments.len()` slots.
 #[inline]
 fn gather(

@@ -166,9 +166,9 @@ impl KeyIndex {
             if moved == Self::EMPTY {
                 break;
             }
-            // `moved` may fill the hole unless its home lies strictly
-            // between the hole and its slot (cyclically): then it already
-            // sits as close to home as the run allows.
+            // `moved` fills the hole unless its home lies after the hole
+            // (cyclically, up to its own slot): then moving it back would
+            // put it before its home, where no probe for it starts.
             let from_home = next.wrapping_sub(self.home(moved)) & self.mask;
             let from_hole = next.wrapping_sub(hole) & self.mask;
             if from_home >= from_hole {
