@@ -8,7 +8,8 @@
 //!   column + weight lane).
 //! * `multi_assignment` — per-assignment hashing (`DispersedStreamSampler`)
 //!   vs the hash-once record/row-batch/column APIs
-//!   (`MultiAssignmentStreamSampler`).
+//!   (`MultiAssignmentStreamSampler`), and the colocated sampler's column
+//!   path (`ColocatedStreamSampler::push_columns`) on the same columns.
 //! * `sharded` — parallel ingestion at 1/2/4/8 shards, per-record handoff
 //!   vs zero-copy shared column batches.
 //! * `aggregation` — the `Pipeline` facade's `SumByKey` pre-aggregation
@@ -95,6 +96,9 @@ fn bench_multi_assignment(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("hash_once_columns", ASSIGNMENTS), |b| {
         b.iter(|| black_box(workloads::hash_once_columns(&columns, config)));
+    });
+    group.bench_function(BenchmarkId::new("colocated_columns", ASSIGNMENTS), |b| {
+        b.iter(|| black_box(workloads::colocated_columns(&columns, config)));
     });
     group.finish();
 }

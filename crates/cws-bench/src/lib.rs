@@ -72,8 +72,8 @@ pub mod workloads {
         Summary, SyncPolicy, WalConfig,
     };
     use cws_stream::{
-        BottomKStreamSampler, DispersedStreamSampler, MultiAssignmentStreamSampler,
-        ShardedDispersedSampler,
+        BottomKStreamSampler, ColocatedStreamSampler, DispersedStreamSampler,
+        MultiAssignmentStreamSampler, ShardedDispersedSampler,
     };
 
     /// Single-assignment bottom-k push over assignment 0 of `data`.
@@ -128,6 +128,14 @@ pub mod workloads {
     /// pre-filter kernels of `push_columns`).
     pub fn hash_once_columns(columns: &RecordColumns, config: SummaryConfig) -> usize {
         let mut sampler = MultiAssignmentStreamSampler::new(config, columns.num_assignments());
+        sampler.push_columns(columns).expect("valid weights");
+        sampler.finalize().num_distinct_keys()
+    }
+
+    /// The colocated summary over the same columns: the hash-once column
+    /// kernel plus retaining the weight vector of every admitted record.
+    pub fn colocated_columns(columns: &RecordColumns, config: SummaryConfig) -> usize {
+        let mut sampler = ColocatedStreamSampler::new(config, columns.num_assignments());
         sampler.push_columns(columns).expect("valid weights");
         sampler.finalize().num_distinct_keys()
     }
@@ -333,6 +341,10 @@ mod tests {
         );
         let expected = workloads::hash_once_batch(&data, config);
         assert_eq!(workloads::hash_once_columns(&columns, config), expected);
+        assert_eq!(
+            workloads::colocated_columns(&columns, config),
+            cws_core::summary::ColocatedSummary::build(&data, &config).num_distinct_keys()
+        );
         let batches: Vec<Arc<_>> = columns.split(512).into_iter().map(Arc::new).collect();
         for shards in [1usize, 3] {
             assert_eq!(workloads::sharded_columns(&batches, config, shards), expected);

@@ -109,7 +109,7 @@ impl BottomKStreamSampler {
                 }
                 CoordinationMode::IndependentDifferences => unreachable!("rejected above"),
             }
-            self.candidates.push_batch_prefiltered(chunk_keys, bases, chunk_weights);
+            self.candidates.push_batch_prefiltered(chunk_keys, bases, chunk_weights, |_| {});
             self.processed += len as u64;
             start += len;
         }

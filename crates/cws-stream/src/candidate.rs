@@ -334,15 +334,25 @@ impl CandidateSet {
     /// bit-identical to per-record offers in any order; the register is
     /// refreshed after each offer, the only operation that can change it.
     ///
+    /// `admitted(i)` is called for every record `i` whose offer admitted or
+    /// updated its key ([`OfferOutcome::is_candidate`]); a caller with no
+    /// use for it passes `|_| {}`, which compiles away.
+    ///
     /// Invalid weights never corrupt the set (negative weights fail the
     /// pre-filter because `base > 0`; NaN and `±∞` produce non-finite ranks
     /// that `offer` rejects) — callers validate lanes separately to turn
     /// them into errors.
-    pub(crate) fn push_batch_prefiltered(&mut self, keys: &[Key], bases: &[f64], weights: &[f64]) {
+    pub(crate) fn push_batch_prefiltered(
+        &mut self,
+        keys: &[Key],
+        bases: &[f64],
+        weights: &[f64],
+        mut admitted: impl FnMut(usize),
+    ) {
         debug_assert_eq!(keys.len(), bases.len());
         debug_assert_eq!(keys.len(), weights.len());
         let mut threshold = self.inflated;
-        for ((&key, &base), &weight) in keys.iter().zip(bases).zip(weights) {
+        for (index, ((&key, &base), &weight)) in keys.iter().zip(bases).zip(weights).enumerate() {
             // Certain rejection without dividing; see `inflated_threshold`
             // for why this is exact. `base > 0`, so zero and negative
             // weights land on the reject side too (directly, or as a
@@ -351,7 +361,9 @@ impl CandidateSet {
             if base > weight * threshold {
                 continue;
             }
-            self.offer(key, base / weight, weight);
+            if self.offer(key, base / weight, weight).is_candidate() {
+                admitted(index);
+            }
             threshold = self.inflated;
         }
     }
@@ -472,14 +484,20 @@ mod tests {
         let weights: Vec<f64> = keys.iter().map(|&k| (k % 9) as f64).collect(); // zeros too
         for k in [1usize, 7, 31] {
             let mut batched = CandidateSet::new(k);
-            batched.push_batch_prefiltered(&keys, &bases, &weights);
+            let mut admitted = Vec::new();
+            batched.push_batch_prefiltered(&keys, &bases, &weights, |i| admitted.push(i));
             // Reference: every record goes through the exact offer path (no
             // pre-filter at all) — proves the pre-filter only ever skips
-            // offers that would have been rejected.
+            // offers that would have been rejected, and reports exactly the
+            // offers that admitted or updated a key.
             let mut scalar = CandidateSet::new(k);
+            let mut expected = Vec::new();
             for i in 0..keys.len() {
-                scalar.offer(keys[i], bases[i] / weights[i], weights[i]);
+                if scalar.offer(keys[i], bases[i] / weights[i], weights[i]).is_candidate() {
+                    expected.push(i);
+                }
             }
+            assert_eq!(admitted, expected, "k={k}");
             assert_eq!(batched.into_sketch(), scalar.into_sketch(), "k={k}");
         }
     }

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod candidate;
+mod kernel;
 
 pub mod bottomk;
 pub mod colocated;

@@ -19,10 +19,33 @@
 
 use cws_core::columns::{first_invalid_weight, invalid_weight_error, RecordColumns};
 use cws_core::summary::{DispersedSummary, SummaryConfig};
-use cws_core::{CoordinationMode, Key, RankGenerator, Result};
+use cws_core::{CoordinationMode, CwsError, Key, RankGenerator, Result};
 
-use crate::bottomk::COLUMN_CHUNK;
 use crate::candidate::CandidateSet;
+use crate::kernel::{push_column_chunks, ChunkSink};
+
+/// The dispersed sampler's [`ChunkSink`]: a chunk is validated whole before
+/// any of it is offered (unless the producer already validated the batch),
+/// and admissions need no bookkeeping.
+struct WholeChunks {
+    validate: bool,
+}
+
+impl ChunkSink for WholeChunks {
+    #[inline]
+    fn check(
+        &mut self,
+        columns: &RecordColumns,
+        start: usize,
+        len: usize,
+    ) -> std::result::Result<(), (usize, CwsError)> {
+        if self.validate {
+            columns.validate_span(start, len).map_err(|error| (0, error))
+        } else {
+            Ok(())
+        }
+    }
+}
 
 /// A one-pass, hash-once sampler for streams of `(key, weight-vector)`
 /// records, producing one coordinated bottom-k sketch per assignment.
@@ -154,7 +177,9 @@ impl MultiAssignmentStreamSampler {
     /// [`MultiAssignmentStreamSampler::push_record`]: within one assignment
     /// the candidate set sees the exact same offers in the exact same order,
     /// and assignments never interact. The work is organized as column
-    /// kernels over `COLUMN_CHUNK` (1024)-record chunks:
+    /// kernels over `COLUMN_CHUNK` (1024)-record chunks, the chunk loop
+    /// [`ColocatedStreamSampler::push_columns`](crate::ColocatedStreamSampler::push_columns)
+    /// shares:
     ///
     /// 1. validate the chunk's weight lanes (one branch-free reduction per
     ///    lane, while the lane is about to be hot anyway);
@@ -185,45 +210,13 @@ impl MultiAssignmentStreamSampler {
     }
 
     fn push_columns_inner(&mut self, columns: &RecordColumns, validate: bool) -> Result<()> {
-        assert_eq!(columns.num_assignments(), self.num_assignments, "weight vector arity mismatch");
-        let keys = columns.keys();
-        let seeds = self.generator.seed_sequence();
-        let shared = self.generator.mode() == CoordinationMode::SharedSeed;
-        debug_assert!(
-            shared || self.generator.mode() == CoordinationMode::Independent,
-            "constructor rejects independent-differences"
-        );
-        let mut bases = [0.0f64; COLUMN_CHUNK];
-        let mut pair_bases = Vec::new();
-        let mut start = 0;
-        while start < keys.len() {
-            let len = COLUMN_CHUNK.min(keys.len() - start);
-            let chunk_keys = &keys[start..start + len];
-            if validate {
-                columns.validate_span(start, len)?;
-            }
-            let bases = &mut bases[..len];
-            if shared {
-                // One hash per key, one numerator lane for every assignment.
-                self.generator.shared_rank_bases_into(chunk_keys, bases);
-                for (assignment, set) in self.candidates.iter_mut().enumerate() {
-                    let lane = &columns.lane(assignment)[start..start + len];
-                    set.push_batch_prefiltered(chunk_keys, bases, lane);
-                }
-            } else {
-                // Hash once into pair bases; each assignment finishes its
-                // own numerator lane from the pre-mixed state.
-                seeds.pair_bases_into(chunk_keys, &mut pair_bases);
-                for (assignment, set) in self.candidates.iter_mut().enumerate() {
-                    self.generator.assignment_rank_bases_into(&pair_bases, assignment, bases);
-                    let lane = &columns.lane(assignment)[start..start + len];
-                    set.push_batch_prefiltered(chunk_keys, bases, lane);
-                }
-            }
-            self.processed += len as u64;
-            start += len;
-        }
-        Ok(())
+        push_column_chunks(
+            &self.generator,
+            &mut self.candidates,
+            columns,
+            &mut WholeChunks { validate },
+            &mut self.processed,
+        )
     }
 
     /// Whether `key` is currently among the candidates of `assignment`.
