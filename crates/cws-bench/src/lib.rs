@@ -68,8 +68,8 @@ pub mod workloads {
     use cws_core::weights::MultiWeighted;
     use cws_data::synthetic::Element;
     use cws_engine::{
-        Aggregation, EpochedPipeline, Ingest, Layout, Pipeline, Query, QueryBatch, QuerySpec,
-        Summary, SyncPolicy, WalConfig,
+        Aggregation, EpochedPipeline, Ingest, Layout, Pipeline, QueryBatch, QuerySpec, Summary,
+        SyncPolicy, WalConfig,
     };
     use cws_stream::{
         BottomKStreamSampler, ColocatedStreamSampler, DispersedStreamSampler,
@@ -257,15 +257,13 @@ pub mod workloads {
         )
     }
 
-    /// The naive serving plan: [`FLEET_QUERIES`] standalone [`Query`]s,
-    /// each a sum over assignment 0 restricted to its own key lane
+    /// The naive serving plan: [`FLEET_QUERIES`] one-spec batches, each a
+    /// sum over assignment 0 restricted to its own key lane
     /// (`key % FLEET_QUERIES == lane`). Built once outside the timed
     /// region so the measurement is pure evaluation.
     #[must_use]
-    pub fn fleet_queries() -> Vec<Query> {
-        (0..FLEET_QUERIES)
-            .map(|lane| Query::single(0).filter(move |key| key as usize % FLEET_QUERIES == lane))
-            .collect()
+    pub fn fleet_queries() -> Vec<QueryBatch> {
+        fleet_batch().specs().iter().map(|spec| QueryBatch::new().push(spec.clone())).collect()
     }
 
     /// The planned twin of [`fleet_queries`]: the same [`FLEET_QUERIES`]
@@ -279,11 +277,8 @@ pub mod workloads {
     }
 
     /// Evaluates the fleet naively: one summary pass per query.
-    pub fn naive_fleet(summary: &Summary, queries: &[Query]) -> usize {
-        queries
-            .iter()
-            .map(|query| query.evaluate(summary).expect("valid query").observed_keys)
-            .sum()
+    pub fn naive_fleet(summary: &Summary, queries: &[QueryBatch]) -> usize {
+        queries.iter().map(|query| batched_fleet(summary, query)).sum()
     }
 
     /// Evaluates the fleet through the planner: one summary pass total.

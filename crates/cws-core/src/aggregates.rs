@@ -10,7 +10,7 @@
 use crate::weights::{Key, MultiWeighted};
 
 /// A per-key numeric function `f(i)` of the weight vector.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AggregateFn {
     /// `f(i) = w^(b)(i)` — a single-assignment weighted sum.
     SingleAssignment(usize),

@@ -165,6 +165,15 @@ impl<'a> InclusiveEstimator<'a> {
         if let Some(&bad) = relevant.iter().find(|&&b| b >= available) {
             return Err(CwsError::AssignmentOutOfRange { index: bad, available });
         }
+        let mut sorted = relevant.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() != relevant.len() {
+            return Err(CwsError::InvalidParameter {
+                name: "assignments",
+                message: "relevant assignments must be distinct".to_string(),
+            });
+        }
         if let AggregateFn::LthLargest { assignments, ell } = f {
             if *ell < 1 || *ell > assignments.len() {
                 return Err(CwsError::InvalidDependenceOrder {
@@ -180,7 +189,8 @@ impl<'a> InclusiveEstimator<'a> {
     ///
     /// # Errors
     /// Returns an error if the aggregate references an assignment outside the
-    /// summary or has an empty relevant set.
+    /// summary, has an empty relevant set or repeats an assignment (`R` is a
+    /// set), or has an ℓ outside `1..=|R|`.
     pub fn aggregate(&self, f: &AggregateFn) -> Result<AdjustedWeights> {
         self.validate(f)?;
         Ok(self.adjusted_weights_with(|weights| f.evaluate(weights)))
@@ -500,6 +510,15 @@ mod tests {
             Err(CwsError::AssignmentOutOfRange { index: 7, available: 3 })
         ));
         assert!(matches!(estimator.max(&[]), Err(CwsError::EmptyAssignmentSet)));
+        // R is a set, as on dispersed summaries: a repeated assignment is rejected.
+        assert!(matches!(
+            estimator.max(&[0, 0]),
+            Err(CwsError::InvalidParameter { name: "assignments", .. })
+        ));
+        assert!(matches!(
+            estimator.aggregate(&AggregateFn::LthLargest { assignments: vec![0, 0, 1], ell: 2 }),
+            Err(CwsError::InvalidParameter { name: "assignments", .. })
+        ));
         assert!(matches!(
             estimator.aggregate(&AggregateFn::LthLargest { assignments: vec![0, 1], ell: 5 }),
             Err(CwsError::InvalidDependenceOrder { .. })

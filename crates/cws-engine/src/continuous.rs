@@ -63,8 +63,7 @@ use cws_core::{CwsError, Key, Result};
 
 use crate::ingest::Ingest;
 use crate::pipeline::{Pipeline, PipelineBuilder};
-use crate::plan::QueryBatch;
-use crate::query::{EstimateReport, Query};
+use crate::plan::{EstimateReport, QueryBatch, QuerySpec};
 use crate::store::SnapshotStore;
 use crate::summary::Summary;
 use crate::wal::frame::FramePayload;
@@ -798,14 +797,16 @@ impl WindowedPipeline {
     /// errors (e.g. `max` over independent sketches) propagate.
     pub fn drift_in(&self, a: usize, b: usize, assignment: usize) -> Result<Drift> {
         let paired = self.paired_summary(a, b, assignment)?;
-        let l1 = paired.query(&Query::l1([0, 1]))?;
-        let union = paired.query(&Query::max([0, 1]))?;
-        let stable = paired.query(&Query::min([0, 1]))?;
+        let reports = QueryBatch::new()
+            .push(QuerySpec::l1(0, 1))
+            .push(QuerySpec::max(0, 1))
+            .push(QuerySpec::min(0, 1))
+            .execute(&paired)?;
         Ok(Drift {
-            l1: l1.value,
-            union_total: union.value,
-            stable_total: stable.value,
-            observed_keys: l1.observed_keys,
+            l1: reports[0].value,
+            union_total: reports[1].value,
+            stable_total: reports[2].value,
+            observed_keys: reports[0].observed_keys,
         })
     }
 

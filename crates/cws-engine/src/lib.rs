@@ -18,9 +18,11 @@
 //!   coordination, [`Layout`], [`Execution`], [`Aggregation`]) and, for
 //!   unaggregated element streams, inserts a hash-based pre-aggregation
 //!   stage ([`aggregation::KeyAggregator`]) in front of the samplers.
-//! * [`Query`] / [`Estimate`] — one query object evaluated uniformly
-//!   against colocated and dispersed summaries (the unified [`Summary`]),
-//!   replacing the per-estimator method soup.
+//! * [`QuerySpec`] / [`QueryBatch`] — one query language evaluated
+//!   uniformly against colocated and dispersed summaries (the unified
+//!   [`Summary`]): specs are planned into shared adjusted-weight passes and
+//!   answered as [`EstimateReport`]s, replacing the per-estimator method
+//!   soup.
 //!
 //! # Quick example
 //!
@@ -42,7 +44,7 @@
 //!     pipeline.push_record(key, &weights).unwrap();
 //! }
 //! let summary = pipeline.finalize().unwrap();
-//! let estimate = summary.query(&Query::l1([0, 2]).filter(|key| key % 2 == 1)).unwrap();
+//! let estimate = summary.query(&QuerySpec::l1(0, 2).filter(|key| key % 2 == 1)).unwrap();
 //! assert!(estimate.value >= 0.0);
 //! ```
 
@@ -54,7 +56,6 @@ pub mod continuous;
 pub mod ingest;
 pub mod pipeline;
 pub mod plan;
-pub mod query;
 pub mod store;
 pub mod summary;
 pub mod wal;
@@ -63,8 +64,9 @@ pub use aggregation::{Aggregation, KeyAggregator, QuarantineDrain};
 pub use continuous::{DegradedState, Drift, EpochReport, EpochedPipeline, WindowedPipeline};
 pub use ingest::Ingest;
 pub use pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
-pub use plan::{AggregateSpec, QueryBatch, QueryPlan, QuerySpec};
-pub use query::{Estimate, EstimateReport, Query, DEADLINE_CHECK_STRIDE};
+pub use plan::{
+    AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec, DEADLINE_CHECK_STRIDE,
+};
 pub use store::{QuarantinedSnapshot, RecoveryReport, ScrubReport, Scrubber, SnapshotStore};
 pub use summary::Summary;
 pub use wal::{
@@ -80,8 +82,9 @@ pub mod prelude {
     };
     pub use crate::ingest::Ingest;
     pub use crate::pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
-    pub use crate::plan::{AggregateSpec, QueryBatch, QueryPlan, QuerySpec};
-    pub use crate::query::{Estimate, EstimateReport, Query, DEADLINE_CHECK_STRIDE};
+    pub use crate::plan::{
+        AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec, DEADLINE_CHECK_STRIDE,
+    };
     pub use crate::store::{
         QuarantinedSnapshot, RecoveryReport, ScrubReport, Scrubber, SnapshotStore,
     };

@@ -15,7 +15,7 @@ use cws_stream::{
 
 use crate::aggregation::{Aggregation, KeyAggregator};
 use crate::ingest::Ingest;
-use crate::query::EstimateReport;
+use crate::plan::EstimateReport;
 use crate::summary::Summary;
 use crate::wal::WalConfig;
 
@@ -425,7 +425,7 @@ impl std::fmt::Debug for Backend {
 /// (unaggregated element streams, when an [`Aggregation`] stage is
 /// configured); [`Pipeline::finalize`] drains the aggregation stage into
 /// the back-end and returns the layout's [`Summary`], ready for
-/// [`Query`](crate::Query) evaluation.
+/// [`QuerySpec`](crate::QuerySpec) evaluation.
 #[derive(Debug)]
 pub struct Pipeline {
     backend: Backend,

@@ -1,29 +1,50 @@
 //! Executes a planned [`QueryBatch`] against one summary snapshot.
 //!
-//! Per kernel, the adjusted weights are computed **once** and folded
-//! **once**; every spec reading the kernel gets its accumulators updated
-//! from the same entry stream, in entry order. Each accumulator therefore
-//! sees exactly the f64 additions, in exactly the order, that a standalone
-//! [`Query::evaluate`](crate::query::Query::evaluate) of the same spec
-//! would perform — which is what makes batch results bit-identical to
-//! sequential evaluation (`tests/planner_parity.rs` pins this on both
-//! layouts).
+//! Per kernel, the adjusted weights are computed **once**
+//! ([`Summary::adjusted_weights`]) and folded **once**; every spec reading
+//! the kernel gets its accumulators updated from the same entry stream, in
+//! entry order. Each accumulator therefore sees exactly the f64 additions,
+//! in exactly the order, of the matching [`AdjustedWeights`] formula
+//! (`subset_total`, `subset_variance`, `subset_count`) for its predicate —
+//! `tests/planner_parity.rs` pins this bit for bit on both layouts.
 //!
 //! On colocated summaries the sharing goes one level deeper: the inclusion
 //! probability of a record does not depend on the aggregate, so one
-//! probability pass ([`InclusiveEstimator::inclusion_probabilities`]) is
-//! computed per batch and reused by every colocated kernel
-//! ([`InclusiveEstimator::aggregate_with`]).
+//! probability pass is computed per batch and reused by every colocated
+//! kernel.
+//!
+//! [`AdjustedWeights`]: cws_core::estimate::adjusted::AdjustedWeights
 
 use cws_core::budget::Deadline;
-use cws_core::estimate::adjusted::AdjustedWeights;
-use cws_core::variance::{ht_variance_component, normal_ci, Z_95};
-use cws_core::{CwsError, DispersedEstimator, InclusiveEstimator, Result};
+use cws_core::variance::{ht_variance_component, normal_ci, ConfidenceInterval, Z_95};
+use cws_core::{CwsError, Result};
 
 use crate::plan::ir::QueryBatch;
-use crate::plan::planner::{Binding, Kernel, KernelKind, Role};
-use crate::query::{validate_stride, EstimateReport};
+use crate::plan::planner::{Binding, Role};
 use crate::summary::Summary;
+
+/// The answer to one [`QuerySpec`](crate::plan::QuerySpec): the estimate,
+/// how much evidence backs it, and its uncertainty — the HT plug-in
+/// variance estimate and the 95% normal-approximation confidence interval.
+///
+/// `variance`/`ci95` are `None` when the estimator carries no per-key
+/// inclusion probabilities: dispersed L1 (a difference of correlated max/min
+/// estimators) and ratio-shaped aggregates (average, Jaccard — a quotient of
+/// two unbiased estimates has no unbiased variance estimate of this form).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EstimateReport {
+    /// The unbiased estimate of `Σ_{i : filter(i)} f(i)`.
+    pub value: f64,
+    /// Number of sampled keys that contributed to the estimate (positive
+    /// adjusted weight and passing the filter) — a direct sense of how much
+    /// evidence backs the number.
+    pub observed_keys: usize,
+    /// The HT plug-in estimate of `VAR[value]`
+    /// (`Σ f(i)²(1/p(i) − 1)/p(i)` over contributing keys), when available.
+    pub variance: Option<f64>,
+    /// `value ± `[`Z_95`]`·√variance`, when the variance is available.
+    pub ci95: Option<ConfidenceInterval>,
+}
 
 /// Per-spec accumulator state, fanned out to during kernel folds.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,39 +64,13 @@ struct SpecState {
     observed: usize,
 }
 
-/// Computes one kernel's adjusted weights, routed exactly as
-/// [`Query::adjusted_weights`](crate::query::Query::adjusted_weights)
-/// routes the equivalent aggregate. `shared_probs` caches the colocated
-/// probability pass across kernels of the same batch.
-fn kernel_weights(
-    summary: &Summary,
-    kernel: &Kernel,
-    shared_probs: &mut Option<Vec<f64>>,
-) -> Result<AdjustedWeights> {
-    match summary {
-        Summary::Colocated(colocated) => {
-            let estimator = InclusiveEstimator::new(colocated);
-            let probs = shared_probs.get_or_insert_with(|| estimator.inclusion_probabilities());
-            estimator.aggregate_with(&kernel.aggregate_fn(), probs)
-        }
-        Summary::Dispersed(dispersed) => {
-            let estimator = DispersedEstimator::new(dispersed);
-            match kernel.kind {
-                KernelKind::Single(b) => estimator.single(b),
-                KernelKind::Max(a, b) => estimator.max(&[a, b]),
-                KernelKind::Min(a, b) => estimator.min(&[a, b], kernel.selection),
-                KernelKind::L1(a, b) => estimator.l1(&[a, b], kernel.selection),
-            }
-        }
-    }
-}
-
 pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<EstimateReport>> {
     let plan = batch.plan()?;
-    let stride = validate_stride(batch.check_stride())?;
+    // Planning validated the stride.
+    let stride = batch.check_stride();
     let deadline = batch.deadline().map(Deadline::after);
     let check = |deadline: &Option<Deadline>| match deadline {
-        Some(armed) => armed.check("query_batch"),
+        Some(armed) => armed.check("query"),
         None => Ok(()),
     };
     check(&deadline)?;
@@ -86,7 +81,8 @@ pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<Estim
 
     for (slot, kernel) in plan.kernels().iter().enumerate() {
         check(&deadline)?;
-        let adjusted = kernel_weights(summary, kernel, &mut shared_probs)?;
+        let adjusted =
+            summary.kernel_weights(&kernel.aggregate, kernel.selection, &mut shared_probs)?;
         check(&deadline)?;
         let taps = plan.taps(slot);
         let has_support = adjusted.has_support();
@@ -106,10 +102,10 @@ pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<Estim
         }
 
         // One fold, fanned out to every tap. Per accumulator this performs
-        // the same additions in the same (entry) order as a standalone
-        // query fold — see the module docs for why that yields bit-identical
-        // results. The per-key terms depend only on the entry, so each is
-        // computed once per entry, and only if some tap reads it.
+        // the same additions in the same (entry) order as the matching
+        // adjusted-weight formula — see the module docs. The per-key terms
+        // depend only on the entry, so each is computed once per entry, and
+        // only if some tap reads it.
         let sums = taps.iter().any(|tap| tap.role == Role::Sum);
         let counts = taps.iter().any(|tap| matches!(tap.role, Role::Count | Role::SumAndCount));
         let supported = adjusted.supported_iter();
@@ -224,4 +220,109 @@ pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<Estim
             }
         })
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
+    use cws_core::{CoordinationMode, MultiWeighted, RankFamily, SelectionKind};
+
+    use super::*;
+    use crate::plan::QuerySpec;
+
+    fn fixture() -> MultiWeighted {
+        let mut builder = MultiWeighted::builder(3);
+        for key in 0..400u64 {
+            builder.add(key, 0, ((key % 19) + 1) as f64);
+            builder.add(key, 1, if key % 5 == 0 { 0.0 } else { ((key % 13) + 2) as f64 });
+            builder.add(key, 2, ((key % 7) * 2) as f64);
+        }
+        builder.build()
+    }
+
+    fn summaries(k: usize, seed: u64) -> (Summary, Summary) {
+        let data = fixture();
+        let config = SummaryConfig::new(k, RankFamily::Ipps, CoordinationMode::SharedSeed, seed);
+        (
+            Summary::Colocated(ColocatedSummary::build(&data, &config)),
+            Summary::Dispersed(DispersedSummary::build(&data, &config)),
+        )
+    }
+
+    #[test]
+    fn query_errors_are_typed_on_both_layouts() {
+        let (colocated, dispersed) = summaries(20, 1);
+        for summary in [&colocated, &dispersed] {
+            assert!(matches!(
+                summary.query(&QuerySpec::sum(9)),
+                Err(CwsError::AssignmentOutOfRange { index: 9, .. })
+            ));
+            assert!(matches!(
+                summary.query(&QuerySpec::l1_of([0, 5])),
+                Err(CwsError::AssignmentOutOfRange { index: 5, .. })
+            ));
+        }
+        // Independent dispersed sketches cannot support max.
+        let independent = Summary::Dispersed(DispersedSummary::build(
+            &fixture(),
+            &SummaryConfig::new(20, RankFamily::Ipps, CoordinationMode::Independent, 1),
+        ));
+        assert!(matches!(
+            independent.query(&QuerySpec::max(0, 1)),
+            Err(CwsError::UnsupportedEstimator { .. })
+        ));
+        assert!(independent.query(&QuerySpec::min(0, 1)).is_ok());
+    }
+
+    #[test]
+    fn selection_kind_reaches_the_dispersed_estimator() {
+        let (_, dispersed) = summaries(40, 11);
+        let l_set = dispersed.query(&QuerySpec::min(0, 1).selection(SelectionKind::LSet)).unwrap();
+        let s_set = dispersed.query(&QuerySpec::min(0, 1).selection(SelectionKind::SSet)).unwrap();
+        // The l-set selection is strictly more inclusive.
+        assert!(l_set.observed_keys >= s_set.observed_keys);
+        assert_ne!(l_set.value.to_bits(), s_set.value.to_bits());
+    }
+
+    /// An expired deadline is a typed error that poisons nothing: the same
+    /// summary answers the same spec immediately afterwards.
+    #[test]
+    fn expired_query_deadline_is_typed_and_poisons_nothing() {
+        let (colocated, dispersed) = summaries(30, 5);
+        let spec = || QuerySpec::sum(0).filter(|key| key % 2 == 0);
+        for summary in [&colocated, &dispersed] {
+            let expired = QueryBatch::new().push(spec()).with_deadline(Duration::ZERO);
+            let err = expired.execute(summary).unwrap_err();
+            assert!(matches!(err, CwsError::DeadlineExceeded { op: "query", budget_ms: 0 }));
+            let generous = QueryBatch::new().push(spec()).with_deadline(Duration::from_secs(3600));
+            assert_eq!(generous.execute(summary).unwrap(), [summary.query(&spec()).unwrap()]);
+        }
+    }
+
+    #[test]
+    fn zero_check_stride_is_a_typed_error() {
+        let (colocated, _) = summaries(20, 25);
+        let spec = || QuerySpec::sum(0).filter(|key| key % 2 == 0);
+        assert!(matches!(
+            QueryBatch::new().push(spec()).deadline_check_stride(0).execute(&colocated),
+            Err(CwsError::InvalidParameter { name: "deadline_check_stride", .. })
+        ));
+        // A custom positive stride changes nothing about the result.
+        let narrow = QueryBatch::new().push(spec()).deadline_check_stride(1);
+        assert_eq!(narrow.execute(&colocated).unwrap(), [colocated.query(&spec()).unwrap()]);
+    }
+
+    #[test]
+    fn dispersed_l1_reports_no_variance() {
+        // Dispersed L1 is a difference of correlated max/min estimators; no
+        // per-key inclusion probability survives, so variance is None while
+        // the colocated layout (one shared probability per record) keeps it.
+        let (colocated, dispersed) = summaries(40, 23);
+        let report = dispersed.query(&QuerySpec::l1(0, 2)).unwrap();
+        assert!(report.variance.is_none() && report.ci95.is_none());
+        let report = colocated.query(&QuerySpec::l1(0, 2)).unwrap();
+        assert!(report.variance.is_some() && report.ci95.is_some());
+    }
 }

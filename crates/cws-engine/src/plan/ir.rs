@@ -1,7 +1,7 @@
-//! The batched-query IR: *what* to estimate (aggregate × assignment or
-//! assignment pair), *over which keys* (an optional a-posteriori predicate)
-//! and *with which evidence* (the s-set / l-set selection on dispersed
-//! summaries).
+//! The query IR: *what* to estimate (an aggregate over one assignment, a
+//! relevant set of assignments or an assignment pair), *over which keys*
+//! (an optional a-posteriori predicate) and *with which evidence* (the
+//! s-set / l-set selection on dispersed summaries).
 //!
 //! A [`QueryBatch`] is an ordered list of [`QuerySpec`]s plus batch-wide
 //! execution knobs (deadline, deadline-check stride). Specs are deliberately
@@ -14,19 +14,40 @@ use std::time::Duration;
 
 use cws_core::{CwsError, Key, Result, SelectionKind};
 
-use crate::plan::executor;
+use crate::plan::executor::{self, EstimateReport};
 use crate::plan::planner::QueryPlan;
-use crate::query::{EstimateReport, DEADLINE_CHECK_STRIDE};
 use crate::summary::Summary;
+
+/// How many folded keys pass between wall-clock deadline checks by default
+/// during batched execution.
+///
+/// The check itself is one `Instant::now()` comparison; at this stride its
+/// cost is amortized to noise while an armed deadline is still noticed
+/// within ~a thousand predicate evaluations. Override per batch with
+/// [`QueryBatch::deadline_check_stride`] when folds are unusually expensive
+/// (check more often) or unusually hot (check less often).
+pub const DEADLINE_CHECK_STRIDE: usize = 1024;
+
+/// Rejects a zero deadline-check stride with a typed error.
+pub(crate) fn validate_stride(stride: usize) -> Result<usize> {
+    if stride == 0 {
+        return Err(CwsError::InvalidParameter {
+            name: "deadline_check_stride",
+            message: "must be positive (the number of folded keys between deadline checks)".into(),
+        });
+    }
+    Ok(stride)
+}
 
 /// The aggregate a [`QuerySpec`] estimates.
 ///
 /// Single-assignment aggregates (`Sum`, `Count`, `Avg`) name one weight
-/// assignment; multi-assignment aggregates (`Max`, `Min`, `L1`, `Jaccard`)
-/// name an *unordered* pair of distinct assignments — the pair is normalized
-/// to `(lo, hi)` at construction and a degenerate pair (`a == a`) is
-/// rejected with a typed error at planning time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// assignment. `Max`, `Min`, `L1` and `LthLargest` name a relevant set `R`
+/// of assignments, sorted at construction; `Jaccard` names an *unordered*
+/// pair, normalized to `(lo, hi)`. An empty set, a repeated assignment (a
+/// degenerate pair included) or an ℓ outside `1..=|R|` is rejected with a
+/// typed error at planning time, on either layout.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AggregateSpec {
     /// The subpopulation sum `Σ w^(b)(i)`.
     Sum {
@@ -46,20 +67,28 @@ pub enum AggregateSpec {
         /// The weight assignment `b`.
         assignment: usize,
     },
-    /// The max-dominance sum `Σ max(w^(a)(i), w^(b)(i))`.
+    /// The max-dominance sum `Σ max_{b ∈ R} w^(b)(i)`.
     Max {
-        /// The unordered assignment pair, normalized to `(lo, hi)`.
-        pair: (usize, usize),
+        /// The relevant set `R`, sorted.
+        assignments: Vec<usize>,
     },
-    /// The min-dominance sum `Σ min(w^(a)(i), w^(b)(i))`.
+    /// The min-dominance sum `Σ min_{b ∈ R} w^(b)(i)`.
     Min {
-        /// The unordered assignment pair, normalized to `(lo, hi)`.
-        pair: (usize, usize),
+        /// The relevant set `R`, sorted.
+        assignments: Vec<usize>,
     },
-    /// The L1 difference `Σ |w^(a)(i) − w^(b)(i)|`.
+    /// The range sum `Σ (max_R − min_R)`: the L1 difference when `|R| = 2`.
     L1 {
-        /// The unordered assignment pair, normalized to `(lo, hi)`.
-        pair: (usize, usize),
+        /// The relevant set `R`, sorted.
+        assignments: Vec<usize>,
+    },
+    /// The sum of the ℓ-th largest weight over `R` (1-based: `ell = 1` is
+    /// `Max`, `ell = |R|` is `Min`; the median is a special case).
+    LthLargest {
+        /// The relevant set `R`, sorted.
+        assignments: Vec<usize>,
+        /// Which order statistic, from the largest, in `1..=|R|`.
+        ell: usize,
     },
     /// The weighted Jaccard similarity `Σ min / Σ max` (`0` when the max
     /// total is zero, matching
@@ -72,7 +101,9 @@ pub enum AggregateSpec {
 }
 
 impl AggregateSpec {
-    /// Validates the spec shape: pairs must name two *distinct* assignments.
+    /// Validates the spec shape: a relevant set must be non-empty with
+    /// distinct assignments and `ell` in `1..=|R|`; a pair must name two
+    /// distinct assignments.
     ///
     /// Out-of-range assignment indices are summary-dependent and therefore
     /// surface at execution time (as
@@ -80,10 +111,20 @@ impl AggregateSpec {
     pub(crate) fn validate(&self) -> Result<()> {
         match self {
             Self::Sum { .. } | Self::Count { .. } | Self::Avg { .. } => Ok(()),
-            Self::Max { pair }
-            | Self::Min { pair }
-            | Self::L1 { pair }
-            | Self::Jaccard { pair } => {
+            Self::Max { assignments } | Self::Min { assignments } | Self::L1 { assignments } => {
+                validate_set(assignments)
+            }
+            Self::LthLargest { assignments, ell } => {
+                validate_set(assignments)?;
+                if !(1..=assignments.len()).contains(ell) {
+                    return Err(CwsError::InvalidDependenceOrder {
+                        ell: *ell,
+                        relevant: assignments.len(),
+                    });
+                }
+                Ok(())
+            }
+            Self::Jaccard { pair } => {
                 if pair.0 == pair.1 {
                     return Err(CwsError::InvalidParameter {
                         name: "assignment_pair",
@@ -97,6 +138,21 @@ impl AggregateSpec {
             }
         }
     }
+}
+
+/// Rejects an empty or repeating relevant set (sorted, so a repeat is
+/// adjacent).
+fn validate_set(assignments: &[usize]) -> Result<()> {
+    if assignments.is_empty() {
+        return Err(CwsError::EmptyAssignmentSet);
+    }
+    if assignments.windows(2).any(|pair| pair[0] == pair[1]) {
+        return Err(CwsError::InvalidParameter {
+            name: "assignments",
+            message: "relevant assignments must be distinct".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// The predicate type of a [`QuerySpec`]: `Send + Sync` so one batch can be
@@ -121,12 +177,10 @@ impl fmt::Debug for QuerySpec {
     }
 }
 
-fn normalize(a: usize, b: usize) -> (usize, usize) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+fn sorted<R: IntoIterator<Item = usize>>(assignments: R) -> Vec<usize> {
+    let mut assignments: Vec<usize> = assignments.into_iter().collect();
+    assignments.sort_unstable();
+    assignments
 }
 
 impl QuerySpec {
@@ -156,25 +210,50 @@ impl QuerySpec {
     /// The max-dominance sum over the assignment pair `{a, b}`.
     #[must_use]
     pub fn max(a: usize, b: usize) -> Self {
-        Self::new(AggregateSpec::Max { pair: normalize(a, b) })
+        Self::max_of([a, b])
     }
 
     /// The min-dominance sum over the assignment pair `{a, b}`.
     #[must_use]
     pub fn min(a: usize, b: usize) -> Self {
-        Self::new(AggregateSpec::Min { pair: normalize(a, b) })
+        Self::min_of([a, b])
     }
 
     /// The L1 difference over the assignment pair `{a, b}`.
     #[must_use]
     pub fn l1(a: usize, b: usize) -> Self {
-        Self::new(AggregateSpec::L1 { pair: normalize(a, b) })
+        Self::l1_of([a, b])
     }
 
     /// The weighted Jaccard similarity of the assignment pair `{a, b}`.
     #[must_use]
     pub fn jaccard(a: usize, b: usize) -> Self {
-        Self::new(AggregateSpec::Jaccard { pair: normalize(a, b) })
+        Self::new(AggregateSpec::Jaccard { pair: if a <= b { (a, b) } else { (b, a) } })
+    }
+
+    /// The max-dominance sum over the relevant set `R`.
+    #[must_use]
+    pub fn max_of<R: IntoIterator<Item = usize>>(assignments: R) -> Self {
+        Self::new(AggregateSpec::Max { assignments: sorted(assignments) })
+    }
+
+    /// The min-dominance sum over the relevant set `R`.
+    #[must_use]
+    pub fn min_of<R: IntoIterator<Item = usize>>(assignments: R) -> Self {
+        Self::new(AggregateSpec::Min { assignments: sorted(assignments) })
+    }
+
+    /// The range sum `Σ (max_R − min_R)` over the relevant set `R`.
+    #[must_use]
+    pub fn l1_of<R: IntoIterator<Item = usize>>(assignments: R) -> Self {
+        Self::new(AggregateSpec::L1 { assignments: sorted(assignments) })
+    }
+
+    /// The sum of the ℓ-th largest weight over the relevant set `R`
+    /// (1-based; `ell = 1` is the max, `ell = |R|` the min).
+    #[must_use]
+    pub fn lth_largest<R: IntoIterator<Item = usize>>(assignments: R, ell: usize) -> Self {
+        Self::new(AggregateSpec::LthLargest { assignments: sorted(assignments), ell })
     }
 
     /// Restricts the estimate to keys satisfying `predicate` (a-posteriori
@@ -188,8 +267,9 @@ impl QuerySpec {
     }
 
     /// Selection rule for dispersed summaries (default
-    /// [`SelectionKind::LSet`]); ignored by colocated summaries, exactly as
-    /// in [`Query`](crate::query::Query).
+    /// [`SelectionKind::LSet`], the most inclusive). Colocated summaries
+    /// ignore it: their inclusive estimator already conditions on the most
+    /// inclusive selection possible.
     #[must_use]
     pub fn selection(mut self, kind: SelectionKind) -> Self {
         self.selection = kind;
@@ -261,9 +341,8 @@ impl QueryBatch {
     }
 
     /// Overrides the deadline-check cadence (default
-    /// [`DEADLINE_CHECK_STRIDE`] folded
-    /// keys — the same constant [`Query`](crate::query::Query) uses). Zero
-    /// is rejected with a typed error at execution time.
+    /// [`DEADLINE_CHECK_STRIDE`] folded keys). Zero is rejected with a
+    /// typed error at execution time.
     #[must_use]
     pub fn deadline_check_stride(mut self, stride: usize) -> Self {
         self.check_stride = stride;
@@ -305,16 +384,17 @@ impl QueryBatch {
     /// plan shape serves both layouts.
     ///
     /// # Errors
-    /// Returns a typed [`CwsError`] for invalid specs
-    /// (degenerate assignment pairs) or a zero deadline-check stride.
+    /// Returns a typed [`CwsError`] for invalid specs (an empty relevant
+    /// set, a repeated assignment, an ℓ outside `1..=|R|`) or a zero
+    /// deadline-check stride.
     pub fn plan(&self) -> Result<QueryPlan> {
         QueryPlan::build(self)
     }
 
     /// Plans and executes the batch against `summary`, returning one
     /// [`EstimateReport`] per spec, in input order — each bit-identical to
-    /// evaluating the spec through [`Query`](crate::query::Query) on its
-    /// own (for the aggregates `Query` can express), with the variance and
+    /// folding the spec's predicate over
+    /// [`Summary::adjusted_weights`] of its aggregate, with the variance and
     /// 95% CI filled in where the estimator supports them.
     ///
     /// # Errors

@@ -1,17 +1,17 @@
 //! Groups the specs of a [`QueryBatch`] into shared summary passes.
 //!
 //! The unit of work is a *kernel*: one adjusted-weight computation,
-//! identified by `(aggregate kernel, selection rule)`. Computing a kernel is
-//! the expensive part of query evaluation — it walks every summary record
+//! identified by `(aggregate function, selection rule)`. Computing a kernel
+//! is the expensive part of query evaluation — it walks every summary record
 //! and evaluates inclusion probabilities — so the planner's whole job is to
 //! make each distinct kernel appear exactly once, no matter how many specs
 //! read from it:
 //!
 //! * every `Sum` / `Count` / `Avg` spec over assignment `b` shares the
-//!   `Single(b)` kernel — predicates differ per spec, but predicate
-//!   evaluation is pushed into the fold, not into the kernel;
-//! * `Max` / `Min` / `L1` specs over the same (normalized) pair and
-//!   selection share the corresponding pair kernel;
+//!   `SingleAssignment(b)` kernel — predicates differ per spec, but
+//!   predicate evaluation is pushed into the fold, not into the kernel;
+//! * `Max` / `Min` / `L1` / `LthLargest` specs over the same (sorted) set
+//!   and selection share the corresponding kernel;
 //! * a `Jaccard` spec taps *two* kernels (the `Min` and `Max` of its pair),
 //!   sharing each with any other spec that wants it.
 
@@ -20,50 +20,22 @@ use std::collections::HashMap;
 use cws_core::aggregates::AggregateFn;
 use cws_core::{Result, SelectionKind};
 
-use crate::plan::ir::{AggregateSpec, QueryBatch};
-use crate::query::validate_stride;
-
-/// The aggregate behind one shared pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum KernelKind {
-    /// The single-assignment sum / RC estimator of assignment `b`.
-    Single(usize),
-    /// The max-dominance estimator of a normalized pair.
-    Max(usize, usize),
-    /// The min-dominance estimator of a normalized pair.
-    Min(usize, usize),
-    /// The L1 (range) estimator of a normalized pair.
-    L1(usize, usize),
-}
+use crate::plan::ir::{validate_stride, AggregateSpec, QueryBatch};
 
 /// One shared adjusted-weight pass: which aggregate, under which dispersed
 /// selection rule. Colocated summaries ignore the selection (their inclusive
-/// estimator is already maximally inclusive), mirroring single-`Query`
-/// behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// estimator is already maximally inclusive).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Kernel {
-    pub(crate) kind: KernelKind,
+    pub(crate) aggregate: AggregateFn,
     pub(crate) selection: SelectionKind,
-}
-
-impl Kernel {
-    /// The equivalent [`AggregateFn`], as a single [`Query`](crate::Query)
-    /// over the same aggregate would build it.
-    pub(crate) fn aggregate_fn(&self) -> AggregateFn {
-        match self.kind {
-            KernelKind::Single(b) => AggregateFn::SingleAssignment(b),
-            KernelKind::Max(a, b) => AggregateFn::Max(vec![a, b]),
-            KernelKind::Min(a, b) => AggregateFn::Min(vec![a, b]),
-            KernelKind::L1(a, b) => AggregateFn::L1(vec![a, b]),
-        }
-    }
 }
 
 /// How one folded kernel entry feeds one spec's accumulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Role {
     /// Accumulate the adjusted weight (and its variance component) into the
-    /// spec's main total: `Sum`, `Max`, `Min`, `L1`.
+    /// spec's main total: `Sum`, `Max`, `Min`, `L1`, `LthLargest`.
     Sum,
     /// Accumulate `1/p` (and the count variance component): `Count`.
     Count,
@@ -85,7 +57,7 @@ pub(crate) struct Tap {
     pub(crate) role: Role,
 }
 
-/// How a spec's final [`EstimateReport`](crate::query::EstimateReport) is
+/// How a spec's final [`EstimateReport`](crate::plan::EstimateReport) is
 /// assembled from its accumulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Binding {
@@ -117,79 +89,55 @@ impl QueryPlan {
         let mut taps: Vec<Vec<Tap>> = Vec::new();
         let mut slots: HashMap<Kernel, usize> = HashMap::new();
         let mut bindings = Vec::with_capacity(batch.len());
-        let mut intern = |kernel: Kernel, taps: &mut Vec<Vec<Tap>>| -> usize {
-            *slots.entry(kernel).or_insert_with(|| {
-                kernels.push(kernel);
-                taps.push(Vec::new());
-                kernels.len() - 1
-            })
-        };
         for (index, spec) in batch.specs().iter().enumerate() {
             spec.aggregate().validate()?;
             let selection = spec.selection_kind();
-            match *spec.aggregate() {
+            let mut tap = |aggregate: AggregateFn, role: Role| {
+                let slot =
+                    *slots.entry(Kernel { aggregate, selection }).or_insert_with_key(|kernel| {
+                        kernels.push(kernel.clone());
+                        taps.push(Vec::new());
+                        kernels.len() - 1
+                    });
+                taps[slot].push(Tap { spec: index, role });
+            };
+            let binding = match spec.aggregate() {
                 AggregateSpec::Sum { assignment } => {
-                    let slot = intern(
-                        Kernel { kind: KernelKind::Single(assignment), selection },
-                        &mut taps,
-                    );
-                    taps[slot].push(Tap { spec: index, role: Role::Sum });
-                    bindings.push(Binding::Total);
+                    tap(AggregateFn::SingleAssignment(*assignment), Role::Sum);
+                    Binding::Total
                 }
                 AggregateSpec::Count { assignment } => {
-                    let slot = intern(
-                        Kernel { kind: KernelKind::Single(assignment), selection },
-                        &mut taps,
-                    );
-                    taps[slot].push(Tap { spec: index, role: Role::Count });
-                    bindings.push(Binding::Count);
+                    tap(AggregateFn::SingleAssignment(*assignment), Role::Count);
+                    Binding::Count
                 }
                 AggregateSpec::Avg { assignment } => {
-                    let slot = intern(
-                        Kernel { kind: KernelKind::Single(assignment), selection },
-                        &mut taps,
-                    );
-                    taps[slot].push(Tap { spec: index, role: Role::SumAndCount });
-                    bindings.push(Binding::Ratio);
+                    tap(AggregateFn::SingleAssignment(*assignment), Role::SumAndCount);
+                    Binding::Ratio
                 }
-                AggregateSpec::Max { pair } => {
-                    let slot = intern(
-                        Kernel { kind: KernelKind::Max(pair.0, pair.1), selection },
-                        &mut taps,
-                    );
-                    taps[slot].push(Tap { spec: index, role: Role::Sum });
-                    bindings.push(Binding::Total);
+                AggregateSpec::Max { assignments } => {
+                    tap(AggregateFn::Max(assignments.clone()), Role::Sum);
+                    Binding::Total
                 }
-                AggregateSpec::Min { pair } => {
-                    let slot = intern(
-                        Kernel { kind: KernelKind::Min(pair.0, pair.1), selection },
-                        &mut taps,
-                    );
-                    taps[slot].push(Tap { spec: index, role: Role::Sum });
-                    bindings.push(Binding::Total);
+                AggregateSpec::Min { assignments } => {
+                    tap(AggregateFn::Min(assignments.clone()), Role::Sum);
+                    Binding::Total
                 }
-                AggregateSpec::L1 { pair } => {
-                    let slot = intern(
-                        Kernel { kind: KernelKind::L1(pair.0, pair.1), selection },
-                        &mut taps,
-                    );
-                    taps[slot].push(Tap { spec: index, role: Role::Sum });
-                    bindings.push(Binding::Total);
+                AggregateSpec::L1 { assignments } => {
+                    tap(AggregateFn::L1(assignments.clone()), Role::Sum);
+                    Binding::Total
                 }
-                AggregateSpec::Jaccard { pair } => {
-                    let min_slot = intern(
-                        Kernel { kind: KernelKind::Min(pair.0, pair.1), selection },
-                        &mut taps,
-                    );
-                    taps[min_slot].push(Tap { spec: index, role: Role::RatioNumerator });
-                    let max_slot = intern(
-                        Kernel { kind: KernelKind::Max(pair.0, pair.1), selection },
-                        &mut taps,
-                    );
-                    taps[max_slot].push(Tap { spec: index, role: Role::RatioDenominator });
-                    bindings.push(Binding::Ratio);
+                AggregateSpec::LthLargest { assignments, ell } => {
+                    let assignments = assignments.clone();
+                    tap(AggregateFn::LthLargest { assignments, ell: *ell }, Role::Sum);
+                    Binding::Total
                 }
-            }
+                AggregateSpec::Jaccard { pair: (a, b) } => {
+                    tap(AggregateFn::Min(vec![*a, *b]), Role::RatioNumerator);
+                    tap(AggregateFn::Max(vec![*a, *b]), Role::RatioDenominator);
+                    Binding::Ratio
+                }
+            };
+            bindings.push(binding);
         }
         Ok(Self { kernels, taps, bindings })
     }
@@ -238,7 +186,10 @@ mod tests {
         assert_eq!(plan.num_specs(), 4);
         assert_eq!(
             plan.kernels()[0],
-            Kernel { kind: KernelKind::Single(1), selection: cws_core::SelectionKind::LSet }
+            Kernel {
+                aggregate: AggregateFn::SingleAssignment(1),
+                selection: cws_core::SelectionKind::LSet
+            }
         );
         let roles: Vec<Role> = plan.taps(0).iter().map(|tap| tap.role).collect();
         assert_eq!(roles, [Role::Sum, Role::Count, Role::SumAndCount, Role::Sum]);
@@ -258,10 +209,11 @@ mod tests {
             .push(QuerySpec::max(2, 0));
         let plan = batch.plan().unwrap();
         assert_eq!(plan.num_kernels(), 2);
-        let min_slot =
-            plan.kernels().iter().position(|kernel| kernel.kind == KernelKind::Min(0, 2)).unwrap();
-        let max_slot =
-            plan.kernels().iter().position(|kernel| kernel.kind == KernelKind::Max(0, 2)).unwrap();
+        let slot = |aggregate: AggregateFn| {
+            plan.kernels().iter().position(|kernel| kernel.aggregate == aggregate).unwrap()
+        };
+        let min_slot = slot(AggregateFn::Min(vec![0, 2]));
+        let max_slot = slot(AggregateFn::Max(vec![0, 2]));
         let min_roles: Vec<Role> = plan.taps(min_slot).iter().map(|tap| tap.role).collect();
         let max_roles: Vec<Role> = plan.taps(max_slot).iter().map(|tap| tap.role).collect();
         assert_eq!(min_roles, [Role::RatioNumerator, Role::Sum]);
@@ -277,15 +229,37 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_pairs_fail_planning_with_a_typed_error() {
+    fn permuted_sets_share_a_kernel() {
+        let batch = QueryBatch::new()
+            .push(QuerySpec::max_of([2, 0, 1]))
+            .push(QuerySpec::max_of([0, 1, 2]).filter(|key| key % 2 == 0))
+            .push(QuerySpec::lth_largest([1, 2, 0], 2))
+            .push(QuerySpec::lth_largest([0, 2, 1], 2));
+        let plan = batch.plan().unwrap();
+        assert_eq!(plan.num_kernels(), 2);
+        assert_eq!(plan.kernels()[0].aggregate, AggregateFn::Max(vec![0, 1, 2]));
+    }
+
+    #[test]
+    fn invalid_shapes_fail_planning_with_a_typed_error() {
         for spec in [
             QuerySpec::l1(3, 3),
             QuerySpec::max(0, 0),
             QuerySpec::min(1, 1),
-            QuerySpec::jaccard(2, 2),
+            QuerySpec::max_of([2, 0, 2]),
+            QuerySpec::lth_largest([1, 1], 1),
         ] {
             let err = QueryBatch::new().push(spec).plan().unwrap_err();
-            assert!(matches!(err, CwsError::InvalidParameter { name: "assignment_pair", .. }));
+            assert!(matches!(err, CwsError::InvalidParameter { name: "assignments", .. }));
+        }
+        let err = QueryBatch::new().push(QuerySpec::jaccard(2, 2)).plan().unwrap_err();
+        assert!(matches!(err, CwsError::InvalidParameter { name: "assignment_pair", .. }));
+        let err = QueryBatch::new().push(QuerySpec::min_of([])).plan().unwrap_err();
+        assert!(matches!(err, CwsError::EmptyAssignmentSet));
+        for ell in [0, 3] {
+            let err =
+                QueryBatch::new().push(QuerySpec::lth_largest([0, 1], ell)).plan().unwrap_err();
+            assert!(matches!(err, CwsError::InvalidDependenceOrder { relevant: 2, .. }));
         }
     }
 }

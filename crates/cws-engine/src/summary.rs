@@ -3,21 +3,25 @@
 
 use std::io::{Read, Write};
 
+use cws_core::aggregates::AggregateFn;
 use cws_core::codec::{self, DecodedSummary};
+use cws_core::estimate::adjusted::AdjustedWeights;
 use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
-use cws_core::{CoordinationMode, RankFamily, Result};
+use cws_core::{
+    CoordinationMode, DispersedEstimator, InclusiveEstimator, RankFamily, Result, SelectionKind,
+};
 
-use crate::plan::QueryBatch;
-use crate::query::{Estimate, EstimateReport, Query};
+use crate::plan::{EstimateReport, QueryBatch, QuerySpec};
 
 /// A finalized coordinated summary in either of the paper's two layouts.
 ///
 /// The colocated layout (Section 6) stores the full weight vector of every
 /// retained key and supports the inclusive estimators; the dispersed layout
 /// (Section 7) stores one bottom-k sketch per assignment, each entry
-/// carrying only its own assignment's weight. [`Query`] evaluates uniformly
-/// against both — layout selection is a [`Pipeline`](crate::Pipeline)
-/// configuration detail, not a query-time concern.
+/// carrying only its own assignment's weight. [`QuerySpec`]s evaluate
+/// uniformly against both — layout selection is a
+/// [`Pipeline`](crate::Pipeline) configuration detail, not a query-time
+/// concern.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Summary {
     /// A colocated summary: full weight vectors, inclusive estimators.
@@ -96,13 +100,94 @@ impl Summary {
         }
     }
 
-    /// Evaluates a [`Query`] against this summary — the single entry point
-    /// for estimation, regardless of layout.
+    /// Evaluates one [`QuerySpec`] against this summary, as a one-spec
+    /// [`QueryBatch`].
+    ///
+    /// ```
+    /// use cws_engine::prelude::*;
+    /// use cws_core::SelectionKind;
+    ///
+    /// let mut pipeline = Pipeline::builder()
+    ///     .assignments(3)
+    ///     .k(128)
+    ///     .layout(Layout::Dispersed)
+    ///     .seed(7)
+    ///     .build()
+    ///     .unwrap();
+    /// for key in 0u64..5000 {
+    ///     let weights = [((key % 11) + 1) as f64, ((key % 7) + 1) as f64, (key % 3) as f64];
+    ///     pipeline.push_record(key, &weights).unwrap();
+    /// }
+    /// let summary = pipeline.finalize().unwrap();
+    ///
+    /// // A-posteriori: the L1 change between assignments 0 and 2, restricted
+    /// // to even keys, with the most inclusive (l-set) selection.
+    /// let spec = QuerySpec::l1(0, 2).selection(SelectionKind::LSet).filter(|key| key % 2 == 0);
+    /// let estimate = summary.query(&spec).unwrap();
+    /// assert!(estimate.value > 0.0);
+    /// assert!(estimate.observed_keys > 0);
+    /// ```
     ///
     /// # Errors
-    /// As [`Query::evaluate`].
-    pub fn query(&self, query: &Query) -> Result<Estimate> {
-        query.evaluate(self)
+    /// As [`QueryBatch::execute`].
+    pub fn query(&self, spec: &QuerySpec) -> Result<EstimateReport> {
+        let mut reports = QueryBatch::new().push(spec.clone()).execute(self)?;
+        Ok(reports.remove(0))
+    }
+
+    /// The adjusted weights of `aggregate` — per-key values for callers
+    /// that need more than a [`QuerySpec`]'s scalar (per-key drill-down,
+    /// ratio estimates). `selection` picks the evidence on dispersed
+    /// summaries; colocated summaries ignore it. Adjusted weights cover
+    /// every sampled key, so any number of subpopulations can be read off
+    /// one call.
+    ///
+    /// This is the one place an aggregate is mapped to its estimator;
+    /// batched execution calls it for every kernel.
+    ///
+    /// # Errors
+    /// Returns a typed error for out-of-range or repeated assignments, an
+    /// empty relevant set, an invalid ℓ, or an aggregate the summary's
+    /// coordination mode cannot support (e.g. `max` over independent
+    /// dispersed sketches).
+    pub fn adjusted_weights(
+        &self,
+        aggregate: &AggregateFn,
+        selection: SelectionKind,
+    ) -> Result<AdjustedWeights> {
+        self.kernel_weights(aggregate, selection, &mut None)
+    }
+
+    /// [`Summary::adjusted_weights`], with `probabilities` caching the
+    /// colocated inclusion-probability pass across calls on the same
+    /// summary (it does not depend on the aggregate; reusing it is
+    /// bit-identical to recomputing it).
+    pub(crate) fn kernel_weights(
+        &self,
+        aggregate: &AggregateFn,
+        selection: SelectionKind,
+        probabilities: &mut Option<Vec<f64>>,
+    ) -> Result<AdjustedWeights> {
+        match self {
+            Summary::Colocated(colocated) => {
+                let estimator = InclusiveEstimator::new(colocated);
+                let probabilities =
+                    probabilities.get_or_insert_with(|| estimator.inclusion_probabilities());
+                estimator.aggregate_with(aggregate, probabilities)
+            }
+            Summary::Dispersed(dispersed) => {
+                let estimator = DispersedEstimator::new(dispersed);
+                match aggregate {
+                    AggregateFn::SingleAssignment(b) => estimator.single(*b),
+                    AggregateFn::Max(r) => estimator.max(r),
+                    AggregateFn::Min(r) => estimator.min(r, selection),
+                    AggregateFn::L1(r) => estimator.l1(r, selection),
+                    AggregateFn::LthLargest { assignments, ell } => {
+                        estimator.lth_largest(assignments, *ell, selection)
+                    }
+                }
+            }
+        }
     }
 
     /// Plans and executes a [`QueryBatch`] against this summary: every spec

@@ -70,11 +70,11 @@ fn main() {
     let suspicious = |key: Key| key % 16 < 3;
     let hours = [0usize, 1, 2, 3];
 
-    let queries: Vec<(&str, Query, AggregateFn)> = vec![
-        ("hour-1 bytes", Query::single(0), AggregateFn::SingleAssignment(0)),
-        ("4-hour max-dominance", Query::max(hours), AggregateFn::Max(hours.to_vec())),
-        ("4-hour min-dominance", Query::min(hours), AggregateFn::Min(hours.to_vec())),
-        ("hour-1 vs hour-4 L1 change", Query::l1([0, 3]), AggregateFn::L1(vec![0, 3])),
+    let queries: Vec<(&str, QuerySpec, AggregateFn)> = vec![
+        ("hour-1 bytes", QuerySpec::sum(0), AggregateFn::SingleAssignment(0)),
+        ("4-hour max-dominance", QuerySpec::max_of(hours), AggregateFn::Max(hours.to_vec())),
+        ("4-hour min-dominance", QuerySpec::min_of(hours), AggregateFn::Min(hours.to_vec())),
+        ("hour-1 vs hour-4 L1 change", QuerySpec::l1(0, 3), AggregateFn::L1(vec![0, 3])),
     ];
     println!("\nsuspicious-subnet queries (estimate vs exact):");
     for (name, query, aggregate) in queries {
@@ -99,7 +99,7 @@ fn main() {
         .unwrap();
     independent.push_batch(data.iter()).unwrap();
     let independent = independent.finalize().unwrap();
-    let naive = independent.query(&Query::min(hours).filter(suspicious)).unwrap();
+    let naive = independent.query(&QuerySpec::min_of(hours).filter(suspicious)).unwrap();
     let exact = exact_aggregate(data, &AggregateFn::Min(hours.to_vec()), suspicious);
     println!(
         "\nwithout coordination the 4-hour min estimate is {:.0} (exact {exact:.0}) — \

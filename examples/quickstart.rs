@@ -1,4 +1,4 @@
-//! Quickstart: one `Pipeline`, one `Query` — summarize a multi-assignment
+//! Quickstart: one `Pipeline`, one `QuerySpec` — summarize a multi-assignment
 //! data set and answer a-posteriori subpopulation queries from the summary.
 //!
 //! Run with: `cargo run --release --example quickstart`
@@ -35,18 +35,18 @@ fn main() {
     // movies of one genre, ...). One query type covers every aggregate.
     let subpopulation = |key: Key| key % 7 == 0;
 
-    let volume = summary.query(&Query::single(0).filter(subpopulation)).unwrap();
+    let volume = summary.query(&QuerySpec::sum(0).filter(subpopulation)).unwrap();
     let exact_volume = exact_aggregate(&data, &AggregateFn::SingleAssignment(0), subpopulation);
     println!(
         "hour-0 volume      estimate {:>12.1}   exact {exact_volume:>12.1}   ({} keys observed)",
         volume.value, volume.observed_keys
     );
 
-    let l1 = summary.query(&Query::l1([0, 2]).filter(subpopulation)).unwrap();
+    let l1 = summary.query(&QuerySpec::l1(0, 2).filter(subpopulation)).unwrap();
     let exact_l1 = exact_aggregate(&data, &AggregateFn::L1(vec![0, 2]), subpopulation);
     println!("hour-0↔2 L1 change estimate {:>12.1}   exact {exact_l1:>12.1}", l1.value);
 
-    let min = summary.query(&Query::min([0, 1, 2]).filter(subpopulation)).unwrap();
+    let min = summary.query(&QuerySpec::min_of([0, 1, 2]).filter(subpopulation)).unwrap();
     let exact_min = exact_aggregate(&data, &AggregateFn::Min(vec![0, 1, 2]), subpopulation);
     println!("3-hour min volume  estimate {:>12.1}   exact {exact_min:>12.1}", min.value);
 
@@ -61,7 +61,7 @@ fn main() {
         .unwrap();
     pipeline.push_batch(data.iter()).unwrap();
     let dispersed = pipeline.finalize().unwrap();
-    let l1 = dispersed.query(&Query::l1([0, 2]).filter(subpopulation)).unwrap();
+    let l1 = dispersed.query(&QuerySpec::l1(0, 2).filter(subpopulation)).unwrap();
     println!("dispersed L1       estimate {:>12.1}   exact {exact_l1:>12.1}", l1.value);
 
     // Raw, unaggregated streams are first-class too: an aggregation stage

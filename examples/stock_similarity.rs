@@ -47,7 +47,9 @@ fn main() {
     // the colocated records carry full weight vectors, so the predicate can
     // be evaluated per sampled key against another attribute.
     let colocated = summary.as_colocated().expect("colocated layout");
-    let adjusted_volume = Query::single(volume).adjusted_weights(&summary).unwrap();
+    let adjusted_volume = summary
+        .adjusted_weights(&AggregateFn::SingleAssignment(volume), SelectionKind::LSet)
+        .unwrap();
     let penny_estimate: f64 = colocated
         .records()
         .iter()
@@ -65,7 +67,7 @@ fn main() {
     // The plain estimator (volume sample only) for comparison with the
     // facade's inclusive estimate.
     let plain = PlainEstimator::new(colocated).single(volume).unwrap().total();
-    let inclusive = summary.query(&Query::single(volume)).unwrap().value;
+    let inclusive = summary.query(&QuerySpec::sum(volume)).unwrap().value;
     let exact = day.data.assignment_total(volume);
     println!(
         "total volume        inclusive {inclusive:>14.0}  plain {plain:>14.0}  exact {exact:>14.0}"
@@ -95,7 +97,7 @@ fn main() {
         .unwrap();
     pipeline.push_batch(volumes.data.iter()).unwrap();
     let dispersed = pipeline.finalize().unwrap();
-    let l1 = dispersed.query(&Query::l1(days.clone())).unwrap();
+    let l1 = dispersed.query(&QuerySpec::l1_of(days.clone())).unwrap();
     let exact_l1 = exact_aggregate(&volumes.data, &AggregateFn::L1(days), |_| true);
     println!("\nmonth-long volume range (L1): estimate {:.3e}, exact {exact_l1:.3e}", l1.value);
 }

@@ -3,7 +3,7 @@
 //! Re-exports the public API of the member crates so that examples and
 //! downstream users can depend on a single crate:
 //!
-//! * [`engine`] — the unified `Pipeline` / `Query` facade ([`cws_engine`]):
+//! * [`engine`] — the unified `Pipeline` / `QuerySpec` facade ([`cws_engine`]):
 //!   one builder over every sampler, one query language over every
 //!   estimator, plus the streaming pre-aggregation stage for unaggregated
 //!   element streams. **Start here.**

@@ -1,5 +1,5 @@
 //! Cross-crate integration tests: data generation → `Pipeline` ingestion →
-//! `Query` estimation → comparison with exact aggregates, plus the
+//! `QuerySpec` estimation → comparison with exact aggregates, plus the
 //! experiment registry end to end at smoke scale.
 
 use coordinated_sampling::data::ip::{IpAttribute, IpKey, IpTrace, IpTraceConfig};
@@ -43,9 +43,9 @@ fn facade_pipeline_estimates_track_exact_values() {
     let relevant = [0usize, 1, 2];
     let subpopulation = |key: Key| key % 4 == 0;
     for (query, aggregate) in [
-        (Query::max(relevant), AggregateFn::Max(relevant.to_vec())),
-        (Query::min(relevant), AggregateFn::Min(relevant.to_vec())),
-        (Query::l1(relevant), AggregateFn::L1(relevant.to_vec())),
+        (QuerySpec::max_of(relevant), AggregateFn::Max(relevant.to_vec())),
+        (QuerySpec::min_of(relevant), AggregateFn::Min(relevant.to_vec())),
+        (QuerySpec::l1_of(relevant), AggregateFn::L1(relevant.to_vec())),
     ] {
         let estimate = summary.query(&query.filter(subpopulation)).unwrap();
         let exact = exact_aggregate(data, &aggregate, subpopulation);
@@ -88,7 +88,7 @@ fn unaggregated_element_stream_matches_aggregated_ingestion_end_to_end() {
     let streamed = streaming.finalize().unwrap();
     assert_eq!(streamed, expected);
 
-    let query = Query::l1([0, 2]).filter(|key| key % 3 == 0);
+    let query = QuerySpec::l1(0, 2).filter(|key| key % 3 == 0);
     assert_eq!(
         streamed.query(&query).unwrap(),
         expected.query(&query).unwrap(),
@@ -123,11 +123,11 @@ fn colocated_facade_supports_posterior_queries() {
     let flows = view.assignment_named("flows").unwrap();
     let subpopulation = |key: Key| key % 3 != 0;
 
-    let estimate = summary.query(&Query::single(bytes).filter(subpopulation)).unwrap();
+    let estimate = summary.query(&QuerySpec::sum(bytes).filter(subpopulation)).unwrap();
     let exact = exact_aggregate(data, &AggregateFn::SingleAssignment(bytes), subpopulation);
     assert!((estimate.value - exact).abs() <= exact * 0.4, "bytes: {} vs {exact}", estimate.value);
 
-    let estimated_flows = summary.query(&Query::single(flows).filter(subpopulation)).unwrap();
+    let estimated_flows = summary.query(&QuerySpec::sum(flows).filter(subpopulation)).unwrap();
     let exact_flows = exact_aggregate(data, &AggregateFn::SingleAssignment(flows), subpopulation);
     assert!((estimated_flows.value - exact_flows).abs() <= exact_flows * 0.4);
 }

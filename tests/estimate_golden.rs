@@ -4,11 +4,12 @@
 //!
 //! The grid covers dispersed shared-seed and independent summaries and a
 //! colocated summary; on each it runs the 64-spec mixed batch of the
-//! end-to-end benchmark (sums, L1, Jaccard and max over pairs) and `Query`
-//! single / max / min / L1 / ℓ-th largest under both selections, with and
-//! without a predicate. Each `Query` line also pins a digest of its per-key
-//! adjusted weights in entry order, which fixes the order every fold adds
-//! them in.
+//! end-to-end benchmark (sums, L1, Jaccard and max over pairs) and, one spec
+//! at a time through `Summary::query`, single / max / min / L1 / ℓ-th largest
+//! over assignment sets under both selections, with and without a predicate.
+//! Each `query` line also pins a digest of its per-key adjusted weights
+//! (`Summary::adjusted_weights`) in entry order, which fixes the order every
+//! fold adds them in.
 //!
 //! Any change to an estimator, a summary layout or a fold that moves a
 //! single bit fails here. Regenerate only after a deliberate change to the
@@ -77,31 +78,54 @@ fn mixed_batch(selection: SelectionKind) -> QueryBatch {
         .collect()
 }
 
-/// A labelled query constructor.
-type Shape = (&'static str, fn() -> Query);
+/// One labelled line of the single-spec grid: the spec, and the aggregate
+/// and selection behind its adjusted-weight digest.
+struct Line {
+    label: String,
+    spec: QuerySpec,
+    aggregate: AggregateFn,
+    selection: SelectionKind,
+}
 
-/// The `Query` grid, labelled.
-fn queries() -> Vec<(String, Query)> {
-    let shapes: Vec<Shape> = vec![
-        ("single(0)", || Query::single(0)),
-        ("single(5)", || Query::single(5)),
-        ("max(0,1,2)", || Query::max([0, 1, 2])),
-        ("max(3,6)", || Query::max([3, 6])),
-        ("min(0,1,2)", || Query::min([0, 1, 2])),
-        ("min(4,7)", || Query::min([4, 7])),
-        ("l1(0,1,2)", || Query::l1([0, 1, 2])),
-        ("l1(2,5)", || Query::l1([2, 5])),
-        ("lth(0,1,2,3;2)", || Query::lth_largest([0, 1, 2, 3], 2)),
-        ("lth(1,4,7;3)", || Query::lth_largest([1, 4, 7], 3)),
+/// The single-spec grid, labelled.
+fn queries() -> Vec<Line> {
+    use AggregateFn::{LthLargest, Max, Min, SingleAssignment, L1};
+    let shapes = [
+        ("single(0)", QuerySpec::sum(0), SingleAssignment(0)),
+        ("single(5)", QuerySpec::sum(5), SingleAssignment(5)),
+        ("max(0,1,2)", QuerySpec::max_of([0, 1, 2]), Max(vec![0, 1, 2])),
+        ("max(3,6)", QuerySpec::max_of([3, 6]), Max(vec![3, 6])),
+        ("min(0,1,2)", QuerySpec::min_of([0, 1, 2]), Min(vec![0, 1, 2])),
+        ("min(4,7)", QuerySpec::min_of([4, 7]), Min(vec![4, 7])),
+        ("l1(0,1,2)", QuerySpec::l1_of([0, 1, 2]), L1(vec![0, 1, 2])),
+        ("l1(2,5)", QuerySpec::l1_of([2, 5]), L1(vec![2, 5])),
+        (
+            "lth(0,1,2,3;2)",
+            QuerySpec::lth_largest([0, 1, 2, 3], 2),
+            LthLargest { assignments: vec![0, 1, 2, 3], ell: 2 },
+        ),
+        (
+            "lth(1,4,7;3)",
+            QuerySpec::lth_largest([1, 4, 7], 3),
+            LthLargest { assignments: vec![1, 4, 7], ell: 3 },
+        ),
     ];
     let mut grid = Vec::new();
-    for (name, shape) in shapes {
+    for (name, spec, aggregate) in shapes {
         for selection in [SelectionKind::SSet, SelectionKind::LSet] {
-            grid.push((format!("{name} {selection:?}"), shape().selection(selection)));
-            grid.push((
-                format!("{name} {selection:?} key%3==1"),
-                shape().selection(selection).filter(|key| key % 3 == 1),
-            ));
+            let spec = spec.clone().selection(selection);
+            grid.push(Line {
+                label: format!("{name} {selection:?}"),
+                spec: spec.clone(),
+                aggregate: aggregate.clone(),
+                selection,
+            });
+            grid.push(Line {
+                label: format!("{name} {selection:?} key%3==1"),
+                spec: spec.filter(|key| key % 3 == 1),
+                aggregate: aggregate.clone(),
+                selection,
+            });
         }
     }
     grid
@@ -130,8 +154,8 @@ fn report_line(report: &EstimateReport) -> String {
 }
 
 /// FNV-1a over `(key, weight bits)` of the adjusted weights, in entry order.
-fn adjusted_digest(query: &Query, summary: &Summary) -> String {
-    match query.adjusted_weights(summary) {
+fn adjusted_digest(line: &Line, summary: &Summary) -> String {
+    match summary.adjusted_weights(&line.aggregate, line.selection) {
         Ok(adjusted) => {
             let mut hash = 0xcbf2_9ce4_8422_2325u64;
             for (key, weight) in adjusted.iter() {
@@ -165,13 +189,13 @@ fn golden_lines() -> String {
                 Err(_) => writeln!(out, "{name} batch {selection:?}: error").unwrap(),
             }
         }
-        for (label, query) in queries() {
-            let report = match query.evaluate_with_variance(&summary) {
+        for line in queries() {
+            let report = match summary.query(&line.spec) {
                 Ok(report) => report_line(&report),
                 Err(_) => "error".to_string(),
             };
-            let digest = adjusted_digest(&query, &summary);
-            writeln!(out, "{name} query {label}: {report} {digest}").unwrap();
+            let digest = adjusted_digest(&line, &summary);
+            writeln!(out, "{name} query {}: {report} {digest}", line.label).unwrap();
         }
     }
     out

@@ -80,7 +80,7 @@ fn golden_fixtures_are_queryable_after_decode() {
     }
     let bytes = std::fs::read(fixture_path("dispersed_sharedseed_ipps.cws")).unwrap();
     let summary = Summary::from_bytes(&bytes).unwrap();
-    let estimate = summary.query(&Query::min([0, 2])).unwrap();
+    let estimate = summary.query(&QuerySpec::min(0, 2)).unwrap();
     assert!(estimate.value >= 0.0);
     let exact = exact_aggregate(&fixture_data(), &AggregateFn::Min(vec![0, 2]), |_| true);
     assert!(exact >= 0.0);

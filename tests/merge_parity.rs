@@ -183,7 +183,7 @@ fn merged_epoch_snapshots_answer_union_queries() {
     let merged = Pipeline::merge_refs(&[north_snapshot.as_ref(), south_snapshot.as_ref()]).unwrap();
     let reference = all.finalize().unwrap();
     assert_eq!(merged, reference);
-    let estimate = merged.query(&Query::l1([0, 1])).unwrap();
-    let exact = reference.query(&Query::l1([0, 1])).unwrap();
+    let estimate = merged.query(&QuerySpec::l1(0, 1)).unwrap();
+    let exact = reference.query(&QuerySpec::l1(0, 1)).unwrap();
     assert_eq!(estimate.value.to_bits(), exact.value.to_bits());
 }

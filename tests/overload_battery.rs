@@ -201,15 +201,18 @@ fn expired_query_deadline_is_typed_and_poisons_nothing() {
     }
     let summary = pipeline.finalize().unwrap();
 
-    let expired = Query::l1([0, 1]).with_deadline(Duration::ZERO);
-    match summary.query(&expired) {
+    let l1 = || QueryBatch::new().push(QuerySpec::l1(0, 1));
+    match summary.query_batch(&l1().with_deadline(Duration::ZERO)) {
         Err(CwsError::DeadlineExceeded { op: "query", budget_ms: 0 }) => {}
         other => panic!("expected a typed query deadline breach, got {other:?}"),
     }
-    let plain = summary.query(&Query::l1([0, 1])).unwrap();
-    let generous =
-        summary.query(&Query::l1([0, 1]).with_deadline(Duration::from_secs(3600))).unwrap();
-    assert_eq!(plain.value.to_bits(), generous.value.to_bits(), "the summary must not be poisoned");
+    let plain = summary.query(&QuerySpec::l1(0, 1)).unwrap();
+    let generous = summary.query_batch(&l1().with_deadline(Duration::from_secs(3600))).unwrap();
+    assert_eq!(
+        plain.value.to_bits(),
+        generous[0].value.to_bits(),
+        "the summary must not be poisoned"
+    );
 }
 
 /// Acceptance (c), ingest half: an expired ingest deadline rejects pushes
@@ -246,7 +249,7 @@ fn scrubber_detects_every_single_byte_flip_while_serving() {
         epochs.publish_into(&mut store).unwrap();
     }
     let serving = epochs.latest().expect("three epochs were published");
-    let baseline = serving.query(&Query::l1([0, 1])).unwrap();
+    let baseline = serving.query(&QuerySpec::l1(0, 1)).unwrap();
     // Quarantine retention 0: each detected flip's forensics file is
     // pruned immediately, so the restore loop below stays simple.
     let scrubber = Scrubber::new().with_quarantine_retention(0);
@@ -270,7 +273,7 @@ fn scrubber_detects_every_single_byte_flip_while_serving() {
 
             // Serving never noticed: the in-memory snapshot still answers
             // bit-exactly.
-            let still = epochs.latest().unwrap().query(&Query::l1([0, 1])).unwrap();
+            let still = epochs.latest().unwrap().query(&QuerySpec::l1(0, 1)).unwrap();
             assert_eq!(still.value.to_bits(), baseline.value.to_bits());
 
             // Restore the epoch for the next offset; the follow-up scrub

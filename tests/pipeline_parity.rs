@@ -270,11 +270,11 @@ fn queries_match_hand_wired_estimators_exactly() {
     let direct = ColocatedSummary::build(&data, &config);
     let estimator = InclusiveEstimator::new(&direct);
     assert_eq!(
-        colocated.query(&Query::single(1).filter(subset)).unwrap().value,
+        colocated.query(&QuerySpec::sum(1).filter(subset)).unwrap().value,
         estimator.single(1).unwrap().subset_total(subset)
     );
     assert_eq!(
-        colocated.query(&Query::l1([0, 2])).unwrap().value,
+        colocated.query(&QuerySpec::l1(0, 2)).unwrap().value,
         estimator.l1(&[0, 2]).unwrap().total()
     );
 
@@ -282,17 +282,20 @@ fn queries_match_hand_wired_estimators_exactly() {
     let direct = DispersedSummary::build(&data, &config);
     let estimator = DispersedEstimator::new(&direct);
     assert_eq!(
-        dispersed.query(&Query::max([0, 1, 2, 3])).unwrap().value,
+        dispersed.query(&QuerySpec::max_of([0, 1, 2, 3])).unwrap().value,
         estimator.max(&[0, 1, 2, 3]).unwrap().total()
     );
     for kind in [SelectionKind::SSet, SelectionKind::LSet] {
         assert_eq!(
-            dispersed.query(&Query::min([0, 1, 2]).selection(kind).filter(subset)).unwrap().value,
+            dispersed
+                .query(&QuerySpec::min_of([0, 1, 2]).selection(kind).filter(subset))
+                .unwrap()
+                .value,
             estimator.min(&[0, 1, 2], kind).unwrap().subset_total(subset)
         );
     }
     assert_eq!(
-        dispersed.query(&Query::lth_largest([0, 1, 2, 3], 2)).unwrap().value,
+        dispersed.query(&QuerySpec::lth_largest([0, 1, 2, 3], 2)).unwrap().value,
         estimator.lth_largest(&[0, 1, 2, 3], 2, SelectionKind::LSet).unwrap().total()
     );
 }

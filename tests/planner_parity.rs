@@ -1,8 +1,8 @@
 //! Batch execution is the same estimator, faster: every `QueryBatch` result
-//! must be **bit-identical** to evaluating the equivalent `Query` on its
-//! own — across layouts, selections, predicates and assignment pairs — and
-//! the surfaced confidence intervals must actually cover at their nominal
-//! rate over seeded trials.
+//! must be **bit-identical** to the adjusted-weight formulas of its spec,
+//! evaluated on `Summary::adjusted_weights` — across layouts, selections,
+//! predicates and assignment sets — and the surfaced confidence intervals
+//! must actually cover at their nominal rate over seeded trials.
 
 mod common;
 
@@ -10,13 +10,14 @@ use std::time::Duration;
 
 use common::{case_rng, mean_and_std};
 use coordinated_sampling::core::estimate::adjusted::AdjustedWeights;
+use coordinated_sampling::core::variance::{normal_ci, Z_95};
 use coordinated_sampling::core::CwsError;
 use coordinated_sampling::hash::RandomSource;
 use coordinated_sampling::prelude::*;
 
 type Pred = fn(Key) -> bool;
 
-/// The predicate grid shared by batch specs and sequential queries.
+/// The predicate grid of the batch specs.
 fn predicates() -> [Option<Pred>; 3] {
     [None, Some(|key| key % 2 == 0), Some(|key| key % 5 == 1)]
 }
@@ -47,32 +48,40 @@ fn summaries(keys: u64, salt: u64, k: usize) -> (Summary, Summary) {
     )
 }
 
-/// Builds the sequential `Query` equivalent of a spec shape.
-fn sequential_query(
-    aggregate: &AggregateSpec,
-    selection: SelectionKind,
-    predicate: Option<Pred>,
-) -> Option<Query> {
-    let query = match *aggregate {
-        AggregateSpec::Sum { assignment } => Query::single(assignment),
-        AggregateSpec::Max { pair } => Query::max([pair.0, pair.1]),
-        AggregateSpec::Min { pair } => Query::min([pair.0, pair.1]),
-        AggregateSpec::L1 { pair } => Query::l1([pair.0, pair.1]),
-        // Count / Avg / Jaccard have no single-`Query` equivalent; their
-        // parity is pinned against the adjusted-weight formulas below.
-        AggregateSpec::Count { .. } | AggregateSpec::Avg { .. } | AggregateSpec::Jaccard { .. } => {
-            return None;
-        }
-    };
-    let query = query.selection(selection);
-    Some(match predicate {
-        Some(p) => query.filter(p),
-        None => query,
-    })
-}
-
+/// Every spec shape answers exactly what its adjusted-weight formulas say:
+/// the batch value, observed keys, variance and interval of each spec are
+/// bit-identical to `subset_total`, the filtered entry count,
+/// `subset_variance` and `normal_ci` over `Summary::adjusted_weights` of its
+/// aggregate — across layouts, selections, predicates and assignment sets,
+/// with every spec sharing its kernel with the others in one batch.
 #[test]
 fn batch_is_bit_identical_to_sequential_queries() {
+    use AggregateFn::{LthLargest, Max, Min, SingleAssignment, L1};
+    let shapes = || {
+        [
+            (QuerySpec::sum(0), SingleAssignment(0)),
+            (QuerySpec::sum(2), SingleAssignment(2)),
+            (QuerySpec::max(0, 1), Max(vec![0, 1])),
+            (QuerySpec::min(1, 0), Min(vec![0, 1])),
+            (QuerySpec::min(1, 2), Min(vec![1, 2])),
+            (QuerySpec::l1(0, 2), L1(vec![0, 2])),
+            (QuerySpec::max_of([2, 0, 1]), Max(vec![0, 1, 2])),
+            (QuerySpec::min_of([0, 1, 2]), Min(vec![0, 1, 2])),
+            (QuerySpec::l1_of([0, 1, 2]), L1(vec![0, 1, 2])),
+            (
+                QuerySpec::lth_largest([0, 1, 2], 1),
+                LthLargest { assignments: vec![0, 1, 2], ell: 1 },
+            ),
+            (
+                QuerySpec::lth_largest([2, 1, 0], 2),
+                LthLargest { assignments: vec![0, 1, 2], ell: 2 },
+            ),
+            (
+                QuerySpec::lth_largest([0, 1, 2], 3),
+                LthLargest { assignments: vec![0, 1, 2], ell: 3 },
+            ),
+        ]
+    };
     for case in 0..6u64 {
         let mut rng = case_rng("planner_parity_cases", case);
         let keys = 100 + rng.next_below(400);
@@ -80,50 +89,36 @@ fn batch_is_bit_identical_to_sequential_queries() {
         let (colocated, dispersed) = summaries(keys, case, k);
         for summary in [&colocated, &dispersed] {
             for selection in [SelectionKind::SSet, SelectionKind::LSet] {
-                let shapes = [
-                    AggregateSpec::Sum { assignment: 0 },
-                    AggregateSpec::Sum { assignment: 2 },
-                    AggregateSpec::Max { pair: (0, 1) },
-                    AggregateSpec::Min { pair: (0, 1) },
-                    AggregateSpec::Min { pair: (1, 2) },
-                    AggregateSpec::L1 { pair: (0, 2) },
-                ];
                 let mut batch = QueryBatch::new();
                 let mut expected = Vec::new();
-                for aggregate in shapes {
+                for (spec, aggregate) in shapes() {
                     for predicate in predicates() {
-                        let mut spec = match aggregate {
-                            AggregateSpec::Sum { assignment } => QuerySpec::sum(assignment),
-                            AggregateSpec::Max { pair } => QuerySpec::max(pair.0, pair.1),
-                            AggregateSpec::Min { pair } => QuerySpec::min(pair.0, pair.1),
-                            AggregateSpec::L1 { pair } => QuerySpec::l1(pair.0, pair.1),
-                            _ => unreachable!(),
-                        }
-                        .selection(selection);
-                        if let Some(p) = predicate {
-                            spec = spec.filter(p);
-                        }
-                        batch = batch.push(spec);
-                        expected.push(sequential_query(&aggregate, selection, predicate).unwrap());
+                        let spec = spec.clone().selection(selection);
+                        batch = batch.push(match predicate {
+                            Some(p) => spec.filter(p),
+                            None => spec,
+                        });
+                        expected.push((aggregate.clone(), predicate.unwrap_or(|_| true)));
                     }
                 }
                 let reports = summary.query_batch(&batch).unwrap();
                 assert_eq!(reports.len(), expected.len());
-                for (report, query) in reports.iter().zip(&expected) {
-                    let solo = query.evaluate(summary).unwrap();
+                for (report, (aggregate, pred)) in reports.iter().zip(&expected) {
+                    let adjusted = summary.adjusted_weights(aggregate, selection).unwrap();
+                    let value = adjusted.subset_total(pred);
                     assert_eq!(
                         report.value.to_bits(),
-                        solo.value.to_bits(),
-                        "case {case}: batch {report:?} vs solo {solo:?} for {query:?}"
+                        value.to_bits(),
+                        "case {case}: batch {report:?} vs formula {value} for {aggregate:?}"
                     );
-                    assert_eq!(report.observed_keys, solo.observed_keys);
-                    // The richer solo path agrees bit-for-bit too, including
-                    // variance availability and the interval endpoints.
-                    let rich = query.evaluate_with_variance(summary).unwrap();
-                    assert_eq!(report.variance.map(f64::to_bits), rich.variance.map(f64::to_bits));
+                    let observed = adjusted.iter().filter(|&(key, _)| pred(key)).count();
+                    assert_eq!(report.observed_keys, observed);
+                    let variance = adjusted.subset_variance(pred);
+                    assert_eq!(report.variance.map(f64::to_bits), variance.map(f64::to_bits));
+                    let ci = variance.map(|v| normal_ci(value, v, Z_95));
                     assert_eq!(
                         report.ci95.map(|ci| (ci.lower.to_bits(), ci.upper.to_bits())),
-                        rich.ci95.map(|ci| (ci.lower.to_bits(), ci.upper.to_bits()))
+                        ci.map(|ci| (ci.lower.to_bits(), ci.upper.to_bits()))
                     );
                 }
             }
@@ -151,7 +146,10 @@ fn count_avg_jaccard_match_the_adjusted_weight_formulas() {
                 }
                 let reports = summary.query_batch(&batch).unwrap();
 
-                let single: AdjustedWeights = Query::single(1).adjusted_weights(summary).unwrap();
+                let adjusted = |aggregate: AggregateFn| -> AdjustedWeights {
+                    summary.adjusted_weights(&aggregate, SelectionKind::LSet).unwrap()
+                };
+                let single = adjusted(AggregateFn::SingleAssignment(1));
                 let (count, count_var) = single.subset_count(pred).unwrap();
                 assert_eq!(reports[0].value.to_bits(), count.to_bits());
                 assert_eq!(reports[0].variance.unwrap().to_bits(), count_var.to_bits());
@@ -161,10 +159,8 @@ fn count_avg_jaccard_match_the_adjusted_weight_formulas() {
                 assert_eq!(reports[1].value.to_bits(), avg.to_bits());
                 assert!(reports[1].variance.is_none() && reports[1].ci95.is_none());
 
-                let min_total =
-                    Query::min([0, 1]).adjusted_weights(summary).unwrap().subset_total(pred);
-                let max_total =
-                    Query::max([0, 1]).adjusted_weights(summary).unwrap().subset_total(pred);
+                let min_total = adjusted(AggregateFn::Min(vec![0, 1])).subset_total(pred);
+                let max_total = adjusted(AggregateFn::Max(vec![0, 1])).subset_total(pred);
                 let jaccard = if max_total == 0.0 { 0.0 } else { min_total / max_total };
                 assert_eq!(reports[2].value.to_bits(), jaccard.to_bits());
                 assert!(reports[2].variance.is_none());
@@ -238,6 +234,22 @@ fn invalid_specs_and_deadlines_are_typed_and_poison_nothing() {
             summary.query_batch(&degenerate),
             Err(CwsError::InvalidParameter { name: "assignment_pair", .. })
         ));
+        // R is a set on both layouts: an empty set, a repeated assignment
+        // or an ℓ outside 1..=|R| fails planning with the same typed error.
+        assert!(matches!(
+            summary.query(&QuerySpec::max_of([0, 0])),
+            Err(CwsError::InvalidParameter { name: "assignments", .. })
+        ));
+        assert!(matches!(summary.query(&QuerySpec::min_of([])), Err(CwsError::EmptyAssignmentSet)));
+        assert!(matches!(
+            summary.query(&QuerySpec::lth_largest([0, 1], 3)),
+            Err(CwsError::InvalidDependenceOrder { ell: 3, relevant: 2 })
+        ));
+        // So is the drill-down path, which no plan validates.
+        assert!(matches!(
+            summary.adjusted_weights(&AggregateFn::Max(vec![0, 0]), SelectionKind::LSet),
+            Err(CwsError::InvalidParameter { name: "assignments", .. })
+        ));
         // Out-of-range assignment: summary-dependent, typed at execution.
         let out_of_range = QueryBatch::new().push(QuerySpec::sum(7));
         assert!(matches!(
@@ -262,7 +274,7 @@ fn invalid_specs_and_deadlines_are_typed_and_poison_nothing() {
         let expired = QueryBatch::new().extend(specs()).with_deadline(Duration::ZERO);
         assert!(matches!(
             summary.query_batch(&expired),
-            Err(CwsError::DeadlineExceeded { op: "query_batch", budget_ms: 0 })
+            Err(CwsError::DeadlineExceeded { op: "query", budget_ms: 0 })
         ));
         let generous = QueryBatch::new()
             .extend(specs())
@@ -297,13 +309,12 @@ fn fleet_batch_shares_one_kernel_and_meets_its_deadline() {
         assert_eq!(reports.len(), 64);
         // The 64 lanes partition the population: lane sums add up to the
         // full-population estimate exactly (same addends, disjoint lanes).
-        let full = summary.query(&Query::single(0)).unwrap();
+        let full = summary.query(&QuerySpec::sum(0)).unwrap();
         let lane_sum: f64 = reports.iter().map(|r| r.value).sum();
         assert!((lane_sum - full.value).abs() <= full.value.abs() * 1e-9);
         for (lane, report) in reports.iter().enumerate() {
-            let solo = Query::single(0)
-                .filter(move |key: Key| key % 64 == lane as u64)
-                .evaluate(summary)
+            let solo = summary
+                .query(&QuerySpec::sum(0).filter(move |key: Key| key % 64 == lane as u64))
                 .unwrap();
             assert_eq!(report.value.to_bits(), solo.value.to_bits());
             assert!(report.ci95.unwrap().covers(report.value));
