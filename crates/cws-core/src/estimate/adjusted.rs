@@ -7,11 +7,42 @@
 //! (Section 3, "Adjusted weights").
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
+
+use cws_hash::mix64;
 
 use crate::estimate::template::Selected;
 use crate::variance::ht_variance_component;
 use crate::weights::Key;
+
+/// Key → slot map of an [`AdjustedWeights`], hashed with one `mix64` per
+/// key instead of SipHash. The map holds one summary's entries, the keys a
+/// sample selected (a few thousand at most), so keys crafted to collide
+/// could slow one index build but not grow it without bound.
+type KeyIndex = HashMap<Key, usize, BuildHasherDefault<KeyMix>>;
+
+/// [`Hasher`] of one 64-bit key: its `mix64`.
+#[derive(Debug, Default)]
+struct KeyMix(u64);
+
+impl Hasher for KeyMix {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix64(self.0 ^ key);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+}
 
 /// Adjusted weights of the sampled keys.
 ///
@@ -31,7 +62,7 @@ pub struct AdjustedWeights {
     /// Entries in ascending key order (the dispersed and colocated
     /// estimators pass over keys that way) have no duplicates to find; any
     /// other order builds the map at construction to reject them.
-    index: OnceLock<HashMap<Key, usize>>,
+    index: OnceLock<KeyIndex>,
     /// `(value, probability)` per entry, aligned with `entries`; empty when
     /// the summary was assembled without template support.
     support: Vec<Selected>,
@@ -129,8 +160,8 @@ impl AdjustedWeights {
     ///
     /// # Panics
     /// Panics on duplicate keys.
-    fn index_of(entries: &[(Key, f64)]) -> HashMap<Key, usize> {
-        let mut index = HashMap::with_capacity(entries.len());
+    fn index_of(entries: &[(Key, f64)]) -> KeyIndex {
+        let mut index = KeyIndex::with_capacity_and_hasher(entries.len(), Default::default());
         for (slot, &(key, _)) in entries.iter().enumerate() {
             let previous = index.insert(key, slot);
             assert!(previous.is_none(), "duplicate adjusted weight for key {key}");

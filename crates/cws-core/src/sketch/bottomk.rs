@@ -72,7 +72,15 @@ impl BottomKSketch {
                 continue;
             }
             debug_assert!(weight > 0.0, "finite rank implies positive weight");
-            heap.push(ByRank(SketchEntry { key, rank, weight }));
+            let entry = ByRank(SketchEntry { key, rank, weight });
+            // Early reject: once full, an entry strictly above the top would
+            // be pushed only to be popped again. An equal one (the same key
+            // and rank) still takes the push/pop path, so which of the two
+            // survives is exactly what it always was.
+            if heap.len() > k && heap.peek().is_some_and(|top| entry > *top) {
+                continue;
+            }
+            heap.push(entry);
             if heap.len() > k + 1 {
                 heap.pop();
             }
@@ -339,6 +347,45 @@ mod tests {
         assert_eq!(sketch.weight_of(6), Some(10.0));
         assert_eq!(sketch.rank_of(2), None);
         assert!(!sketch.is_empty());
+    }
+
+    #[test]
+    fn rank_ties_at_the_cut_match_a_full_sort() {
+        // Few distinct ranks over many keys: the early reject sees long runs
+        // of entries equal in rank to the heap top and must still keep
+        // exactly the `(rank, key)`-smallest, as a full sort does — in
+        // shuffled order, and in the ascending order where every entry
+        // after the first k + 1 is rejected early.
+        use cws_hash::{RandomSource, Xoshiro256};
+        for k in [1usize, 2, 5, 17, 64] {
+            let mut rng = Xoshiro256::seeded(0x7135 ^ k as u64);
+            let mut ranked: Vec<(Key, f64, f64)> = (0..300u64)
+                .map(|key| {
+                    let rank = match rng.next_below(10) {
+                        0 => f64::INFINITY,
+                        level => level as f64 / 16.0,
+                    };
+                    (key, rank, 1.0 + key as f64)
+                })
+                .collect();
+            for i in (1..ranked.len()).rev() {
+                ranked.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let mut sorted: Vec<_> = ranked.iter().copied().filter(|e| e.1.is_finite()).collect();
+            sorted.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let expected: Vec<SketchEntry> = sorted[..k]
+                .iter()
+                .map(|&(key, rank, weight)| SketchEntry { key, rank, weight })
+                .collect();
+            let descending: Vec<_> = sorted.iter().rev().copied().collect();
+            for (order, input) in
+                [("shuffled", ranked), ("ascending", sorted.clone()), ("descending", descending)]
+            {
+                let sketch = BottomKSketch::from_ranked(k, input);
+                assert_eq!(sketch.entries(), &expected[..], "k={k} {order}");
+                assert_eq!(sketch.next_rank().to_bits(), sorted[k].1.to_bits(), "k={k} {order}");
+            }
+        }
     }
 
     #[test]

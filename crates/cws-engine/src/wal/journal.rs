@@ -481,18 +481,21 @@ impl Journal {
             self.sync_active()?;
             return self.rotate();
         }
-        match self.sync {
-            SyncPolicy::PerBatch => self.sync_active()?,
+        let synced = match self.sync {
+            SyncPolicy::PerBatch => true,
             SyncPolicy::EveryN(n) => {
                 self.appended_since_sync += 1;
-                if self.appended_since_sync >= n {
-                    self.sync_active()?;
-                }
+                self.appended_since_sync >= n
             }
-            SyncPolicy::OnRotate => {}
-        }
-        if self.active.len >= self.segment_bytes {
+            SyncPolicy::OnRotate => false,
+        };
+        // A segment is sealed durable: sync before rotating, once, whether
+        // the policy or the rotation asked for it.
+        let rotating = self.active.len >= self.segment_bytes;
+        if synced || rotating {
             self.sync_active()?;
+        }
+        if rotating {
             self.rotate()?;
         }
         Ok(())

@@ -117,7 +117,8 @@ impl BottomKStreamSampler {
     }
 
     /// Whether `key` is currently among the candidates (the sample plus the
-    /// key defining `r_{k+1}`).
+    /// key defining `r_{k+1}`). Exact, at `O(k)` per call: meant for
+    /// diagnostics, not for a per-record loop.
     #[must_use]
     pub fn is_candidate(&self, key: Key) -> bool {
         self.candidates.contains(key)

@@ -1,27 +1,44 @@
-//! Bounded candidate set shared by the stream samplers: the `k + 1`
-//! smallest-ranked keys seen so far (the bottom-k sample plus the key that
-//! currently defines `r_{k+1}`).
+//! Bounded candidate set shared by the stream samplers: a buffer that always
+//! holds the `k + 1` smallest-ranked keys seen so far (the bottom-k sample
+//! plus the key that defines `r_{k+1}`), from which finalization selects
+//! exactly those.
 //!
 //! This is the innermost structure of the ingestion hot path, so it is built
 //! for the common case — a record whose rank is too large to matter — to cost
-//! exactly one load and one floating-point compare: the current heap-top rank
-//! is cached in `threshold`, so rejection does not even dereference the
-//! heap. Storage is two flat arrays, both allocated once at construction and
-//! never resized:
+//! exactly one load and one floating-point compare against a cached
+//! threshold. Storage is two flat arrays, both allocated once at
+//! construction and never resized:
 //!
-//! * a binary max-heap of `k + 1` slots ordered by `(rank, key)`, which
-//!   decides admission and eviction;
-//! * a [`KeyIndex`] over the same keys (open addressing, at most half full),
-//!   which answers membership with one probe. A competitive offer — about
-//!   `k · (1 + ln(n/k))` of `n` records per set — would otherwise pay an
-//!   `O(k)` duplicate scan of the heap; only a real duplicate, which an
-//!   aggregated stream never produces, still searches the heap for its slot.
+//! * an unsorted buffer of at most `2(k + 1)` candidates (24 bytes each).
+//!   An offer at or below the threshold is appended. When the buffer fills,
+//!   a *compaction* selects the `k + 1` smallest under the `(rank, key)`
+//!   order (`select_nth_unstable_by`, `O(k)`), drops the rest and lowers the
+//!   threshold to the largest kept rank. One compaction pays for the `k + 1`
+//!   appends that refill the buffer, so an admission costs amortised `O(1)`
+//!   instead of a max-heap's `O(log k)` branchy sift. This is the layout of
+//!   the QuickSelect theta sketches of Apache DataSketches; the estimators
+//!   only need the final `k + 1` selection, not the order in which keys were
+//!   admitted;
+//! * a [`KeyIndex`] over the buffered keys (open addressing, a power-of-two
+//!   table of at least `4(k + 1)` slots, so at most half full), which
+//!   answers the duplicate check of an offer with one probe. Only a real
+//!   duplicate, which an aggregated stream never produces, still searches
+//!   the buffer for its entry.
+//!
+//! Memory per set is `48(k + 1)` bytes of buffer plus 8 bytes per index
+//! slot: about 112 KiB at `k = 1024`.
+//!
+//! Between compactions the buffer may hold keys the next compaction drops.
+//! [`CandidateSet::is_buffered`] is the one-probe test for that superset;
+//! [`CandidateSet::contains`] answers exact membership in the `k + 1`
+//! smallest by counting the entries that beat the key, `O(k)`.
 //!
 //! The `(rank, key)` total order matches `BottomKSketch::from_ranked`
-//! exactly, so a candidate set fed any permutation of a ranked population
-//! finalizes into the bit-identical sketch the offline builder computes —
-//! including rank ties, which the previous `BinaryHeap + HashSet`
-//! implementation resolved by arrival order instead.
+//! exactly, and finalization hands the buffer to it, so a candidate set fed
+//! any permutation of a ranked population finalizes into the bit-identical
+//! sketch the offline builder computes — rank ties included.
+
+use std::cmp::Ordering;
 
 use cws_core::sketch::bottomk::BottomKSketch;
 use cws_core::Key;
@@ -35,29 +52,23 @@ struct Candidate {
 }
 
 impl Candidate {
-    /// Total order used by the heap: by rank, tie-broken by key. Mirrors the
-    /// eviction order of `BottomKSketch::from_ranked`.
+    /// Total order of the selection: by rank, tie-broken by key. Mirrors the
+    /// order of `BottomKSketch::from_ranked`.
     #[inline]
-    fn beats(&self, other: &Self) -> bool {
-        match self.rank.total_cmp(&other.rank) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => self.key > other.key,
-        }
+    fn order(&self, other: &Self) -> Ordering {
+        self.rank.total_cmp(&other.rank).then(self.key.cmp(&other.key))
     }
 }
 
 /// What [`CandidateSet::offer`] did with a ranked key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum OfferOutcome {
-    /// The rank was infinite or not among the `k + 1` smallest; nothing
-    /// changed.
+    /// The rank was non-finite or above the threshold; nothing changed.
     Rejected,
-    /// The key entered the candidate set, evicting the carried key if the
-    /// set was already full.
-    Inserted(Option<Key>),
-    /// The key was already a candidate. Its entry kept the smaller of the
-    /// two ranks (a re-offer can only improve a candidate, matching how the
+    /// The key was appended to the buffer (which may have compacted).
+    Inserted,
+    /// The key was already buffered. Its entry kept the smaller of the two
+    /// ranks (a re-offer can only improve a candidate, matching how the
     /// offline builder would see a single, best observation).
     Duplicate,
 }
@@ -67,20 +78,22 @@ impl OfferOutcome {
     ///
     /// On an aggregated stream — each key offered at most once per set,
     /// the documented contract of the samplers — this is equivalent to
-    /// "the key is a candidate after the call". The one divergence is a
-    /// *re-offer* of an existing candidate with a rank above the current
-    /// threshold: the fast-reject fires before the duplicate guard, so the
-    /// call reports `Rejected` even though the earlier entry remains; use
-    /// [`CandidateSet::contains`] when that distinction matters.
+    /// "the key is buffered after the call", unless that very offer filled
+    /// the buffer and its compaction dropped the key again. It is *not*
+    /// exact membership in the `k + 1` smallest: a buffered key may lose its
+    /// place at the next compaction. A *re-offer* of a buffered key with a
+    /// rank above the threshold reports `Rejected` even though the earlier
+    /// entry remains; use [`CandidateSet::contains`] when these distinctions
+    /// matter.
     #[inline]
     pub(crate) fn is_candidate(self) -> bool {
         !matches!(self, OfferOutcome::Rejected)
     }
 }
 
-/// Set of the keys held by a [`CandidateSet`]: an open-addressing table
+/// Set of the keys buffered by a [`CandidateSet`]: an open-addressing table
 /// with linear probing and backward-shift deletion, sized once to at least
-/// twice the set's capacity so probe chains stay short.
+/// twice the buffer's capacity so probe chains stay short.
 ///
 /// [`KeyIndex::EMPTY`] marks a free slot; the one key equal to it is
 /// tracked by a flag instead of a slot.
@@ -131,19 +144,22 @@ impl KeyIndex {
         }
     }
 
-    /// Adds `key`, which must not be present.
+    /// Adds `key` unless it is present; returns whether it was added.
     #[inline]
-    fn insert(&mut self, key: Key) {
+    fn insert(&mut self, key: Key) -> bool {
         if key == Self::EMPTY {
-            self.holds_empty_key = true;
-            return;
+            return !std::mem::replace(&mut self.holds_empty_key, true);
         }
         let mut slot = self.home(key);
-        while self.slots[slot] != Self::EMPTY {
-            debug_assert_ne!(self.slots[slot], key, "key {key} is already indexed");
-            slot = (slot + 1) & self.mask;
+        loop {
+            match self.slots[slot] {
+                held if held == key => return false,
+                Self::EMPTY => break,
+                _ => slot = (slot + 1) & self.mask,
+            }
         }
         self.slots[slot] = key;
+        true
     }
 
     /// Removes `key`, which must be present, and shifts later members of
@@ -186,16 +202,19 @@ impl KeyIndex {
 /// pre-filter.
 const THRESHOLD_INFLATION: f64 = 1.0 + 1e-9;
 
-/// The `k + 1` smallest-ranked keys observed so far, in one flat allocation.
+/// A superset of the `k + 1` smallest-ranked keys observed so far, in one
+/// flat allocation.
 #[derive(Debug, Clone)]
 pub(crate) struct CandidateSet {
     k: usize,
-    /// Binary max-heap by `(rank, key)`; `heap.len() <= k + 1`.
-    heap: Vec<Candidate>,
-    /// Exactly the keys in `heap`.
+    /// Unsorted, one entry per key, at most `2(k + 1)` long; holds the
+    /// `k + 1` smallest entries under `(rank, key)` seen so far.
+    buffer: Vec<Candidate>,
+    /// Exactly the keys in `buffer`.
     index: KeyIndex,
-    /// Cached rank of the heap top while the set is full, `+∞` otherwise:
-    /// any strictly larger rank is rejected without touching the heap.
+    /// Largest rank kept by the last compaction, `+∞` before the first:
+    /// `k + 1` buffered entries rank at or below it, so any strictly larger
+    /// rank is rejected without touching the buffer.
     threshold: f64,
     /// `threshold * THRESHOLD_INFLATION`, cached for the division-free
     /// pre-filter of the hash-once ingestion path.
@@ -205,10 +224,11 @@ pub(crate) struct CandidateSet {
 impl CandidateSet {
     pub(crate) fn new(k: usize) -> Self {
         assert!(k > 0, "sample size k must be positive");
+        let capacity = 2 * (k + 1);
         Self {
             k,
-            heap: Vec::with_capacity(k + 1),
-            index: KeyIndex::new(k + 1),
+            buffer: Vec::with_capacity(capacity),
+            index: KeyIndex::new(capacity),
             threshold: f64::INFINITY,
             inflated: f64::INFINITY,
         }
@@ -227,16 +247,13 @@ impl CandidateSet {
         self.inflated
     }
 
-    /// Offers a ranked key. Infinite ranks (zero weights) are ignored.
+    /// Offers a ranked key. Non-finite ranks (zero weights) are ignored.
     ///
-    /// Offering a key that is already a candidate does not double-insert it:
-    /// the existing entry is kept with the smaller of the two ranks. (The
-    /// previous implementation left two heap entries behind one membership
-    /// entry, desyncing `contains` after the later eviction and letting
-    /// `into_sketch` emit a duplicate key.)
+    /// Offering a key that is already buffered does not double-insert it:
+    /// the existing entry is kept with the smaller of the two ranks.
     pub(crate) fn offer(&mut self, key: Key, rank: f64, weight: f64) -> OfferOutcome {
-        // Hot path: one compare. `threshold` is +∞ until the set is full, so
-        // this also admits everything (finite) while filling.
+        // Hot path: one compare. `threshold` is +∞ until the first
+        // compaction, so this also admits everything (finite) while filling.
         if rank > self.threshold {
             return OfferOutcome::Rejected;
         }
@@ -245,80 +262,37 @@ impl CandidateSet {
         }
         let candidate = Candidate { rank, key, weight };
 
-        // Duplicate guard: one index probe. Only a real duplicate searches
-        // the heap for its slot.
-        if self.index.contains(key) {
-            let slot = self.heap.iter().position(|c| c.key == key).expect("indexed keys are held");
-            if rank < self.heap[slot].rank {
-                self.heap[slot] = candidate;
-                // The entry shrank, so it can only need to move away from the
-                // root of the max-heap.
-                self.sift_down(slot);
-                self.refresh_threshold();
+        // Duplicate guard: the index probe that adds the key. Only a real
+        // duplicate searches the buffer for its entry.
+        if !self.index.insert(key) {
+            let held =
+                self.buffer.iter_mut().find(|c| c.key == key).expect("indexed keys are buffered");
+            if rank < held.rank {
+                *held = candidate;
             }
             return OfferOutcome::Duplicate;
         }
 
-        if self.heap.len() <= self.k {
-            self.heap.push(candidate);
-            self.index.insert(key);
-            self.sift_up(self.heap.len() - 1);
-            self.refresh_threshold();
-            return OfferOutcome::Inserted(None);
+        // A rank equal to the threshold is appended even when its key loses
+        // the tie-break: the selection of the next compaction, or of
+        // finalization, decides ties exactly like the offline builder.
+        self.buffer.push(candidate);
+        if self.buffer.len() == 2 * (self.k + 1) {
+            self.compact();
         }
-
-        // Full: the new candidate enters only if it is strictly smaller than
-        // the worst under the `(rank, key)` order — ranks equal to the
-        // threshold are decided by the key tie-break, exactly like the
-        // offline builder.
-        if !self.heap[0].beats(&candidate) {
-            return OfferOutcome::Rejected;
-        }
-        let evicted = std::mem::replace(&mut self.heap[0], candidate).key;
-        self.index.remove(evicted);
-        self.index.insert(key);
-        self.sift_down(0);
-        self.refresh_threshold();
-        OfferOutcome::Inserted(Some(evicted))
+        OfferOutcome::Inserted
     }
 
-    #[inline]
-    fn refresh_threshold(&mut self) {
-        self.threshold =
-            if self.heap.len() == self.k + 1 { self.heap[0].rank } else { f64::INFINITY };
+    /// Keeps the `k + 1` smallest buffered entries and lowers the threshold
+    /// to the largest of them.
+    fn compact(&mut self) {
+        let (_, kept_max, evicted) = self.buffer.select_nth_unstable_by(self.k, Candidate::order);
+        self.threshold = kept_max.rank;
         self.inflated = self.threshold * THRESHOLD_INFLATION;
-    }
-
-    fn sift_up(&mut self, mut index: usize) {
-        while index > 0 {
-            let parent = (index - 1) / 2;
-            if self.heap[index].beats(&self.heap[parent]) {
-                self.heap.swap(index, parent);
-                index = parent;
-            } else {
-                break;
-            }
+        for dropped in evicted.iter() {
+            self.index.remove(dropped.key);
         }
-    }
-
-    fn sift_down(&mut self, mut index: usize) {
-        loop {
-            let left = 2 * index + 1;
-            if left >= self.heap.len() {
-                break;
-            }
-            let right = left + 1;
-            let mut largest = left;
-            if right < self.heap.len() && self.heap[right].beats(&self.heap[left]) {
-                largest = right;
-            }
-            if self.heap[largest].beats(&self.heap[index]) {
-                self.heap.swap(index, largest);
-                index = largest;
-            } else {
-                break;
-            }
-        }
+        self.buffer.truncate(self.k + 1);
     }
 
     /// Offers a whole column of factored ranks: record `i` has rank
@@ -368,21 +342,40 @@ impl CandidateSet {
         }
     }
 
-    /// Whether `key` is currently a candidate (one index probe).
+    /// Whether `key` is buffered (one index probe): true of every one of
+    /// the `k + 1` smallest, and possibly of keys the next compaction drops.
     #[inline]
-    pub(crate) fn contains(&self, key: Key) -> bool {
+    pub(crate) fn is_buffered(&self, key: Key) -> bool {
         self.index.contains(key)
     }
 
-    /// Number of candidates currently held (at most `k + 1`).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+    /// Whether `key` is among the `k + 1` smallest offered so far: buffered
+    /// and beaten by at most `k` buffered entries. `O(k)`, for diagnostics;
+    /// the hot paths use [`CandidateSet::is_buffered`].
+    pub(crate) fn contains(&self, key: Key) -> bool {
+        if !self.index.contains(key) {
+            return false;
+        }
+        if self.buffer.len() <= self.k + 1 {
+            return true;
+        }
+        let held = self.buffer.iter().find(|c| c.key == key).expect("indexed keys are buffered");
+        self.buffer.iter().filter(|c| c.order(held) == Ordering::Less).count() <= self.k
     }
 
-    /// Finalizes into a bottom-k sketch.
+    /// Number of entries currently buffered (fewer than `2(k + 1)`).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.buffer.len()
+    }
+
+    /// Finalizes into a bottom-k sketch: the offline builder selects the
+    /// `k + 1` smallest buffered entries.
     pub(crate) fn into_sketch(self) -> BottomKSketch {
-        BottomKSketch::from_ranked(self.k, self.heap.into_iter().map(|c| (c.key, c.rank, c.weight)))
+        BottomKSketch::from_ranked(
+            self.k,
+            self.buffer.into_iter().map(|c| (c.key, c.rank, c.weight)),
+        )
     }
 }
 
@@ -393,16 +386,17 @@ mod tests {
     #[test]
     fn keeps_k_plus_one_smallest() {
         let mut set = CandidateSet::new(2);
-        assert_eq!(set.offer(1, 0.5, 1.0), OfferOutcome::Inserted(None));
-        assert_eq!(set.offer(2, 0.4, 1.0), OfferOutcome::Inserted(None));
-        assert_eq!(set.offer(3, 0.3, 1.0), OfferOutcome::Inserted(None));
+        assert_eq!(set.offer(1, 0.5, 1.0), OfferOutcome::Inserted);
+        assert_eq!(set.offer(2, 0.4, 1.0), OfferOutcome::Inserted);
+        assert_eq!(set.offer(3, 0.3, 1.0), OfferOutcome::Inserted);
         assert_eq!(set.len(), 3);
-        // Key 4 with a smaller rank evicts key 1 (largest rank).
-        assert_eq!(set.offer(4, 0.2, 1.0), OfferOutcome::Inserted(Some(1)));
+        // Key 4 with a smaller rank pushes key 1 (largest rank) out of the
+        // k + 1 smallest.
+        assert_eq!(set.offer(4, 0.2, 1.0), OfferOutcome::Inserted);
         assert!(!set.contains(1));
         assert!(set.contains(4));
-        // A large rank is rejected outright.
-        assert_eq!(set.offer(5, 0.9, 1.0), OfferOutcome::Rejected);
+        // A large rank is never a candidate.
+        set.offer(5, 0.9, 1.0);
         assert!(!set.contains(5));
         let sketch = set.into_sketch();
         assert_eq!(sketch.len(), 2);
@@ -425,13 +419,13 @@ mod tests {
         // a later eviction removed the key from the set while a stale heap
         // entry survived into the sketch.
         let mut set = CandidateSet::new(2);
-        assert_eq!(set.offer(1, 0.5, 1.0), OfferOutcome::Inserted(None));
+        assert_eq!(set.offer(1, 0.5, 1.0), OfferOutcome::Inserted);
         assert_eq!(set.offer(1, 0.5, 1.0), OfferOutcome::Duplicate);
         assert_eq!(set.len(), 1, "duplicate must not double-insert");
         set.offer(2, 0.3, 1.0);
         set.offer(3, 0.4, 1.0);
-        // Evict key 1 (the worst) and fill with better keys.
-        assert_eq!(set.offer(4, 0.2, 1.0), OfferOutcome::Inserted(Some(1)));
+        // Push key 1 (the worst) out with a better key.
+        assert_eq!(set.offer(4, 0.2, 1.0), OfferOutcome::Inserted);
         assert!(!set.contains(1));
         let sketch = set.into_sketch();
         let keys: Vec<Key> = sketch.entries().iter().map(|e| e.key).collect();
@@ -504,31 +498,32 @@ mod tests {
 
     /// Keys whose probe starts at `slot` of the index of a `k`-set.
     fn colliding_keys(k: usize, slot: usize, count: usize) -> Vec<Key> {
-        let index = KeyIndex::new(k + 1);
+        let index = CandidateSet::new(k).index;
         (0..).filter(|&key| index.home(key) == slot).take(count).collect()
     }
 
-    /// Asserts the index holds exactly the heap's keys, and that `probes`
-    /// agree with a scan of the heap.
-    fn assert_index_matches_heap(set: &CandidateSet, probes: &[Key], context: &str) {
+    /// Asserts the index holds exactly the buffer's keys, and that `probes`
+    /// agree with a scan of the buffer.
+    fn assert_index_matches_buffer(set: &CandidateSet, probes: &[Key], context: &str) {
         for &key in probes {
-            let scanned = set.heap.iter().any(|c| c.key == key);
-            assert_eq!(set.contains(key), scanned, "{context}: key {key}");
+            let scanned = set.buffer.iter().any(|c| c.key == key);
+            assert_eq!(set.is_buffered(key), scanned, "{context}: key {key}");
+            assert!(scanned || !set.contains(key), "{context}: unbuffered key {key} contained");
         }
-        assert!(set.heap.iter().all(|c| set.contains(c.key)), "{context}: heap key not indexed");
+        assert!(set.buffer.iter().all(|c| set.is_buffered(c.key)), "{context}: key not indexed");
         let indexed = set.index.slots.iter().filter(|&&key| key != KeyIndex::EMPTY).count()
             + usize::from(set.index.holds_empty_key);
-        assert_eq!(indexed, set.heap.len(), "{context}: index and heap sizes differ");
+        assert_eq!(indexed, set.buffer.len(), "{context}: index and buffer sizes differ");
     }
 
     #[test]
-    fn index_tracks_the_heap_through_seeded_offer_sequences() {
+    fn index_tracks_the_buffer_through_seeded_offer_sequences() {
         use cws_hash::{RandomSource, Xoshiro256};
         use std::collections::HashMap;
 
         for k in [1usize, 7, 1024] {
             let mut rng = Xoshiro256::seeded(0x1DE7 ^ k as u64);
-            let mask = KeyIndex::new(k + 1).mask;
+            let mask = CandidateSet::new(k).index.mask;
             // The key pool: random keys, runs of keys sharing the first and
             // the last home slot (the last run wraps around the table), and
             // the key equal to the index's empty marker.
@@ -551,21 +546,23 @@ mod tests {
                 };
                 let rank = rng.next_open01();
                 let weight = 1.0 + rng.next_unit();
-                let outcome = set.offer(key, rank, weight);
+                let before: Vec<Key> = set.buffer.iter().map(|c| c.key).collect();
+                set.offer(key, rank, weight);
                 offered.push(key);
                 let entry = best.entry(key).or_insert((rank, weight));
                 if rank < entry.0 {
                     *entry = (rank, weight);
                 }
                 let mut probes = vec![key, Key::MAX];
-                if let OfferOutcome::Inserted(Some(evicted)) = outcome {
-                    assert!(!set.contains(evicted), "k={k} step {step}: evicted key still held");
-                    probes.push(evicted);
+                if set.len() < before.len() {
+                    // The offer compacted: every key it dropped must have
+                    // left the index.
+                    probes.extend(before);
                 }
                 if k <= 7 || step % 97 == 0 {
                     probes.extend(&pool);
                 }
-                assert_index_matches_heap(&set, &probes, &format!("k={k} step {step}"));
+                assert_index_matches_buffer(&set, &probes, &format!("k={k} step {step}"));
             }
             let offline =
                 BottomKSketch::from_ranked(k, best.into_iter().map(|(key, (r, w))| (key, r, w)));
@@ -579,13 +576,13 @@ mod tests {
         // table; deleting from its middle must shift the wrapped tail back
         // without stranding any member.
         let k = 7;
-        let mut index = KeyIndex::new(k + 1);
+        let mut index = CandidateSet::new(k).index;
         let run = colliding_keys(k, index.mask, 5);
         let front = colliding_keys(k, 0, 2);
         for &key in run.iter().chain(&front) {
-            index.insert(key);
+            assert!(index.insert(key));
         }
-        index.insert(Key::MAX);
+        assert!(index.insert(Key::MAX));
         for (removed, &key) in run.iter().enumerate() {
             index.remove(key);
             assert!(!index.contains(key));
@@ -618,6 +615,168 @@ mod tests {
                 set.offer(key, rank, weight);
             }
             assert_eq!(set.into_sketch(), offline, "round {round}");
+        }
+    }
+
+    /// The reference a candidate set is checked against, written without
+    /// any of its machinery: the best (smallest-rank, first-offered on a
+    /// tie) finite observation per key, fully sorted on demand.
+    #[derive(Default)]
+    struct Oracle {
+        best: std::collections::HashMap<Key, (f64, f64)>,
+    }
+
+    impl Oracle {
+        fn offer(&mut self, key: Key, rank: f64, weight: f64) {
+            if !rank.is_finite() {
+                return;
+            }
+            let entry = self.best.entry(key).or_insert((rank, weight));
+            if rank < entry.0 {
+                *entry = (rank, weight);
+            }
+        }
+
+        /// The per-key minima in `(rank, key)` order.
+        fn sorted(&self) -> Vec<(Key, f64, f64)> {
+            let mut all: Vec<_> = self.best.iter().map(|(&key, &(r, w))| (key, r, w)).collect();
+            all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            all
+        }
+
+        fn top(&self, k: usize) -> Vec<Key> {
+            self.sorted().into_iter().take(k + 1).map(|(key, _, _)| key).collect()
+        }
+    }
+
+    /// A sketch as raw bits: `(key, rank bits, weight bits)` per entry, then
+    /// the bits of `r_{k+1}`.
+    fn sketch_bits(sketch: &BottomKSketch) -> (Vec<(Key, u64, u64)>, u64) {
+        let entries =
+            sketch.entries().iter().map(|e| (e.key, e.rank.to_bits(), e.weight.to_bits()));
+        (entries.collect(), sketch.next_rank().to_bits())
+    }
+
+    /// Asserts `set` finalizes to the oracle's selection, to the bit, both
+    /// by the offline builder over the per-key minima and by a full sort.
+    fn assert_finalizes_like(set: &CandidateSet, oracle: &Oracle, k: usize, context: &str) {
+        let sketch = sketch_bits(&set.clone().into_sketch());
+        let sorted = oracle.sorted();
+        let offline = BottomKSketch::from_ranked(k, sorted.iter().copied());
+        assert_eq!(sketch, sketch_bits(&offline), "{context}: differs from from_ranked");
+        let entries = sorted.iter().take(k).map(|&(key, r, w)| (key, r.to_bits(), w.to_bits()));
+        let next = sorted.get(k).map_or(f64::INFINITY, |e| e.1);
+        assert_eq!(sketch, (entries.collect(), next.to_bits()), "{context}: differs from a sort");
+    }
+
+    /// Asserts exact membership matches the oracle for every key in `keys`.
+    fn assert_membership_like(
+        set: &CandidateSet,
+        oracle: &Oracle,
+        k: usize,
+        keys: &[Key],
+        context: &str,
+    ) {
+        let top = oracle.top(k);
+        for &key in keys {
+            assert_eq!(set.contains(key), top.contains(&key), "{context}: key {key}");
+        }
+    }
+
+    #[test]
+    fn compactions_land_exactly_on_a_full_buffer() {
+        // Strictly falling ranks admit every offer, so the buffer fills at
+        // offers 2(k+1), 3(k+1), 4(k+1), ...: check membership after each
+        // offer and the finalized sketch one before, on and after each.
+        for k in [1usize, 2, 5, 64] {
+            let capacity = 2 * (k + 1);
+            let mut set = CandidateSet::new(k);
+            let mut oracle = Oracle::default();
+            let total = 4 * (k + 1) + 2;
+            let keys: Vec<Key> =
+                (0..total as u64).map(|i| i.wrapping_mul(0x9E37_79B9) ^ 5).collect();
+            for (step, &key) in keys.iter().enumerate() {
+                let offers = step + 1;
+                let rank = 1.0 - offers as f64 / (total as f64 + 1.0);
+                let weight = 1.0 + step as f64;
+                assert_eq!(set.offer(key, rank, weight), OfferOutcome::Inserted);
+                oracle.offer(key, rank, weight);
+                let context = format!("k={k} offer {offers}");
+                let expected_len =
+                    if offers < capacity { offers } else { k + 1 + (offers - capacity) % (k + 1) };
+                assert_eq!(set.len(), expected_len, "{context}");
+                assert_membership_like(&set, &oracle, k, &keys[..offers], &context);
+                if (offers + 1) % (k + 1) <= 2 {
+                    assert_finalizes_like(&set, &oracle, k, &context);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_offer_sequences_match_the_oracle() {
+        use cws_hash::{RandomSource, Xoshiro256};
+
+        for k in [1usize, 2, 5, 64] {
+            for seed in 0..4u64 {
+                let mut rng = Xoshiro256::seeded(0x0AC1E ^ ((k as u64) << 8) ^ seed);
+                let pool: Vec<Key> = (0..3 * k as u64 + 12).map(|_| rng.next_u64() >> 3).collect();
+                let mut set = CandidateSet::new(k);
+                let mut oracle = Oracle::default();
+                let mut offered: Vec<Key> = Vec::new();
+                for step in 0..10 * (k + 1) + 7 {
+                    let key = match rng.next_below(6) {
+                        // Re-offer a key that has left the k + 1 smallest
+                        // (it may still be buffered), when there is one.
+                        0 => offered
+                            .iter()
+                            .copied()
+                            .find(|&key| !oracle.top(k).contains(&key))
+                            .unwrap_or(pool[0]),
+                        // Re-offer any earlier key: better or worse.
+                        1 | 2 if !offered.is_empty() => {
+                            offered[rng.next_below(offered.len() as u64) as usize]
+                        }
+                        _ => pool[rng.next_below(pool.len() as u64) as usize],
+                    };
+                    // Few rank levels, so ties at the threshold are common,
+                    // plus the non-finite ranks an offer must ignore.
+                    let rank = match rng.next_below(24) {
+                        0 => f64::INFINITY,
+                        1 => f64::NEG_INFINITY,
+                        2 => f64::NAN,
+                        3 => rng.next_open01(),
+                        level => (level % 8 + 1) as f64 / 16.0,
+                    };
+                    let weight = 1.0 + step as f64;
+                    set.offer(key, rank, weight);
+                    oracle.offer(key, rank, weight);
+                    offered.push(key);
+                    let context = format!("k={k} seed {seed} step {step}");
+                    assert_membership_like(&set, &oracle, k, &pool, &context);
+                    if step % (k + 1) == 0 {
+                        assert_finalizes_like(&set, &oracle, k, &context);
+                    }
+                }
+                assert_finalizes_like(&set, &oracle, k, &format!("k={k} seed {seed} end"));
+            }
+        }
+    }
+
+    #[test]
+    fn equal_ranks_keep_the_smallest_keys() {
+        // Every rank ties at the threshold: the selection is by key alone,
+        // whatever the arrival order.
+        for k in [1usize, 2, 5, 64] {
+            let keys: Vec<Key> = (0..5 * (k as u64 + 1)).map(|i| (i * 7919) % 1009).collect();
+            let mut set = CandidateSet::new(k);
+            let mut oracle = Oracle::default();
+            for &key in &keys {
+                set.offer(key, 0.25, 2.0);
+                oracle.offer(key, 0.25, 2.0);
+                assert_membership_like(&set, &oracle, k, &keys, &format!("k={k} key {key}"));
+            }
+            assert_finalizes_like(&set, &oracle, k, &format!("k={k}"));
         }
     }
 }

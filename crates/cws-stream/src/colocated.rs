@@ -46,6 +46,8 @@ impl ColocatedStreamSampler {
     pub fn new(config: SummaryConfig, num_assignments: usize) -> Self {
         assert!(num_assignments > 0, "at least one assignment is required");
         let candidates = (0..num_assignments).map(|_| CandidateSet::new(config.k)).collect();
+        // Twice the most keys the candidate buffers can hold together,
+        // `2(k + 1)` each, so a row compaction always frees at least half.
         let compaction_threshold = 4 * (config.k + 1) * num_assignments + 64;
         Self {
             config,
@@ -288,13 +290,15 @@ impl RetainedRows {
         Some(&self.rows[start..start + self.width])
     }
 
-    /// Drops the vectors of keys that are no longer candidates anywhere (one
-    /// index probe per candidate set and vector) and packs the rest.
+    /// Drops the vectors of keys no candidate set buffers any more (one
+    /// index probe per candidate set and vector) and packs the rest. A
+    /// buffered key the next candidate compaction drops keeps its vector
+    /// until a later row compaction.
     fn compact(&mut self, candidates: &[CandidateSet]) {
         let (width, rows) = (self.width, &self.rows);
         let kept = &mut self.spare;
         self.slots.retain(|&key, slot| {
-            if !candidates.iter().any(|set| set.contains(key)) {
+            if !candidates.iter().any(|set| set.is_buffered(key)) {
                 return false;
             }
             let start = *slot * width;

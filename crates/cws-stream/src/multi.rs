@@ -108,7 +108,7 @@ impl MultiAssignmentStreamSampler {
     /// assignments: both rank families factor as `rank = rank_base(u) / w`,
     /// so a candidate set's (conservatively inflated) threshold can be
     /// tested with one multiply — `base > w * t` — and only survivors pay
-    /// the division and the heap offer. The survivors' ranks are computed
+    /// the division and the candidate offer. The survivors' ranks are computed
     /// with the exact same floating-point operations as
     /// [`RankGenerator::dispersed_rank`], keeping the sample bit-identical.
     ///
@@ -219,7 +219,9 @@ impl MultiAssignmentStreamSampler {
         )
     }
 
-    /// Whether `key` is currently among the candidates of `assignment`.
+    /// Whether `key` is currently among the candidates of `assignment` (the
+    /// `k + 1` smallest ranks so far). Exact, at `O(k)` per call: meant for
+    /// diagnostics, not for a per-record loop.
     #[must_use]
     pub fn is_candidate(&self, key: Key, assignment: usize) -> bool {
         self.candidates[assignment].contains(key)
