@@ -19,7 +19,7 @@ pub(crate) use dispersed::is_sampled;
 pub use dispersed::DispersedSummary;
 
 use crate::coordination::{CoordinationMode, RankGenerator};
-use crate::error::Result;
+use crate::error::{CwsError, Result};
 use crate::ranks::RankFamily;
 
 /// Configuration shared by summary builders.
@@ -88,6 +88,31 @@ impl SummaryConfig {
     pub fn with_k(&self, k: usize) -> Self {
         assert!(k > 0, "sample size must be positive");
         Self { k, ..*self }
+    }
+
+    /// Checks that summaries built under `self` and `other` can be combined
+    /// (merged, or paired sketch by sketch), comparing field by field so a
+    /// mismatch names exactly what disagrees instead of silently combining
+    /// incomparable samples.
+    ///
+    /// # Errors
+    /// Returns [`CwsError::IncompatibleSummaries`] naming the first field
+    /// that differs: `k`, rank family, coordination, or seed.
+    pub fn ensure_compatible(&self, other: &SummaryConfig) -> Result<()> {
+        let mismatch = |field, details| Err(CwsError::IncompatibleSummaries { field, details });
+        if self.k != other.k {
+            return mismatch("k", format!("{} vs {}", self.k, other.k));
+        }
+        if self.family != other.family {
+            return mismatch("rank family", format!("{:?} vs {:?}", self.family, other.family));
+        }
+        if self.mode != other.mode {
+            return mismatch("coordination", format!("{:?} vs {:?}", self.mode, other.mode));
+        }
+        if self.seed != other.seed {
+            return mismatch("seed", format!("{:#x} vs {:#x}", self.seed, other.seed));
+        }
+        Ok(())
     }
 }
 

@@ -1,27 +1,23 @@
-//! Continuous ingestion: epoch-swapped snapshots and rolling coordinated
-//! windows.
+//! Continuous ingestion: epoch-swapped snapshots, and drift between any two
+//! of them.
 //!
 //! The paper's motivating workload is a *time-evolving* database — snapshots
-//! taken periodically, stored, shipped, and compared. Two wrappers turn the
-//! one-shot [`Pipeline`] into that long-lived service:
-//!
-//! * [`EpochedPipeline`] — ingestion never stops.
-//!   [`publish`](EpochedPipeline::publish) atomically swaps in a fresh
-//!   pipeline built from the same configuration, finalizes the outgoing
-//!   epoch, and hands
-//!   back an immutable [`Arc<Summary>`] snapshot. Works with every back-end,
-//!   including sharded execution (the epoch swap is the one point where the
-//!   worker threads quiesce).
-//! * [`WindowedPipeline`] — a ring of the last `N` published windows. All
-//!   windows share one configuration (and therefore one hash seed), so
-//!   consecutive coordinated windows overlap maximally — the paper's
-//!   selling point — and [`drift`](WindowedPipeline::drift) can estimate
-//!   between-window change (L1 distance, weighted union/stable mass) from
-//!   the retained samples alone.
+//! taken periodically, stored, shipped, and compared. [`EpochedPipeline`]
+//! turns the one-shot [`Pipeline`] into that long-lived service: ingestion
+//! never stops, and [`publish`](EpochedPipeline::publish) atomically swaps
+//! in a fresh pipeline built from the same configuration, finalizes the
+//! outgoing epoch, and hands back an immutable [`Arc<Summary>`] snapshot.
+//! Works with every back-end, including sharded execution (the epoch swap
+//! is the one point where the worker threads quiesce).
 //!
 //! Every epoch uses the same seed, so keys keep their rank functions across
-//! epochs: summaries of different epochs are themselves coordinated and can
-//! be compared or paired sketch-by-sketch without resampling.
+//! epochs: summaries of different epochs are themselves coordinated.
+//! [`Drift::between`] pairs two such snapshots sketch by sketch and
+//! estimates the change between them (L1 distance, weighted union/stable
+//! mass) from the two samples alone. Which snapshots to compare is the
+//! caller's choice: keep the `Arc<Summary>` of each [`EpochReport`], or load
+//! epochs back from a [`SnapshotStore`], whose retention bounds how many
+//! stay on disk.
 //!
 //! # Degraded-mode serving
 //!
@@ -53,7 +49,6 @@
 //!
 //! [`PipelineBuilder::journal`]: crate::pipeline::PipelineBuilder::journal
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cws_core::budget::QuarantinedRecords;
@@ -140,13 +135,10 @@ pub struct EpochedPipeline {
     /// Peak tracked aggregation bytes across closed epochs.
     peak_bytes_past: u64,
     /// The write-ahead journal, when one was configured on the builder.
-    pub(crate) journal: Option<Journal>,
+    journal: Option<Journal>,
     /// What opening the journal found (torn tails truncated, temps
     /// removed) — folded into the replay report during recovery.
     wal_open: Option<WalOpenReport>,
-    /// `true` while records are being replayed *out of* the journal, which
-    /// must not journal them again.
-    replaying: bool,
 }
 
 impl EpochedPipeline {
@@ -180,7 +172,6 @@ impl EpochedPipeline {
             peak_bytes_past: 0,
             journal,
             wal_open,
-            replaying: false,
         })
     }
 
@@ -330,20 +321,22 @@ impl EpochedPipeline {
                 // journal they are still on disk tagged `epoch + 1`: replay
                 // them into the fresh pipeline right here. This recovers
                 // even records the dying back-end had already absorbed.
-                if self.journal.is_some() {
-                    match self.self_heal_from_journal() {
-                        Ok(replayed) => self.mark_degraded(error.clone(), 0, replayed),
-                        Err(_) => {
-                            // The journal is now the only copy; make sure
-                            // nothing prunes it before an operator recovers.
-                            if let Some(journal) = self.journal.as_mut() {
-                                journal.suppress_pruning();
-                            }
-                            self.mark_degraded(error.clone(), records, 0);
+                // Per-record rejections (poison the original run also
+                // rejected) are tolerated, so healing converges to exactly
+                // the original accept set.
+                let sealing = self.epoch + 1;
+                match self.replay_frames(|epoch| epoch == sealing) {
+                    Ok(healed) => self.mark_degraded(error.clone(), 0, healed.records_replayed),
+                    Err(_) => {
+                        // No journal, or an unreadable one: the records are
+                        // lost to this process. A journal is now the only
+                        // copy; make sure nothing prunes it before an
+                        // operator recovers.
+                        if let Some(journal) = self.journal.as_mut() {
+                            journal.suppress_pruning();
                         }
+                        self.mark_degraded(error.clone(), records, 0);
                     }
-                } else {
-                    self.mark_degraded(error.clone(), records, 0);
                 }
                 return Err(error);
             }
@@ -369,7 +362,15 @@ impl EpochedPipeline {
     /// [`recover_from_store_and_wal`](crate::wal::recover_from_store_and_wal)
     /// re-ingests them once the store is healthy again.
     pub fn publish_into(&mut self, store: &mut SnapshotStore) -> Result<EpochReport> {
-        self.journal_barrier()?;
+        // The barrier is always fsynced and always rotates, so the sealing
+        // epoch's records are durable in sealed segments before its
+        // snapshot commits.
+        if let Some(journal) = self.journal.as_mut() {
+            if let Err(error) = journal.barrier(self.epoch + 1) {
+                self.mark_degraded(error.clone(), 0, 0);
+                return Err(error);
+            }
+        }
         let report = self.publish()?;
         if let Err(error) = store.publish(report.epoch, &report.summary) {
             let replayable = if let Some(journal) = self.journal.as_mut() {
@@ -381,40 +382,17 @@ impl EpochedPipeline {
             self.mark_degraded(error.clone(), 0, replayable);
             return Err(error);
         }
-        self.journal_cover(report.epoch);
+        // Prune segments the new snapshot fully covers. Best-effort: a
+        // failed prune keeps the segments listed, so the next successful
+        // publish retries reclaiming them.
+        if let Some(journal) = self.journal.as_mut() {
+            let _ = journal.mark_covered(report.epoch);
+        }
         Ok(report)
     }
 
-    /// Writes the pre-publish epoch barrier (always fsynced, always
-    /// rotating) so the sealing epoch's records are durable in sealed
-    /// segments before its snapshot commits.
-    fn journal_barrier(&mut self) -> Result<()> {
-        let sealing = self.epoch + 1;
-        if let Some(journal) = self.journal.as_mut() {
-            if let Err(error) = journal.barrier(sealing) {
-                self.mark_degraded(error.clone(), 0, 0);
-                return Err(error);
-            }
-        }
-        Ok(())
-    }
-
-    /// Prunes journal segments fully covered by the snapshot of `epoch`.
-    /// Best-effort: a failed prune keeps the segments listed, so the next
-    /// successful publish retries reclaiming them.
-    fn journal_cover(&mut self, epoch: u64) {
-        if let Some(journal) = self.journal.as_mut() {
-            let _ = journal.mark_covered(epoch);
-        }
-    }
-
     /// Accumulates a failed publish into the degraded state.
-    pub(crate) fn mark_degraded(
-        &mut self,
-        reason: CwsError,
-        records_lost: u64,
-        records_replayable: u64,
-    ) {
+    fn mark_degraded(&mut self, reason: CwsError, records_lost: u64, records_replayable: u64) {
         let state = self.degraded.get_or_insert(DegradedState {
             reason: reason.clone(),
             failed_publishes: 0,
@@ -427,36 +405,10 @@ impl EpochedPipeline {
         state.records_replayable += records_replayable;
     }
 
-    /// Replays every journaled frame tagged with the **current** window's
-    /// epoch into the (fresh) current pipeline — the in-process half of
-    /// crash recovery, used when a finalize failure destroys the window
-    /// that the journal still holds. Returns how many records were
-    /// re-ingested; per-record rejections (poison the original run also
-    /// rejected) are tolerated, so healing converges to exactly the
-    /// original accept set.
-    fn self_heal_from_journal(&mut self) -> Result<u64> {
-        let frames = match self.journal.as_ref() {
-            Some(journal) => journal.read_frames()?,
-            None => return Ok(0),
-        };
-        let window = self.epoch + 1;
-        self.replaying = true;
-        let mut replayed = 0;
-        for frame in &frames {
-            if frame.epoch() != window {
-                continue;
-            }
-            replayed += self.replay_frame(frame).0;
-        }
-        self.replaying = false;
-        Ok(replayed)
-    }
-
     /// Replays the journal tail after a restart: every frame whose epoch
-    /// is **not** covered by a durable snapshot is re-ingested through the
-    /// normal `Ingest` path (per record, so rejections match the original
-    /// run exactly); covered frames — segments that simply had not been
-    /// pruned yet — are skipped, never double-ingested.
+    /// is **not** covered by a durable snapshot is re-ingested; covered
+    /// frames — segments that simply had not been pruned yet — are skipped,
+    /// never double-ingested.
     ///
     /// `stored_epochs` are the snapshot epochs currently on disk
     /// (ascending). A frame is covered when its epoch is at most the
@@ -465,12 +417,24 @@ impl EpochedPipeline {
     /// corruption) replays — conservative toward re-ingesting, never
     /// toward losing.
     pub(crate) fn replay_journal(&mut self, stored_epochs: &[u64]) -> Result<ReplayReport> {
-        let mut report = ReplayReport::default();
+        let resumed = self.epoch;
+        let mut report = self.replay_frames(|epoch| {
+            epoch > resumed || stored_epochs.binary_search(&epoch).is_err()
+        })?;
         if let Some(open) = &self.wal_open {
             report.truncated_bytes = open.truncated_bytes;
             report.quarantined_segments = open.quarantined_segments;
             report.removed_temps = open.removed_temps;
         }
+        Ok(report)
+    }
+
+    /// Re-ingests, oldest first, every journaled data frame whose epoch tag
+    /// `replays` selects, through the normal `Ingest` path of the current
+    /// pipeline (so rejections match the original run exactly); the
+    /// records of data frames it passes over count as skipped. Replayed
+    /// records go straight to the pipeline, never back into the journal.
+    fn replay_frames(&mut self, replays: impl Fn(u64) -> bool) -> Result<ReplayReport> {
         let frames = match self.journal.as_ref() {
             Some(journal) => journal.read_frames()?,
             None => {
@@ -480,15 +444,12 @@ impl EpochedPipeline {
                 })
             }
         };
-        let resumed = self.epoch;
-        self.replaying = true;
+        let mut report = ReplayReport::default();
         for frame in &frames {
             if matches!(frame, FramePayload::Barrier { .. }) {
                 continue;
             }
-            let epoch = frame.epoch();
-            let covered = epoch <= resumed && stored_epochs.binary_search(&epoch).is_ok();
-            if covered {
+            if !replays(frame.epoch()) {
                 report.records_skipped += frame.record_count() as u64;
                 continue;
             }
@@ -497,7 +458,6 @@ impl EpochedPipeline {
             report.records_replayed += accepted;
             report.rejected_records += rejected;
         }
-        self.replaying = false;
         Ok(report)
     }
 
@@ -543,6 +503,22 @@ impl EpochedPipeline {
         self.current.inject_worker_fault(shard, fault)
     }
 
+    /// Write-ahead ordering, shared by every push: with a journal attached
+    /// the push is journaled under the epoch it will publish as **before**
+    /// the current pipeline sees it, so anything ingestion absorbed is
+    /// replayable. A failed append ingests nothing.
+    #[inline]
+    fn journaled(
+        &mut self,
+        append: impl FnOnce(&mut Journal, u64) -> Result<()>,
+        ingest: impl FnOnce(&mut Pipeline) -> Result<()>,
+    ) -> Result<()> {
+        if let Some(journal) = self.journal.as_mut() {
+            append(journal, self.epoch + 1)?;
+        }
+        ingest(&mut self.current)
+    }
+
     /// Absorbs one unaggregated element into the current epoch (requires an
     /// aggregation stage, as on [`Pipeline::push_element`]), journaling it
     /// first when a journal is attached.
@@ -552,13 +528,10 @@ impl EpochedPipeline {
     /// typed `BudgetExceeded` when the WAL byte budget is full — the
     /// element is then neither journaled nor ingested).
     pub fn push_element(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_element(epoch, key, assignment, weight)?;
-            }
-        }
-        self.current.push_element(key, assignment, weight)
+        self.journaled(
+            |journal, epoch| journal.append_element(epoch, key, assignment, weight),
+            |current| current.push_element(key, assignment, weight),
+        )
     }
 
     /// Absorbs a batch of unaggregated elements into the current epoch,
@@ -567,13 +540,10 @@ impl EpochedPipeline {
     /// # Errors
     /// As [`Pipeline::push_elements`], plus journal append errors.
     pub fn push_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_elements(epoch, elements)?;
-            }
-        }
-        self.current.push_elements(elements)
+        self.journaled(
+            |journal, epoch| journal.append_elements(epoch, elements),
+            |current| current.push_elements(elements),
+        )
     }
 }
 
@@ -592,33 +562,24 @@ impl Ingest for EpochedPipeline {
     /// before the sampler sees it, so anything ingestion absorbed is
     /// replayable.
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_record(epoch, key, weights)?;
-            }
-        }
-        self.current.push_record(key, weights)
+        self.journaled(
+            |journal, epoch| journal.append_record(epoch, key, weights),
+            |current| current.push_record(key, weights),
+        )
     }
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_columns(epoch, columns)?;
-            }
-        }
-        self.current.push_columns(columns)
+        self.journaled(
+            |journal, epoch| journal.append_columns(epoch, columns),
+            |current| current.push_columns(columns),
+        )
     }
 
     fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_columns(epoch, columns)?;
-            }
-        }
-        self.current.push_columns_shared(columns)
+        self.journaled(
+            |journal, epoch| journal.append_columns(epoch, columns),
+            |current| current.push_columns_shared(columns),
+        )
     }
 
     /// Finalizes the current epoch without publishing it.
@@ -627,176 +588,59 @@ impl Ingest for EpochedPipeline {
     }
 }
 
-/// Between-window change estimated from two coordinated windows' samples.
+/// Change between two coordinated snapshots, estimated from their samples
+/// alone — see [`Drift::between`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Drift {
     /// Estimated L1 distance `Σ_key |w_a(key) − w_b(key)|` between the two
-    /// windows' weight assignments.
+    /// snapshots' weight assignments.
     pub l1: f64,
     /// Estimated weighted union mass `Σ_key max(w_a, w_b)`.
     pub union_total: f64,
     /// Estimated stable mass `Σ_key min(w_a, w_b)` — the weight present in
-    /// both windows.
+    /// both snapshots.
     pub stable_total: f64,
     /// Keys the paired sample could observe for the L1 estimate.
     pub observed_keys: usize,
 }
 
 impl Drift {
-    /// The weighted Jaccard similarity estimate `stable / union` (1 when
-    /// the windows are identical, 0 when nothing persists; 0 for two empty
-    /// windows).
-    #[must_use]
-    pub fn jaccard(&self) -> f64 {
-        if self.union_total > 0.0 {
-            self.stable_total / self.union_total
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A ring of the last `N` published windows, all coordinated through one
-/// configuration, with drift estimation between any two of them.
-///
-/// Windows are indexed from the most recent closed one: `window(0)` is the
-/// last [`roll`](WindowedPipeline::roll), `window(1)` the one before it.
-#[derive(Debug)]
-pub struct WindowedPipeline {
-    epochs: EpochedPipeline,
-    capacity: usize,
-    windows: VecDeque<Arc<Summary>>,
-}
-
-impl WindowedPipeline {
-    /// A rolling window service keeping the last `capacity` closed windows.
+    /// Estimates how much `assignment` changed from snapshot `a` to
+    /// snapshot `b`.
     ///
-    /// # Errors
-    /// As [`PipelineBuilder::build`]; additionally a typed error when
-    /// `capacity` is zero.
-    pub fn new(builder: PipelineBuilder, capacity: usize) -> Result<Self> {
-        if capacity == 0 {
-            return Err(CwsError::InvalidParameter {
-                name: "capacity",
-                message: "a windowed pipeline must retain at least one window".to_string(),
-            });
-        }
-        Ok(Self { epochs: EpochedPipeline::new(builder)?, capacity, windows: VecDeque::new() })
-    }
-
-    /// Closes the current window into the ring (evicting the oldest window
-    /// beyond capacity) and starts the next one.
-    ///
-    /// # Errors
-    /// As [`EpochedPipeline::publish`]. On failure the ring is untouched —
-    /// every retained window keeps serving, drift queries included — and
-    /// [`degraded`](Self::degraded) carries the typed reason until a roll
-    /// succeeds.
-    pub fn roll(&mut self) -> Result<EpochReport> {
-        let report = self.epochs.publish()?;
-        if self.windows.len() == self.capacity {
-            self.windows.pop_back();
-        }
-        self.windows.push_front(Arc::clone(&report.summary));
-        Ok(report)
-    }
-
-    /// [`roll`](Self::roll), durably persisting the closed window into
-    /// `store` — semantics as [`EpochedPipeline::publish_into`].
-    ///
-    /// # Errors
-    /// As [`EpochedPipeline::publish_into`]; a store-only failure still
-    /// retains the window in the ring (and, with a journal, keeps its
-    /// records replayable).
-    pub fn roll_into(&mut self, store: &mut SnapshotStore) -> Result<EpochReport> {
-        self.epochs.journal_barrier()?;
-        let report = self.roll()?;
-        if let Err(error) = store.publish(report.epoch, &report.summary) {
-            let replayable = if let Some(journal) = self.epochs.journal.as_mut() {
-                journal.suppress_pruning();
-                report.records
-            } else {
-                0
-            };
-            self.epochs.mark_degraded(error.clone(), 0, replayable);
-            return Err(error);
-        }
-        self.epochs.journal_cover(report.epoch);
-        Ok(report)
-    }
-
-    /// The degraded state of the underlying epoched pipeline (present from
-    /// a failed roll until the next successful one).
-    #[must_use]
-    pub fn degraded(&self) -> Option<&DegradedState> {
-        self.epochs.degraded()
-    }
-
-    /// Lifetime quarantine totals across every window — see
-    /// [`EpochedPipeline::quarantined_lifetime`].
-    #[must_use]
-    pub fn quarantined_lifetime(&self) -> Option<QuarantinedRecords> {
-        self.epochs.quarantined_lifetime()
-    }
-
-    /// High-water mark of tracked aggregation bytes across every window —
-    /// see [`EpochedPipeline::peak_tracked_bytes`].
-    #[must_use]
-    pub fn peak_tracked_bytes(&self) -> u64 {
-        self.epochs.peak_tracked_bytes()
-    }
-
-    /// `true` when the last roll attempt failed (the ring is serving stale
-    /// windows).
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.epochs.is_degraded()
-    }
-
-    /// The `age`-th most recent closed window (0 = last rolled), if it is
-    /// still retained.
-    #[must_use]
-    pub fn window(&self, age: usize) -> Option<Arc<Summary>> {
-        self.windows.get(age).cloned()
-    }
-
-    /// Number of closed windows currently retained (≤ capacity).
-    #[must_use]
-    pub fn num_windows(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Total number of windows rolled since construction.
-    #[must_use]
-    pub fn rolled(&self) -> u64 {
-        self.epochs.epochs_published()
-    }
-
-    /// Estimates the drift of assignment 0 between the windows of age `a`
-    /// and age `b` — see [`WindowedPipeline::drift_in`].
-    ///
-    /// # Errors
-    /// As [`WindowedPipeline::drift_in`].
-    pub fn drift(&self, a: usize, b: usize) -> Result<Drift> {
-        self.drift_in(a, b, 0)
-    }
-
-    /// Estimates how much `assignment` changed between the windows of age
-    /// `a` and age `b`.
-    ///
-    /// Because all windows share one hash seed, the two windows' sketches of
-    /// `assignment` are *coordinated*: pairing them yields a legitimate
+    /// Snapshots built with the same configuration share one hash seed, so
+    /// their sketches of `assignment` are *coordinated*: pairing them (`a`
+    /// as assignment 0, `b` as assignment 1) yields a legitimate
     /// two-assignment coordinated summary over which the dispersed
-    /// estimators answer `L1`, `max`, and `min` — this is exactly the
-    /// "similar subpopulations across snapshots" workload the paper
-    /// motivates coordination with.
+    /// estimators answer `L1`, `max`, and `min` — exactly the "similar
+    /// subpopulations across snapshots" workload the paper motivates
+    /// coordination with. Any two epochs of one [`EpochedPipeline`] pair,
+    /// as do snapshots loaded back from a [`SnapshotStore`].
     ///
     /// # Errors
-    /// Typed errors when a window age is out of range, the windows are not
-    /// dispersed summaries, or `assignment` is out of range; estimator
-    /// errors (e.g. `max` over independent sketches) propagate.
-    pub fn drift_in(&self, a: usize, b: usize, assignment: usize) -> Result<Drift> {
-        let paired = self.paired_summary(a, b, assignment)?;
+    /// [`CwsError::UnsupportedEstimator`] when either snapshot is not a
+    /// dispersed summary; [`CwsError::IncompatibleSummaries`] naming the
+    /// field when the two configurations differ; and
+    /// [`CwsError::AssignmentOutOfRange`] when `assignment` is out of range.
+    /// Estimator errors (e.g. `max` over independent sketches) propagate.
+    pub fn between(a: &Summary, b: &Summary, assignment: usize) -> Result<Drift> {
+        let mut sketches = Vec::with_capacity(2);
+        for summary in [a, b] {
+            let dispersed = summary.as_dispersed().ok_or(CwsError::UnsupportedEstimator {
+                estimator: "drift",
+                reason: "drift pairing needs per-assignment sketches; use the dispersed layout",
+            })?;
+            if assignment >= dispersed.num_assignments() {
+                return Err(CwsError::AssignmentOutOfRange {
+                    index: assignment,
+                    available: dispersed.num_assignments(),
+                });
+            }
+            sketches.push(dispersed.sketch(assignment).clone());
+        }
+        let config = *a.config();
+        config.ensure_compatible(b.config())?;
+        let paired = Summary::Dispersed(DispersedSummary::from_sketches(config, sketches));
         let reports = QueryBatch::new()
             .push(QuerySpec::l1(0, 1))
             .push(QuerySpec::max(0, 1))
@@ -810,82 +654,16 @@ impl WindowedPipeline {
         })
     }
 
-    /// Pairs two retained windows' sketches of `assignment` into a
-    /// two-assignment coordinated summary (assignment 0 = window of age
-    /// `a`, assignment 1 = window of age `b`).
-    fn paired_summary(&self, a: usize, b: usize, assignment: usize) -> Result<Summary> {
-        let fetch = |age: usize| {
-            self.window(age).ok_or_else(|| CwsError::InvalidParameter {
-                name: "window",
-                message: format!(
-                    "window of age {age} is not retained (have {} of capacity {})",
-                    self.windows.len(),
-                    self.capacity
-                ),
-            })
-        };
-        let [first, second] = [fetch(a)?, fetch(b)?];
-        let mut sketches = Vec::with_capacity(2);
-        for summary in [&first, &second] {
-            let dispersed = summary.as_dispersed().ok_or(CwsError::UnsupportedEstimator {
-                estimator: "drift",
-                reason: "drift pairing needs per-assignment sketches; \
-                             use the dispersed layout",
-            })?;
-            if assignment >= dispersed.num_assignments() {
-                return Err(CwsError::AssignmentOutOfRange {
-                    index: assignment,
-                    available: dispersed.num_assignments(),
-                });
-            }
-            sketches.push(dispersed.sketch(assignment).clone());
+    /// The weighted Jaccard similarity estimate `stable / union` (1 when
+    /// the snapshots are identical, 0 when nothing persists; 0 for two
+    /// empty snapshots).
+    #[must_use]
+    pub fn jaccard(&self) -> f64 {
+        if self.union_total > 0.0 {
+            self.stable_total / self.union_total
+        } else {
+            0.0
         }
-        let config = *first.config();
-        Ok(Summary::Dispersed(DispersedSummary::from_sketches(config, sketches)))
-    }
-
-    /// Absorbs one unaggregated element into the current window.
-    ///
-    /// # Errors
-    /// As [`Pipeline::push_element`].
-    pub fn push_element(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
-        self.epochs.push_element(key, assignment, weight)
-    }
-
-    /// Absorbs a batch of unaggregated elements into the current window.
-    ///
-    /// # Errors
-    /// As [`Pipeline::push_elements`].
-    pub fn push_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
-        self.epochs.push_elements(elements)
-    }
-}
-
-impl Ingest for WindowedPipeline {
-    fn num_assignments(&self) -> usize {
-        self.epochs.num_assignments()
-    }
-
-    /// Progress of the current (unrolled) window only.
-    fn processed(&self) -> u64 {
-        self.epochs.processed()
-    }
-
-    fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        self.epochs.push_record(key, weights)
-    }
-
-    fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        self.epochs.push_columns(columns)
-    }
-
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        self.epochs.push_columns_shared(columns)
-    }
-
-    /// Finalizes the current window without rolling it into the ring.
-    fn finalize(self) -> Result<Summary> {
-        self.epochs.finalize()
     }
 }
 
@@ -893,9 +671,18 @@ impl Ingest for WindowedPipeline {
 mod tests {
     use super::*;
     use crate::pipeline::{Execution, Layout};
+    use cws_core::budget::AdmissionControl;
 
     fn dispersed_builder() -> PipelineBuilder {
         Pipeline::builder().assignments(2).k(64).layout(Layout::Dispersed).seed(9)
+    }
+
+    fn sharded_builder() -> PipelineBuilder {
+        dispersed_builder().execution(Execution::Sharded {
+            shards: 2,
+            stall_timeout: None,
+            admission: AdmissionControl::Block,
+        })
     }
 
     #[test]
@@ -919,8 +706,7 @@ mod tests {
 
     #[test]
     fn sharded_epochs_report_per_epoch_counts() {
-        let mut epochs =
-            EpochedPipeline::new(dispersed_builder().execution(Execution::Sharded(2))).unwrap();
+        let mut epochs = EpochedPipeline::new(sharded_builder()).unwrap();
         for key in 0..300u64 {
             epochs.push_record(key, &[1.0 + (key % 5) as f64, 2.0]).unwrap();
         }
@@ -935,14 +721,15 @@ mod tests {
 
     #[test]
     fn identical_windows_have_zero_drift() {
-        let mut windows = WindowedPipeline::new(dispersed_builder(), 3).unwrap();
+        let mut epochs = EpochedPipeline::new(dispersed_builder()).unwrap();
+        let mut windows = Vec::new();
         for _ in 0..2 {
             for key in 0..400u64 {
-                windows.push_record(key, &[((key % 11) + 1) as f64, 1.0]).unwrap();
+                epochs.push_record(key, &[((key % 11) + 1) as f64, 1.0]).unwrap();
             }
-            windows.roll().unwrap();
+            windows.push(epochs.publish().unwrap().summary);
         }
-        let drift = windows.drift(0, 1).unwrap();
+        let drift = Drift::between(&windows[1], &windows[0], 0).unwrap();
         assert!(drift.l1.abs() < 1e-9, "identical windows must show no drift, got {}", drift.l1);
         assert!((drift.jaccard() - 1.0).abs() < 1e-9);
         assert!(drift.union_total > 0.0);
@@ -950,41 +737,25 @@ mod tests {
 
     #[test]
     fn disjoint_windows_have_total_drift() {
-        let mut windows = WindowedPipeline::new(dispersed_builder(), 2).unwrap();
+        let mut epochs = EpochedPipeline::new(dispersed_builder()).unwrap();
         for key in 0..200u64 {
-            windows.push_record(key, &[1.0, 1.0]).unwrap();
+            epochs.push_record(key, &[1.0, 1.0]).unwrap();
         }
-        windows.roll().unwrap();
+        let older = epochs.publish().unwrap().summary;
         for key in 1000..1200u64 {
-            windows.push_record(key, &[1.0, 1.0]).unwrap();
+            epochs.push_record(key, &[1.0, 1.0]).unwrap();
         }
-        windows.roll().unwrap();
-        let drift = windows.drift(0, 1).unwrap();
+        let newer = epochs.publish().unwrap().summary;
+        let drift = Drift::between(&newer, &older, 0).unwrap();
         assert!(drift.stable_total.abs() < 1e-9);
         assert!(drift.jaccard().abs() < 1e-9);
         assert!(drift.l1 > 0.0);
     }
 
     #[test]
-    fn ring_evicts_beyond_capacity() {
-        let mut windows = WindowedPipeline::new(dispersed_builder(), 2).unwrap();
-        for round in 0..4u64 {
-            windows.push_record(round, &[1.0, 1.0]).unwrap();
-            windows.roll().unwrap();
-        }
-        assert_eq!(windows.num_windows(), 2);
-        assert_eq!(windows.rolled(), 4);
-        assert!(windows.window(0).is_some() && windows.window(1).is_some());
-        assert!(windows.window(2).is_none());
-        let err = windows.drift(0, 2).unwrap_err();
-        assert!(matches!(err, CwsError::InvalidParameter { name: "window", .. }));
-    }
-
-    #[test]
     fn worker_panic_degrades_but_keeps_serving() {
         use cws_core::WorkerFault;
-        let mut epochs =
-            EpochedPipeline::new(dispersed_builder().execution(Execution::Sharded(2))).unwrap();
+        let mut epochs = EpochedPipeline::new(sharded_builder()).unwrap();
         for key in 0..200u64 {
             epochs.push_record(key, &[1.0 + (key % 5) as f64, 2.0]).unwrap();
         }
@@ -1089,19 +860,36 @@ mod tests {
 
     #[test]
     fn drift_requires_the_dispersed_layout() {
-        let mut windows = WindowedPipeline::new(
-            Pipeline::builder().assignments(1).k(8).layout(Layout::Colocated).seed(9),
-            2,
-        )
-        .unwrap();
-        for round in 0..2u64 {
-            windows.push_record(round, &[1.0]).unwrap();
-            windows.roll().unwrap();
+        let publish_one = |builder: PipelineBuilder| {
+            let mut epochs = EpochedPipeline::new(builder).unwrap();
+            for key in 0..50u64 {
+                epochs.push_record(key, &[1.0 + (key % 3) as f64, 1.0]).unwrap();
+            }
+            epochs.publish().unwrap().summary
+        };
+        let dispersed = publish_one(dispersed_builder());
+        let colocated = publish_one(dispersed_builder().layout(Layout::Colocated));
+        for (a, b) in [(&colocated, &dispersed), (&dispersed, &colocated)] {
+            assert!(matches!(
+                Drift::between(a, b, 0),
+                Err(CwsError::UnsupportedEstimator { estimator: "drift", .. })
+            ));
+        }
+        // Snapshots of different configurations are a typed error naming
+        // the field, never a panic inside the pairing.
+        for (field, builder) in
+            [("k", dispersed_builder().k(32)), ("seed", dispersed_builder().seed(10))]
+        {
+            match Drift::between(&dispersed, &publish_one(builder), 0) {
+                Err(CwsError::IncompatibleSummaries { field: found, .. }) => {
+                    assert_eq!(found, field)
+                }
+                other => panic!("expected IncompatibleSummaries on {field}, got {other:?}"),
+            }
         }
         assert!(matches!(
-            windows.drift(0, 1),
-            Err(CwsError::UnsupportedEstimator { estimator: "drift", .. })
+            Drift::between(&dispersed, &dispersed, 2),
+            Err(CwsError::AssignmentOutOfRange { index: 2, available: 2 })
         ));
-        assert!(WindowedPipeline::new(dispersed_builder(), 0).is_err());
     }
 }

@@ -61,7 +61,7 @@ pub mod summary;
 pub mod wal;
 
 pub use aggregation::{Aggregation, KeyAggregator, QuarantineDrain};
-pub use continuous::{DegradedState, Drift, EpochReport, EpochedPipeline, WindowedPipeline};
+pub use continuous::{DegradedState, Drift, EpochReport, EpochedPipeline};
 pub use ingest::Ingest;
 pub use pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
 pub use plan::{
@@ -77,9 +77,7 @@ pub use wal::{
 /// Commonly used items.
 pub mod prelude {
     pub use crate::aggregation::Aggregation;
-    pub use crate::continuous::{
-        DegradedState, Drift, EpochReport, EpochedPipeline, WindowedPipeline,
-    };
+    pub use crate::continuous::{DegradedState, Drift, EpochReport, EpochedPipeline};
     pub use crate::ingest::Ingest;
     pub use crate::pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
     pub use crate::plan::{

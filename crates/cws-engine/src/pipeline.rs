@@ -35,17 +35,28 @@ pub enum Layout {
 pub enum Execution {
     /// Single-threaded ingestion on the calling thread.
     Sequential,
-    /// Keys partitioned by hash across this many worker threads
-    /// (bit-identical to sequential at any shard count; dispersed layout
-    /// only).
-    Sharded(usize),
+    /// Keys partitioned by hash across worker threads (bit-identical to
+    /// sequential at any shard count; dispersed layout only). The
+    /// supervision knobs live here because nothing else uses them.
+    Sharded {
+        /// Number of worker threads (at least one).
+        shards: usize,
+        /// How long a push waits for a wedged shard before returning
+        /// [`CwsError::ShardStalled`]; `None` means
+        /// [`ShardedDispersedSampler::DEFAULT_STALL_TIMEOUT`]. Must be
+        /// positive.
+        stall_timeout: Option<Duration>,
+        /// Admission-control policy for pushes into a full in-flight window
+        /// (see [`ShardedDispersedSampler::set_admission`]).
+        admission: AdmissionControl,
+    },
 }
 
 /// Builder for [`Pipeline`] — the declarative front door of the engine.
 ///
 /// ```
 /// use cws_engine::prelude::*;
-/// use cws_core::{CoordinationMode, RankFamily};
+/// use cws_core::{AdmissionControl, CoordinationMode, RankFamily};
 ///
 /// let mut pipeline = Pipeline::builder()
 ///     .assignments(8)
@@ -53,7 +64,11 @@ pub enum Execution {
 ///     .rank(RankFamily::Ipps)
 ///     .coordination(CoordinationMode::SharedSeed)
 ///     .layout(Layout::Dispersed)
-///     .execution(Execution::Sharded(2))
+///     .execution(Execution::Sharded {
+///         shards: 2,
+///         stall_timeout: None,
+///         admission: AdmissionControl::Block,
+///     })
 ///     .aggregation(Aggregation::SumByKey)
 ///     .seed(42)
 ///     .build()
@@ -78,8 +93,6 @@ pub struct PipelineBuilder {
     flush_threshold: Option<usize>,
     budget: ResourceBudget,
     deadline: Option<Duration>,
-    stall_timeout: Option<Duration>,
-    admission: AdmissionControl,
     journal: Option<WalConfig>,
 }
 
@@ -97,8 +110,6 @@ impl Default for PipelineBuilder {
             flush_threshold: None,
             budget: ResourceBudget::unlimited(),
             deadline: None,
-            stall_timeout: None,
-            admission: AdmissionControl::Block,
             journal: None,
         }
     }
@@ -199,31 +210,11 @@ impl PipelineBuilder {
         self
     }
 
-    /// Bounds how long a sharded push waits for a wedged shard before
-    /// returning [`CwsError::ShardStalled`] (default 30 s; sharded
-    /// execution only). Facade form of
-    /// [`ShardedDispersedSampler::set_stall_timeout`].
-    #[must_use]
-    pub fn stall_timeout(mut self, timeout: Duration) -> Self {
-        self.stall_timeout = Some(timeout);
-        self
-    }
-
-    /// Admission-control policy for sharded pushes (default
-    /// [`AdmissionControl::Block`]; sharded execution only). Facade form of
-    /// [`ShardedDispersedSampler::set_admission`].
-    #[must_use]
-    pub fn admission(mut self, admission: AdmissionControl) -> Self {
-        self.admission = admission;
-        self
-    }
-
     /// Attaches a write-ahead ingestion journal: every push is journaled
     /// (crash-replayable, see [`crate::wal`]) before it is ingested.
     ///
     /// Journaling needs the epoch barriers of an
-    /// [`EpochedPipeline`](crate::continuous::EpochedPipeline) or
-    /// [`WindowedPipeline`](crate::continuous::WindowedPipeline); a one-shot
+    /// [`EpochedPipeline`](crate::continuous::EpochedPipeline); a one-shot
     /// [`build`](Self::build) with a journal configured is rejected as dead
     /// configuration.
     #[must_use]
@@ -252,13 +243,10 @@ impl PipelineBuilder {
     ///   (independent-differences requires EXP ranks);
     /// * the dispersed layout is combined with independent-differences
     ///   ranks (that construction only exists colocated);
-    /// * sharded execution is requested with the colocated layout or with
-    ///   zero shards;
+    /// * sharded execution is requested with the colocated layout, with
+    ///   zero shards, or with a zero stall timeout;
     /// * a flush threshold of zero is set, or a flush threshold is set
     ///   without an aggregation stage (it would be silently dead
-    ///   configuration);
-    /// * a zero stall timeout is set, or a stall timeout / non-default
-    ///   admission policy is set without sharded execution (equally dead
     ///   configuration);
     /// * a byte or key budget is set without an aggregation stage (only
     ///   governed stages track usage; deadlines work on any pipeline);
@@ -271,7 +259,7 @@ impl PipelineBuilder {
             return Err(CwsError::InvalidParameter {
                 name: "journal",
                 message: "a write-ahead journal needs epoch barriers; build an EpochedPipeline \
-                          (or WindowedPipeline) instead of a one-shot Pipeline"
+                          instead of a one-shot Pipeline"
                     .to_string(),
             });
         }
@@ -300,30 +288,6 @@ impl PipelineBuilder {
                     .to_string(),
             });
         }
-        if self.stall_timeout == Some(Duration::ZERO) {
-            return Err(CwsError::InvalidParameter {
-                name: "stall_timeout",
-                message: "the stall timeout must be positive".to_string(),
-            });
-        }
-        if self.stall_timeout.is_some() && !matches!(self.execution, Execution::Sharded(_)) {
-            return Err(CwsError::InvalidParameter {
-                name: "stall_timeout",
-                message: "a stall timeout is only meaningful with sharded execution \
-                          (PipelineBuilder::execution(Execution::Sharded(n)))"
-                    .to_string(),
-            });
-        }
-        if self.admission != AdmissionControl::Block
-            && !matches!(self.execution, Execution::Sharded(_))
-        {
-            return Err(CwsError::InvalidParameter {
-                name: "admission",
-                message: "admission control is only meaningful with sharded execution \
-                          (PipelineBuilder::execution(Execution::Sharded(n)))"
-                    .to_string(),
-            });
-        }
         if (self.budget.max_bytes().is_some() || self.budget.max_keys().is_some())
             && !self.aggregation.is_aggregating()
         {
@@ -340,7 +304,7 @@ impl PipelineBuilder {
             (Layout::Colocated, Execution::Sequential) => {
                 Backend::Colocated(ColocatedStreamSampler::new(config, assignments))
             }
-            (Layout::Colocated, Execution::Sharded(_)) => {
+            (Layout::Colocated, Execution::Sharded { .. }) => {
                 return Err(CwsError::InvalidParameter {
                     name: "execution",
                     message: "sharded execution requires the dispersed layout \
@@ -361,18 +325,24 @@ impl PipelineBuilder {
                     Execution::Sequential => {
                         Backend::HashOnce(MultiAssignmentStreamSampler::new(config, assignments))
                     }
-                    Execution::Sharded(0) => {
+                    Execution::Sharded { shards: 0, .. } => {
                         return Err(CwsError::InvalidParameter {
                             name: "execution",
                             message: "at least one shard is required".to_string(),
                         });
                     }
-                    Execution::Sharded(shards) => {
+                    Execution::Sharded { stall_timeout: Some(Duration::ZERO), .. } => {
+                        return Err(CwsError::InvalidParameter {
+                            name: "stall_timeout",
+                            message: "the stall timeout must be positive".to_string(),
+                        });
+                    }
+                    Execution::Sharded { shards, stall_timeout, admission } => {
                         let mut sampler = ShardedDispersedSampler::new(config, assignments, shards);
-                        if let Some(timeout) = self.stall_timeout {
+                        if let Some(timeout) = stall_timeout {
                             sampler.set_stall_timeout(timeout);
                         }
-                        sampler.set_admission(self.admission);
+                        sampler.set_admission(admission);
                         Backend::Sharded(sampler)
                     }
                 }
@@ -801,6 +771,10 @@ mod tests {
         Pipeline::builder().assignments(2).k(8)
     }
 
+    fn sharded(shards: usize) -> Execution {
+        Execution::Sharded { shards, stall_timeout: None, admission: AdmissionControl::Block }
+    }
+
     #[test]
     fn builder_validation_returns_typed_errors() {
         let missing = Pipeline::builder().build().unwrap_err();
@@ -821,11 +795,11 @@ mod tests {
             Err(CwsError::InvalidParameter { name: "coordination", .. })
         ));
         assert!(matches!(
-            base().execution(Execution::Sharded(2)).build(),
+            base().execution(sharded(2)).build(),
             Err(CwsError::InvalidParameter { name: "execution", .. })
         ));
         assert!(matches!(
-            base().layout(Layout::Dispersed).execution(Execution::Sharded(0)).build(),
+            base().layout(Layout::Dispersed).execution(sharded(0)).build(),
             Err(CwsError::InvalidParameter { name: "execution", .. })
         ));
         // A journal on a one-shot pipeline is dead configuration: there is
@@ -849,18 +823,13 @@ mod tests {
         assert!(matches!(
             base()
                 .layout(Layout::Dispersed)
-                .execution(Execution::Sharded(2))
-                .stall_timeout(Duration::ZERO)
+                .execution(Execution::Sharded {
+                    shards: 2,
+                    stall_timeout: Some(Duration::ZERO),
+                    admission: AdmissionControl::Block,
+                })
                 .build(),
             Err(CwsError::InvalidParameter { name: "stall_timeout", .. })
-        ));
-        assert!(matches!(
-            base().stall_timeout(Duration::from_secs(1)).build(),
-            Err(CwsError::InvalidParameter { name: "stall_timeout", .. })
-        ));
-        assert!(matches!(
-            base().admission(AdmissionControl::FailFast { wait: Duration::from_millis(1) }).build(),
-            Err(CwsError::InvalidParameter { name: "admission", .. })
         ));
         assert!(matches!(
             base().budget(ResourceBudget::unlimited().with_max_keys(10)).build(),
@@ -869,11 +838,13 @@ mod tests {
         // Sharded pipelines accept all of them together.
         base()
             .layout(Layout::Dispersed)
-            .execution(Execution::Sharded(2))
+            .execution(Execution::Sharded {
+                shards: 2,
+                stall_timeout: Some(Duration::from_secs(1)),
+                admission: AdmissionControl::FailFast { wait: Duration::from_millis(1) },
+            })
             .aggregation(Aggregation::SumByKey)
             .budget(ResourceBudget::unlimited().with_max_keys(10))
-            .stall_timeout(Duration::from_secs(1))
-            .admission(AdmissionControl::FailFast { wait: Duration::from_millis(1) })
             .build()
             .unwrap();
         // A deadline needs no aggregation stage.
@@ -964,7 +935,7 @@ mod tests {
             {
                 let mut executions = vec![Execution::Sequential];
                 if layout == Layout::Dispersed {
-                    executions.push(Execution::Sharded(2));
+                    executions.push(sharded(2));
                 }
                 for execution in executions {
                     let mut pipeline = base()

@@ -1,11 +1,15 @@
 //! Durable, crash-safe storage for published epoch snapshots.
 //!
-//! [`SnapshotStore`] gives the continuous pipelines
-//! ([`EpochedPipeline`](crate::continuous::EpochedPipeline),
-//! [`WindowedPipeline`](crate::continuous::WindowedPipeline)) a durable
+//! [`SnapshotStore`] gives the continuous pipeline
+//! ([`EpochedPipeline`](crate::continuous::EpochedPipeline)) a durable
 //! home: one directory holding one file per published epoch, written so
 //! that a crash at **any byte** of a publish leaves the store recoverable
-//! to the last good epoch bit-exactly.
+//! to the last good epoch bit-exactly. Its retention is also the window of
+//! history a service keeps: any two retained epochs [`load`] back as
+//! coordinated snapshots that
+//! [`Drift::between`](crate::continuous::Drift::between) can compare.
+//!
+//! [`load`]: SnapshotStore::load
 //!
 //! # Layout
 //!

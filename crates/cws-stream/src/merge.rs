@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use cws_core::error::{CwsError, Result};
 use cws_core::sketch::bottomk::BottomKSketch;
-use cws_core::summary::{ColocatedRecord, ColocatedSummary, DispersedSummary, SummaryConfig};
+use cws_core::summary::{ColocatedRecord, ColocatedSummary, DispersedSummary};
 use cws_core::weights::Key;
 
 fn empty_input(name: &'static str) -> CwsError {
@@ -19,37 +19,6 @@ fn empty_input(name: &'static str) -> CwsError {
         name,
         message: "at least one summary or sketch is required".to_string(),
     }
-}
-
-/// Compares the configurations of two summaries field by field so a mismatch
-/// names exactly what disagrees instead of silently merging incomparable
-/// samples.
-fn ensure_same_config(first: &SummaryConfig, other: &SummaryConfig) -> Result<()> {
-    if first.k != other.k {
-        return Err(CwsError::IncompatibleSummaries {
-            field: "k",
-            details: format!("{} vs {}", first.k, other.k),
-        });
-    }
-    if first.family != other.family {
-        return Err(CwsError::IncompatibleSummaries {
-            field: "rank family",
-            details: format!("{:?} vs {:?}", first.family, other.family),
-        });
-    }
-    if first.mode != other.mode {
-        return Err(CwsError::IncompatibleSummaries {
-            field: "coordination",
-            details: format!("{:?} vs {:?}", first.mode, other.mode),
-        });
-    }
-    if first.seed != other.seed {
-        return Err(CwsError::IncompatibleSummaries {
-            field: "seed",
-            details: format!("{:#x} vs {:#x}", first.seed, other.seed),
-        });
-    }
-    Ok(())
 }
 
 /// Merges bottom-k sketches computed over **disjoint** key partitions into
@@ -99,7 +68,7 @@ pub fn merge_disjoint_summaries_ref(summaries: &[&DispersedSummary]) -> Result<D
     let config = *first.config();
     let assignments = first.num_assignments();
     for other in &summaries[1..] {
-        ensure_same_config(&config, other.config())?;
+        config.ensure_compatible(other.config())?;
         if other.num_assignments() != assignments {
             return Err(CwsError::IncompatibleSummaries {
                 field: "assignments",
@@ -139,7 +108,7 @@ pub fn merge_disjoint_colocated(summaries: &[&ColocatedSummary]) -> Result<Coloc
     let assignments = first.num_assignments();
     let effective_k = first.effective_k();
     for other in &summaries[1..] {
-        ensure_same_config(&config, other.config())?;
+        config.ensure_compatible(other.config())?;
         if other.num_assignments() != assignments {
             return Err(CwsError::IncompatibleSummaries {
                 field: "assignments",

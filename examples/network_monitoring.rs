@@ -48,7 +48,11 @@ fn main() {
         .rank(RankFamily::Ipps)
         .coordination(CoordinationMode::SharedSeed)
         .layout(Layout::Dispersed)
-        .execution(Execution::Sharded(2))
+        .execution(Execution::Sharded {
+            shards: 2,
+            stall_timeout: None,
+            admission: AdmissionControl::Block,
+        })
         .aggregation(Aggregation::SumByKey)
         .seed(0xC0FE)
         .build()

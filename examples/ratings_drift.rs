@@ -1,13 +1,15 @@
-//! Ratings drift as a *continuous* workload: rolling coordinated windows,
-//! epoch snapshots that outlive the ingestion loop, and drift estimation
-//! between windows — the paper's motivating "evolving database" scenario.
+//! Ratings drift as a *continuous* workload: one coordinated snapshot per
+//! month, snapshots that outlive the ingestion loop, and drift estimation
+//! between any two of them — the paper's motivating "evolving database"
+//! scenario.
 //!
-//! A year of movie ratings arrives month by month. A [`WindowedPipeline`]
-//! ingests each month as its own window and rolls it into a ring of
-//! coordinated snapshots: every window shares one hash seed, so consecutive
-//! windows overlap maximally and the retained samples alone support
-//! month-over-month churn estimates (L1 distance, weighted Jaccard) that
-//! independent per-month samples could not answer.
+//! A year of movie ratings arrives month by month. An [`EpochedPipeline`]
+//! ingests each month as its own epoch and publishes it as an immutable
+//! snapshot, which the example keeps. Every epoch shares one hash seed, so
+//! consecutive snapshots overlap maximally and [`Drift::between`] estimates
+//! month-over-month churn (L1 distance, weighted Jaccard) from the two
+//! samples alone — something independent per-month samples could not
+//! answer.
 //!
 //! The published snapshots are immutable `Arc<Summary>` values: the example
 //! also serializes one with the versioned binary codec, reads it back
@@ -15,6 +17,8 @@
 //! the exact single-node summary.
 //!
 //! Run with: `cargo run --release --example ratings_drift`
+
+use std::sync::Arc;
 
 use coordinated_sampling::data::ratings::{RatingsConfig, RatingsData};
 use coordinated_sampling::prelude::*;
@@ -42,7 +46,7 @@ fn main() {
     let months = view.num_assignments();
     println!("{} movies, {months} monthly batches\n", view.num_keys());
 
-    // One window per month. Every window is built from the same
+    // One epoch per month. Every epoch is built from the same
     // configuration — the shared seed is what coordinates them.
     let builder = Pipeline::builder()
         .assignments(1)
@@ -51,22 +55,23 @@ fn main() {
         .coordination(CoordinationMode::SharedSeed)
         .layout(Layout::Dispersed)
         .seed(0xF00D);
-    let mut windows = WindowedPipeline::new(builder.clone(), months).expect("valid configuration");
+    let mut epochs = EpochedPipeline::new(builder.clone()).expect("valid configuration");
+    let mut published: Vec<Arc<Summary>> = Vec::with_capacity(months);
 
     println!("month  records   drift vs previous month (estimate | exact)   jaccard (est | exact)");
     for month in 0..months {
         for (movie, weights) in view.data.iter() {
             if weights[month] > 0.0 {
-                windows.push_record(movie, &[weights[month]]).unwrap();
+                epochs.push_record(movie, &[weights[month]]).unwrap();
             }
         }
-        let report = windows.roll().unwrap();
+        let report = epochs.publish().unwrap();
+        published.push(Arc::clone(&report.summary));
         if month == 0 {
             println!("{:>5}  {:>7}   (first window)", month + 1, report.records);
             continue;
         }
-        // window(0) is the month just closed, window(1) the one before.
-        let drift = windows.drift(1, 0).unwrap();
+        let drift = Drift::between(&published[month - 1], &published[month], 0).unwrap();
         let (exact_l1, exact_jaccard) = exact_drift(&view.data, month - 1, month);
         println!(
             "{:>5}  {:>7}   {:>12.0} | {:>12.0}          {:.3} | {:.3}",
@@ -79,9 +84,9 @@ fn main() {
         );
     }
 
-    // Drift across a longer horizon: the oldest retained window vs the
-    // newest (catalogue churn over the whole year).
-    let yearly = windows.drift(months - 1, 0).unwrap();
+    // Drift across a longer horizon: the first month's snapshot vs the
+    // last (catalogue churn over the whole year).
+    let yearly = Drift::between(&published[0], &published[months - 1], 0).unwrap();
     let (exact_l1, exact_jaccard) = exact_drift(&view.data, 0, months - 1);
     println!(
         "\nJanuary → December churn: L1 {:.0} (exact {exact_l1:.0}), \
@@ -90,12 +95,12 @@ fn main() {
         yearly.jaccard()
     );
 
-    // Snapshots outlive the process: the latest window serializes with the
+    // Snapshots outlive the process: the latest one serializes with the
     // versioned binary codec and reads back bit-identically.
-    let latest = windows.window(0).unwrap();
+    let latest = published.last().unwrap();
     let bytes = latest.to_bytes();
     let restored = Summary::from_bytes(&bytes).unwrap();
-    assert_eq!(restored, *latest);
+    assert_eq!(restored, **latest);
     println!(
         "\nserialized December window: {} bytes for {} retained movies (round-trip bit-exact)",
         bytes.len(),
@@ -117,7 +122,7 @@ fn main() {
     let a = site_a.publish().unwrap();
     let b = site_b.publish().unwrap();
     let merged = Pipeline::merge_refs(&[a.summary.as_ref(), b.summary.as_ref()]).unwrap();
-    assert_eq!(merged, *latest);
+    assert_eq!(merged, **latest);
     println!(
         "two-site merge ({} + {} records) reproduces the single-node December window bit-for-bit",
         a.records, b.records

@@ -109,8 +109,12 @@ fn crash_at_every_byte_offset_recovers_to_last_good_epoch() {
 fn worker_panic_mid_epoch_keeps_serving_and_recovers_bit_exactly() {
     let dir = scratch_dir("panic");
     let mut store = SnapshotStore::open(&dir, 8).unwrap();
-    let mut epochs =
-        EpochedPipeline::new(small_builder().execution(Execution::Sharded(3))).unwrap();
+    let mut epochs = EpochedPipeline::new(small_builder().execution(Execution::Sharded {
+        shards: 3,
+        stall_timeout: None,
+        admission: AdmissionControl::Block,
+    }))
+    .unwrap();
 
     let ingest_epoch = |epochs: &mut EpochedPipeline, lenient: bool| {
         for key in 0..300u64 {
@@ -165,8 +169,12 @@ fn worker_panic_mid_epoch_keeps_serving_and_recovers_bit_exactly() {
     let (epoch, from_disk) = report.last_good.unwrap();
     assert_eq!(epoch, 2);
     assert_eq!(from_disk.to_bytes(), recovered.summary.to_bytes());
-    let mut restarted =
-        EpochedPipeline::new(small_builder().execution(Execution::Sharded(3))).unwrap();
+    let mut restarted = EpochedPipeline::new(small_builder().execution(Execution::Sharded {
+        shards: 3,
+        stall_timeout: None,
+        admission: AdmissionControl::Block,
+    }))
+    .unwrap();
     restarted.resume_from(epoch, Arc::clone(&from_disk));
     assert_eq!(restarted.latest().unwrap(), from_disk);
     std::fs::remove_dir_all(&dir).unwrap();

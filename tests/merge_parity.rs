@@ -55,7 +55,14 @@ fn p_way_split_merge_equals_single_node() {
     for layout in [Layout::Colocated, Layout::Dispersed] {
         let executions: &[Execution] = match layout {
             Layout::Colocated => &[Execution::Sequential],
-            Layout::Dispersed => &[Execution::Sequential, Execution::Sharded(3)],
+            Layout::Dispersed => &[
+                Execution::Sequential,
+                Execution::Sharded {
+                    shards: 3,
+                    stall_timeout: None,
+                    admission: AdmissionControl::Block,
+                },
+            ],
         };
         for &execution in executions {
             for parts in PART_COUNTS {

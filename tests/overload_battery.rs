@@ -140,14 +140,13 @@ fn overloaded_retry_via_retry_policy_is_bit_exact() {
         .collect();
 
     let sharded_builder = || {
-        Pipeline::builder()
-            .assignments(2)
-            .k(16)
-            .layout(Layout::Dispersed)
-            .seed(31)
-            .execution(Execution::Sharded(2))
-            .stall_timeout(Duration::from_secs(10))
-            .admission(AdmissionControl::FailFast { wait: Duration::from_millis(5) })
+        Pipeline::builder().assignments(2).k(16).layout(Layout::Dispersed).seed(31).execution(
+            Execution::Sharded {
+                shards: 2,
+                stall_timeout: Some(Duration::from_secs(10)),
+                admission: AdmissionControl::FailFast { wait: Duration::from_millis(5) },
+            },
+        )
     };
 
     let mut sequential = Pipeline::builder()

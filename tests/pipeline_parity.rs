@@ -121,7 +121,18 @@ fn every_configuration_and_call_shape_matches_the_hand_wired_path() {
             let expected = reference(family, mode, layout);
             let mut executions = vec![Execution::Sequential];
             if layout == Layout::Dispersed {
-                executions.extend([Execution::Sharded(1), Execution::Sharded(3)]);
+                executions.extend([
+                    Execution::Sharded {
+                        shards: 1,
+                        stall_timeout: None,
+                        admission: AdmissionControl::Block,
+                    },
+                    Execution::Sharded {
+                        shards: 3,
+                        stall_timeout: None,
+                        admission: AdmissionControl::Block,
+                    },
+                ]);
             }
             for execution in executions {
                 for aggregation in
@@ -153,7 +164,11 @@ fn sum_by_key_over_fragmented_shuffled_elements_is_bit_identical() {
             let expected = reference(family, mode, layout);
             let mut executions = vec![Execution::Sequential];
             if layout == Layout::Dispersed {
-                executions.push(Execution::Sharded(2));
+                executions.push(Execution::Sharded {
+                    shards: 2,
+                    stall_timeout: None,
+                    admission: AdmissionControl::Block,
+                });
             }
             for execution in executions {
                 // Unbounded flush (one zero-copy hand-off batch) and a tiny

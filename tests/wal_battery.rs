@@ -317,8 +317,12 @@ fn store_layer_publish_failure_loses_zero_records_with_a_journal() {
 fn finalize_failure_self_heals_from_the_journal() {
     let n = 100u64;
     let wal = scratch_dir("heal-wal");
-    let mut pipeline =
-        EpochedPipeline::new(journaled(&wal).execution(Execution::Sharded(2))).unwrap();
+    let mut pipeline = EpochedPipeline::new(journaled(&wal).execution(Execution::Sharded {
+        shards: 2,
+        stall_timeout: None,
+        admission: AdmissionControl::Block,
+    }))
+    .unwrap();
     for key in 0..n / 2 {
         pipeline.push_record(key, &weights_for(key)).unwrap();
     }
@@ -328,11 +332,15 @@ fn finalize_failure_self_heals_from_the_journal() {
         // errors are tolerated once the death is detected.
         let _ = pipeline.push_record(key, &weights_for(key));
     }
+    let journal_bytes = pipeline.journal().unwrap().total_bytes();
     let err = pipeline.publish().unwrap_err();
     assert!(matches!(err, CwsError::ShardWorkerPanicked { .. }), "{err:?}");
     let state = pipeline.degraded().unwrap();
     assert_eq!(state.records_lost, 0, "the journal healed the epoch");
     assert_eq!(state.records_replayable, n, "every offered record replayed");
+    // Healing reads the journal and never writes it: replayed records are
+    // not journaled a second time.
+    assert_eq!(pipeline.journal().unwrap().total_bytes(), journal_bytes);
     // The healed pipeline publishes the epoch the panic tried to destroy:
     // bit-identical to an undisturbed run over all offered records.
     let report = pipeline.publish().unwrap();
