@@ -356,7 +356,13 @@ impl PipelineBuilder {
             None
         };
         let deadline = self.deadline.or(self.budget.deadline()).map(Deadline::after);
-        Ok(Pipeline { backend, aggregator, flush_threshold: self.flush_threshold, deadline })
+        Ok(Pipeline {
+            backend,
+            aggregator,
+            unsent: None,
+            flush_threshold: self.flush_threshold,
+            deadline,
+        })
     }
 }
 
@@ -376,6 +382,44 @@ macro_rules! for_backend {
             Backend::Sharded($sampler) => $body,
         }
     };
+}
+
+impl Backend {
+    /// Hands `unsent`, a flushed aggregate, to the sampler: one zero-copy
+    /// batch by default, `flush_threshold`-sized copies otherwise. `unsent`
+    /// is cleared only once the back-end has accepted all of it; after an
+    /// error (a sharded back-end shedding the hand-off) it stays, and the
+    /// next call re-sends it whole. Rows that reached a shard before the
+    /// error are then offered twice, which the candidate sets absorb: the
+    /// same key at the same rank keeps one entry.
+    #[inline]
+    fn hand_off(
+        &mut self,
+        unsent: &mut Option<Arc<RecordColumns>>,
+        flush_threshold: Option<usize>,
+    ) -> Result<()> {
+        let Some(columns) = unsent.as_ref() else {
+            return Ok(());
+        };
+        match flush_threshold {
+            Some(threshold) if threshold < columns.len() => {
+                let mut batch = RecordColumns::with_capacity(columns.num_assignments(), threshold);
+                let mut start = 0;
+                while start < columns.len() {
+                    let len = threshold.min(columns.len() - start);
+                    batch.extend_from(columns, start, len);
+                    for_backend!(&mut *self, sampler => sampler.push_columns(&batch))?;
+                    batch.clear();
+                    start += len;
+                }
+            }
+            _ => {
+                for_backend!(&mut *self, sampler => Ingest::push_columns_shared(sampler, columns))?
+            }
+        }
+        *unsent = None;
+        Ok(())
+    }
 }
 
 impl std::fmt::Debug for Backend {
@@ -400,6 +444,9 @@ impl std::fmt::Debug for Backend {
 pub struct Pipeline {
     backend: Backend,
     aggregator: Option<KeyAggregator>,
+    /// A flush-early aggregate the back-end has not accepted in full; see
+    /// [`Backend::hand_off`].
+    unsent: Option<Arc<RecordColumns>>,
     flush_threshold: Option<usize>,
     deadline: Option<Deadline>,
 }
@@ -429,25 +476,10 @@ impl Pipeline {
     /// negative.
     #[inline]
     pub fn push_element(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
-        self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_element(key, assignment, weight) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_element(key, assignment, weight)
-                }
-                other => other,
-            },
-            None => Err(CwsError::InvalidParameter {
-                name: "aggregation",
-                message: "push_element requires an aggregation stage \
-                          (PipelineBuilder::aggregation(SumByKey | MaxByKey))"
-                    .to_string(),
-            }),
-        }
+        self.governed_push(
+            |aggregator| aggregator.absorb_element(key, assignment, weight),
+            |_| Err(requires_aggregation("push_element")),
+        )
     }
 
     /// Absorbs a batch of unaggregated elements — bit-identical to pushing
@@ -460,25 +492,10 @@ impl Pipeline {
     /// As [`Pipeline::push_element`]; the batch is validated before any of
     /// it is absorbed.
     pub fn push_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
-        self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_elements(elements) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_elements(elements)
-                }
-                other => other,
-            },
-            None => Err(CwsError::InvalidParameter {
-                name: "aggregation",
-                message: "push_elements requires an aggregation stage \
-                          (PipelineBuilder::aggregation(SumByKey | MaxByKey))"
-                    .to_string(),
-            }),
-        }
+        self.governed_push(
+            |aggregator| aggregator.absorb_elements(elements),
+            |_| Err(requires_aggregation("push_elements")),
+        )
     }
 
     /// Merges summaries computed over **disjoint** key partitions (different
@@ -580,6 +597,7 @@ impl Pipeline {
         let copy = Pipeline {
             backend,
             aggregator: self.aggregator.clone(),
+            unsent: self.unsent.clone(),
             flush_threshold: self.flush_threshold,
             deadline: self.deadline,
         };
@@ -621,7 +639,7 @@ impl Pipeline {
 
     /// High-water mark of bytes tracked by the aggregation stage over the
     /// pipeline's lifetime (0 without one) — real memory pressure, not the
-    /// post-flush level; `ingest_baseline` reports this per workload.
+    /// post-flush level.
     #[must_use]
     pub fn peak_tracked_bytes(&self) -> u64 {
         self.aggregator.as_ref().map_or(0, KeyAggregator::peak_tracked_bytes)
@@ -636,52 +654,45 @@ impl Pipeline {
         }
     }
 
-    /// Spills the aggregation stage into the sampling back-end ("flush
-    /// early") — the governed response to a budget breach. The aggregate
-    /// hands off exactly as it would at finalize, the table recharges to
-    /// empty, and ingestion continues; lifetime counters (processed,
-    /// quarantined, peak bytes) survive.
-    fn flush_early(&mut self) -> Result<()> {
+    /// The one governed push behind every ingestion method. It checks the
+    /// ingest deadline; without an aggregation stage it hands the push to
+    /// the back-end through `forward`. With one, it first re-sends any
+    /// unsent flush-early aggregate, then absorbs through `absorb`. On a
+    /// budget breach it flushes early — the aggregate goes to the back-end
+    /// exactly as at finalize, the table recharges to empty, lifetime
+    /// counters (processed, quarantined, peak bytes) survive — and absorbs
+    /// once more.
+    #[inline]
+    fn governed_push(
+        &mut self,
+        mut absorb: impl FnMut(&mut KeyAggregator) -> Result<()>,
+        forward: impl FnOnce(&mut Backend) -> Result<()>,
+    ) -> Result<()> {
+        self.check_ingest_deadline()?;
         let Some(aggregator) = &mut self.aggregator else {
-            return Ok(());
+            return forward(&mut self.backend);
         };
-        let columns = aggregator.flush_columns();
-        self.push_drained(columns)
-    }
-
-    /// Drains the aggregation stage into the back-end: one zero-copy batch
-    /// by default, `flush_threshold`-sized copies otherwise.
-    fn drain_aggregator(&mut self) -> Result<()> {
-        let Some(aggregator) = self.aggregator.take() else {
-            return Ok(());
-        };
-        let columns = aggregator.into_columns();
-        self.push_drained(columns)
-    }
-
-    /// Hands a drained aggregate to the back-end: one zero-copy batch by
-    /// default, `flush_threshold`-sized copies otherwise.
-    fn push_drained(&mut self, columns: RecordColumns) -> Result<()> {
-        match self.flush_threshold {
-            Some(threshold) if threshold < columns.len() => {
-                let mut batch = RecordColumns::with_capacity(columns.num_assignments(), threshold);
-                let mut start = 0;
-                while start < columns.len() {
-                    let len = threshold.min(columns.len() - start);
-                    batch.extend_from(&columns, start, len);
-                    for_backend!(&mut self.backend, sampler => sampler.push_columns(&batch))?;
-                    batch.clear();
-                    start += len;
-                }
+        self.backend.hand_off(&mut self.unsent, self.flush_threshold)?;
+        match absorb(aggregator) {
+            Err(CwsError::BudgetExceeded { .. }) => {
+                self.unsent = Some(Arc::new(aggregator.flush_columns()));
+                self.backend.hand_off(&mut self.unsent, self.flush_threshold)?;
+                absorb(aggregator)
             }
-            _ => {
-                let shared = Arc::new(columns);
-                for_backend!(&mut self.backend, sampler => {
-                    Ingest::push_columns_shared(sampler, &shared)
-                })?;
-            }
+            other => other,
         }
-        Ok(())
+    }
+}
+
+/// The typed error of an element push into a pipeline without an
+/// aggregation stage.
+fn requires_aggregation(method: &str) -> CwsError {
+    CwsError::InvalidParameter {
+        name: "aggregation",
+        message: format!(
+            "{method} requires an aggregation stage \
+             (PipelineBuilder::aggregation(SumByKey | MaxByKey))"
+        ),
     }
 }
 
@@ -701,64 +712,32 @@ impl Ingest for Pipeline {
     }
 
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_record(key, weights) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_record(key, weights)
-                }
-                other => other,
-            },
-            None => {
-                for_backend!(&mut self.backend, sampler => Ingest::push_record(sampler, key, weights))
-            }
-        }
+        self.governed_push(
+            |aggregator| aggregator.absorb_record(key, weights),
+            |backend| for_backend!(backend, sampler => Ingest::push_record(sampler, key, weights)),
+        )
     }
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_columns(columns) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_columns(columns)
-                }
-                other => other,
-            },
-            None => {
-                for_backend!(&mut self.backend, sampler => Ingest::push_columns(sampler, columns))
-            }
-        }
+        self.governed_push(
+            |aggregator| aggregator.absorb_columns(columns),
+            |backend| for_backend!(backend, sampler => Ingest::push_columns(sampler, columns)),
+        )
     }
 
     fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_columns(columns) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_columns(columns)
-                }
-                other => other,
-            },
-            None => for_backend!(&mut self.backend, sampler => {
-                Ingest::push_columns_shared(sampler, columns)
-            }),
-        }
+        self.governed_push(
+            |aggregator| aggregator.absorb_columns(columns),
+            |backend| for_backend!(backend, sampler => Ingest::push_columns_shared(sampler, columns)),
+        )
     }
 
     fn finalize(mut self) -> Result<Summary> {
-        self.drain_aggregator()?;
+        if let Some(aggregator) = self.aggregator.take() {
+            self.backend.hand_off(&mut self.unsent, self.flush_threshold)?;
+            self.unsent = Some(Arc::new(aggregator.into_columns()));
+            self.backend.hand_off(&mut self.unsent, self.flush_threshold)?;
+        }
         for_backend!(self.backend, sampler => Ingest::finalize(sampler))
     }
 }

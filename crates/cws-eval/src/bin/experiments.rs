@@ -8,9 +8,11 @@
 //! experiments <id>... [--scale smoke|full] [--format text|json|csv] [--out DIR]
 //! ```
 //!
-//! Each experiment id corresponds to one table or figure of the paper (see
-//! DESIGN.md and EXPERIMENTS.md). Output goes to stdout; with `--out DIR`
-//! each report is additionally written to `DIR/<id>.<ext>`.
+//! Each experiment id corresponds to one table or figure of the paper (the
+//! registry is `cws_eval::experiments`). Output goes to stdout; with
+//! `--out DIR` each report is additionally written to `DIR/<id>.<ext>`.
+//!
+//! Run with `cargo run --release -p cws-eval --bin experiments -- list`.
 
 use std::io::Write;
 use std::path::PathBuf;

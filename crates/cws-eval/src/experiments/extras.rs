@@ -1,5 +1,5 @@
 //! Extra experiments: the Theorem 4.1 Jaccard check and the design-choice
-//! ablations listed in DESIGN.md.
+//! ablations.
 
 use cws_core::aggregates::{weighted_jaccard, AggregateFn};
 use cws_core::coordination::{CoordinationMode, RankGenerator};

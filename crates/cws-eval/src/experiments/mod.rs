@@ -1,5 +1,5 @@
 //! The experiment registry: one entry per table and figure of the paper's
-//! evaluation (Section 9), plus the ablations called out in DESIGN.md.
+//! evaluation (Section 9), plus design-choice ablations.
 //!
 //! Each experiment builds its data set from [`crate::datasets`], runs the
 //! Monte-Carlo measurement of [`crate::measure`], and returns an

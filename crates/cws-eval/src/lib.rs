@@ -12,9 +12,9 @@
 //!   data sets (IP dataset1/2, Netflix ratings, stock quotes), built with
 //!   fixed seeds so every experiment is reproducible.
 //! * [`experiments`] — one entry per table and figure of the paper's
-//!   evaluation (plus the ablations called out in DESIGN.md), each returning
-//!   a structured [`report::ExperimentReport`] that the `cws-bench`
-//!   harness renders as text, CSV or JSON.
+//!   evaluation (plus ablations), each returning a structured
+//!   [`report::ExperimentReport`] that the crate's `experiments` binary
+//!   renders as text, CSV or JSON.
 //! * [`report`] — the table/series data model and its renderers.
 
 #![forbid(unsafe_code)]

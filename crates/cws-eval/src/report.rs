@@ -84,7 +84,7 @@ impl Table {
 /// The result of one experiment (a paper table or figure).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
-    /// Experiment id (`"table2"`, `"fig3"`, …) as used in DESIGN.md.
+    /// Experiment id (`"table2"`, `"fig3"`, …) as `experiments list` prints it.
     pub id: String,
     /// Human-readable title.
     pub title: String,

@@ -28,7 +28,8 @@
 //! Streams are assumed to be *aggregated*: each key appears at most once per
 //! assignment (as in the paper's model where per-key weights, such as flow
 //! byte counts, have already been aggregated). Feeding the same key twice
-//! under the same assignment double-counts it in the candidate structures.
+//! under the same assignment keeps one candidate entry, at the smaller
+//! rank; its weights are not summed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -171,13 +171,18 @@ fn sum_by_key_over_fragmented_shuffled_elements_is_bit_identical() {
                 });
             }
             for execution in executions {
-                // Unbounded flush (one zero-copy hand-off batch) and a tiny
-                // threshold (many copied batches) must agree.
-                for flush in [None, Some(97)] {
+                // Unbounded flush (one zero-copy hand-off batch), a tiny
+                // threshold (many copied batches) and byte accounting under
+                // a cap that never rejects must agree.
+                let tracked = ResourceBudget::unlimited().with_max_bytes(u64::MAX);
+                for (flush, budget) in [(None, None), (Some(97), None), (None, Some(tracked))] {
                     let mut b =
                         builder(family, mode, layout, execution).aggregation(Aggregation::SumByKey);
                     if let Some(records) = flush {
                         b = b.flush_threshold(records);
+                    }
+                    if let Some(budget) = budget {
+                        b = b.budget(budget);
                     }
                     let mut pipeline = b.build().unwrap();
                     // Half the stream element by element, half in batches —
@@ -190,10 +195,14 @@ fn sum_by_key_over_fragmented_shuffled_elements_is_bit_identical() {
                         pipeline.push_elements(batch).unwrap();
                     }
                     assert_eq!(pipeline.processed(), elements.len() as u64);
+                    if budget.is_some() {
+                        assert!(pipeline.peak_tracked_bytes() > 0, "bytes must be tracked");
+                    }
                     let got = pipeline.finalize().unwrap();
                     assert_eq!(
                         got, expected,
-                        "{family:?}/{mode:?} {layout:?} {execution:?} flush {flush:?}"
+                        "{family:?}/{mode:?} {layout:?} {execution:?} flush {flush:?} \
+                         budget {budget:?}"
                     );
                 }
             }

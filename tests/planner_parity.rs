@@ -292,7 +292,7 @@ fn invalid_specs_and_deadlines_are_typed_and_poison_nothing() {
     assert_eq!(colocated.query_batch(&QueryBatch::new()).unwrap().len(), 0);
 }
 
-/// The 64-query fleet shape from the bench and the `query-stress` CI job:
+/// The 64-query fleet shape of the `query-stress` CI job:
 /// 64 sum queries sharing one kernel, distinct predicates, under a
 /// deadline. One kernel pass must serve all of them.
 #[test]
@@ -317,7 +317,9 @@ fn fleet_batch_shares_one_kernel_and_meets_its_deadline() {
                 .query(&QuerySpec::sum(0).filter(move |key: Key| key % 64 == lane as u64))
                 .unwrap();
             assert_eq!(report.value.to_bits(), solo.value.to_bits());
+            assert_eq!(report.observed_keys, solo.observed_keys);
             assert!(report.ci95.unwrap().covers(report.value));
         }
+        assert!(reports.iter().any(|r| r.observed_keys > 0), "the fleet must observe keys");
     }
 }
