@@ -59,9 +59,10 @@ pub fn invalid_weight_error(key: Key, assignment: usize, weight: f64) -> CwsErro
     }
 }
 
-/// Validates one weight lane against its key column — the single validation
-/// kernel every push boundary (single-assignment, multi-assignment, sharded)
-/// shares, so the acceptance contract cannot drift between them.
+/// Validates one weight lane against its key column — the validation kernel
+/// the hash-once and sharded columnar push boundaries share, built on the
+/// same [`weight_is_valid`] predicate as every other push boundary, so the
+/// acceptance contract cannot drift between them.
 ///
 /// # Errors
 /// Returns [`invalid_weight_error`] for the first offending entry.

@@ -1,24 +1,19 @@
 //! The unified ingestion trait over every stream sampler.
 //!
-//! Each back-end has a *native* call shape — scalar records for
-//! [`ColocatedStreamSampler`], per-assignment observations for
-//! [`DispersedStreamSampler`], structure-of-arrays columns for
-//! [`MultiAssignmentStreamSampler`] and [`ShardedDispersedSampler`] — and
-//! historically exposed only the shapes it was optimized for. [`Ingest`]
-//! gives all of them all four record-shaped surfaces: the trait's default
-//! methods bridge row-major and columnar forms through the same per-record
-//! offers the native paths make, so **every call shape on every back-end
-//! produces bit-identical summaries** (asserted by `tests/pipeline_parity.rs`
-//! at the workspace root).
+//! The three back-ends — [`ColocatedStreamSampler`], the hash-once
+//! [`MultiAssignmentStreamSampler`] and [`ShardedDispersedSampler`] — each
+//! have native record and structure-of-arrays paths. [`Ingest`] gives all of
+//! them all four record-shaped surfaces: the trait's default methods bridge
+//! row-major and columnar forms through the same per-record offers the
+//! native paths make, so **every call shape on every back-end produces
+//! bit-identical summaries** (asserted by `tests/pipeline_parity.rs` at the
+//! workspace root).
 
 use std::sync::Arc;
 
 use cws_core::columns::RecordColumns;
 use cws_core::{Key, Result};
-use cws_stream::{
-    ColocatedStreamSampler, DispersedStreamSampler, MultiAssignmentStreamSampler,
-    ShardedDispersedSampler,
-};
+use cws_stream::{ColocatedStreamSampler, MultiAssignmentStreamSampler, ShardedDispersedSampler};
 
 use crate::summary::Summary;
 
@@ -124,24 +119,6 @@ impl Ingest for ColocatedStreamSampler {
     }
 }
 
-impl Ingest for DispersedStreamSampler {
-    fn num_assignments(&self) -> usize {
-        DispersedStreamSampler::num_assignments(self)
-    }
-
-    fn processed(&self) -> u64 {
-        DispersedStreamSampler::processed(self)
-    }
-
-    fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        DispersedStreamSampler::push_record(self, key, weights)
-    }
-
-    fn finalize(self) -> Result<Summary> {
-        Ok(Summary::Dispersed(DispersedStreamSampler::finalize(self)))
-    }
-}
-
 impl Ingest for MultiAssignmentStreamSampler {
     fn num_assignments(&self) -> usize {
         MultiAssignmentStreamSampler::num_assignments(self)
@@ -193,7 +170,7 @@ impl Ingest for ShardedDispersedSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cws_core::summary::SummaryConfig;
+    use cws_core::summary::{DispersedSummary, SummaryConfig};
     use cws_core::{CoordinationMode, MultiWeighted, RankFamily};
 
     fn fixture(assignments: usize) -> MultiWeighted {
@@ -248,12 +225,12 @@ mod tests {
         assert!(colocated.iter().all(|s| s == &colocated[0]));
         assert!(colocated[0].as_colocated().is_some());
 
-        let dispersed = all_shapes(|| DispersedStreamSampler::new(config, 3), &data);
+        let offline = Summary::Dispersed(DispersedSummary::build(&data, &config));
         let hash_once = all_shapes(|| MultiAssignmentStreamSampler::new(config, 3), &data);
         let sharded =
             all_shapes(|| ShardedDispersedSampler::with_batch_capacity(config, 3, 2, 64), &data);
-        for summary in dispersed.iter().chain(&hash_once).chain(&sharded) {
-            assert_eq!(summary, &dispersed[0], "all dispersed back-ends and shapes agree");
+        for summary in hash_once.iter().chain(&sharded) {
+            assert_eq!(summary, &offline, "all dispersed back-ends and shapes agree");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The [`Pipeline`] facade: one builder, one ingestion surface, one
 //! finalized [`Summary`] — over every sampling back-end of the workspace.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -9,7 +10,7 @@ use cws_core::columns::RecordColumns;
 use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
 use cws_core::{CoordinationMode, CwsError, Key, RankFamily, Result, WorkerFault};
 use cws_stream::{
-    merge_disjoint_colocated, merge_disjoint_summaries_ref, ColocatedStreamSampler,
+    merge_disjoint_colocated, merge_disjoint_summaries, ColocatedStreamSampler,
     MultiAssignmentStreamSampler, ShardedDispersedSampler,
 };
 
@@ -501,7 +502,9 @@ impl Pipeline {
     /// Merges summaries computed over **disjoint** key partitions (different
     /// shards, sites, or archive files) into the summary of the union
     /// population — bit-identical to ingesting everything through one
-    /// pipeline, for both layouts.
+    /// pipeline, for both layouts. Takes owned summaries or references
+    /// alike, so summaries held behind shared pointers (epoch snapshots,
+    /// caches) need not be cloned.
     ///
     /// # Errors
     /// Returns [`CwsError::IncompatibleSummaries`] naming the offending
@@ -510,18 +513,8 @@ impl Pipeline {
     /// a mismatch is always a typed error, never a silently wrong answer.
     /// Returns [`CwsError::InvalidParameter`] when no summaries are given or
     /// a key appears in more than one partial.
-    pub fn merge(summaries: &[Summary]) -> Result<Summary> {
-        let refs: Vec<&Summary> = summaries.iter().collect();
-        Self::merge_refs(&refs)
-    }
-
-    /// Reference-taking variant of [`Pipeline::merge`], for callers holding
-    /// summaries behind shared pointers (epoch snapshots, caches).
-    ///
-    /// # Errors
-    /// As [`Pipeline::merge`].
-    pub fn merge_refs(summaries: &[&Summary]) -> Result<Summary> {
-        let first = *summaries.first().ok_or_else(|| CwsError::InvalidParameter {
+    pub fn merge<S: Borrow<Summary>>(summaries: &[S]) -> Result<Summary> {
+        let first = summaries.first().ok_or_else(|| CwsError::InvalidParameter {
             name: "summaries",
             message: "at least one summary is required".to_string(),
         })?;
@@ -529,20 +522,20 @@ impl Pipeline {
             field: "layout",
             details: "colocated vs dispersed".to_string(),
         };
-        match first {
+        match first.borrow() {
             Summary::Colocated(_) => {
                 let parts: Vec<&ColocatedSummary> = summaries
                     .iter()
-                    .map(|s| s.as_colocated().ok_or_else(mixed))
+                    .map(|s| s.borrow().as_colocated().ok_or_else(mixed))
                     .collect::<Result<_>>()?;
                 Ok(Summary::Colocated(merge_disjoint_colocated(&parts)?))
             }
             Summary::Dispersed(_) => {
                 let parts: Vec<&DispersedSummary> = summaries
                     .iter()
-                    .map(|s| s.as_dispersed().ok_or_else(mixed))
+                    .map(|s| s.borrow().as_dispersed().ok_or_else(mixed))
                     .collect::<Result<_>>()?;
-                Ok(Summary::Dispersed(merge_disjoint_summaries_ref(&parts)?))
+                Ok(Summary::Dispersed(merge_disjoint_summaries(&parts)?))
             }
         }
     }

@@ -349,9 +349,19 @@ impl CandidateSet {
         self.index.contains(key)
     }
 
+    /// Finalizes into a bottom-k sketch: the offline builder selects the
+    /// `k + 1` smallest buffered entries.
+    pub(crate) fn into_sketch(self) -> BottomKSketch {
+        BottomKSketch::from_ranked(
+            self.k,
+            self.buffer.into_iter().map(|c| (c.key, c.rank, c.weight)),
+        )
+    }
+
     /// Whether `key` is among the `k + 1` smallest offered so far: buffered
-    /// and beaten by at most `k` buffered entries. `O(k)`, for diagnostics;
-    /// the hot paths use [`CandidateSet::is_buffered`].
+    /// and beaten by at most `k` buffered entries. `O(k)`, for the model
+    /// tests; the hot paths use [`CandidateSet::is_buffered`].
+    #[cfg(test)]
     pub(crate) fn contains(&self, key: Key) -> bool {
         if !self.index.contains(key) {
             return false;
@@ -367,15 +377,6 @@ impl CandidateSet {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.buffer.len()
-    }
-
-    /// Finalizes into a bottom-k sketch: the offline builder selects the
-    /// `k + 1` smallest buffered entries.
-    pub(crate) fn into_sketch(self) -> BottomKSketch {
-        BottomKSketch::from_ranked(
-            self.k,
-            self.buffer.into_iter().map(|c| (c.key, c.rank, c.weight)),
-        )
     }
 }
 

@@ -8,9 +8,8 @@ use cws_core::coordination::{CoordinationMode, RankGenerator};
 use cws_core::summary::{ColocatedRecord, ColocatedSummary, SummaryConfig};
 use cws_core::{CwsError, Key, Result};
 
-use crate::bottomk::COLUMN_CHUNK;
 use crate::candidate::CandidateSet;
-use crate::kernel::{push_column_chunks, ChunkSink};
+use crate::kernel::{push_column_chunks, ChunkSink, COLUMN_CHUNK};
 
 /// A single pass over `(key, weight-vector)` records that embeds one bottom-k
 /// sample per assignment and retains the full weight vector of every
@@ -89,7 +88,7 @@ impl ColocatedStreamSampler {
     ///
     /// # Panics
     /// Panics if the vector length differs from the number of assignments.
-    pub fn push(&mut self, key: Key, weights: &[f64]) -> Result<()> {
+    pub fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
         assert_eq!(weights.len(), self.num_assignments, "weight vector arity mismatch");
         if let Some(assignment) = first_invalid_weight(weights) {
             return Err(invalid_weight_error(key, assignment, weights[assignment]));
@@ -109,34 +108,20 @@ impl ColocatedStreamSampler {
         Ok(())
     }
 
-    /// Alias of [`ColocatedStreamSampler::push`] under the name every
-    /// multi-assignment sampler shares, so record-shaped ingestion code can
-    /// treat the back-ends uniformly.
-    ///
-    /// # Errors
-    /// As [`ColocatedStreamSampler::push`].
-    ///
-    /// # Panics
-    /// As [`ColocatedStreamSampler::push`].
-    #[inline]
-    pub fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        self.push(key, weights)
-    }
-
     /// Processes a batch of row-major records.
     ///
     /// # Errors
-    /// As [`ColocatedStreamSampler::push`]; records before the offending one
-    /// were ingested.
+    /// As [`ColocatedStreamSampler::push_record`]; records before the
+    /// offending one were ingested.
     ///
     /// # Panics
-    /// As [`ColocatedStreamSampler::push`].
+    /// As [`ColocatedStreamSampler::push_record`].
     pub fn push_batch<'a, I>(&mut self, records: I) -> Result<()>
     where
         I: IntoIterator<Item = (Key, &'a [f64])>,
     {
         for (key, weights) in records {
-            self.push(key, weights)?;
+            self.push_record(key, weights)?;
         }
         Ok(())
     }
@@ -144,9 +129,9 @@ impl ColocatedStreamSampler {
     /// Processes a structure-of-arrays batch — the ingestion fast path.
     ///
     /// Bit-identical to feeding each record through
-    /// [`ColocatedStreamSampler::push`]. With shared-seed or independent
-    /// ranks, which factor as `rank_base(u) / w`, the batch runs the
-    /// hash-once column kernel of
+    /// [`ColocatedStreamSampler::push_record`]. With shared-seed or
+    /// independent ranks, which factor as `rank_base(u) / w`, the batch runs
+    /// the hash-once column kernel of
     /// [`MultiAssignmentStreamSampler::push_columns`](crate::MultiAssignmentStreamSampler::push_columns)
     /// over `COLUMN_CHUNK` (1024)-record chunks: each key is hashed once,
     /// each assignment's candidate set scans its contiguous weight lane with
@@ -156,14 +141,14 @@ impl ColocatedStreamSampler {
     /// its vector. Candidate sets see the same offers in the same order as
     /// under per-record pushes and never interact, so the summary is the
     /// same. Independent-differences ranks do not factor that way; their
-    /// records go through [`ColocatedStreamSampler::push`] one row at a
-    /// time.
+    /// records go through [`ColocatedStreamSampler::push_record`] one row at
+    /// a time.
     ///
     /// # Errors
-    /// As [`ColocatedStreamSampler::push`]: the first record, in row-major
-    /// order, with a NaN, infinite or negative weight is rejected with the
-    /// error naming its key and its first bad assignment; every record
-    /// before it was ingested, and no record after it.
+    /// As [`ColocatedStreamSampler::push_record`]: the first record, in
+    /// row-major order, with a NaN, infinite or negative weight is rejected
+    /// with the error naming its key and its first bad assignment; every
+    /// record before it was ingested, and no record after it.
     ///
     /// # Panics
     /// Panics if the batch's assignment count differs from the sampler's.
@@ -193,7 +178,7 @@ impl ColocatedStreamSampler {
         let mut result = Ok(());
         for (index, &key) in columns.keys().iter().enumerate() {
             columns.copy_row_into(index, &mut row);
-            result = self.push(key, &row);
+            result = self.push_record(key, &row);
             if result.is_err() {
                 break;
             }
@@ -324,7 +309,8 @@ struct RetainVectors<'a> {
 impl ChunkSink for RetainVectors<'_> {
     /// Finds the first invalid record in row-major order: the smallest
     /// offset over all lanes, and at that offset the smallest assignment,
-    /// which is what per-record [`ColocatedStreamSampler::push`] reports.
+    /// which is what per-record [`ColocatedStreamSampler::push_record`]
+    /// reports.
     fn check(
         &mut self,
         columns: &RecordColumns,
@@ -408,7 +394,7 @@ mod tests {
             let config = SummaryConfig::new(25, family, mode, 99);
             let mut sampler = ColocatedStreamSampler::new(config, 3);
             for (key, weights) in data.iter() {
-                sampler.push(key, weights).unwrap();
+                sampler.push_record(key, weights).unwrap();
             }
             assert_eq!(sampler.processed(), 700);
             let streamed = sampler.finalize();
@@ -439,7 +425,7 @@ mod tests {
             rb.total_cmp(&ra)
         });
         for (key, weights) in &keyed {
-            sampler.push(*key, weights).unwrap();
+            sampler.push_record(*key, weights).unwrap();
         }
         assert!(
             sampler.retained_vectors() <= 4 * 11 * 2 + 65,
@@ -455,35 +441,26 @@ mod tests {
     fn wrong_arity_is_rejected() {
         let config = SummaryConfig::new(5, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
         let mut sampler = ColocatedStreamSampler::new(config, 3);
-        let _ = sampler.push(1, &[1.0, 2.0]);
+        let _ = sampler.push_record(1, &[1.0, 2.0]);
     }
 
     #[test]
-    fn push_record_and_push_batch_alias_push() {
-        let data = fixture();
-        let config = SummaryConfig::new(20, RankFamily::Ipps, CoordinationMode::SharedSeed, 11);
-        let mut by_push = ColocatedStreamSampler::new(config, 3);
-        for (key, weights) in data.iter() {
-            by_push.push(key, weights).unwrap();
-        }
-        let mut by_alias = ColocatedStreamSampler::new(config, 3);
-        by_alias.push_batch(data.iter()).unwrap();
-        assert_eq!(by_alias.processed(), 700);
-        assert_eq!(by_push.finalize(), by_alias.finalize());
-    }
-
-    #[test]
-    fn push_columns_matches_per_record_push() {
+    fn push_batch_and_push_columns_match_per_record_push() {
         let data = fixture();
         let config = SummaryConfig::new(20, RankFamily::Ipps, CoordinationMode::SharedSeed, 11);
         let mut scalar = ColocatedStreamSampler::new(config, 3);
         for (key, weights) in data.iter() {
-            scalar.push(key, weights).unwrap();
+            scalar.push_record(key, weights).unwrap();
         }
+        let expected = scalar.finalize();
+        let mut batched = ColocatedStreamSampler::new(config, 3);
+        batched.push_batch(data.iter()).unwrap();
+        assert_eq!(batched.processed(), 700);
+        assert_eq!(batched.finalize(), expected);
         let mut columnar = ColocatedStreamSampler::new(config, 3);
         columnar.push_columns(&data.to_columns()).unwrap();
         assert_eq!(columnar.processed(), 700);
-        assert_eq!(scalar.finalize(), columnar.finalize());
+        assert_eq!(columnar.finalize(), expected);
     }
 
     #[test]
@@ -491,7 +468,7 @@ mod tests {
         let config = SummaryConfig::new(5, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
             let mut sampler = ColocatedStreamSampler::new(config, 2);
-            assert!(sampler.push(1, &[bad, 1.0]).is_err());
+            assert!(sampler.push_record(1, &[bad, 1.0]).is_err());
             assert_eq!(sampler.processed(), 0);
         }
     }
@@ -546,7 +523,7 @@ mod tests {
         let mut row = Vec::new();
         for index in 0..end {
             columns.copy_row_into(index, &mut row);
-            sampler.push(columns.keys()[index], &row).unwrap();
+            sampler.push_record(columns.keys()[index], &row).unwrap();
         }
         sampler
     }
@@ -605,7 +582,7 @@ mod tests {
                 let mut scalar = pushed_per_record(config, &columns, early);
                 let mut row = Vec::new();
                 columns.copy_row_into(early, &mut row);
-                let expected = scalar.push(columns.keys()[early], &row).unwrap_err();
+                let expected = scalar.push_record(columns.keys()[early], &row).unwrap_err();
                 assert!(expected.to_string().contains("assignment 2"), "{context}: {expected}");
 
                 let mut columnar = ColocatedStreamSampler::new(config, 4);

@@ -13,8 +13,12 @@
 use cws_core::columns::RecordColumns;
 use cws_core::{CoordinationMode, CwsError, RankGenerator, Result};
 
-use crate::bottomk::COLUMN_CHUNK;
 use crate::candidate::CandidateSet;
+
+/// Records per chunk of [`push_column_chunks`]: the rank-base scratch lane
+/// stays in L1 while the pre-filter re-reads it, and the stack frame stays
+/// small.
+pub(crate) const COLUMN_CHUNK: usize = 1024;
 
 /// The caller's side of [`push_column_chunks`].
 pub(crate) trait ChunkSink {

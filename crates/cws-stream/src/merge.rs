@@ -7,6 +7,7 @@
 //! This is what makes the summaries computable distributively as well as over
 //! streams.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use cws_core::error::{CwsError, Result};
@@ -46,28 +47,22 @@ pub fn merge_disjoint_sketches(sketches: &[BottomKSketch]) -> Result<BottomKSket
 }
 
 /// Merges dispersed summaries computed over disjoint key partitions
-/// (assignment by assignment).
+/// (assignment by assignment). Takes owned summaries or references alike,
+/// so callers holding partials behind shared pointers (epoch snapshots,
+/// deserialized archives) need not clone them wholesale.
 ///
 /// # Errors
 /// Returns [`CwsError::IncompatibleSummaries`] if the summaries disagree on
 /// a configuration field or the assignment count, and an
 /// [`CwsError::InvalidParameter`] error if none are given.
-pub fn merge_disjoint_summaries(summaries: &[DispersedSummary]) -> Result<DispersedSummary> {
-    let refs: Vec<&DispersedSummary> = summaries.iter().collect();
-    merge_disjoint_summaries_ref(&refs)
-}
-
-/// Reference-taking variant of [`merge_disjoint_summaries`], for callers
-/// that hold the partial summaries behind shared pointers (epoch snapshots,
-/// deserialized archives) and must not clone them wholesale.
-///
-/// # Errors
-/// As [`merge_disjoint_summaries`].
-pub fn merge_disjoint_summaries_ref(summaries: &[&DispersedSummary]) -> Result<DispersedSummary> {
-    let first = *summaries.first().ok_or_else(|| empty_input("summaries"))?;
+pub fn merge_disjoint_summaries<S: Borrow<DispersedSummary>>(
+    summaries: &[S],
+) -> Result<DispersedSummary> {
+    let first = summaries.first().ok_or_else(|| empty_input("summaries"))?.borrow();
     let config = *first.config();
     let assignments = first.num_assignments();
     for other in &summaries[1..] {
+        let other = other.borrow();
         config.ensure_compatible(other.config())?;
         if other.num_assignments() != assignments {
             return Err(CwsError::IncompatibleSummaries {
@@ -79,7 +74,7 @@ pub fn merge_disjoint_summaries_ref(summaries: &[&DispersedSummary]) -> Result<D
     let mut merged = Vec::with_capacity(assignments);
     for b in 0..assignments {
         let per_partition: Vec<BottomKSketch> =
-            summaries.iter().map(|s| s.sketch(b).clone()).collect();
+            summaries.iter().map(|s| s.borrow().sketch(b).clone()).collect();
         merged.push(merge_disjoint_sketches(&per_partition)?);
     }
     Ok(DispersedSummary::from_sketches(config, merged))
@@ -316,6 +311,6 @@ mod tests {
         let b = BottomKSketch::sample(&set, 6, RankFamily::Ipps, &seeds);
         assert!(merge_disjoint_sketches(&[a.clone(), b]).is_err());
         assert!(merge_disjoint_sketches(std::slice::from_ref(&a)).is_ok());
-        assert!(merge_disjoint_summaries(&[]).is_err());
+        assert!(merge_disjoint_summaries::<DispersedSummary>(&[]).is_err());
     }
 }

@@ -1,23 +1,33 @@
-//! Hash-once multi-assignment stream sampling.
+//! Dispersed multi-assignment stream sampling.
 //!
-//! [`DispersedStreamSampler`](crate::DispersedStreamSampler) models truly
-//! dispersed sites: every `(assignment, key, weight)` observation is routed
-//! to its own sampler, and each push re-derives the key's seed. When the
-//! weight *vector* of a record is available at one place — the common shape
-//! of log pipelines that already aggregate per key — that per-assignment
-//! re-hashing is pure waste: shared-seed coordination means every assignment
-//! consumes the **same** `u(i)` ("What You Can Do with Coordinated Samples",
-//! Cohen–Kaplan 2012 — the single shared seed is the whole point).
+//! The dispersed model samples every weight assignment on its own; the
+//! samples stay coordinated only through the shared hash seed (Section 4,
+//! "Computing coordinated sketches"). [`MultiAssignmentStreamSampler`] keeps
+//! one flat candidate set per assignment and takes two call shapes:
 //!
-//! [`MultiAssignmentStreamSampler`] is the hash-once engine: one record pays
-//! one key hash, the rank computation fans out across all assignments from
-//! the pre-hashed state, and each assignment's flat candidate set sees the
-//! same `(key, rank, weight)` offers it would have seen from its own
-//! dispersed pass. The finalized [`DispersedSummary`] is therefore
-//! **bit-identical** to the one produced by `DispersedStreamSampler` (and by
-//! the offline builder) over the same data.
+//! * **Observations** —
+//!   [`push_observation`](MultiAssignmentStreamSampler::push_observation)
+//!   takes one `(key, assignment, weight)` observation at a time, in any
+//!   interleaving of the assignments: the shape of truly dispersed sites,
+//!   each of which sees only its own assignment's weights.
+//! * **Records** — when the weight *vector* of a key is available at one
+//!   place (the common shape of log pipelines that already aggregate per
+//!   key), [`push_record`](MultiAssignmentStreamSampler::push_record) and
+//!   [`push_columns`](MultiAssignmentStreamSampler::push_columns) hash the
+//!   key once and fan the rank computation out across all assignments from
+//!   the pre-hashed state. Shared-seed coordination means every assignment
+//!   consumes the **same** `u(i)` ("What You Can Do with Coordinated
+//!   Samples", Cohen–Kaplan 2012), so re-hashing per assignment would be
+//!   pure waste.
+//!
+//! Each assignment's candidate set sees the same `(key, rank, weight)`
+//! offers under both shapes, so the finalized [`DispersedSummary`] is
+//! **bit-identical** either way, and to the offline builder's over the same
+//! data.
 
-use cws_core::columns::{first_invalid_weight, invalid_weight_error, RecordColumns};
+use cws_core::columns::{
+    first_invalid_weight, invalid_weight_error, weight_is_valid, RecordColumns,
+};
 use cws_core::summary::{DispersedSummary, SummaryConfig};
 use cws_core::{CoordinationMode, CwsError, Key, RankGenerator, Result};
 
@@ -47,12 +57,14 @@ impl ChunkSink for WholeChunks {
     }
 }
 
-/// A one-pass, hash-once sampler for streams of `(key, weight-vector)`
-/// records, producing one coordinated bottom-k sketch per assignment.
+/// A one-pass sampler for streams of `(key, weight-vector)` records or of
+/// per-assignment `(key, assignment, weight)` observations, producing one
+/// coordinated bottom-k sketch per assignment in `O(k)` state each.
 ///
-/// The stream must be aggregated: each key may be pushed at most once. (A
-/// repeated key is detected by the candidate structure and does not corrupt
-/// the sample — the smaller rank wins — but its weights are *not* summed.)
+/// The stream must be aggregated: each key may be pushed at most once per
+/// assignment. (A repeated key is detected by the candidate structure and
+/// does not corrupt the sample — the smaller rank wins — but its weights are
+/// *not* summed.)
 #[derive(Debug, Clone)]
 pub struct MultiAssignmentStreamSampler {
     config: SummaryConfig,
@@ -95,10 +107,40 @@ impl MultiAssignmentStreamSampler {
         self.num_assignments
     }
 
-    /// Number of records pushed so far.
+    /// Ingestion progress: the number of accepted records (through
+    /// [`push_record`](Self::push_record), [`push_batch`](Self::push_batch)
+    /// and [`push_columns`](Self::push_columns)) plus the number of accepted
+    /// observations (through [`push_observation`](Self::push_observation)).
+    /// Rejected records and observations do not count.
     #[must_use]
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+
+    /// Processes one aggregated observation of a single assignment: `key`
+    /// has weight `weight` under `assignment`. Observations of different
+    /// assignments may interleave in any order — the shape of dispersed
+    /// sites, each of which sees only its own assignment. The sample is
+    /// bit-identical to pushing the same weights as whole records through
+    /// [`push_record`](Self::push_record).
+    ///
+    /// # Errors
+    /// Returns [`CwsError::AssignmentOutOfRange`] if `assignment` is not
+    /// below the number of assignments, or an invalid-weight error if the
+    /// weight is NaN, infinite or negative. A rejected observation does not
+    /// advance [`processed`](Self::processed).
+    pub fn push_observation(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
+        let set = self.candidates.get_mut(assignment).ok_or(CwsError::AssignmentOutOfRange {
+            index: assignment,
+            available: self.num_assignments,
+        })?;
+        if !weight_is_valid(weight) {
+            return Err(invalid_weight_error(key, assignment, weight));
+        }
+        let rank = self.generator.dispersed_rank(key, weight, assignment)?;
+        set.offer(key, rank, weight);
+        self.processed += 1;
+        Ok(())
     }
 
     /// Processes one record: a key with its full weight vector. The key is
@@ -219,17 +261,8 @@ impl MultiAssignmentStreamSampler {
         )
     }
 
-    /// Whether `key` is currently among the candidates of `assignment` (the
-    /// `k + 1` smallest ranks so far). Exact, at `O(k)` per call: meant for
-    /// diagnostics, not for a per-record loop.
-    #[must_use]
-    pub fn is_candidate(&self, key: Key, assignment: usize) -> bool {
-        self.candidates[assignment].contains(key)
-    }
-
     /// Finalizes the pass into a dispersed summary, bit-identical to the one
-    /// the per-assignment [`DispersedStreamSampler`](crate::DispersedStreamSampler)
-    /// and the offline [`DispersedSummary::build`] produce.
+    /// the offline [`DispersedSummary::build`] produces.
     #[must_use]
     pub fn finalize(self) -> DispersedSummary {
         let sketches = self.candidates.into_iter().map(CandidateSet::into_sketch).collect();
@@ -248,13 +281,13 @@ impl MultiAssignmentStreamSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispersed::DispersedStreamSampler;
+    use crate::kernel::COLUMN_CHUNK;
     use cws_core::ranks::RankFamily;
     use cws_core::weights::MultiWeighted;
 
-    fn fixture(assignments: usize) -> MultiWeighted {
+    fn fixture(assignments: usize, keys: u64) -> MultiWeighted {
         let mut builder = MultiWeighted::builder(assignments);
-        for key in 0..900u64 {
+        for key in 0..keys {
             for b in 0..assignments {
                 builder.add(key, b, ((key * (b as u64 + 2)) % 19) as f64);
             }
@@ -262,24 +295,30 @@ mod tests {
         builder.build()
     }
 
+    /// Every observation of `data`, key by key.
+    fn push_observations(sampler: &mut MultiAssignmentStreamSampler, data: &MultiWeighted) {
+        for (key, weights) in data.iter() {
+            for (b, &w) in weights.iter().enumerate() {
+                sampler.push_observation(key, b, w).unwrap();
+            }
+        }
+    }
+
     #[test]
-    fn hash_once_matches_per_assignment_sampler_bit_for_bit() {
+    fn push_record_matches_per_observation_pushes_bit_for_bit() {
         for mode in [CoordinationMode::SharedSeed, CoordinationMode::Independent] {
             for family in [RankFamily::Ipps, RankFamily::Exp] {
-                let data = fixture(4);
+                let data = fixture(4, 900);
                 let config = SummaryConfig::new(32, family, mode, 2024);
 
-                let mut once = MultiAssignmentStreamSampler::new(config, 4);
-                let mut per = DispersedStreamSampler::new(config, 4);
-                for (key, weights) in data.iter() {
-                    once.push_record(key, weights).unwrap();
-                    for (b, &w) in weights.iter().enumerate() {
-                        per.push(b, key, w).unwrap();
-                    }
-                }
-                assert_eq!(once.processed(), 900);
-                let a = once.finalize();
-                let b = per.finalize();
+                let mut by_record = MultiAssignmentStreamSampler::new(config, 4);
+                by_record.push_batch(data.iter()).unwrap();
+                let mut by_observation = MultiAssignmentStreamSampler::new(config, 4);
+                push_observations(&mut by_observation, &data);
+                assert_eq!(by_record.processed(), 900);
+                assert_eq!(by_observation.processed(), 900 * 4);
+                let a = by_record.finalize();
+                let b = by_observation.finalize();
                 assert_eq!(a, b, "{family:?} {mode:?}");
                 for (sa, sb) in a.sketches().iter().zip(b.sketches()) {
                     assert_eq!(sa.next_rank().to_bits(), sb.next_rank().to_bits());
@@ -289,28 +328,61 @@ mod tests {
     }
 
     #[test]
-    fn hash_once_matches_offline_builder() {
-        let data = fixture(3);
-        let config = SummaryConfig::new(25, RankFamily::Ipps, CoordinationMode::SharedSeed, 7);
-        let mut sampler = MultiAssignmentStreamSampler::new(config, 3);
-        sampler.push_batch(data.iter()).unwrap();
-        assert_eq!(sampler.finalize(), DispersedSummary::build(&data, &config));
+    fn records_and_observations_match_offline_builder() {
+        for assignments in [1, 3] {
+            let data = fixture(assignments, 900);
+            for mode in [CoordinationMode::SharedSeed, CoordinationMode::Independent] {
+                let config = SummaryConfig::new(25, RankFamily::Ipps, mode, 7);
+                let offline = DispersedSummary::build(&data, &config);
+                let mut by_record = MultiAssignmentStreamSampler::new(config, assignments);
+                by_record.push_batch(data.iter()).unwrap();
+                assert_eq!(by_record.finalize(), offline, "{assignments} {mode:?}");
+                let mut by_observation = MultiAssignmentStreamSampler::new(config, assignments);
+                push_observations(&mut by_observation, &data);
+                assert_eq!(by_observation.finalize(), offline, "{assignments} {mode:?}");
+            }
+        }
     }
 
     #[test]
     fn push_columns_is_bit_identical_to_push_record() {
-        for mode in [CoordinationMode::SharedSeed, CoordinationMode::Independent] {
-            for family in [RankFamily::Ipps, RankFamily::Exp] {
-                let data = fixture(4);
-                let config = SummaryConfig::new(32, family, mode, 2024);
-                let mut scalar = MultiAssignmentStreamSampler::new(config, 4);
-                scalar.push_batch(data.iter()).unwrap();
-                let mut columnar = MultiAssignmentStreamSampler::new(config, 4);
-                columnar.push_columns(&data.to_columns()).unwrap();
-                assert_eq!(columnar.processed(), 900);
-                assert_eq!(scalar.finalize(), columnar.finalize(), "{family:?} {mode:?}");
+        // One lane over more than two column chunks, and four lanes.
+        let chunks = 2 * COLUMN_CHUNK as u64 + 17;
+        for (assignments, keys) in [(1, chunks), (4, 900)] {
+            let data = fixture(assignments, keys);
+            for mode in [CoordinationMode::SharedSeed, CoordinationMode::Independent] {
+                for family in [RankFamily::Ipps, RankFamily::Exp] {
+                    let config = SummaryConfig::new(32, family, mode, 2024);
+                    let mut scalar = MultiAssignmentStreamSampler::new(config, assignments);
+                    scalar.push_batch(data.iter()).unwrap();
+                    let mut columnar = MultiAssignmentStreamSampler::new(config, assignments);
+                    columnar.push_columns(&data.to_columns()).unwrap();
+                    assert_eq!(columnar.processed(), keys);
+                    let context = format!("{assignments} {family:?} {mode:?}");
+                    assert_eq!(scalar.finalize(), columnar.finalize(), "{context}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_assignment_is_a_typed_error_not_a_panic() {
+        let config = SummaryConfig::new(5, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
+        let mut sampler = MultiAssignmentStreamSampler::new(config, 2);
+        assert!(matches!(
+            sampler.push_observation(1, 2, 1.0),
+            Err(CwsError::AssignmentOutOfRange { index: 2, available: 2 })
+        ));
+        assert!(matches!(
+            sampler.push_observation(1, usize::MAX, 1.0),
+            Err(CwsError::AssignmentOutOfRange { index: usize::MAX, available: 2 })
+        ));
+        assert_eq!(sampler.num_assignments(), 2);
+        // Rejected observations do not advance the progress counter, and the
+        // sampler remains usable afterwards.
+        assert_eq!(sampler.processed(), 0);
+        sampler.push_observation(1, 1, 1.0).unwrap();
+        assert_eq!(sampler.processed(), 1);
     }
 
     #[test]
@@ -321,8 +393,16 @@ mod tests {
             let err = sampler.push_record(3, &[1.0, bad]).unwrap_err();
             assert!(err.to_string().contains("assignment 1"), "{err}");
             assert_eq!(sampler.processed(), 0, "rejected record must not count");
+            // Assignment 0 must not have seen the rejected record's weight.
+            assert_eq!(sampler.snapshot().num_distinct_keys(), 0);
 
-            let mut columns = cws_core::RecordColumns::new(2);
+            let err = sampler.push_observation(9, 1, bad).unwrap_err();
+            assert!(err.to_string().contains("finite and non-negative"), "{err}");
+            assert!(err.to_string().contains("assignment 1"), "{err}");
+            assert_eq!(sampler.processed(), 0, "rejected observation must not count");
+            assert_eq!(sampler.finalize().num_distinct_keys(), 0);
+
+            let mut columns = RecordColumns::new(2);
             columns.push(1, &[1.0, 1.0]);
             columns.push(3, &[bad, 2.0]);
             let mut sampler = MultiAssignmentStreamSampler::new(config, 2);
@@ -333,15 +413,16 @@ mod tests {
     }
 
     #[test]
-    fn candidate_membership_is_exposed() {
-        let config = SummaryConfig::new(5, RankFamily::Ipps, CoordinationMode::SharedSeed, 3);
-        let mut sampler = MultiAssignmentStreamSampler::new(config, 2);
-        for key in 0..200u64 {
-            sampler.push_record(key, &[(key % 7 + 1) as f64, (key % 3 + 1) as f64]).unwrap();
-        }
-        let candidates = (0..200u64).filter(|&k| sampler.is_candidate(k, 0)).count();
-        assert_eq!(candidates, 6); // k + 1
-        assert_eq!(sampler.num_assignments(), 2);
+    fn zero_weight_observations_are_skipped() {
+        let config = SummaryConfig::new(5, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
+        let mut sampler = MultiAssignmentStreamSampler::new(config, 1);
+        sampler.push_observation(1, 0, 0.0).unwrap();
+        sampler.push_observation(2, 0, 3.0).unwrap();
+        assert_eq!(sampler.processed(), 2);
+        let summary = sampler.finalize();
+        let sketch = summary.sketch(0);
+        assert_eq!(sketch.len(), 1);
+        assert!(!sketch.contains(1));
     }
 
     #[test]

@@ -89,6 +89,7 @@ use cws_core::summary::{DispersedSummary, SummaryConfig};
 use cws_core::{CwsError, Key, Result};
 use cws_hash::KeyHasher;
 
+use crate::kernel::COLUMN_CHUNK;
 use crate::merge::merge_disjoint_summaries;
 use crate::multi::MultiAssignmentStreamSampler;
 
@@ -541,7 +542,7 @@ impl ShardedDispersedSampler {
         assert_eq!(columns.num_assignments(), self.num_assignments, "weight vector arity mismatch");
         let mut start = 0;
         while start < columns.len() {
-            let len = crate::bottomk::COLUMN_CHUNK.min(columns.len() - start);
+            let len = COLUMN_CHUNK.min(columns.len() - start);
             columns.validate_span(start, len)?;
             self.partition_chunk(columns, start, len)?;
             self.processed += len as u64;

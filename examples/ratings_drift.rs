@@ -121,7 +121,7 @@ fn main() {
     }
     let a = site_a.publish().unwrap();
     let b = site_b.publish().unwrap();
-    let merged = Pipeline::merge_refs(&[a.summary.as_ref(), b.summary.as_ref()]).unwrap();
+    let merged = Pipeline::merge(&[a.summary.as_ref(), b.summary.as_ref()]).unwrap();
     assert_eq!(merged, **latest);
     println!(
         "two-site merge ({} + {} records) reproduces the single-node December window bit-for-bit",

@@ -158,7 +158,7 @@ fn incompatible_headers_are_typed_errors() {
 
     // The empty merge is rejected up front.
     assert!(matches!(
-        Pipeline::merge(&[]),
+        Pipeline::merge::<Summary>(&[]),
         Err(CwsError::InvalidParameter { name: "summaries", .. })
     ));
 
@@ -187,7 +187,7 @@ fn merged_epoch_snapshots_answer_union_queries() {
     }
     let north_snapshot = north.publish().unwrap().summary;
     let south_snapshot = south.publish().unwrap().summary;
-    let merged = Pipeline::merge_refs(&[north_snapshot.as_ref(), south_snapshot.as_ref()]).unwrap();
+    let merged = Pipeline::merge(&[north_snapshot.as_ref(), south_snapshot.as_ref()]).unwrap();
     let reference = all.finalize().unwrap();
     assert_eq!(merged, reference);
     let estimate = merged.query(&QuerySpec::l1(0, 1)).unwrap();

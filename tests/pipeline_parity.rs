@@ -63,7 +63,7 @@ fn reference(family: RankFamily, mode: CoordinationMode, layout: Layout) -> Summ
             let mut sampler =
                 coordinated_sampling::stream::ColocatedStreamSampler::new(config, ASSIGNMENTS);
             for (key, weights) in data.iter() {
-                sampler.push(key, weights).unwrap();
+                sampler.push_record(key, weights).unwrap();
             }
             Summary::Colocated(sampler.finalize())
         }

@@ -207,7 +207,7 @@ fn stream_equals_offline_for_any_order() {
             rows.reverse();
         }
         for (key, weights) in &rows {
-            sampler.push(*key, weights).unwrap();
+            sampler.push_record(*key, weights).unwrap();
         }
         let streamed = sampler.finalize();
         assert_eq!(streamed.records(), offline.records(), "case {case}");

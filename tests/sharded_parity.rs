@@ -1,7 +1,7 @@
 //! Bit-exactness of the ingestion engine (ISSUE 2 tentpole, extended by
 //! ISSUE 3's structure-of-arrays routes): the hash-once multi-assignment
 //! sampler and the sharded parallel engine must produce summaries
-//! **bit-identical** to sequential per-assignment ingestion and to the
+//! **bit-identical** to per-assignment observation ingestion and to the
 //! offline builder, for every rank family, dispersable coordination mode,
 //! shard count, ingestion API (per-record, partitioned columns, zero-copy
 //! shared columns) and arrival order.
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use common::{arb_multiweighted, case_rng, shuffle, MASTER_SEED};
 use coordinated_sampling::prelude::*;
 use coordinated_sampling::stream::sharded::ShardedDispersedSampler;
-use coordinated_sampling::stream::{DispersedStreamSampler, MultiAssignmentStreamSampler};
+use coordinated_sampling::stream::MultiAssignmentStreamSampler;
 use cws_core::columns::RecordColumns;
 use cws_hash::RandomSource;
 
@@ -119,9 +119,11 @@ fn sharded_equals_sequential_for_all_families_and_shard_counts() {
     }
 }
 
-/// The hash-once sampler equals the per-assignment dispersed sampler and the
+/// The hash-once sampler equals per-assignment observation ingestion and the
 /// offline builder on shuffled streams — one key hash per record loses
-/// nothing, whether records arrive as rows or as columns.
+/// nothing, whether records arrive as rows or as columns. The reference
+/// pushes observations in assignment-major order, the way dispersed sites
+/// would each stream their own assignment.
 #[test]
 fn hash_once_equals_per_assignment_and_offline() {
     for case in 0..CASES {
@@ -139,11 +141,13 @@ fn hash_once_equals_per_assignment_and_offline() {
 
             let mut once = MultiAssignmentStreamSampler::new(config, assignments);
             let mut columnar = MultiAssignmentStreamSampler::new(config, assignments);
-            let mut per = DispersedStreamSampler::new(config, assignments);
+            let mut per = MultiAssignmentStreamSampler::new(config, assignments);
             for (key, weights) in &records {
                 once.push_record(*key, weights).unwrap();
-                for (b, &w) in weights.iter().enumerate() {
-                    per.push(b, *key, w).unwrap();
+            }
+            for b in 0..assignments {
+                for (key, weights) in &records {
+                    per.push_observation(*key, b, weights[b]).unwrap();
                 }
             }
             columnar.push_columns(&columns).unwrap();

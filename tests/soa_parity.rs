@@ -1,14 +1,15 @@
 //! Bit-exactness of the structure-of-arrays batch path (ISSUE 3,
-//! satellite 3): `BottomKStreamSampler::push_batch` and
-//! `MultiAssignmentStreamSampler::push_columns` must match per-record
-//! ingestion to the bit under duplicate keys, zero weights and batch sizes
-//! around the sample size (`1`, `k-1`, `k`, `4k`), for both rank families.
+//! satellite 3): `MultiAssignmentStreamSampler::push_columns` must match
+//! per-record and per-observation ingestion to the bit under duplicate keys,
+//! zero weights and batch sizes around the sample size (`1`, `k-1`, `k`,
+//! `4k`), for both rank families, with one assignment (a single lane) and
+//! with several.
 
 mod common;
 
 use common::{case_rng, MASTER_SEED};
 use coordinated_sampling::prelude::*;
-use coordinated_sampling::stream::{BottomKStreamSampler, MultiAssignmentStreamSampler};
+use coordinated_sampling::stream::MultiAssignmentStreamSampler;
 use cws_core::columns::RecordColumns;
 use cws_hash::RandomSource;
 
@@ -60,70 +61,48 @@ fn assert_sketch_bits(a: &BottomKSketch, b: &BottomKSketch, context: &str) {
     }
 }
 
-/// Single-assignment `push_batch` over slices equals scalar `push`, fed in
-/// batch sizes straddling the sample size and the internal chunk length.
-#[test]
-fn bottomk_batch_sizes_around_k_match_scalar_push() {
-    for family in [RankFamily::Ipps, RankFamily::Exp] {
-        for (case, mode) in
-            [CoordinationMode::SharedSeed, CoordinationMode::Independent].into_iter().enumerate()
-        {
-            let records = adversarial_records(case as u64, 6000, 1);
-            let keys: Vec<Key> = records.iter().map(|(key, _)| *key).collect();
-            let weights: Vec<f64> = records.iter().map(|(_, w)| w[0]).collect();
-            let generator = RankGenerator::new(family, mode, MASTER_SEED).unwrap();
-
-            let mut scalar = BottomKStreamSampler::new(generator, 0, K);
-            for (&key, &weight) in keys.iter().zip(&weights) {
-                scalar.push(key, weight).unwrap();
-            }
-            let expected = scalar.finalize();
-
-            for batch in [1usize, K - 1, K, 4 * K] {
-                let mut batched = BottomKStreamSampler::new(generator, 0, K);
-                for start in (0..keys.len()).step_by(batch) {
-                    let end = (start + batch).min(keys.len());
-                    batched.push_batch(&keys[start..end], &weights[start..end]).unwrap();
-                }
-                assert_eq!(batched.processed(), keys.len() as u64);
-                assert_sketch_bits(
-                    &batched.finalize(),
-                    &expected,
-                    &format!("{family:?} {mode:?} batch={batch}"),
-                );
-            }
-        }
-    }
-}
-
-/// Multi-assignment `push_columns` equals `push_record`, fed in batch sizes
-/// straddling the sample size, with duplicate keys and zero weights.
+/// Multi-assignment `push_columns` equals `push_record` and
+/// `push_observation`, fed in batch sizes straddling the sample size, with
+/// duplicate keys and zero weights. One assignment runs the column kernel
+/// on a single lane over a stream longer than its internal chunk.
 #[test]
 fn multi_columns_batch_sizes_around_k_match_push_record() {
-    for family in [RankFamily::Ipps, RankFamily::Exp] {
-        for (case, mode) in
-            [CoordinationMode::SharedSeed, CoordinationMode::Independent].into_iter().enumerate()
-        {
-            let assignments = 5;
-            let records = adversarial_records(10 + case as u64, 4000, assignments);
-            let config = SummaryConfig::new(K, family, mode, MASTER_SEED ^ 0xA5);
+    for (assignments, first_case, len) in [(1, 0, 6000), (5, 10, 4000)] {
+        for family in [RankFamily::Ipps, RankFamily::Exp] {
+            for (case, mode) in [CoordinationMode::SharedSeed, CoordinationMode::Independent]
+                .into_iter()
+                .enumerate()
+            {
+                let records = adversarial_records(first_case + case as u64, len, assignments);
+                let config = SummaryConfig::new(K, family, mode, MASTER_SEED ^ 0xA5);
+                let context = format!("{family:?} {mode:?} assignments={assignments}");
 
-            let mut scalar = MultiAssignmentStreamSampler::new(config, assignments);
-            for (key, weights) in &records {
-                scalar.push_record(*key, weights).unwrap();
-            }
-            let expected = scalar.finalize();
-
-            for batch in [1usize, K - 1, K, 4 * K] {
-                let mut batched = MultiAssignmentStreamSampler::new(config, assignments);
-                for chunk in records.chunks(batch) {
-                    batched.push_columns(&columns_of(chunk, assignments)).unwrap();
+                let mut scalar = MultiAssignmentStreamSampler::new(config, assignments);
+                let mut observed = MultiAssignmentStreamSampler::new(config, assignments);
+                for (key, weights) in &records {
+                    scalar.push_record(*key, weights).unwrap();
+                    for (b, &w) in weights.iter().enumerate() {
+                        observed.push_observation(*key, b, w).unwrap();
+                    }
                 }
-                assert_eq!(batched.processed(), records.len() as u64);
-                let got = batched.finalize();
-                assert_eq!(got, expected, "{family:?} {mode:?} batch={batch}");
-                for (sa, sb) in got.sketches().iter().zip(expected.sketches()) {
-                    assert_sketch_bits(sa, sb, &format!("{family:?} {mode:?} batch={batch}"));
+                let expected = scalar.finalize();
+                let observed = observed.finalize();
+                assert_eq!(observed, expected, "{context} [observations]");
+                for (sa, sb) in observed.sketches().iter().zip(expected.sketches()) {
+                    assert_sketch_bits(sa, sb, &format!("{context} [observations]"));
+                }
+
+                for batch in [1usize, K - 1, K, 4 * K] {
+                    let mut batched = MultiAssignmentStreamSampler::new(config, assignments);
+                    for chunk in records.chunks(batch) {
+                        batched.push_columns(&columns_of(chunk, assignments)).unwrap();
+                    }
+                    assert_eq!(batched.processed(), records.len() as u64);
+                    let got = batched.finalize();
+                    assert_eq!(got, expected, "{context} batch={batch}");
+                    for (sa, sb) in got.sketches().iter().zip(expected.sketches()) {
+                        assert_sketch_bits(sa, sb, &format!("{context} batch={batch}"));
+                    }
                 }
             }
         }

@@ -4,15 +4,15 @@
 //! that the offline builders of `cws-core` compute from the complete data
 //! set — for any arrival order. We feed each sampler a seeded random shuffle
 //! of the records (for the dispersed sampler, a shuffle of the individual
-//! `(assignment, key, weight)` observations, interleaving assignments
-//! arbitrarily) and require full structural equality with the offline
-//! summary.
+//! `(assignment, key, weight)` observations through `push_observation`,
+//! interleaving assignments arbitrarily) and require full structural
+//! equality with the offline summary.
 
 mod common;
 
 use common::{arb_config, arb_multiweighted, case_rng, shuffle};
 use coordinated_sampling::prelude::*;
-use coordinated_sampling::stream::{ColocatedStreamSampler, DispersedStreamSampler};
+use coordinated_sampling::stream::{ColocatedStreamSampler, MultiAssignmentStreamSampler};
 
 const CASES: u64 = 48;
 
@@ -33,15 +33,16 @@ fn colocated_stream_equals_offline_on_shuffled_stream() {
 
         let mut sampler = ColocatedStreamSampler::new(config, data.num_assignments());
         for (key, weights) in &rows {
-            sampler.push(*key, weights).unwrap();
+            sampler.push_record(*key, weights).unwrap();
         }
         let streamed = sampler.finalize();
         assert_eq!(streamed, offline, "case {case}");
     }
 }
 
-/// `DispersedStreamSampler` over a shuffled observation stream (assignments
-/// interleaved arbitrarily) equals the offline `DispersedSummary` builder.
+/// `MultiAssignmentStreamSampler::push_observation` over a shuffled
+/// observation stream (assignments interleaved arbitrarily) equals the
+/// offline `DispersedSummary` builder.
 #[test]
 fn dispersed_stream_equals_offline_on_shuffled_stream() {
     for case in 0..CASES {
@@ -63,9 +64,9 @@ fn dispersed_stream_equals_offline_on_shuffled_stream() {
             .collect();
         shuffle(&mut observations, rng);
 
-        let mut sampler = DispersedStreamSampler::new(config, data.num_assignments());
+        let mut sampler = MultiAssignmentStreamSampler::new(config, data.num_assignments());
         for &(assignment, key, weight) in &observations {
-            sampler.push(assignment, key, weight).unwrap();
+            sampler.push_observation(key, assignment, weight).unwrap();
         }
         let streamed = sampler.finalize();
         assert_eq!(streamed, offline, "case {case}");
@@ -83,12 +84,17 @@ fn colocated_and_dispersed_streams_share_sketches() {
         let config = arb_config(rng);
 
         let mut colocated = ColocatedStreamSampler::new(config, data.num_assignments());
-        let mut dispersed = DispersedStreamSampler::new(config, data.num_assignments());
+        let mut observations = Vec::new();
         for (key, weights) in data.iter() {
-            colocated.push(key, weights).unwrap();
+            colocated.push_record(key, weights).unwrap();
             for (assignment, &w) in weights.iter().enumerate() {
-                dispersed.push(assignment, key, w).unwrap();
+                observations.push((key, assignment, w));
             }
+        }
+        shuffle(&mut observations, rng);
+        let mut dispersed = MultiAssignmentStreamSampler::new(config, data.num_assignments());
+        for &(key, assignment, weight) in &observations {
+            dispersed.push_observation(key, assignment, weight).unwrap();
         }
         let colocated = colocated.finalize();
         let dispersed = dispersed.finalize();
