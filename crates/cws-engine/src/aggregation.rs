@@ -82,6 +82,20 @@ const AGGREGATOR_STREAM: u64 = 0x5AAD_EDC0_DE00_0003;
 /// oldest first.
 pub type QuarantineDrain = (QuarantinedRecords, Vec<(Key, usize, f64)>);
 
+/// A staged absorb: slots resolved (new keys inserted as zero-weight rows)
+/// and admission settled, nothing combined. Holds what
+/// [`KeyAggregator::abort`] needs to restore the table exactly, and the
+/// poison the commit will quarantine.
+#[derive(Debug)]
+pub(crate) struct Staged {
+    old_len: usize,
+    old_table_len: usize,
+    /// The budget before admission charged the staged keys (governed
+    /// tables only).
+    old_budget: Option<BudgetGuard>,
+    poison: Vec<(Key, usize, f64, CwsError)>,
+}
+
 /// How a [`Pipeline`](crate::Pipeline) treats incoming weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {
@@ -327,10 +341,47 @@ impl KeyAggregator {
         }
     }
 
+    /// Opens a stage: the rollback point [`KeyAggregator::abort`] returns
+    /// to.
+    fn begin_stage(&self) -> Staged {
+        Staged {
+            old_len: self.keys.len(),
+            old_table_len: self.table.len(),
+            old_budget: self.governed.then(|| self.budget.clone()),
+            poison: Vec::new(),
+        }
+    }
+
+    /// Settles admission for everything a stage inserted: under a budget
+    /// the new keys are charged once for the whole batch, and a breach
+    /// aborts the stage and returns the typed error.
+    fn admit_stage(&mut self, staged: Staged) -> Result<Staged> {
+        if self.governed {
+            if let Err(error) = self.admit_new_keys(0) {
+                self.abort(staged);
+                return Err(error);
+            }
+        }
+        Ok(staged)
+    }
+
+    /// Aborts a stage: every key it inserted is removed, the index is
+    /// rebuilt at its old size and the budget restored, so the aggregator
+    /// is exactly as it was before the stage began. Nothing was combined
+    /// and nothing quarantined, so nothing else needs undoing.
+    pub(crate) fn abort(&mut self, staged: Staged) {
+        if self.keys.len() != staged.old_len || self.table.len() != staged.old_table_len {
+            self.rollback_keys_to(staged.old_len, staged.old_table_len);
+        }
+        if let Some(budget) = staged.old_budget {
+            self.budget = budget;
+        }
+    }
+
     /// Undoes every insert a batched path performed past `old_len` keys:
     /// truncates the dense storage and rebuilds the index at
     /// `old_table_len`, restoring the exact pre-batch state. `#[cold]` —
-    /// this is the cap-breach error path.
+    /// this is the cap-breach and failed-journal-sync path.
     #[cold]
     fn rollback_keys_to(&mut self, old_len: usize, old_table_len: usize) {
         self.keys.truncate(old_len);
@@ -480,7 +531,8 @@ impl KeyAggregator {
     /// chains: (1) validate every element, (2) resolve every key to its
     /// dense slot (the probe loop — nothing else competes for
     /// load-buffer entries, so consecutive probes overlap), (3) combine
-    /// the fragments into the lanes.
+    /// the fragments into the lanes. Passes 1 and 2 are the stage
+    /// (`stage_elements`), pass 3 the commit.
     ///
     /// # Errors
     /// Invalid elements (NaN/∞/negative weight, out-of-range assignment)
@@ -500,13 +552,21 @@ impl KeyAggregator {
     /// element-at-a-time absorption of the same truncated stream would
     /// report.
     pub fn absorb_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
-        // Snapshot for the all-or-nothing cap rollback; quarantines are
-        // staged locally and committed only once the batch is admitted, so
-        // a rejected batch leaves the ring and counters untouched too.
-        let old_len = self.keys.len();
-        let old_table_len = self.table.len();
-        let mut staged_poison: Vec<(Key, usize, f64, CwsError)> = Vec::new();
+        let staged = self.stage_elements(elements)?;
+        self.commit_elements(staged, elements)
+    }
 
+    /// Stages a batch of elements: validates every element (poison is
+    /// held in the stage, not yet quarantined), resolves every surviving
+    /// key to its dense slot and settles admission. Nothing is combined;
+    /// finish with [`KeyAggregator::commit_elements`] on the same batch or
+    /// undo with [`KeyAggregator::abort`].
+    ///
+    /// # Errors
+    /// [`CwsError::BudgetExceeded`] on a cap breach, with the stage
+    /// already aborted.
+    pub(crate) fn stage_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<Staged> {
+        let mut staged = self.begin_stage();
         // Pass 1: record-granular validation — poison elements are marked
         // with the sentinel so the later passes skip them.
         let mut slots = std::mem::take(&mut self.slot_scratch);
@@ -518,11 +578,11 @@ impl KeyAggregator {
                     index: assignment,
                     available: self.lanes.len(),
                 };
-                staged_poison.push((key, assignment, weight, error));
+                staged.poison.push((key, assignment, weight, error));
                 slots.push(Self::QUARANTINED);
             } else if !weight_is_valid(weight) {
                 let error = invalid_weight_error(key, assignment, weight);
-                staged_poison.push((key, assignment, weight, error));
+                staged.poison.push((key, assignment, weight, error));
                 slots.push(Self::QUARANTINED);
             } else {
                 slots.push(0);
@@ -535,30 +595,41 @@ impl KeyAggregator {
                 *slot = self.slot_of(key) as u32;
             }
         }
-        if self.governed {
-            if let Err(error) = self.admit_new_keys(0) {
-                self.rollback_keys_to(old_len, old_table_len);
-                self.slot_scratch = slots;
-                return Err(error);
-            }
-        }
-        for (key, assignment, weight, error) in staged_poison {
-            self.quarantine(key, assignment, weight, error);
-        }
+        self.slot_scratch = slots;
+        self.admit_stage(staged)
+    }
+
+    /// Commits a stage of `elements` (the batch it was staged from):
+    /// quarantines its poison, combines the surviving fragments into the
+    /// lanes and counts them absorbed.
+    ///
+    /// # Errors
+    /// As [`KeyAggregator::absorb_elements`]'s pass 3: a sum overflow.
+    pub(crate) fn commit_elements(
+        &mut self,
+        staged: Staged,
+        elements: &[(Key, usize, f64)],
+    ) -> Result<()> {
+        debug_assert_eq!(self.slot_scratch.len(), elements.len(), "commit the staged batch");
+        self.quarantine_staged(staged);
         // Pass 3: combine the surviving fragments into the lanes.
-        let mut result = Ok(());
-        for (&(key, assignment, weight), &slot) in elements.iter().zip(&slots) {
+        for (&(key, assignment, weight), &slot) in elements.iter().zip(&self.slot_scratch) {
             if slot == Self::QUARANTINED {
                 continue;
             }
             if !Self::combine(self.mode, &mut self.lanes[assignment][slot as usize], weight) {
-                result = Err(Self::overflow_error(key, assignment));
-                break;
+                return Err(Self::overflow_error(key, assignment));
             }
             self.absorbed += 1;
         }
-        self.slot_scratch = slots;
-        result
+        Ok(())
+    }
+
+    /// Moves a committed stage's poison into the dead-letter ring.
+    fn quarantine_staged(&mut self, staged: Staged) {
+        for (key, assignment, weight, error) in staged.poison {
+            self.quarantine(key, assignment, weight, error);
+        }
     }
 
     /// Absorbs one record-shaped fragment: a key with a full weight vector,
@@ -577,14 +648,50 @@ impl KeyAggregator {
     /// Panics if the vector length differs from the number of assignments.
     #[inline]
     pub fn absorb_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
+        let staged = self.stage_record(key, weights)?;
+        self.commit_record(staged, key, weights)
+    }
+
+    /// Stages one record-shaped fragment: validates it, settles admission
+    /// and resolves its slot. Finish with [`KeyAggregator::commit_record`]
+    /// or undo with [`KeyAggregator::abort`].
+    ///
+    /// # Errors
+    /// As [`KeyAggregator::absorb_record`], minus the overflow; the table
+    /// is untouched on error.
+    ///
+    /// # Panics
+    /// Panics if the vector length differs from the number of assignments.
+    pub(crate) fn stage_record(&mut self, key: Key, weights: &[f64]) -> Result<Staged> {
         assert_eq!(weights.len(), self.lanes.len(), "weight vector arity mismatch");
         if let Some(assignment) = first_invalid_weight(weights) {
             return Err(invalid_weight_error(key, assignment, weights[assignment]));
         }
+        let staged = self.begin_stage();
         if self.governed && self.find_slot(key).is_none() {
-            self.admit_new_keys(1)?;
+            if let Err(error) = self.admit_new_keys(1) {
+                self.abort(staged);
+                return Err(error);
+            }
         }
-        let slot = self.slot_of(key);
+        let slot = self.slot_of(key) as u32;
+        self.slot_scratch.clear();
+        self.slot_scratch.push(slot);
+        Ok(staged)
+    }
+
+    /// Commits a staged record: combines it lane-wise and counts it.
+    ///
+    /// # Errors
+    /// A sum overflow, as on [`KeyAggregator::absorb_record`].
+    pub(crate) fn commit_record(
+        &mut self,
+        staged: Staged,
+        key: Key,
+        weights: &[f64],
+    ) -> Result<()> {
+        debug_assert!(staged.poison.is_empty(), "a record stage never quarantines");
+        let slot = self.slot_scratch[0] as usize;
         for (assignment, (lane, &weight)) in self.lanes.iter_mut().zip(weights).enumerate() {
             if !Self::combine(self.mode, &mut lane[slot], weight) {
                 return Err(Self::overflow_error(key, assignment));
@@ -610,11 +717,25 @@ impl KeyAggregator {
     /// Panics if the batch's assignment count differs from the
     /// aggregator's.
     pub fn absorb_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        assert_eq!(columns.num_assignments(), self.lanes.len(), "weight vector arity mismatch");
-        let old_len = self.keys.len();
-        let old_table_len = self.table.len();
-        let mut staged_poison: Vec<(Key, usize, f64, CwsError)> = Vec::new();
+        let staged = self.stage_columns(columns)?;
+        self.commit_columns(staged, columns)
+    }
 
+    /// Stages a column batch: validates every row (poison rows are held
+    /// in the stage), resolves every surviving key's slot and settles
+    /// admission. Finish with [`KeyAggregator::commit_columns`] on the
+    /// same batch or undo with [`KeyAggregator::abort`].
+    ///
+    /// # Errors
+    /// [`CwsError::BudgetExceeded`] on a cap breach, with the stage
+    /// already aborted.
+    ///
+    /// # Panics
+    /// Panics if the batch's assignment count differs from the
+    /// aggregator's.
+    pub(crate) fn stage_columns(&mut self, columns: &RecordColumns) -> Result<Staged> {
+        assert_eq!(columns.num_assignments(), self.lanes.len(), "weight vector arity mismatch");
+        let mut staged = self.begin_stage();
         let mut slots = std::mem::take(&mut self.slot_scratch);
         slots.clear();
         slots.reserve(columns.len());
@@ -628,7 +749,7 @@ impl KeyAggregator {
                     let weight = columns.lane(assignment)[index];
                     if !weight_is_valid(weight) {
                         let error = invalid_weight_error(key, assignment, weight);
-                        staged_poison.push((key, assignment, weight, error));
+                        staged.poison.push((key, assignment, weight, error));
                         slots.push(Self::QUARANTINED);
                         continue 'rows;
                     }
@@ -641,32 +762,32 @@ impl KeyAggregator {
                 *slot = self.slot_of(key) as u32;
             }
         }
-        if self.governed {
-            if let Err(error) = self.admit_new_keys(0) {
-                self.rollback_keys_to(old_len, old_table_len);
-                self.slot_scratch = slots;
-                return Err(error);
-            }
-        }
-        for (key, assignment, weight, error) in staged_poison {
-            self.quarantine(key, assignment, weight, error);
-        }
-        let mut result = Ok(());
-        'combine: for (index, (&key, &slot)) in columns.keys().iter().zip(&slots).enumerate() {
+        self.slot_scratch = slots;
+        self.admit_stage(staged)
+    }
+
+    /// Commits a stage of `columns` (the batch it was staged from):
+    /// quarantines its poison rows, combines the rest lane-wise and counts
+    /// them absorbed.
+    ///
+    /// # Errors
+    /// A sum overflow, as on [`KeyAggregator::absorb_columns`].
+    pub(crate) fn commit_columns(&mut self, staged: Staged, columns: &RecordColumns) -> Result<()> {
+        debug_assert_eq!(self.slot_scratch.len(), columns.len(), "commit the staged batch");
+        self.quarantine_staged(staged);
+        for (index, (&key, &slot)) in columns.keys().iter().zip(&self.slot_scratch).enumerate() {
             if slot == Self::QUARANTINED {
                 continue;
             }
             for (assignment, lane) in self.lanes.iter_mut().enumerate() {
                 let weight = columns.lane(assignment)[index];
                 if !Self::combine(self.mode, &mut lane[slot as usize], weight) {
-                    result = Err(Self::overflow_error(key, assignment));
-                    break 'combine;
+                    return Err(Self::overflow_error(key, assignment));
                 }
             }
             self.absorbed += 1;
         }
-        self.slot_scratch = slots;
-        result
+        Ok(())
     }
 
     /// Finishes aggregation, handing the dense storage over as one
@@ -1001,6 +1122,200 @@ mod tests {
         aggregator.absorb_element(7, 0, f64::MAX).unwrap();
         aggregator.absorb_element(7, 0, f64::MAX).unwrap();
         assert_eq!(aggregator.absorbed(), 2);
+    }
+
+    /// Everything observable about an aggregator (scratch buffers
+    /// excluded), weights by bit pattern.
+    fn state(aggregator: &KeyAggregator) -> String {
+        let bits = |lane: &Vec<f64>| lane.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        let lanes: Vec<Vec<u64>> = aggregator.lanes.iter().map(bits).collect();
+        let letters: Vec<(Key, usize, u64)> =
+            aggregator.dead_letters.iter().map(|&(k, a, w)| (k, a, w.to_bits())).collect();
+        let budget = &aggregator.budget;
+        format!(
+            "{:?}",
+            (
+                (&aggregator.keys, lanes, &aggregator.table, aggregator.mask, aggregator.absorbed),
+                (letters, aggregator.quarantined_count, &aggregator.first_quarantine_error),
+                (budget.used_bytes(), budget.used_keys(), budget.peak_bytes()),
+            )
+        )
+    }
+
+    /// A seeded element batch over `keys` keys: mostly valid, one element
+    /// in sixteen poison (NaN, +∞, negative, or an out-of-range
+    /// assignment).
+    fn seeded_elements(seed: u64, len: usize, keys: u64) -> Vec<(Key, usize, f64)> {
+        let mut x = seed;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..len)
+            .map(|_| {
+                let (r, key) = (next(), next() % keys);
+                let weight = (r >> 11) as f64 / (1u64 << 53) as f64 * 100.0;
+                match r % 64 {
+                    0 => (key, 0, f64::NAN),
+                    1 => (key, 1, f64::INFINITY),
+                    2 => (key, 2, -weight - 1.0),
+                    3 => (key, 3, weight),
+                    _ => (key, (r % 3) as usize, weight),
+                }
+            })
+            .collect()
+    }
+
+    /// The same elements as a column batch of whole records (rows with a
+    /// poison lane included), and as record pushes.
+    fn as_columns(elements: &[(Key, usize, f64)]) -> RecordColumns {
+        let mut columns = RecordColumns::new(3);
+        for &(key, assignment, weight) in elements {
+            let mut row = [weight * 0.5 + 1.0, 1.0, weight];
+            row[assignment % 3] = weight;
+            columns.push(key, &row);
+        }
+        columns
+    }
+
+    fn budgets() -> [Option<ResourceBudget>; 3] {
+        [
+            None,
+            Some(ResourceBudget::unlimited().with_max_keys(1500)),
+            Some(ResourceBudget::unlimited().with_max_bytes(96 * 1024)),
+        ]
+    }
+
+    fn aggregator(mode: Aggregation, budget: &Option<ResourceBudget>) -> KeyAggregator {
+        let mut aggregator = KeyAggregator::new(mode, 3, 21);
+        if let Some(budget) = budget {
+            aggregator.set_budget(budget);
+        }
+        aggregator
+    }
+
+    /// Element-at-a-time absorption of everything the staged paths accept:
+    /// a different code path (probe, insert and combine per element).
+    /// Returns how many elements or rows it had to reject as poison.
+    fn absorb_scalar(
+        scalar: &mut KeyAggregator,
+        elements: &[(Key, usize, f64)],
+        columns: &RecordColumns,
+        record: (Key, [f64; 3]),
+    ) -> u64 {
+        let mut poison = 0;
+        for &(key, assignment, weight) in elements {
+            poison += u64::from(scalar.absorb_element(key, assignment, weight).is_err());
+        }
+        let rows = columns.keys().iter().enumerate().map(|(index, &key)| {
+            (key, [0, 1, 2].map(|assignment| columns.lane(assignment)[index]))
+        });
+        for (key, row) in rows.chain([record]) {
+            if !row.iter().all(|&weight| weight_is_valid(weight)) {
+                poison += 1;
+                continue;
+            }
+            for (assignment, &weight) in row.iter().enumerate() {
+                scalar.absorb_element(key, assignment, weight).unwrap();
+            }
+        }
+        poison
+    }
+
+    #[test]
+    fn stage_then_commit_is_bit_identical_to_absorb() {
+        for mode in [Aggregation::SumByKey, Aggregation::MaxByKey] {
+            for budget in budgets() {
+                let mut absorbed = aggregator(mode, &budget);
+                let mut staged = aggregator(mode, &budget);
+                let (mut scalar, mut poison) = (aggregator(mode, &None), 0);
+                let mut breaches = 0;
+                for round in 0..12u64 {
+                    let elements = seeded_elements(round, 700, 3000);
+                    let columns = as_columns(&elements[..300]);
+                    let (key, row) = (elements[0].0, [1.5, 0.0, 2.5]);
+                    let expected = absorbed.absorb_elements(&elements);
+                    let got = staged
+                        .stage_elements(&elements)
+                        .and_then(|stage| staged.commit_elements(stage, &elements));
+                    assert_eq!(format!("{expected:?}"), format!("{got:?}"));
+                    if let Err(CwsError::BudgetExceeded { .. }) = expected {
+                        breaches += 1;
+                        assert_eq!(absorbed.flush_columns(), staged.flush_columns());
+                    }
+                    let expected = absorbed.absorb_columns(&columns);
+                    let got = staged
+                        .stage_columns(&columns)
+                        .and_then(|stage| staged.commit_columns(stage, &columns));
+                    assert_eq!(format!("{expected:?}"), format!("{got:?}"));
+                    let expected = absorbed.absorb_record(key, &row);
+                    let got = staged
+                        .stage_record(key, &row)
+                        .and_then(|stage| staged.commit_record(stage, key, &row));
+                    assert_eq!(format!("{expected:?}"), format!("{got:?}"));
+                    assert_eq!(state(&absorbed), state(&staged), "{mode:?} round {round}");
+                    if budget.is_none() {
+                        poison += absorb_scalar(&mut scalar, &elements, &columns, (key, row));
+                        assert_eq!(scalar.keys, staged.keys, "{mode:?} round {round}");
+                        for (a, b) in
+                            scalar.lanes.iter().flatten().zip(staged.lanes.iter().flatten())
+                        {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{mode:?} round {round}");
+                        }
+                        assert_eq!(staged.quarantined_count, poison);
+                    }
+                }
+                assert_eq!(breaches > 0, budget.is_some(), "{budget:?} must be breached");
+            }
+        }
+    }
+
+    #[test]
+    fn stage_then_abort_leaves_the_aggregator_indistinguishable() {
+        for mode in [Aggregation::SumByKey, Aggregation::MaxByKey] {
+            for budget in budgets() {
+                let mut aggregator = aggregator(mode, &budget);
+                let mut breaches = 0;
+                for round in 0..12u64 {
+                    let elements = seeded_elements(100 + round, 700, 3000);
+                    let columns = as_columns(&elements[..300]);
+                    let before = state(&aggregator);
+                    let reference = aggregator.clone();
+                    match aggregator.stage_elements(&elements) {
+                        Ok(stage) => aggregator.abort(stage),
+                        Err(CwsError::BudgetExceeded { .. }) => breaches += 1,
+                        Err(other) => panic!("unexpected {other:?}"),
+                    }
+                    assert_eq!(state(&aggregator), before, "{mode:?} {budget:?} round {round}");
+                    if let Ok(stage) = aggregator.stage_columns(&columns) {
+                        aggregator.abort(stage);
+                    }
+                    assert_eq!(state(&aggregator), before);
+                    for (key, row) in
+                        [(elements[1].0, [1.0, 2.0, 3.0]), (u64::MAX, [1.0, 0.0, 2.0])]
+                    {
+                        if let Ok(stage) = aggregator.stage_record(key, &row) {
+                            aggregator.abort(stage);
+                        }
+                        assert_eq!(state(&aggregator), before);
+                    }
+                    // Indistinguishable in behaviour too: the next absorb
+                    // lands exactly where it would have without the abort.
+                    let mut untouched = reference;
+                    let expected = untouched.absorb_elements(&elements);
+                    let got = aggregator.absorb_elements(&elements);
+                    assert_eq!(format!("{expected:?}"), format!("{got:?}"));
+                    if got.is_err() {
+                        aggregator.flush_columns();
+                        untouched.flush_columns();
+                    }
+                    assert_eq!(state(&aggregator), state(&untouched));
+                }
+                assert_eq!(breaches > 0, budget.is_some(), "{budget:?} must be breached");
+            }
+        }
     }
 
     #[test]

@@ -36,8 +36,14 @@
 //! # Write-ahead journaling
 //!
 //! With a journal attached ([`PipelineBuilder::journal`]) the durable
-//! source is the pipeline's own write-ahead log: every push is journaled
-//! *before* it is ingested, tagged with the epoch it will publish under.
+//! source is the pipeline's own write-ahead log: every push is journaled,
+//! tagged with the epoch it will publish under, before any of its weight
+//! is ingested. Under [`SyncPolicy::PerBatch`] a push that returns `Ok` is
+//! durable, and a push that returns `Err` absorbed nothing and left no
+//! frame in the journal. The fsync runs on the journal's helper thread
+//! while the aggregation stage resolves the push's keys, but no weight is
+//! combined before the fsync has completed; a failed fsync aborts the
+//! staged keys and cuts the frame back off.
 //! [`publish_into`](EpochedPipeline::publish_into) writes an epoch barrier
 //! (always fsynced) before swapping epochs and prunes fully-covered
 //! segments after the snapshot commits; a finalize failure heals itself by
@@ -48,6 +54,7 @@
 //! restores the whole state — snapshot plus replayed tail — in one call.
 //!
 //! [`PipelineBuilder::journal`]: crate::pipeline::PipelineBuilder::journal
+//! [`SyncPolicy::PerBatch`]: crate::wal::SyncPolicy::PerBatch
 
 use std::sync::Arc;
 
@@ -57,11 +64,11 @@ use cws_core::summary::DispersedSummary;
 use cws_core::{CwsError, Key, Result};
 
 use crate::ingest::Ingest;
-use crate::pipeline::{Pipeline, PipelineBuilder};
+use crate::pipeline::{Pipeline, PipelineBuilder, Push};
 use crate::plan::{EstimateReport, QueryBatch, QuerySpec};
 use crate::store::SnapshotStore;
 use crate::summary::Summary;
-use crate::wal::frame::FramePayload;
+use crate::wal::frame::Frame;
 use crate::wal::{Journal, ReplayReport, WalOpenReport};
 
 /// Why (and how badly) the service is serving stale data — the payload of
@@ -434,60 +441,39 @@ impl EpochedPipeline {
     /// pipeline (so rejections match the original run exactly); the
     /// records of data frames it passes over count as skipped. Replayed
     /// records go straight to the pipeline, never back into the journal.
+    /// Frames are decoded in place and pushed record by record (never
+    /// through a columnar fast path, so a mid-batch rejection cannot
+    /// double-ingest a prefix).
     fn replay_frames(&mut self, replays: impl Fn(u64) -> bool) -> Result<ReplayReport> {
-        let frames = match self.journal.as_ref() {
-            Some(journal) => journal.read_frames()?,
-            None => {
-                return Err(CwsError::InvalidParameter {
-                    name: "journal",
-                    message: "replay needs a journaled pipeline".to_string(),
-                })
-            }
+        let Some(journal) = self.journal.as_ref() else {
+            return Err(CwsError::InvalidParameter {
+                name: "journal",
+                message: "replay needs a journaled pipeline".to_string(),
+            });
         };
+        let current = &mut self.current;
         let mut report = ReplayReport::default();
-        for frame in &frames {
-            if matches!(frame, FramePayload::Barrier { .. }) {
-                continue;
+        let mut row = Vec::with_capacity(current.num_assignments());
+        journal.for_each_frame(|frame| {
+            if matches!(frame, Frame::Barrier { .. }) {
+                return;
             }
             if !replays(frame.epoch()) {
                 report.records_skipped += frame.record_count() as u64;
-                continue;
+                return;
             }
             report.frames_replayed += 1;
-            let (accepted, rejected) = self.replay_frame(frame);
-            report.records_replayed += accepted;
-            report.rejected_records += rejected;
-        }
+            let mut tally = |pushed: Result<()>| match pushed {
+                Ok(()) => report.records_replayed += 1,
+                Err(_) => report.rejected_records += 1,
+            };
+            frame
+                .for_each_record(&mut row, |key, weights| tally(current.push_record(key, weights)));
+            for (key, assignment, weight) in frame.elements() {
+                tally(current.push_element(key, assignment as usize, weight));
+            }
+        })?;
         Ok(report)
-    }
-
-    /// Re-ingests one frame record by record (never through a columnar
-    /// fast path, so a mid-batch rejection cannot double-ingest a prefix).
-    /// Returns `(accepted, rejected)`.
-    fn replay_frame(&mut self, frame: &FramePayload) -> (u64, u64) {
-        let (mut accepted, mut rejected) = (0, 0);
-        match frame {
-            FramePayload::Barrier { .. } => {}
-            FramePayload::Records { keys, weights, .. } => {
-                let stride = self.current.num_assignments();
-                for (index, &key) in keys.iter().enumerate() {
-                    let row = &weights[index * stride..(index + 1) * stride];
-                    match self.current.push_record(key, row) {
-                        Ok(()) => accepted += 1,
-                        Err(_) => rejected += 1,
-                    }
-                }
-            }
-            FramePayload::Elements { items, .. } => {
-                for &(key, assignment, weight) in items {
-                    match self.current.push_element(key, assignment as usize, weight) {
-                        Ok(()) => accepted += 1,
-                        Err(_) => rejected += 1,
-                    }
-                }
-            }
-        }
-        (accepted, rejected)
     }
 
     /// Fault injection into the current epoch's sharded back-end — see
@@ -503,20 +489,32 @@ impl EpochedPipeline {
         self.current.inject_worker_fault(shard, fault)
     }
 
-    /// Write-ahead ordering, shared by every push: with a journal attached
-    /// the push is journaled under the epoch it will publish as **before**
-    /// the current pipeline sees it, so anything ingestion absorbed is
-    /// replayable. A failed append ingests nothing.
+    /// Write-ahead ordering, shared by every push. With a journal attached
+    /// the push's frames are written under the epoch it will publish as,
+    /// and while their fsync runs the current pipeline stages the push:
+    /// keys resolved, no weight combined. Once the fsync succeeded the
+    /// stage commits; if it failed the stage aborts and the journal has cut
+    /// the frames back off, so a failed push absorbs nothing and leaves
+    /// nothing to replay. A push the pipeline cannot stage (no aggregation
+    /// stage, a single element) runs after the fsync instead.
     #[inline]
-    fn journaled(
-        &mut self,
-        append: impl FnOnce(&mut Journal, u64) -> Result<()>,
-        ingest: impl FnOnce(&mut Pipeline) -> Result<()>,
-    ) -> Result<()> {
-        if let Some(journal) = self.journal.as_mut() {
-            append(journal, self.epoch + 1)?;
+    fn journaled(&mut self, push: Push<'_>) -> Result<()> {
+        let Some(journal) = self.journal.as_mut() else {
+            return self.current.push(push);
+        };
+        let overlap = self.current.stages(push);
+        journal.append(self.epoch + 1, push, overlap)?;
+        let staged = if overlap { self.current.stage(push) } else { None };
+        if let Err(error) = journal.settle() {
+            if let Some(staged) = staged {
+                self.current.abort(staged);
+            }
+            return Err(error);
         }
-        ingest(&mut self.current)
+        match staged {
+            Some(staged) => self.current.commit(staged, push),
+            None => self.current.push(push),
+        }
     }
 
     /// Absorbs one unaggregated element into the current epoch (requires an
@@ -528,10 +526,7 @@ impl EpochedPipeline {
     /// typed `BudgetExceeded` when the WAL byte budget is full — the
     /// element is then neither journaled nor ingested).
     pub fn push_element(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
-        self.journaled(
-            |journal, epoch| journal.append_element(epoch, key, assignment, weight),
-            |current| current.push_element(key, assignment, weight),
-        )
+        self.journaled(Push::Element(key, assignment, weight))
     }
 
     /// Absorbs a batch of unaggregated elements into the current epoch,
@@ -540,10 +535,7 @@ impl EpochedPipeline {
     /// # Errors
     /// As [`Pipeline::push_elements`], plus journal append errors.
     pub fn push_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
-        self.journaled(
-            |journal, epoch| journal.append_elements(epoch, elements),
-            |current| current.push_elements(elements),
-        )
+        self.journaled(Push::Elements(elements))
     }
 }
 
@@ -562,24 +554,15 @@ impl Ingest for EpochedPipeline {
     /// before the sampler sees it, so anything ingestion absorbed is
     /// replayable.
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        self.journaled(
-            |journal, epoch| journal.append_record(epoch, key, weights),
-            |current| current.push_record(key, weights),
-        )
+        self.journaled(Push::Record(key, weights))
     }
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        self.journaled(
-            |journal, epoch| journal.append_columns(epoch, columns),
-            |current| current.push_columns(columns),
-        )
+        self.journaled(Push::Columns(columns))
     }
 
     fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        self.journaled(
-            |journal, epoch| journal.append_columns(epoch, columns),
-            |current| current.push_columns_shared(columns),
-        )
+        self.journaled(Push::SharedColumns(columns))
     }
 
     /// Finalizes the current epoch without publishing it.
@@ -840,6 +823,111 @@ mod tests {
         epochs.publish().unwrap();
         assert_eq!(epochs.quarantined_lifetime().unwrap().count, 2);
         assert!(epochs.peak_tracked_bytes() >= peak_epoch1);
+    }
+
+    /// Bytes of every file in `dir`.
+    fn bytes_on_disk(dir: &std::path::Path) -> u64 {
+        std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().metadata().unwrap().len()).sum()
+    }
+
+    #[test]
+    fn failed_journal_appends_absorb_nothing_and_leave_no_frame() {
+        use crate::aggregation::Aggregation;
+        use crate::wal::journal::InjectedFault;
+        use crate::wal::{recover_from_store_and_wal, WalConfig};
+
+        let root =
+            std::env::temp_dir().join(format!("cws-continuous-walfail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (wal, store_dir) = (root.join("wal"), root.join("store"));
+        let aggregating = || dispersed_builder().aggregation(Aggregation::SumByKey);
+        let journaled = || aggregating().journal(WalConfig::new(&wal));
+        // Seeded element batches over a shared key range, one NaN each.
+        let batch = |seed: u64| -> Vec<(Key, usize, f64)> {
+            (0..600u64)
+                .map(|i| {
+                    let weight = if i == seed { f64::NAN } else { ((i * seed) % 9) as f64 + 0.5 };
+                    ((i * 7 + seed * 131) % 400, (i % 2) as usize, weight)
+                })
+                .collect()
+        };
+        let (first, second) = (batch(17), batch(23));
+        let mut columns = RecordColumns::new(2);
+        columns.push(1_000, &[1.0, 2.0]);
+        columns.push(3, &[0.5, f64::INFINITY]);
+
+        let mut store = SnapshotStore::open(&store_dir, 4).unwrap();
+        let mut epochs = EpochedPipeline::new(journaled()).unwrap();
+        epochs.push_elements(&first).unwrap();
+        let observe = |epochs: &EpochedPipeline| {
+            let aggregator = epochs.current.aggregator().unwrap();
+            let quarantine = format!("{:?}", epochs.quarantined_lifetime());
+            let journal = epochs.journal().unwrap();
+            let columns = aggregator.clone().into_columns();
+            (epochs.processed(), columns, quarantine, journal.total_bytes(), bytes_on_disk(&wal))
+        };
+        let before = observe(&epochs);
+        for fault in [InjectedFault::Sync, InjectedFault::TornWrite] {
+            type PushFn<'a> = &'a dyn Fn(&mut EpochedPipeline) -> Result<()>;
+            let pushes: [PushFn<'_>; 4] = [
+                &|e| e.push_elements(&second),
+                &|e| e.push_columns(&columns),
+                &|e| e.push_record(5_000, &[1.0, 1.0]),
+                &|e| e.push_element(6_000, 1, 2.0),
+            ];
+            for push in pushes {
+                epochs.journal.as_mut().unwrap().fail_next(fault);
+                let error = push(&mut epochs).unwrap_err();
+                assert!(matches!(error, CwsError::Store { .. }), "{fault:?}: {error:?}");
+                assert_eq!(observe(&epochs), before, "{fault:?}: the failed push left a trace");
+            }
+        }
+        // The retry succeeds, and a crash right after it recovers exactly
+        // one copy of each batch.
+        epochs.push_elements(&second).unwrap();
+        drop(epochs);
+        let recovered = recover_from_store_and_wal(journaled(), &mut store).unwrap();
+        assert_eq!(recovered.replay.frames_replayed, 2);
+        assert_eq!(recovered.replay.records_replayed + recovered.replay.rejected_records, 1200);
+        assert_eq!(recovered.replay.rejected_records, 2, "exactly the two NaNs");
+        let mut undisturbed = EpochedPipeline::new(aggregating()).unwrap();
+        undisturbed.push_elements(&first).unwrap();
+        undisturbed.push_elements(&second).unwrap();
+        let mut recovered = recovered.pipeline;
+        assert_eq!(recovered.publish().unwrap().summary, undisturbed.publish().unwrap().summary);
+
+        // A pipeline without an aggregation stage takes the same path.
+        let plain_wal = root.join("plain-wal");
+        let mut plain =
+            EpochedPipeline::new(dispersed_builder().journal(WalConfig::new(&plain_wal))).unwrap();
+        plain.push_record(1, &[1.0, 2.0]).unwrap();
+        plain.journal.as_mut().unwrap().fail_next(InjectedFault::Sync);
+        assert!(matches!(plain.push_record(2, &[1.0, 2.0]), Err(CwsError::Store { .. })));
+        assert_eq!(plain.processed(), 1);
+        let on_disk = bytes_on_disk(&plain_wal);
+
+        // When the failed append cannot be cut back off either, the
+        // journal refuses every later write — pushes and barriers — with a
+        // typed error until recovery reopens it.
+        let journal = plain.journal.as_mut().unwrap();
+        journal.fail_next(InjectedFault::Sync);
+        journal.fail_next(InjectedFault::CutBack);
+        assert!(matches!(plain.push_record(3, &[1.0, 2.0]), Err(CwsError::Store { .. })));
+        assert!(bytes_on_disk(&plain_wal) > on_disk, "the frame could not be cut back off");
+        for _ in 0..2 {
+            match plain.push_record(4, &[1.0, 2.0]) {
+                Err(CwsError::Store { op: "append", message, .. }) => {
+                    assert!(message.contains("refuses appends"), "{message}");
+                }
+                other => panic!("expected a refused append, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            plain.publish_into(&mut store),
+            Err(CwsError::Store { op: "append", .. })
+        ));
+        assert_eq!(plain.processed(), 1);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use cws_stream::{
     MultiAssignmentStreamSampler, ShardedDispersedSampler,
 };
 
-use crate::aggregation::{Aggregation, KeyAggregator};
+use crate::aggregation::{Aggregation, KeyAggregator, Staged};
 use crate::ingest::Ingest;
 use crate::plan::EstimateReport;
 use crate::summary::Summary;
@@ -367,6 +367,18 @@ impl PipelineBuilder {
     }
 }
 
+/// One push into a pipeline, in the shape its caller made it: what the
+/// journaled [`EpochedPipeline`](crate::continuous::EpochedPipeline)
+/// frames, stages and commits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Push<'a> {
+    Record(Key, &'a [f64]),
+    Columns(&'a RecordColumns),
+    SharedColumns(&'a Arc<RecordColumns>),
+    Element(Key, usize, f64),
+    Elements(&'a [(Key, usize, f64)]),
+}
+
 /// The selected sampling back-end (an implementation detail of
 /// [`Pipeline`]; every variant implements [`Ingest`]).
 enum Backend {
@@ -674,6 +686,80 @@ impl Pipeline {
             }
             other => other,
         }
+    }
+}
+
+/// Staged pushes: the journaled epoch wrapper stages a push while its
+/// fsync is in flight, then commits or aborts it by the fsync's outcome.
+impl Pipeline {
+    /// Pushes `push` through the method of its shape.
+    pub(crate) fn push(&mut self, push: Push<'_>) -> Result<()> {
+        match push {
+            Push::Record(key, weights) => self.push_record(key, weights),
+            Push::Columns(columns) => self.push_columns(columns),
+            Push::SharedColumns(columns) => self.push_columns_shared(columns),
+            Push::Element(key, assignment, weight) => self.push_element(key, assignment, weight),
+            Push::Elements(elements) => self.push_elements(elements),
+        }
+    }
+
+    /// `true` when [`stage`](Self::stage) has work for `push`: the
+    /// pipeline aggregates and `push` is a record or a batch.
+    pub(crate) fn stages(&self, push: Push<'_>) -> bool {
+        self.aggregator.is_some() && !matches!(push, Push::Element(..))
+    }
+
+    /// Stages `push` in the aggregation table: validated, slots resolved,
+    /// admission settled, no weight combined. [`commit`](Self::commit)
+    /// then finishes it exactly as [`push`](Self::push) would have, and
+    /// [`abort`](Self::abort) leaves the pipeline as if it never happened.
+    ///
+    /// `None`, with nothing changed, when there is nothing to stage or
+    /// staging would not match `push`: no aggregation stage, a single
+    /// element, a pending flush-early hand-off, an expired deadline, an
+    /// invalid record or a budget breach. The caller then runs
+    /// [`push`](Self::push), which settles each of those as it always has.
+    pub(crate) fn stage(&mut self, push: Push<'_>) -> Option<Staged> {
+        if self.unsent.is_some() || self.check_ingest_deadline().is_err() {
+            return None;
+        }
+        let aggregator = self.aggregator.as_mut()?;
+        match push {
+            Push::Record(key, weights) => aggregator.stage_record(key, weights),
+            Push::Columns(columns) => aggregator.stage_columns(columns),
+            Push::SharedColumns(columns) => aggregator.stage_columns(columns),
+            Push::Elements(elements) => aggregator.stage_elements(elements),
+            Push::Element(..) => return None,
+        }
+        .ok()
+    }
+
+    /// Commits what [`stage`](Self::stage) staged from the same `push`.
+    ///
+    /// # Errors
+    /// A sum overflow, as on the push method of `push`'s shape.
+    pub(crate) fn commit(&mut self, staged: Staged, push: Push<'_>) -> Result<()> {
+        let aggregator = self.aggregator.as_mut().expect("only an aggregating pipeline stages");
+        match push {
+            Push::Record(key, weights) => aggregator.commit_record(staged, key, weights),
+            Push::Columns(columns) => aggregator.commit_columns(staged, columns),
+            Push::SharedColumns(columns) => aggregator.commit_columns(staged, columns),
+            Push::Elements(elements) => aggregator.commit_elements(staged, elements),
+            Push::Element(..) => unreachable!("single elements are never staged"),
+        }
+    }
+
+    /// Undoes what [`stage`](Self::stage) staged.
+    pub(crate) fn abort(&mut self, staged: Staged) {
+        if let Some(aggregator) = self.aggregator.as_mut() {
+            aggregator.abort(staged);
+        }
+    }
+
+    /// The aggregation stage, for tests that compare its state.
+    #[cfg(test)]
+    pub(crate) fn aggregator(&self) -> Option<&KeyAggregator> {
+        self.aggregator.as_ref()
     }
 }
 

@@ -1,23 +1,32 @@
 //! The segmented write-ahead journal: configuration, appends, rotation,
 //! fsync policy, open-time torn-tail recovery, and watermark pruning.
+//!
+//! An append is two calls. [`Journal::append`] encodes the push's frames
+//! into one journal-owned buffer, writes them, and starts the fsync the
+//! policy asks for — on the journal's helper thread when the caller has
+//! work to overlap with it. [`Journal::settle`] waits for that fsync. If
+//! the write or the fsync failed, the append is cut back off the segment
+//! (truncated to its old length and fsynced), so a failed append leaves no
+//! frame behind; if even that fails, the journal refuses every later
+//! append until recovery reopens it.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 use cws_core::budget::ResourceBudget;
 use cws_core::columns::RecordColumns;
 use cws_core::durable::{fs_error, sync_dir, TEMP_SUFFIX};
-use cws_core::{CwsError, Key, Result};
+use cws_core::{CwsError, Result};
 
-use super::frame::{
-    encode_barrier, encode_elements, encode_records, max_records_per_frame, FramePayload,
-    MAX_ELEMENTS_PER_FRAME,
-};
+use super::frame::{encode_barrier, encode_elements, encode_records, Frame};
 use super::segment::{
     create_segment, decode_header, parse_segment_seq, scan_frames, QUARANTINE_SUFFIX,
     SEGMENT_HEADER_BYTES,
 };
+use crate::pipeline::Push;
 
 /// When journal appends are flushed to stable storage.
 ///
@@ -27,8 +36,11 @@ use super::segment::{
 /// unpublished* window a power loss may cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Fsync after every append — the zero-loss default; each accepted
-    /// record is durable before ingestion sees it.
+    /// Fsync after every append — the zero-loss default. A push that
+    /// returns `Ok` is durable. A push that returns `Err` absorbed nothing
+    /// and left no frame behind. While the fsync is in flight the pipeline
+    /// may already resolve the push's keys in its aggregation table, but it
+    /// combines no weight before the fsync has succeeded.
     PerBatch,
     /// Fsync after every `n` appends — bounded loss (at most the last `n`
     /// batches on power failure; process crashes lose nothing since the OS
@@ -122,7 +134,8 @@ pub struct WalOpenReport {
 
 #[derive(Debug)]
 struct ActiveSegment {
-    file: fs::File,
+    /// Shared with the fsync helper while a sync is in flight.
+    file: Arc<fs::File>,
     path: PathBuf,
     seq: u64,
     len: u64,
@@ -134,6 +147,90 @@ struct SealedSegment {
     path: PathBuf,
     len: u64,
     max_epoch: Option<u64>,
+}
+
+/// Frame buffers that grew past this are released after their append
+/// instead of being kept for the next one.
+const RETAINED_FRAME_BYTES: usize = 4 << 20;
+
+/// Where a written append's fsync runs, if it has one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PendingSync {
+    None,
+    /// On the caller's thread, inside [`Journal::settle`].
+    Inline,
+    /// Already running on the helper thread.
+    Helper,
+}
+
+/// An append that is written but not yet settled: what
+/// [`Journal::settle`] needs to keep it or cut it back off.
+#[derive(Debug)]
+struct Unsettled {
+    /// Active segment length and epoch watermark before the append.
+    len: u64,
+    max_epoch: Option<u64>,
+    sync: PendingSync,
+    /// The segment must rotate once this append is durable (a barrier,
+    /// or the segment reached its byte cap).
+    seal: bool,
+}
+
+/// The journal's fsync helper: one persistent thread that runs `sync_all`
+/// on the active segment while the caller stages the push, joined when the
+/// journal drops. Spawning a thread per append would cost more than the
+/// overlap saves.
+#[derive(Debug)]
+struct SyncHelper {
+    requests: Option<mpsc::Sender<Arc<fs::File>>>,
+    results: mpsc::Receiver<io::Result<()>>,
+    worker: Option<thread::JoinHandle<()>>,
+}
+
+impl SyncHelper {
+    fn spawn() -> io::Result<Self> {
+        let (requests, inbox) = mpsc::channel::<Arc<fs::File>>();
+        let (outbox, results) = mpsc::channel();
+        let worker = thread::Builder::new().name("cws-wal-fsync".to_string()).spawn(move || {
+            for file in inbox {
+                if outbox.send(file.sync_all()).is_err() {
+                    break;
+                }
+            }
+        })?;
+        Ok(Self { requests: Some(requests), results, worker: Some(worker) })
+    }
+
+    /// Starts an fsync of `file`; `false` if the helper is gone.
+    fn start(&self, file: &Arc<fs::File>) -> bool {
+        self.requests.as_ref().is_some_and(|requests| requests.send(Arc::clone(file)).is_ok())
+    }
+
+    /// Waits for the fsync [`start`](Self::start) began.
+    fn wait(&self) -> io::Result<()> {
+        self.results.recv().unwrap_or_else(|_| Err(io::Error::other("the fsync helper exited")))
+    }
+}
+
+impl Drop for SyncHelper {
+    fn drop(&mut self) {
+        self.requests = None;
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// Failures a test can arm for the journal's next write, fsync or cut-back.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum InjectedFault {
+    /// The next append writes half its bytes, then fails.
+    TornWrite,
+    /// The next fsync fails.
+    Sync,
+    /// The next cut-back of a failed append fails, leaving the frame.
+    CutBack,
 }
 
 /// A segmented write-ahead journal of ingestion batches.
@@ -151,8 +248,21 @@ pub struct Journal {
     num_assignments: usize,
     sealed: Vec<SealedSegment>,
     active: ActiveSegment,
+    /// Appends written since the last successful fsync.
     appended_since_sync: u64,
     suppress_prune: bool,
+    /// The frame buffer, reused across appends.
+    buf: Vec<u8>,
+    unsettled: Option<Unsettled>,
+    /// Spawned at the first overlapped fsync.
+    helper: Option<SyncHelper>,
+    /// The active segment is sealed durable and must rotate. Cleared by a
+    /// successful rotation, so a failed one is retried at the next append.
+    rotate_due: bool,
+    /// Why appends are refused: a failed append could not be cut back off.
+    refused: Option<String>,
+    #[cfg(test)]
+    faults: Vec<InjectedFault>,
 }
 
 impl Journal {
@@ -255,7 +365,7 @@ impl Journal {
                     ),
                 });
             }
-            let scan = scan_frames(&bytes, num_assignments);
+            let scan = scan_frames(&bytes, num_assignments, |_| {});
             if scan.torn.is_some() {
                 let file = fs::OpenOptions::new()
                     .write(true)
@@ -267,7 +377,7 @@ impl Journal {
                 report.truncated_bytes += bytes.len() as u64 - scan.clean_len;
                 condemn_rest = true;
             }
-            report.clean_frames += scan.frames.len();
+            report.clean_frames += scan.frames;
             report.segments_kept += 1;
             sealed.push(SealedSegment { path, len: scan.clean_len, max_epoch: scan.max_epoch });
         }
@@ -276,7 +386,7 @@ impl Journal {
         let next_seq = max_seq_seen.map_or(0, |m| m + 1);
         let (path, file) = create_segment(&dir, next_seq, num_assignments as u64)?;
         let active = ActiveSegment {
-            file,
+            file: Arc::new(file),
             path,
             seq: next_seq,
             len: SEGMENT_HEADER_BYTES as u64,
@@ -292,6 +402,13 @@ impl Journal {
             active,
             appended_since_sync: 0,
             suppress_prune: false,
+            buf: Vec::new(),
+            unsettled: None,
+            helper: None,
+            rotate_due: false,
+            refused: None,
+            #[cfg(test)]
+            faults: Vec::new(),
         };
         Ok((journal, report))
     }
@@ -349,121 +466,82 @@ impl Journal {
         }
     }
 
-    /// Journals one whole record under `epoch`.
-    pub(crate) fn append_record(&mut self, epoch: u64, key: Key, weights: &[f64]) -> Result<()> {
-        self.check_record_shape(weights.len())?;
-        let frame = encode_records(epoch, &[key], weights, self.num_assignments);
-        self.append_frame(&frame, false, epoch)
+    /// Frames `push` under `epoch` into the journal's buffer — records
+    /// and elements copied once, straight from the caller's slices — and
+    /// writes the frames. If the sync policy asks for an fsync, it starts
+    /// on the helper thread when `overlap` says the caller has work to do
+    /// meanwhile, and runs inside [`settle`](Self::settle) otherwise.
+    /// Every `append` must be followed by `settle` before the push counts.
+    /// An empty batch writes nothing.
+    ///
+    /// # Errors
+    /// Before anything is written: `InvalidParameter` for a record of the
+    /// wrong arity or an assignment index beyond `u32`, `BudgetExceeded`
+    /// (`"wal-bytes"`) when the frames would overflow the byte cap, and a
+    /// typed `Store` error once appends are refused. A failed write is a
+    /// `Store` error with the torn bytes already cut back off.
+    pub(crate) fn append(&mut self, epoch: u64, push: Push<'_>, overlap: bool) -> Result<()> {
+        self.settle()?;
+        self.buf.clear();
+        let num_assignments = self.num_assignments;
+        match push {
+            Push::Record(key, weights) => {
+                self.check_record_shape(weights.len())?;
+                encode_records(&mut self.buf, epoch, &[key], num_assignments, |_, a| weights[a]);
+            }
+            Push::Columns(columns) => self.encode_columns(epoch, columns)?,
+            Push::SharedColumns(columns) => self.encode_columns(epoch, columns)?,
+            Push::Element(key, assignment, weight) => {
+                encode_elements(&mut self.buf, epoch, &[(key, assignment, weight)])?;
+            }
+            Push::Elements(elements) => encode_elements(&mut self.buf, epoch, elements)?,
+        }
+        self.write_buffered(epoch, false, overlap)
     }
 
-    /// Journals a columnar batch under `epoch`, chunked to the frame cap.
-    pub(crate) fn append_columns(&mut self, epoch: u64, columns: &RecordColumns) -> Result<()> {
+    fn encode_columns(&mut self, epoch: u64, columns: &RecordColumns) -> Result<()> {
         self.check_record_shape(columns.num_assignments())?;
-        let keys = columns.keys();
-        let cap = max_records_per_frame(self.num_assignments);
-        let mut row = Vec::with_capacity(self.num_assignments);
-        let mut start = 0;
-        while start < keys.len() {
-            let len = cap.min(keys.len() - start);
-            let mut weights = Vec::with_capacity(len * self.num_assignments);
-            for index in start..start + len {
-                columns.copy_row_into(index, &mut row);
-                weights.extend_from_slice(&row);
-            }
-            let frame =
-                encode_records(epoch, &keys[start..start + len], &weights, self.num_assignments);
-            self.append_frame(&frame, false, epoch)?;
-            start += len;
-        }
+        let weight = |row: usize, assignment: usize| columns.lane(assignment)[row];
+        encode_records(&mut self.buf, epoch, columns.keys(), self.num_assignments, weight);
         Ok(())
-    }
-
-    /// Journals unaggregated elements under `epoch`, chunked to the frame
-    /// cap. Assignment indices must fit `u32` (anything larger could not
-    /// round-trip); semantic validation stays with the pipeline so replay
-    /// reproduces its accept/reject decisions exactly.
-    pub(crate) fn append_elements(
-        &mut self,
-        epoch: u64,
-        elements: &[(Key, usize, f64)],
-    ) -> Result<()> {
-        let mut items = Vec::with_capacity(elements.len().min(MAX_ELEMENTS_PER_FRAME));
-        for chunk in elements.chunks(MAX_ELEMENTS_PER_FRAME.max(1)) {
-            items.clear();
-            for &(key, assignment, weight) in chunk {
-                let assignment =
-                    u32::try_from(assignment).map_err(|_| CwsError::InvalidParameter {
-                        name: "assignment",
-                        message: format!("assignment index {assignment} does not fit the journal"),
-                    })?;
-                items.push((key, assignment, weight));
-            }
-            let frame = encode_elements(epoch, &items);
-            self.append_frame(&frame, false, epoch)?;
-        }
-        Ok(())
-    }
-
-    /// Journals one unaggregated element under `epoch`.
-    pub(crate) fn append_element(
-        &mut self,
-        epoch: u64,
-        key: Key,
-        assignment: usize,
-        weight: f64,
-    ) -> Result<()> {
-        self.append_elements(epoch, &[(key, assignment, weight)])
     }
 
     /// Writes an epoch barrier: everything journaled before it belongs to
     /// `epoch`. Always fsyncs and rotates, so by the time the snapshot of
     /// `epoch` commits, every record it covers is durable in a sealed
     /// segment that [`mark_covered`](Self::mark_covered) can later reclaim
-    /// whole.
+    /// whole. A failed rotation does not fail the barrier: the frames are
+    /// durable, and the rotation is retried at the next append.
     pub(crate) fn barrier(&mut self, epoch: u64) -> Result<()> {
-        let frame = encode_barrier(epoch);
-        self.append_frame(&frame, true, epoch)
+        self.settle()?;
+        self.buf.clear();
+        encode_barrier(&mut self.buf, epoch);
+        self.write_buffered(epoch, true, false)?;
+        self.settle()
     }
 
-    /// Records that every epoch up to and including `epoch` is covered by a
-    /// durable snapshot, deleting sealed segments whose frames are all
-    /// covered. Returns how many segments were reclaimed. A no-op while
-    /// pruning is suppressed.
-    pub(crate) fn mark_covered(&mut self, epoch: u64) -> Result<usize> {
-        if self.suppress_prune {
-            return Ok(0);
+    /// Writes the buffered frames to the active segment and records the
+    /// append as unsettled, starting its fsync if one is due.
+    fn write_buffered(&mut self, epoch: u64, is_barrier: bool, overlap: bool) -> Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
         }
-        let mut pruned = 0;
-        while let Some(first) = self.sealed.first() {
-            if first.max_epoch.is_some_and(|tag| tag > epoch) {
-                break;
-            }
-            let segment = self.sealed.remove(0);
-            fs::remove_file(&segment.path).map_err(|e| fs_error("remove", &segment.path, &e))?;
-            pruned += 1;
+        if let Some(reason) = &self.refused {
+            return Err(CwsError::Store {
+                op: "append",
+                path: self.active.path.display().to_string(),
+                message: format!(
+                    "the journal refuses appends until recovery reopens it: a failed append \
+                     could not be cut back off ({reason})"
+                ),
+            });
         }
-        if pruned > 0 {
-            sync_dir(&self.dir)?;
+        if self.rotate_due {
+            let _ = self.rotate();
         }
-        Ok(pruned)
-    }
-
-    /// Reads every clean frame currently in the journal, oldest first
-    /// (sealed segments then the active one).
-    pub(crate) fn read_frames(&self) -> Result<Vec<FramePayload>> {
-        let mut frames = Vec::new();
-        let paths = self.sealed.iter().map(|s| &s.path).chain(std::iter::once(&self.active.path));
-        for path in paths {
-            let bytes = fs::read(path).map_err(|e| fs_error("read", path, &e))?;
-            frames.extend(scan_frames(&bytes, self.num_assignments).frames);
-        }
-        Ok(frames)
-    }
-
-    fn append_frame(&mut self, frame: &[u8], is_barrier: bool, epoch: u64) -> Result<()> {
         if let (Some(limit), false) = (self.max_bytes, is_barrier) {
             let used = self.total_bytes();
-            let requested = frame.len() as u64;
+            let requested = self.buf.len() as u64;
             if used + requested > limit {
                 return Err(CwsError::BudgetExceeded {
                     resource: "wal-bytes",
@@ -473,47 +551,194 @@ impl Journal {
                 });
             }
         }
-        self.active.file.write_all(frame).map_err(|e| fs_error("append", &self.active.path, &e))?;
-        self.active.len += frame.len() as u64;
-        self.active.max_epoch =
-            Some(self.active.max_epoch.map_or(epoch, |seen: u64| seen.max(epoch)));
-        if is_barrier {
-            self.sync_active()?;
-            return self.rotate();
+        let (len, max_epoch) = (self.active.len, self.active.max_epoch);
+        if let Err(error) = self.write_frames() {
+            let error = fs_error("append", &self.active.path, &error);
+            self.cut_back(len, max_epoch);
+            return Err(error);
         }
-        let synced = match self.sync {
-            SyncPolicy::PerBatch => true,
-            SyncPolicy::EveryN(n) => {
-                self.appended_since_sync += 1;
-                self.appended_since_sync >= n
-            }
-            SyncPolicy::OnRotate => false,
+        self.active.len += self.buf.len() as u64;
+        self.active.max_epoch = Some(max_epoch.map_or(epoch, |seen: u64| seen.max(epoch)));
+        self.appended_since_sync += 1;
+        // A segment is sealed durable: sync before rotating, whether the
+        // policy or the rotation asked for it.
+        let seal = is_barrier || self.rotate_due || self.active.len >= self.segment_bytes;
+        let due = seal
+            || match self.sync {
+                SyncPolicy::PerBatch => true,
+                SyncPolicy::EveryN(n) => self.appended_since_sync >= n,
+                SyncPolicy::OnRotate => false,
+            };
+        let sync = match (due, overlap) {
+            (false, _) => PendingSync::None,
+            (true, false) => PendingSync::Inline,
+            (true, true) => self.start_helper_sync(),
         };
-        // A segment is sealed durable: sync before rotating, once, whether
-        // the policy or the rotation asked for it.
-        let rotating = self.active.len >= self.segment_bytes;
-        if synced || rotating {
-            self.sync_active()?;
-        }
-        if rotating {
-            self.rotate()?;
+        self.unsettled = Some(Unsettled { len, max_epoch, sync, seal });
+        if self.buf.capacity() > RETAINED_FRAME_BYTES {
+            self.buf = Vec::new();
         }
         Ok(())
     }
 
-    fn sync_active(&mut self) -> Result<()> {
-        self.active.file.sync_all().map_err(|e| fs_error("fsync", &self.active.path, &e))?;
+    fn write_frames(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        if self.take_fault(InjectedFault::TornWrite) {
+            (&*self.active.file).write_all(&self.buf[..self.buf.len() / 2])?;
+            return Err(io::Error::other("injected torn write"));
+        }
+        (&*self.active.file).write_all(&self.buf)
+    }
+
+    /// Hands the active segment's fsync to the helper thread, spawning it
+    /// on first use; falls back to an inline fsync if it cannot run.
+    fn start_helper_sync(&mut self) -> PendingSync {
+        if self.helper.is_none() {
+            self.helper = SyncHelper::spawn().ok();
+        }
+        match &self.helper {
+            Some(helper) if helper.start(&self.active.file) => PendingSync::Helper,
+            _ => PendingSync::Inline,
+        }
+    }
+
+    /// Completes the last [`append`](Self::append): waits for its fsync
+    /// (or runs it), then rotates if the segment is due. A no-op when
+    /// nothing is unsettled.
+    ///
+    /// # Errors
+    /// A typed `Store` error when the fsync failed; the append has then
+    /// been cut back off the segment.
+    pub(crate) fn settle(&mut self) -> Result<()> {
+        let Some(unsettled) = self.unsettled.take() else {
+            return Ok(());
+        };
+        let synced = match unsettled.sync {
+            PendingSync::None => return Ok(()),
+            PendingSync::Inline => self.active.file.sync_all(),
+            PendingSync::Helper => self.helper.as_ref().expect("the helper started it").wait(),
+        };
+        #[cfg(test)]
+        let synced = match self.take_fault(InjectedFault::Sync) {
+            true => Err(io::Error::other("injected fsync failure")),
+            false => synced,
+        };
+        if let Err(error) = synced {
+            let error = fs_error("fsync", &self.active.path, &error);
+            self.cut_back(unsettled.len, unsettled.max_epoch);
+            return Err(error);
+        }
         self.appended_since_sync = 0;
+        self.rotate_due |= unsettled.seal;
+        if self.rotate_due {
+            // Best-effort: the frames are durable either way, and a failed
+            // rotation is retried at the next append.
+            let _ = self.rotate();
+        }
+        Ok(())
+    }
+
+    /// Cuts a failed append back off the active segment: truncates it to
+    /// `len` and fsyncs. If that fails too, the segment may still hold the
+    /// frame, whole or torn, so every later append is refused until
+    /// recovery reopens the journal and truncates at the last clean frame.
+    #[cold]
+    fn cut_back(&mut self, len: u64, max_epoch: Option<u64>) {
+        #[cfg(test)]
+        if self.take_fault(InjectedFault::CutBack) {
+            self.refused = Some("injected truncate failure".to_string());
+            return;
+        }
+        let file = &self.active.file;
+        match file.set_len(len).and_then(|()| file.sync_all()) {
+            Ok(()) => {
+                self.active.len = len;
+                self.active.max_epoch = max_epoch;
+                self.appended_since_sync = 0;
+            }
+            Err(error) => self.refused = Some(error.to_string()),
+        }
+    }
+
+    /// Arms `fault` for the next write, fsync or cut-back it names.
+    #[cfg(test)]
+    pub(crate) fn fail_next(&mut self, fault: InjectedFault) {
+        self.faults.push(fault);
+    }
+
+    /// Disarms and reports `fault` if a test armed it.
+    #[cfg(test)]
+    fn take_fault(&mut self, fault: InjectedFault) -> bool {
+        let armed = self.faults.iter().position(|armed| *armed == fault);
+        armed.map(|at| self.faults.remove(at)).is_some()
+    }
+
+    /// Records that every epoch up to and including `epoch` is covered by a
+    /// durable snapshot, deleting sealed segments whose frames are all
+    /// covered. Returns how many segments were reclaimed. A no-op while
+    /// pruning is suppressed.
+    ///
+    /// # Errors
+    /// The first failed unlink, as a typed `Store` error. A segment that
+    /// could not be deleted stays listed — and counted by
+    /// [`total_bytes`](Self::total_bytes) — so the next call retries it.
+    pub(crate) fn mark_covered(&mut self, epoch: u64) -> Result<usize> {
+        if self.suppress_prune {
+            return Ok(0);
+        }
+        let covered = self
+            .sealed
+            .iter()
+            .take_while(|segment| segment.max_epoch.is_none_or(|tag| tag <= epoch))
+            .count();
+        let mut kept = Vec::new();
+        let mut first_error = None;
+        for segment in self.sealed.drain(..covered) {
+            match fs::remove_file(&segment.path) {
+                Err(error) if error.kind() != io::ErrorKind::NotFound => {
+                    first_error.get_or_insert(fs_error("remove", &segment.path, &error));
+                    kept.push(segment);
+                }
+                _ => {}
+            }
+        }
+        let pruned = covered - kept.len();
+        self.sealed.splice(..0, kept);
+        if pruned > 0 {
+            sync_dir(&self.dir)?;
+        }
+        first_error.map_or(Ok(pruned), Err)
+    }
+
+    /// Hands every clean frame currently in the journal to `visit`, oldest
+    /// first (sealed segments, then the active one). Segments are read one
+    /// at a time into one reused buffer, and frames are decoded in place.
+    pub(crate) fn for_each_frame(&self, mut visit: impl FnMut(Frame<'_>)) -> Result<()> {
+        let mut bytes = Vec::new();
+        let paths = self.sealed.iter().map(|s| &s.path).chain(std::iter::once(&self.active.path));
+        for path in paths {
+            bytes.clear();
+            fs::File::open(path)
+                .and_then(|mut file| file.read_to_end(&mut bytes))
+                .map_err(|e| fs_error("read", path, &e))?;
+            scan_frames(&bytes, self.num_assignments, &mut visit);
+        }
         Ok(())
     }
 
     fn rotate(&mut self) -> Result<()> {
         let seq = self.active.seq + 1;
         let (path, file) = create_segment(&self.dir, seq, self.num_assignments as u64)?;
-        let fresh =
-            ActiveSegment { file, path, seq, len: SEGMENT_HEADER_BYTES as u64, max_epoch: None };
+        let fresh = ActiveSegment {
+            file: Arc::new(file),
+            path,
+            seq,
+            len: SEGMENT_HEADER_BYTES as u64,
+            max_epoch: None,
+        };
         let old = std::mem::replace(&mut self.active, fresh);
         self.sealed.push(SealedSegment { path: old.path, len: old.len, max_epoch: old.max_epoch });
+        self.rotate_due = false;
         Ok(())
     }
 }

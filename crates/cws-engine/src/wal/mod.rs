@@ -10,13 +10,16 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * `frame` — length-prefixed, CRC-framed record batches. Every frame
-//!   carries the **epoch tag** it will publish under; weights travel as
-//!   raw IEEE-754 bit patterns, the summary codec's convention.
+//! * `frame` — length-prefixed, CRC-framed record batches, encoded once
+//!   from the caller's slice into a reused buffer and decoded in place.
+//!   Every frame carries the **epoch tag** it will publish under; weights
+//!   travel as raw IEEE-754 bit patterns, the summary codec's convention.
 //! * `segment` — `wal-<seq>.cwsj` files with a checksummed header,
 //!   created through the shared atomic-write sequence.
 //! * `journal` — the segmented log: appends, rotation at a byte cap,
-//!   the [`SyncPolicy`] fsync knob, open-time torn-tail recovery that
+//!   the [`SyncPolicy`] fsync knob (its fsyncs run on one helper thread
+//!   while the pipeline stages the push; a failed append is cut back off
+//!   the segment), open-time torn-tail recovery that
 //!   truncates exactly at the last clean frame, disk governance via
 //!   [`ResourceBudget`](cws_core::budget::ResourceBudget) (a full journal
 //!   is a typed `BudgetExceeded`, never silent truncation), and epoch
@@ -29,7 +32,8 @@
 //!
 //! Attach a journal with
 //! [`PipelineBuilder::journal`](crate::pipeline::PipelineBuilder::journal);
-//! the epoched pipeline journals every push *before* ingesting it and
+//! the epoched pipeline journals every push *before* combining any of its
+//! weight and
 //! writes an epoch barrier inside
 //! [`publish_into`](crate::continuous::EpochedPipeline::publish_into).
 //!

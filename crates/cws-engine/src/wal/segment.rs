@@ -28,7 +28,7 @@ use cws_core::codec::frame_checksum;
 use cws_core::durable::{atomic_write, fs_error};
 use cws_core::error::{CodecErrorKind, CwsError, Result};
 
-use super::frame::{decode_frame, DecodeStep, FramePayload};
+use super::frame::{decode_frame, DecodeStep, Frame};
 
 /// The four magic bytes every journal segment starts with.
 pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"CWSJ";
@@ -150,8 +150,8 @@ pub(crate) fn create_segment(
 /// What a sequential scan of one segment's frames found.
 #[derive(Debug)]
 pub(crate) struct SegmentScan {
-    /// Every clean frame, in write order.
-    pub(crate) frames: Vec<FramePayload>,
+    /// Clean frames, in write order.
+    pub(crate) frames: usize,
     /// Byte length of the clean prefix **including the header** — the
     /// offset torn-tail recovery truncates the file to.
     pub(crate) clean_len: u64,
@@ -161,11 +161,16 @@ pub(crate) struct SegmentScan {
     pub(crate) max_epoch: Option<u64>,
 }
 
-/// Scans the frames of a whole segment file (header already validated).
-/// Stops at the first torn/corrupt position; never panics.
-pub(crate) fn scan_frames(bytes: &[u8], num_assignments: usize) -> SegmentScan {
+/// Scans the frames of a whole segment file (header already validated),
+/// handing each clean frame to `visit` in write order. Stops at the first
+/// torn/corrupt position; never panics.
+pub(crate) fn scan_frames<'a>(
+    bytes: &'a [u8],
+    num_assignments: usize,
+    mut visit: impl FnMut(Frame<'a>),
+) -> SegmentScan {
     let mut scan = SegmentScan {
-        frames: Vec::new(),
+        frames: 0,
         clean_len: SEGMENT_HEADER_BYTES.min(bytes.len()) as u64,
         torn: None,
         max_epoch: None,
@@ -178,10 +183,11 @@ pub(crate) fn scan_frames(bytes: &[u8], num_assignments: usize) -> SegmentScan {
                 scan.torn = Some(reason);
                 break;
             }
-            DecodeStep::Frame { payload, consumed } => {
-                let epoch = payload.epoch();
+            DecodeStep::Frame { frame, consumed } => {
+                let epoch = frame.epoch();
                 scan.max_epoch = Some(scan.max_epoch.map_or(epoch, |seen: u64| seen.max(epoch)));
-                scan.frames.push(payload);
+                scan.frames += 1;
+                visit(frame);
                 at += consumed;
                 scan.clean_len = at as u64;
             }
@@ -223,16 +229,17 @@ mod tests {
     #[test]
     fn scan_stops_at_the_first_bad_frame() {
         let mut bytes = encode_header(0, 1).to_vec();
-        bytes.extend_from_slice(&encode_records(1, &[7], &[1.0], 1));
-        bytes.extend_from_slice(&encode_barrier(1));
-        let clean = scan_frames(&bytes, 1);
-        assert_eq!(clean.frames.len(), 2);
+        encode_records(&mut bytes, 1, &[7], 1, |_, _| 1.0);
+        encode_barrier(&mut bytes, 1);
+        let mut visited = Vec::new();
+        let clean = scan_frames(&bytes, 1, |frame| visited.push(frame.record_count()));
+        assert_eq!((clean.frames, visited), (2, vec![1, 0]));
         assert_eq!(clean.clean_len, bytes.len() as u64);
         assert_eq!((clean.torn, clean.max_epoch), (None, Some(1)));
         // A torn tail stops the scan exactly after the last clean frame.
         let keep = bytes.len() - 3;
-        let torn = scan_frames(&bytes[..keep], 1);
-        assert_eq!(torn.frames.len(), 1);
+        let torn = scan_frames(&bytes[..keep], 1, |_| {});
+        assert_eq!(torn.frames, 1);
         assert!(torn.torn.is_some());
         assert!(torn.clean_len < keep as u64);
     }

@@ -20,6 +20,8 @@
 //! * a full journal is a typed `BudgetExceeded`, never silent
 //!   truncation, and epoch barriers stay exempt so publishing (which
 //!   prunes) can always make progress;
+//! * a covered segment that cannot be deleted stays listed and counted,
+//!   and the next publish reclaims it;
 //! * a multi-seed stress run (`CWS_WAL_SEEDS=1,2,3,…`) mutates
 //!   plan-chosen bytes — truncations and bit rot, including during
 //!   rotation-heavy multi-segment windows — and proves convergence.
@@ -413,6 +415,39 @@ fn watermarks_prune_covered_segments_after_every_publish() {
         assert_eq!(wal_files(journal.dir()).len(), 1);
         assert!(!journal.pruning_suppressed());
     }
+}
+
+/// A prune that cannot delete a covered segment keeps it listed — and
+/// counted against the journal's bytes — so the next publish retries it.
+#[test]
+fn failed_prune_keeps_the_segment_listed_and_the_next_publish_retries_it() {
+    let wal = scratch_dir("prune-fail-wal");
+    let store_dir = scratch_dir("prune-fail-store");
+    let mut store = SnapshotStore::open(&store_dir, 16).unwrap();
+    let config = WalConfig::new(&wal).segment_bytes(256).sync(SyncPolicy::OnRotate);
+    let mut pipeline = EpochedPipeline::new(small_builder().journal(config)).unwrap();
+    for key in 0..20u64 {
+        pipeline.push_record(key, &weights_for(key)).unwrap();
+    }
+    // 1. A non-empty directory where the oldest sealed segment was.
+    let stuck = wal_files(&wal)[0].clone();
+    let stuck_len = fs::metadata(&stuck).unwrap().len();
+    fs::remove_file(&stuck).unwrap();
+    fs::create_dir(&stuck).unwrap();
+    fs::write(stuck.join("pin"), b"keeps the directory non-empty").unwrap();
+    // 2. The publish succeeds; its best-effort prune fails on that path.
+    pipeline.publish_into(&mut store).unwrap();
+    let journal = pipeline.journal().unwrap();
+    assert_eq!(journal.num_segments(), 2, "the stuck segment stays listed beside the active one");
+    assert!(journal.total_bytes() >= stuck_len + 32, "and still counts against the budget");
+    // 3. Once the path is clear, the next publish reclaims it.
+    fs::remove_dir_all(&stuck).unwrap();
+    pipeline.push_record(20, &weights_for(20)).unwrap();
+    pipeline.publish_into(&mut store).unwrap();
+    // 4. Only the fresh active segment is left.
+    let journal = pipeline.journal().unwrap();
+    assert_eq!(journal.num_segments(), 1);
+    assert_eq!(wal_files(journal.dir()).len(), 1);
 }
 
 /// Dead WAL configuration is a typed `InvalidParameter` at build time —
