@@ -341,30 +341,6 @@ impl KeyAggregator {
         }
     }
 
-    /// Opens a stage: the rollback point [`KeyAggregator::abort`] returns
-    /// to.
-    fn begin_stage(&self) -> Staged {
-        Staged {
-            old_len: self.keys.len(),
-            old_table_len: self.table.len(),
-            old_budget: self.governed.then(|| self.budget.clone()),
-            poison: Vec::new(),
-        }
-    }
-
-    /// Settles admission for everything a stage inserted: under a budget
-    /// the new keys are charged once for the whole batch, and a breach
-    /// aborts the stage and returns the typed error.
-    fn admit_stage(&mut self, staged: Staged) -> Result<Staged> {
-        if self.governed {
-            if let Err(error) = self.admit_new_keys(0) {
-                self.abort(staged);
-                return Err(error);
-            }
-        }
-        Ok(staged)
-    }
-
     /// Aborts a stage: every key it inserted is removed, the index is
     /// rebuilt at its old size and the budget restored, so the aggregator
     /// is exactly as it was before the stage began. Nothing was combined
@@ -566,7 +542,12 @@ impl KeyAggregator {
     /// [`CwsError::BudgetExceeded`] on a cap breach, with the stage
     /// already aborted.
     pub(crate) fn stage_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<Staged> {
-        let mut staged = self.begin_stage();
+        let mut staged = Staged {
+            old_len: self.keys.len(),
+            old_table_len: self.table.len(),
+            old_budget: self.governed.then(|| self.budget.clone()),
+            poison: Vec::new(),
+        };
         // Pass 1: record-granular validation — poison elements are marked
         // with the sentinel so the later passes skip them.
         let mut slots = std::mem::take(&mut self.slot_scratch);
@@ -596,7 +577,13 @@ impl KeyAggregator {
             }
         }
         self.slot_scratch = slots;
-        self.admit_stage(staged)
+        if self.governed {
+            if let Err(error) = self.admit_new_keys(0) {
+                self.abort(staged);
+                return Err(error);
+            }
+        }
+        Ok(staged)
     }
 
     /// Commits a stage of `elements` (the batch it was staged from):
@@ -611,7 +598,9 @@ impl KeyAggregator {
         elements: &[(Key, usize, f64)],
     ) -> Result<()> {
         debug_assert_eq!(self.slot_scratch.len(), elements.len(), "commit the staged batch");
-        self.quarantine_staged(staged);
+        for (key, assignment, weight, error) in staged.poison {
+            self.quarantine(key, assignment, weight, error);
+        }
         // Pass 3: combine the surviving fragments into the lanes.
         for (&(key, assignment, weight), &slot) in elements.iter().zip(&self.slot_scratch) {
             if slot == Self::QUARANTINED {
@@ -623,13 +612,6 @@ impl KeyAggregator {
             self.absorbed += 1;
         }
         Ok(())
-    }
-
-    /// Moves a committed stage's poison into the dead-letter ring.
-    fn quarantine_staged(&mut self, staged: Staged) {
-        for (key, assignment, weight, error) in staged.poison {
-            self.quarantine(key, assignment, weight, error);
-        }
     }
 
     /// Absorbs one record-shaped fragment: a key with a full weight vector,
@@ -648,50 +630,14 @@ impl KeyAggregator {
     /// Panics if the vector length differs from the number of assignments.
     #[inline]
     pub fn absorb_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        let staged = self.stage_record(key, weights)?;
-        self.commit_record(staged, key, weights)
-    }
-
-    /// Stages one record-shaped fragment: validates it, settles admission
-    /// and resolves its slot. Finish with [`KeyAggregator::commit_record`]
-    /// or undo with [`KeyAggregator::abort`].
-    ///
-    /// # Errors
-    /// As [`KeyAggregator::absorb_record`], minus the overflow; the table
-    /// is untouched on error.
-    ///
-    /// # Panics
-    /// Panics if the vector length differs from the number of assignments.
-    pub(crate) fn stage_record(&mut self, key: Key, weights: &[f64]) -> Result<Staged> {
         assert_eq!(weights.len(), self.lanes.len(), "weight vector arity mismatch");
         if let Some(assignment) = first_invalid_weight(weights) {
             return Err(invalid_weight_error(key, assignment, weights[assignment]));
         }
-        let staged = self.begin_stage();
         if self.governed && self.find_slot(key).is_none() {
-            if let Err(error) = self.admit_new_keys(1) {
-                self.abort(staged);
-                return Err(error);
-            }
+            self.admit_new_keys(1)?;
         }
-        let slot = self.slot_of(key) as u32;
-        self.slot_scratch.clear();
-        self.slot_scratch.push(slot);
-        Ok(staged)
-    }
-
-    /// Commits a staged record: combines it lane-wise and counts it.
-    ///
-    /// # Errors
-    /// A sum overflow, as on [`KeyAggregator::absorb_record`].
-    pub(crate) fn commit_record(
-        &mut self,
-        staged: Staged,
-        key: Key,
-        weights: &[f64],
-    ) -> Result<()> {
-        debug_assert!(staged.poison.is_empty(), "a record stage never quarantines");
-        let slot = self.slot_scratch[0] as usize;
+        let slot = self.slot_of(key);
         for (assignment, (lane, &weight)) in self.lanes.iter_mut().zip(weights).enumerate() {
             if !Self::combine(self.mode, &mut lane[slot], weight) {
                 return Err(Self::overflow_error(key, assignment));
@@ -717,25 +663,11 @@ impl KeyAggregator {
     /// Panics if the batch's assignment count differs from the
     /// aggregator's.
     pub fn absorb_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        let staged = self.stage_columns(columns)?;
-        self.commit_columns(staged, columns)
-    }
-
-    /// Stages a column batch: validates every row (poison rows are held
-    /// in the stage), resolves every surviving key's slot and settles
-    /// admission. Finish with [`KeyAggregator::commit_columns`] on the
-    /// same batch or undo with [`KeyAggregator::abort`].
-    ///
-    /// # Errors
-    /// [`CwsError::BudgetExceeded`] on a cap breach, with the stage
-    /// already aborted.
-    ///
-    /// # Panics
-    /// Panics if the batch's assignment count differs from the
-    /// aggregator's.
-    pub(crate) fn stage_columns(&mut self, columns: &RecordColumns) -> Result<Staged> {
         assert_eq!(columns.num_assignments(), self.lanes.len(), "weight vector arity mismatch");
-        let mut staged = self.begin_stage();
+        let old_len = self.keys.len();
+        let old_table_len = self.table.len();
+        let mut staged_poison: Vec<(Key, usize, f64, CwsError)> = Vec::new();
+
         let mut slots = std::mem::take(&mut self.slot_scratch);
         slots.clear();
         slots.reserve(columns.len());
@@ -749,7 +681,7 @@ impl KeyAggregator {
                     let weight = columns.lane(assignment)[index];
                     if !weight_is_valid(weight) {
                         let error = invalid_weight_error(key, assignment, weight);
-                        staged.poison.push((key, assignment, weight, error));
+                        staged_poison.push((key, assignment, weight, error));
                         slots.push(Self::QUARANTINED);
                         continue 'rows;
                     }
@@ -762,32 +694,32 @@ impl KeyAggregator {
                 *slot = self.slot_of(key) as u32;
             }
         }
-        self.slot_scratch = slots;
-        self.admit_stage(staged)
-    }
-
-    /// Commits a stage of `columns` (the batch it was staged from):
-    /// quarantines its poison rows, combines the rest lane-wise and counts
-    /// them absorbed.
-    ///
-    /// # Errors
-    /// A sum overflow, as on [`KeyAggregator::absorb_columns`].
-    pub(crate) fn commit_columns(&mut self, staged: Staged, columns: &RecordColumns) -> Result<()> {
-        debug_assert_eq!(self.slot_scratch.len(), columns.len(), "commit the staged batch");
-        self.quarantine_staged(staged);
-        for (index, (&key, &slot)) in columns.keys().iter().zip(&self.slot_scratch).enumerate() {
+        if self.governed {
+            if let Err(error) = self.admit_new_keys(0) {
+                self.rollback_keys_to(old_len, old_table_len);
+                self.slot_scratch = slots;
+                return Err(error);
+            }
+        }
+        for (key, assignment, weight, error) in staged_poison {
+            self.quarantine(key, assignment, weight, error);
+        }
+        let mut result = Ok(());
+        'combine: for (index, (&key, &slot)) in columns.keys().iter().zip(&slots).enumerate() {
             if slot == Self::QUARANTINED {
                 continue;
             }
             for (assignment, lane) in self.lanes.iter_mut().enumerate() {
                 let weight = columns.lane(assignment)[index];
                 if !Self::combine(self.mode, &mut lane[slot as usize], weight) {
-                    return Err(Self::overflow_error(key, assignment));
+                    result = Err(Self::overflow_error(key, assignment));
+                    break 'combine;
                 }
             }
             self.absorbed += 1;
         }
-        Ok(())
+        self.slot_scratch = slots;
+        result
     }
 
     /// Finishes aggregation, handing the dense storage over as one
@@ -1169,7 +1101,7 @@ mod tests {
     }
 
     /// The same elements as a column batch of whole records (rows with a
-    /// poison lane included), and as record pushes.
+    /// poison lane included).
     fn as_columns(elements: &[(Key, usize, f64)]) -> RecordColumns {
         let mut columns = RecordColumns::new(3);
         for &(key, assignment, weight) in elements {
@@ -1196,8 +1128,9 @@ mod tests {
         aggregator
     }
 
-    /// Element-at-a-time absorption of everything the staged paths accept:
-    /// a different code path (probe, insert and combine per element).
+    /// Element-at-a-time absorption of the same elements, column rows and
+    /// record: a different code path (probe, insert and combine per
+    /// element).
     /// Returns how many elements or rows it had to reject as poison.
     fn absorb_scalar(
         scalar: &mut KeyAggregator,
@@ -1227,47 +1160,22 @@ mod tests {
     #[test]
     fn stage_then_commit_is_bit_identical_to_absorb() {
         for mode in [Aggregation::SumByKey, Aggregation::MaxByKey] {
-            for budget in budgets() {
-                let mut absorbed = aggregator(mode, &budget);
-                let mut staged = aggregator(mode, &budget);
-                let (mut scalar, mut poison) = (aggregator(mode, &None), 0);
-                let mut breaches = 0;
-                for round in 0..12u64 {
-                    let elements = seeded_elements(round, 700, 3000);
-                    let columns = as_columns(&elements[..300]);
-                    let (key, row) = (elements[0].0, [1.5, 0.0, 2.5]);
-                    let expected = absorbed.absorb_elements(&elements);
-                    let got = staged
-                        .stage_elements(&elements)
-                        .and_then(|stage| staged.commit_elements(stage, &elements));
-                    assert_eq!(format!("{expected:?}"), format!("{got:?}"));
-                    if let Err(CwsError::BudgetExceeded { .. }) = expected {
-                        breaches += 1;
-                        assert_eq!(absorbed.flush_columns(), staged.flush_columns());
-                    }
-                    let expected = absorbed.absorb_columns(&columns);
-                    let got = staged
-                        .stage_columns(&columns)
-                        .and_then(|stage| staged.commit_columns(stage, &columns));
-                    assert_eq!(format!("{expected:?}"), format!("{got:?}"));
-                    let expected = absorbed.absorb_record(key, &row);
-                    let got = staged
-                        .stage_record(key, &row)
-                        .and_then(|stage| staged.commit_record(stage, key, &row));
-                    assert_eq!(format!("{expected:?}"), format!("{got:?}"));
-                    assert_eq!(state(&absorbed), state(&staged), "{mode:?} round {round}");
-                    if budget.is_none() {
-                        poison += absorb_scalar(&mut scalar, &elements, &columns, (key, row));
-                        assert_eq!(scalar.keys, staged.keys, "{mode:?} round {round}");
-                        for (a, b) in
-                            scalar.lanes.iter().flatten().zip(staged.lanes.iter().flatten())
-                        {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{mode:?} round {round}");
-                        }
-                        assert_eq!(staged.quarantined_count, poison);
-                    }
+            let mut staged = aggregator(mode, &None);
+            let (mut scalar, mut poison) = (aggregator(mode, &None), 0);
+            for round in 0..12u64 {
+                let elements = seeded_elements(round, 700, 3000);
+                let columns = as_columns(&elements[..300]);
+                let (key, row) = (elements[0].0, [1.5, 0.0, 2.5]);
+                let stage = staged.stage_elements(&elements).unwrap();
+                staged.commit_elements(stage, &elements).unwrap();
+                staged.absorb_columns(&columns).unwrap();
+                staged.absorb_record(key, &row).unwrap();
+                poison += absorb_scalar(&mut scalar, &elements, &columns, (key, row));
+                assert_eq!(scalar.keys, staged.keys, "{mode:?} round {round}");
+                for (a, b) in scalar.lanes.iter().flatten().zip(staged.lanes.iter().flatten()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{mode:?} round {round}");
                 }
-                assert_eq!(breaches > 0, budget.is_some(), "{budget:?} must be breached");
+                assert_eq!(staged.quarantined_count, poison);
             }
         }
     }
@@ -1280,7 +1188,6 @@ mod tests {
                 let mut breaches = 0;
                 for round in 0..12u64 {
                     let elements = seeded_elements(100 + round, 700, 3000);
-                    let columns = as_columns(&elements[..300]);
                     let before = state(&aggregator);
                     let reference = aggregator.clone();
                     match aggregator.stage_elements(&elements) {
@@ -1289,18 +1196,6 @@ mod tests {
                         Err(other) => panic!("unexpected {other:?}"),
                     }
                     assert_eq!(state(&aggregator), before, "{mode:?} {budget:?} round {round}");
-                    if let Ok(stage) = aggregator.stage_columns(&columns) {
-                        aggregator.abort(stage);
-                    }
-                    assert_eq!(state(&aggregator), before);
-                    for (key, row) in
-                        [(elements[1].0, [1.0, 2.0, 3.0]), (u64::MAX, [1.0, 0.0, 2.0])]
-                    {
-                        if let Ok(stage) = aggregator.stage_record(key, &row) {
-                            aggregator.abort(stage);
-                        }
-                        assert_eq!(state(&aggregator), before);
-                    }
                     // Indistinguishable in behaviour too: the next absorb
                     // lands exactly where it would have without the abort.
                     let mut untouched = reference;

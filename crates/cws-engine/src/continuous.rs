@@ -40,10 +40,14 @@
 //! tagged with the epoch it will publish under, before any of its weight
 //! is ingested. Under [`SyncPolicy::PerBatch`] a push that returns `Ok` is
 //! durable, and a push that returns `Err` absorbed nothing and left no
-//! frame in the journal. The fsync runs on the journal's helper thread
-//! while the aggregation stage resolves the push's keys, but no weight is
-//! combined before the fsync has completed; a failed fsync aborts the
-//! staged keys and cuts the frame back off.
+//! frame in the journal: a failed write or fsync is cut back off, and so
+//! is a push the pipeline refuses whole, so a retry is journaled once. Only
+//! a refusal after part of the push was absorbed (a sum overflow
+//! mid-batch, a sharded back-end shedding a later chunk) keeps its frame,
+//! for recovery to replay. While an element batch's fsync runs on the
+//! journal's helper thread the aggregation stage resolves its keys, but no
+//! weight is combined before the fsync has completed; a failed fsync
+//! aborts the staged keys.
 //! [`publish_into`](EpochedPipeline::publish_into) writes an epoch barrier
 //! (always fsynced) before swapping epochs and prunes fully-covered
 //! segments after the snapshot commits; a finalize failure heals itself by
@@ -491,30 +495,47 @@ impl EpochedPipeline {
 
     /// Write-ahead ordering, shared by every push. With a journal attached
     /// the push's frames are written under the epoch it will publish as,
-    /// and while their fsync runs the current pipeline stages the push:
-    /// keys resolved, no weight combined. Once the fsync succeeded the
-    /// stage commits; if it failed the stage aborts and the journal has cut
-    /// the frames back off, so a failed push absorbs nothing and leaves
-    /// nothing to replay. A push the pipeline cannot stage (no aggregation
-    /// stage, a single element) runs after the fsync instead.
+    /// and no weight of the push is combined before their fsync has
+    /// completed. An element batch into an aggregating pipeline is staged
+    /// while the fsync runs (keys resolved, nothing combined) and commits
+    /// once it succeeded; any other push runs after the fsync. A failed
+    /// fsync aborts the stage, and the journal has already cut the frames
+    /// back off. A push the pipeline refuses without absorbing any of it —
+    /// a shed flush-early hand-off, an expired deadline, an invalid record
+    /// — is withdrawn from the journal too, so its retry is journaled
+    /// once. A refusal after part of the push was absorbed (a sum overflow
+    /// mid-batch, a sharded back-end shedding a later chunk) keeps the
+    /// frames, so recovery replays what was absorbed.
     #[inline]
     fn journaled(&mut self, push: Push<'_>) -> Result<()> {
         let Some(journal) = self.journal.as_mut() else {
             return self.current.push(push);
         };
-        let overlap = self.current.stages(push);
-        journal.append(self.epoch + 1, push, overlap)?;
-        let staged = if overlap { self.current.stage(push) } else { None };
-        if let Err(error) = journal.settle() {
-            if let Some(staged) = staged {
+        let staged_elements = match push {
+            Push::Elements(elements) if self.current.is_aggregating() => Some(elements),
+            _ => None,
+        };
+        journal.append(self.epoch + 1, push, staged_elements.is_some())?;
+        let processed = self.current.processed();
+        let staged = staged_elements.map(|elements| (elements, self.current.stage(elements)));
+        if let Err(error) = journal.sync() {
+            if let Some((_, Ok(staged))) = staged {
                 self.current.abort(staged);
             }
             return Err(error);
         }
-        match staged {
-            Some(staged) => self.current.commit(staged, push),
+        let pushed = match staged {
+            Some((elements, staged)) => {
+                staged.and_then(|staged| self.current.commit(staged, elements))
+            }
             None => self.current.push(push),
+        };
+        if pushed.is_err() && self.current.processed() == processed {
+            journal.withdraw();
+        } else {
+            journal.keep();
         }
+        pushed
     }
 
     /// Absorbs one unaggregated element into the current epoch (requires an
@@ -927,6 +948,80 @@ mod tests {
             Err(CwsError::Store { op: "append", .. })
         ));
         assert_eq!(plain.processed(), 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A push the pipeline refuses without absorbing any of it is taken
+    /// back out of the journal, so retrying it leaves one copy to replay:
+    /// here a stalled sharded back-end sheds flush-early hand-offs under a
+    /// key cap, and a retry policy re-offers each shed batch.
+    #[test]
+    fn refused_pushes_are_withdrawn_so_retries_replay_once() {
+        use std::time::Duration;
+
+        use crate::aggregation::Aggregation;
+        use crate::wal::{recover_from_store_and_wal, WalConfig};
+        use cws_core::budget::{ResourceBudget, RetryPolicy};
+        use cws_core::WorkerFault;
+
+        let root =
+            std::env::temp_dir().join(format!("cws-continuous-withdraw-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let wal = root.join("wal");
+        // Each key once, so a flush cannot split a key and every run below
+        // must publish the same summary.
+        let elements: Vec<(Key, usize, f64)> =
+            (0..40_000u64).map(|key| (key, (key % 2) as usize, ((key % 11) + 1) as f64)).collect();
+        let builder = |execution: Execution| {
+            dispersed_builder()
+                .aggregation(Aggregation::SumByKey)
+                .budget(ResourceBudget::unlimited().with_max_keys(16_000))
+                .execution(execution)
+        };
+        let sharded = || {
+            builder(Execution::Sharded {
+                shards: 2,
+                stall_timeout: Some(Duration::from_secs(10)),
+                admission: AdmissionControl::FailFast { wait: Duration::from_millis(5) },
+            })
+            .journal(WalConfig::new(&wal))
+        };
+
+        let mut epochs = EpochedPipeline::new(sharded()).unwrap();
+        for shard in 0..2 {
+            epochs.inject_worker_fault(shard, WorkerFault::Stall { millis: 300 }).unwrap();
+        }
+        let mut policy = RetryPolicy::new(53).with_backoff_ms(10, 100).with_max_attempts(64);
+        let mut overloads = 0u64;
+        for batch in elements.chunks(1_000) {
+            policy
+                .run(|| {
+                    let result = epochs.push_elements(batch);
+                    overloads += u64::from(matches!(result, Err(CwsError::Overloaded { .. })));
+                    result
+                })
+                .unwrap();
+        }
+        assert!(overloads > 0, "the stall must have shed a flush-early hand-off");
+        // Refusals after the fsync are withdrawn the same way.
+        let on_disk = bytes_on_disk(&wal);
+        assert!(epochs.push_record(1, &[f64::NAN, 1.0]).is_err());
+        assert!(epochs.push_element(2, 7, 1.0).is_err());
+        assert_eq!(bytes_on_disk(&wal), on_disk, "a refused push left a frame");
+        assert_eq!(epochs.processed(), elements.len() as u64);
+        drop(epochs);
+
+        let mut store = SnapshotStore::open(root.join("store"), 4).unwrap();
+        let recovered = recover_from_store_and_wal(sharded(), &mut store).unwrap();
+        assert_eq!(recovered.replay.frames_replayed, 40, "one frame per batch");
+        assert_eq!(recovered.replay.records_replayed, elements.len() as u64);
+        assert_eq!(recovered.replay.rejected_records, 0);
+        let mut undisturbed = EpochedPipeline::new(builder(Execution::Sequential)).unwrap();
+        for batch in elements.chunks(1_000) {
+            undisturbed.push_elements(batch).unwrap();
+        }
+        let mut recovered = recovered.pipeline;
+        assert_eq!(recovered.publish().unwrap().summary, undisturbed.publish().unwrap().summary);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -369,7 +369,7 @@ impl PipelineBuilder {
 
 /// One push into a pipeline, in the shape its caller made it: what the
 /// journaled [`EpochedPipeline`](crate::continuous::EpochedPipeline)
-/// frames, stages and commits.
+/// frames, then pushes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Push<'a> {
     Record(Key, &'a [f64]),
@@ -659,20 +659,21 @@ impl Pipeline {
         }
     }
 
-    /// The one governed push behind every ingestion method. It checks the
-    /// ingest deadline; without an aggregation stage it hands the push to
-    /// the back-end through `forward`. With one, it first re-sends any
-    /// unsent flush-early aggregate, then absorbs through `absorb`. On a
-    /// budget breach it flushes early — the aggregate goes to the back-end
-    /// exactly as at finalize, the table recharges to empty, lifetime
-    /// counters (processed, quarantined, peak bytes) survive — and absorbs
-    /// once more.
+    /// The one governed push behind every ingestion method (and behind
+    /// [`stage`](Self::stage)). It checks the ingest deadline; without an
+    /// aggregation stage it hands the push to the back-end through
+    /// `forward`. With one, it first re-sends any unsent flush-early
+    /// aggregate, then absorbs through `absorb`. On a budget breach it
+    /// flushes early — the aggregate goes to the back-end exactly as at
+    /// finalize, the table recharges to empty, lifetime counters
+    /// (processed, quarantined, peak bytes) survive — and absorbs once
+    /// more.
     #[inline]
-    fn governed_push(
+    fn governed_push<T>(
         &mut self,
-        mut absorb: impl FnMut(&mut KeyAggregator) -> Result<()>,
-        forward: impl FnOnce(&mut Backend) -> Result<()>,
-    ) -> Result<()> {
+        mut absorb: impl FnMut(&mut KeyAggregator) -> Result<T>,
+        forward: impl FnOnce(&mut Backend) -> Result<T>,
+    ) -> Result<T> {
         self.check_ingest_deadline()?;
         let Some(aggregator) = &mut self.aggregator else {
             return forward(&mut self.backend);
@@ -689,8 +690,9 @@ impl Pipeline {
     }
 }
 
-/// Staged pushes: the journaled epoch wrapper stages a push while its
-/// fsync is in flight, then commits or aborts it by the fsync's outcome.
+/// Staged pushes: the journaled epoch wrapper stages an element batch
+/// while its fsync is in flight, then commits or aborts it by the fsync's
+/// outcome.
 impl Pipeline {
     /// Pushes `push` through the method of its shape.
     pub(crate) fn push(&mut self, push: Push<'_>) -> Result<()> {
@@ -703,50 +705,34 @@ impl Pipeline {
         }
     }
 
-    /// `true` when [`stage`](Self::stage) has work for `push`: the
-    /// pipeline aggregates and `push` is a record or a batch.
-    pub(crate) fn stages(&self, push: Push<'_>) -> bool {
-        self.aggregator.is_some() && !matches!(push, Push::Element(..))
-    }
-
-    /// Stages `push` in the aggregation table: validated, slots resolved,
-    /// admission settled, no weight combined. [`commit`](Self::commit)
-    /// then finishes it exactly as [`push`](Self::push) would have, and
-    /// [`abort`](Self::abort) leaves the pipeline as if it never happened.
-    ///
-    /// `None`, with nothing changed, when there is nothing to stage or
-    /// staging would not match `push`: no aggregation stage, a single
-    /// element, a pending flush-early hand-off, an expired deadline, an
-    /// invalid record or a budget breach. The caller then runs
-    /// [`push`](Self::push), which settles each of those as it always has.
-    pub(crate) fn stage(&mut self, push: Push<'_>) -> Option<Staged> {
-        if self.unsent.is_some() || self.check_ingest_deadline().is_err() {
-            return None;
-        }
-        let aggregator = self.aggregator.as_mut()?;
-        match push {
-            Push::Record(key, weights) => aggregator.stage_record(key, weights),
-            Push::Columns(columns) => aggregator.stage_columns(columns),
-            Push::SharedColumns(columns) => aggregator.stage_columns(columns),
-            Push::Elements(elements) => aggregator.stage_elements(elements),
-            Push::Element(..) => return None,
-        }
-        .ok()
-    }
-
-    /// Commits what [`stage`](Self::stage) staged from the same `push`.
+    /// Stages an element batch in the aggregation table: everything
+    /// [`push_elements`](Self::push_elements) does short of combining a
+    /// weight — the deadline check, the re-sent flush-early aggregate, the
+    /// probe pass and admission, flushing early and probing again on a
+    /// budget breach. [`commit`](Self::commit) then finishes it exactly as
+    /// `push_elements` would have; [`abort`](Self::abort) removes the
+    /// staged keys again.
     ///
     /// # Errors
-    /// A sum overflow, as on the push method of `push`'s shape.
-    pub(crate) fn commit(&mut self, staged: Staged, push: Push<'_>) -> Result<()> {
+    /// As [`push_elements`](Self::push_elements), with none of the batch
+    /// absorbed.
+    ///
+    /// # Panics
+    /// Panics without an aggregation stage.
+    pub(crate) fn stage(&mut self, elements: &[(Key, usize, f64)]) -> Result<Staged> {
+        self.governed_push(
+            |aggregator| aggregator.stage_elements(elements),
+            |_| unreachable!("only an aggregating pipeline stages"),
+        )
+    }
+
+    /// Commits what [`stage`](Self::stage) staged from `elements`.
+    ///
+    /// # Errors
+    /// A sum overflow, as on [`push_elements`](Self::push_elements).
+    pub(crate) fn commit(&mut self, staged: Staged, elements: &[(Key, usize, f64)]) -> Result<()> {
         let aggregator = self.aggregator.as_mut().expect("only an aggregating pipeline stages");
-        match push {
-            Push::Record(key, weights) => aggregator.commit_record(staged, key, weights),
-            Push::Columns(columns) => aggregator.commit_columns(staged, columns),
-            Push::SharedColumns(columns) => aggregator.commit_columns(staged, columns),
-            Push::Elements(elements) => aggregator.commit_elements(staged, elements),
-            Push::Element(..) => unreachable!("single elements are never staged"),
-        }
+        aggregator.commit_elements(staged, elements)
     }
 
     /// Undoes what [`stage`](Self::stage) staged.

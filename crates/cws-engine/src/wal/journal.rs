@@ -1,14 +1,15 @@
 //! The segmented write-ahead journal: configuration, appends, rotation,
 //! fsync policy, open-time torn-tail recovery, and watermark pruning.
 //!
-//! An append is two calls. [`Journal::append`] encodes the push's frames
+//! An append is three calls. [`Journal::append`] encodes the push's frames
 //! into one journal-owned buffer, writes them, and starts the fsync the
 //! policy asks for — on the journal's helper thread when the caller has
-//! work to overlap with it. [`Journal::settle`] waits for that fsync. If
-//! the write or the fsync failed, the append is cut back off the segment
-//! (truncated to its old length and fsynced), so a failed append leaves no
-//! frame behind; if even that fails, the journal refuses every later
-//! append until recovery reopens it.
+//! work to overlap with it. [`Journal::sync`] waits for that fsync. Then
+//! [`Journal::keep`] settles the append, or [`Journal::withdraw`] takes it
+//! back when the pipeline refused the push. A failed write or fsync, and
+//! a withdrawal, cut the append back off the segment (truncated to its old
+//! length and fsynced), so it leaves no frame behind; if even that fails,
+//! the journal refuses every later append until recovery reopens it.
 
 use std::fs;
 use std::io::{self, Read as _, Write as _};
@@ -38,9 +39,12 @@ use crate::pipeline::Push;
 pub enum SyncPolicy {
     /// Fsync after every append — the zero-loss default. A push that
     /// returns `Ok` is durable. A push that returns `Err` absorbed nothing
-    /// and left no frame behind. While the fsync is in flight the pipeline
-    /// may already resolve the push's keys in its aggregation table, but it
-    /// combines no weight before the fsync has succeeded.
+    /// and left no frame behind, unless the pipeline refused it after
+    /// absorbing part of it (a sum overflow mid-batch, a sharded back-end
+    /// shedding a later chunk); that frame stays for recovery to replay.
+    /// While the fsync is in flight the pipeline may already resolve the
+    /// push's keys in its aggregation table, but it combines no weight
+    /// before the fsync has succeeded.
     PerBatch,
     /// Fsync after every `n` appends — bounded loss (at most the last `n`
     /// batches on power failure; process crashes lose nothing since the OS
@@ -157,14 +161,14 @@ const RETAINED_FRAME_BYTES: usize = 4 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PendingSync {
     None,
-    /// On the caller's thread, inside [`Journal::settle`].
+    /// On the caller's thread, inside [`Journal::sync`].
     Inline,
     /// Already running on the helper thread.
     Helper,
 }
 
-/// An append that is written but not yet settled: what
-/// [`Journal::settle`] needs to keep it or cut it back off.
+/// An append that is written but not yet settled: what [`Journal::keep`]
+/// and [`Journal::withdraw`] need to keep it or cut it back off.
 #[derive(Debug)]
 struct Unsettled {
     /// Active segment length and epoch watermark before the append.
@@ -470,8 +474,9 @@ impl Journal {
     /// and elements copied once, straight from the caller's slices — and
     /// writes the frames. If the sync policy asks for an fsync, it starts
     /// on the helper thread when `overlap` says the caller has work to do
-    /// meanwhile, and runs inside [`settle`](Self::settle) otherwise.
-    /// Every `append` must be followed by `settle` before the push counts.
+    /// meanwhile, and runs inside [`sync`](Self::sync) otherwise. Every
+    /// `append` must be followed by `sync` and then [`keep`](Self::keep)
+    /// or [`withdraw`](Self::withdraw).
     /// An empty batch writes nothing.
     ///
     /// # Errors
@@ -481,7 +486,7 @@ impl Journal {
     /// typed `Store` error once appends are refused. A failed write is a
     /// `Store` error with the torn bytes already cut back off.
     pub(crate) fn append(&mut self, epoch: u64, push: Push<'_>, overlap: bool) -> Result<()> {
-        self.settle()?;
+        debug_assert!(self.unsettled.is_none(), "keep or withdraw the last append first");
         self.buf.clear();
         let num_assignments = self.num_assignments;
         match push {
@@ -513,11 +518,13 @@ impl Journal {
     /// whole. A failed rotation does not fail the barrier: the frames are
     /// durable, and the rotation is retried at the next append.
     pub(crate) fn barrier(&mut self, epoch: u64) -> Result<()> {
-        self.settle()?;
+        debug_assert!(self.unsettled.is_none(), "keep or withdraw the last append first");
         self.buf.clear();
         encode_barrier(&mut self.buf, epoch);
         self.write_buffered(epoch, true, false)?;
-        self.settle()
+        self.sync()?;
+        self.keep();
+        Ok(())
     }
 
     /// Writes the buffered frames to the active segment and records the
@@ -602,18 +609,19 @@ impl Journal {
         }
     }
 
-    /// Completes the last [`append`](Self::append): waits for its fsync
-    /// (or runs it), then rotates if the segment is due. A no-op when
-    /// nothing is unsettled.
+    /// Waits for the last [`append`](Self::append)'s fsync, or runs it.
+    /// The append stays unsettled until [`keep`](Self::keep) or
+    /// [`withdraw`](Self::withdraw). A no-op when nothing is unsettled or
+    /// the policy asked for no fsync.
     ///
     /// # Errors
     /// A typed `Store` error when the fsync failed; the append has then
-    /// been cut back off the segment.
-    pub(crate) fn settle(&mut self) -> Result<()> {
-        let Some(unsettled) = self.unsettled.take() else {
+    /// been cut back off the segment and is settled.
+    pub(crate) fn sync(&mut self) -> Result<()> {
+        let Some(unsettled) = self.unsettled.as_mut() else {
             return Ok(());
         };
-        let synced = match unsettled.sync {
+        let synced = match std::mem::replace(&mut unsettled.sync, PendingSync::None) {
             PendingSync::None => return Ok(()),
             PendingSync::Inline => self.active.file.sync_all(),
             PendingSync::Helper => self.helper.as_ref().expect("the helper started it").wait(),
@@ -625,17 +633,39 @@ impl Journal {
         };
         if let Err(error) = synced {
             let error = fs_error("fsync", &self.active.path, &error);
-            self.cut_back(unsettled.len, unsettled.max_epoch);
+            self.withdraw();
             return Err(error);
         }
         self.appended_since_sync = 0;
+        Ok(())
+    }
+
+    /// Keeps the last append once [`sync`](Self::sync) succeeded, and
+    /// rotates if the segment is due. A no-op when nothing is unsettled.
+    pub(crate) fn keep(&mut self) {
+        let Some(unsettled) = self.unsettled.take() else {
+            return;
+        };
+        debug_assert_eq!(unsettled.sync, PendingSync::None, "sync before keeping");
         self.rotate_due |= unsettled.seal;
         if self.rotate_due {
             // Best-effort: the frames are durable either way, and a failed
             // rotation is retried at the next append.
             let _ = self.rotate();
         }
-        Ok(())
+    }
+
+    /// Withdraws the last append, for a push the pipeline refused: waits
+    /// out an fsync still in flight, then cuts the frames back off the
+    /// segment. A no-op when nothing is unsettled.
+    pub(crate) fn withdraw(&mut self) {
+        let Some(unsettled) = self.unsettled.take() else {
+            return;
+        };
+        if unsettled.sync == PendingSync::Helper {
+            let _ = self.helper.as_ref().expect("the helper started it").wait();
+        }
+        self.cut_back(unsettled.len, unsettled.max_epoch);
     }
 
     /// Cuts a failed append back off the active segment: truncates it to

@@ -17,10 +17,11 @@
 //! * `segment` — `wal-<seq>.cwsj` files with a checksummed header,
 //!   created through the shared atomic-write sequence.
 //! * `journal` — the segmented log: appends, rotation at a byte cap,
-//!   the [`SyncPolicy`] fsync knob (its fsyncs run on one helper thread
-//!   while the pipeline stages the push; a failed append is cut back off
-//!   the segment), open-time torn-tail recovery that
-//!   truncates exactly at the last clean frame, disk governance via
+//!   the [`SyncPolicy`] fsync knob (an element batch's fsync runs on one
+//!   helper thread while the pipeline stages the batch; a failed or
+//!   refused append is cut back off the segment), open-time torn-tail
+//!   recovery that truncates exactly at the last clean frame, disk
+//!   governance via
 //!   [`ResourceBudget`](cws_core::budget::ResourceBudget) (a full journal
 //!   is a typed `BudgetExceeded`, never silent truncation), and epoch
 //!   watermarks: once a snapshot covers an epoch, the sealed segments
