@@ -76,15 +76,7 @@ fn render(report: &ExperimentReport, format: Format) -> String {
     match format {
         Format::Text => report.render_text(),
         Format::Json => report.to_json(),
-        Format::Csv => {
-            let mut out = String::new();
-            for table in &report.tables {
-                out.push_str(&format!("# {} :: {}\n", report.id, table.title));
-                out.push_str(&table.to_csv());
-                out.push('\n');
-            }
-            out
-        }
+        Format::Csv => report.to_csv(),
     }
 }
 

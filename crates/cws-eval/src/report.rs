@@ -126,6 +126,19 @@ impl ExperimentReport {
         out
     }
 
+    /// Renders every table as CSV, each under a `# <id> :: <table title>`
+    /// line and followed by a blank line. Notes are not part of the CSV.
+    #[must_use]
+    pub fn to_csv(&self) -> String {
+        let mut out = String::new();
+        for table in &self.tables {
+            out.push_str(&format!("# {} :: {}\n", self.id, table.title));
+            out.push_str(&table.to_csv());
+            out.push('\n');
+        }
+        out
+    }
+
     /// Serializes the report as pretty JSON.
     ///
     /// Hand-rolled (the workspace builds without crates.io access, so there

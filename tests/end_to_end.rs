@@ -5,7 +5,7 @@
 use coordinated_sampling::data::ip::{IpAttribute, IpKey, IpTrace, IpTraceConfig};
 use coordinated_sampling::data::synthetic::element_stream;
 use coordinated_sampling::eval::datasets::DatasetScale;
-use coordinated_sampling::eval::experiments::{available_experiments, run_experiment};
+use coordinated_sampling::eval::experiments::run_all;
 use coordinated_sampling::eval::measure::{measure_dispersed, EstimatorSpec};
 use coordinated_sampling::prelude::*;
 
@@ -164,22 +164,30 @@ fn coordination_beats_independence_on_the_ip_pipeline() {
 
 #[test]
 fn every_registered_experiment_produces_tables_at_smoke_scale() {
-    // The figure experiments are Monte-Carlo heavy; this test runs the
-    // cheaper half end to end and spot-checks one from each family so the
-    // full registry stays wired up.
-    for id in ["table2", "table3", "table4", "fig17", "thm4_1", "ablation_sketchkind"] {
-        let report = run_experiment(id, DatasetScale::Smoke)
-            .unwrap_or_else(|| panic!("experiment {id} is not registered"));
-        assert!(!report.tables.is_empty(), "{id} produced no tables");
-        for table in &report.tables {
-            assert!(!table.rows.is_empty(), "{id}: table `{}` is empty", table.title);
-        }
+    // Every experiment at smoke scale, rendered as `experiments all --scale
+    // smoke --format csv` prints it (one report's CSV and a blank line per
+    // experiment), must match the committed reproduction byte for byte.
+    // Regenerate only after a deliberate change to what an experiment
+    // measures, with:
+    // `cargo run --release -p cws-eval --bin experiments -- all --scale smoke
+    //  --format csv 2>/dev/null > tests/fixtures/experiments_smoke.csv`
+    let mut rendered = String::new();
+    for report in run_all(DatasetScale::Smoke) {
         // Text and JSON renderings are well formed.
         assert!(report.render_text().contains(&report.id));
         assert!(report.to_json().contains("\"tables\""));
+        rendered.push_str(&report.to_csv());
+        rendered.push('\n');
     }
-    assert!(available_experiments().contains(&"fig3"));
-    assert!(available_experiments().contains(&"fig16"));
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/experiments_smoke.csv");
+    let expected = std::fs::read_to_string(&path).expect("fixture is committed");
+    if let Some((line, (got, want))) =
+        rendered.lines().zip(expected.lines()).enumerate().find(|(_, (got, want))| got != want)
+    {
+        panic!("line {}: got `{got}`, fixture has `{want}`", line + 1);
+    }
+    assert_eq!(rendered, expected, "output and fixture differ in length");
 }
 
 #[test]
