@@ -1,10 +1,14 @@
 //! Extra experiments: the Theorem 4.1 Jaccard check and the design-choice
 //! ablations.
+//!
+//! Theorem 4.1 and the fixed-size and sketch-kind ablations measure
+//! constructions the engine's `Pipeline` does not offer (k-mins and Poisson
+//! sketches, a distinct-key budget), so they build them with `cws-core`
+//! directly. The other two run through [`crate::measure`].
 
 use cws_core::aggregates::{weighted_jaccard, AggregateFn};
 use cws_core::coordination::{CoordinationMode, RankGenerator};
 use cws_core::estimate::colocated::InclusiveEstimator;
-use cws_core::estimate::dispersed::SelectionKind;
 use cws_core::estimate::single::{ht_adjusted_weights, rc_adjusted_weights};
 use cws_core::ranks::RankFamily;
 use cws_core::sketch::bottomk::BottomKSketch;
@@ -13,13 +17,14 @@ use cws_core::sketch::poisson::{threshold_for_expected_size, PoissonSketch};
 use cws_core::summary::{ColocatedSummary, SummaryConfig};
 use cws_data::ip::{IpAttribute, IpKey};
 use cws_data::stocks::StockAttribute;
+use cws_engine::Layout;
 use cws_hash::SeedSequence;
 
 use crate::datasets::{self, DatasetScale};
-use crate::measure::{measure_dispersed, EstimatorSpec};
+use crate::measure::measure;
 use crate::report::{fmt, ExperimentReport, Table};
 
-use super::{base_config, usable_ks};
+use super::{base_config, l_set, usable_ks};
 
 /// Theorem 4.1: with independent-differences consistent ranks, the fraction
 /// of k-mins replicas whose minimum-rank key agrees equals the weighted
@@ -96,21 +101,13 @@ pub(super) fn ablation_rankfamily(scale: DatasetScale) -> ExperimentReport {
             "EXP L1-l".to_string(),
         ],
     );
-    let specs = vec![
-        EstimatorSpec::DispersedMin(vec![0, 1], SelectionKind::LSet),
-        EstimatorSpec::DispersedL1(vec![0, 1], SelectionKind::LSet),
-    ];
+    let specs = vec![l_set(AggregateFn::Min(vec![0, 1])), l_set(AggregateFn::L1(vec![0, 1]))];
     for &k in &usable_ks(&ks, view.num_keys()) {
-        let ipps = measure_dispersed(
-            &view.data,
-            &base_config(k, CoordinationMode::SharedSeed),
-            &specs,
-            runs,
-        )
-        .expect("defined");
         let exp_config =
             SummaryConfig::new(k, RankFamily::Exp, CoordinationMode::SharedSeed, 0x5EED);
-        let exp = measure_dispersed(&view.data, &exp_config, &specs, runs).expect("defined");
+        let [ipps, exp] = [base_config(k, CoordinationMode::SharedSeed), exp_config]
+            .map(|config| measure(&view.data, &config, Layout::Dispersed, &specs, runs))
+            .map(|result| result.expect("defined"));
         table.push_row(vec![
             k.to_string(),
             fmt(ipps[0].sigma_v),
@@ -144,7 +141,7 @@ pub(super) fn ablation_consistency(scale: DatasetScale) -> ExperimentReport {
             "independent".to_string(),
         ],
     );
-    let specs = vec![EstimatorSpec::ColocatedInclusive(AggregateFn::Min(all))];
+    let specs = vec![l_set(AggregateFn::Min(all))];
     for &k in &usable_ks(&ks, view.num_keys()) {
         let mut row = vec![k.to_string()];
         for mode in [
@@ -153,8 +150,8 @@ pub(super) fn ablation_consistency(scale: DatasetScale) -> ExperimentReport {
             CoordinationMode::Independent,
         ] {
             let config = SummaryConfig::new(k, RankFamily::Exp, mode, 0x5EED);
-            let result = crate::measure::measure_colocated(&view.data, &config, &specs, runs)
-                .expect("defined");
+            let result =
+                measure(&view.data, &config, Layout::Colocated, &specs, runs).expect("defined");
             row.push(fmt(result[0].sigma_v));
         }
         table.push_row(row);

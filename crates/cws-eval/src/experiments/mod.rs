@@ -18,9 +18,10 @@ use cws_core::estimate::dispersed::SelectionKind;
 use cws_core::ranks::RankFamily;
 use cws_core::summary::SummaryConfig;
 use cws_data::dataset::LabeledDataset;
+use cws_engine::Layout;
 
 use crate::datasets::DatasetScale;
-use crate::measure::{measure_colocated, measure_colocated_size, measure_dispersed, EstimatorSpec};
+use crate::measure::{measure, measure_colocated_size, EstimatorSpec};
 use crate::report::{fmt, ExperimentReport, Table};
 
 /// The ids of all registered experiments, in presentation order.
@@ -102,6 +103,13 @@ pub(crate) fn base_config(k: usize, mode: CoordinationMode) -> SummaryConfig {
     SummaryConfig::new(k, RankFamily::Ipps, mode, 0x5EED)
 }
 
+/// The spec [`crate::measure::measure`] evaluates through
+/// `Summary::adjusted_weights` with l-set selection (the selection only
+/// matters for dispersed `min` and `L1`).
+pub(crate) fn l_set(aggregate: AggregateFn) -> EstimatorSpec {
+    EstimatorSpec::Adjusted(aggregate, SelectionKind::LSet)
+}
+
 /// Caps a k sweep so that it stays meaningful for the data set size
 /// (k close to the number of keys makes every estimator exact).
 pub(crate) fn usable_ks(ks: &[usize], num_keys: usize) -> Vec<usize> {
@@ -125,22 +133,13 @@ pub(crate) fn min_ratio_panel(
             "ratio ind/coord".to_string(),
         ],
     );
-    let spec = vec![EstimatorSpec::DispersedMin(relevant.to_vec(), SelectionKind::LSet)];
+    let spec = vec![l_set(AggregateFn::Min(relevant.to_vec()))];
     for &k in &usable_ks(ks, dataset.num_keys()) {
-        let coordinated = measure_dispersed(
-            &dataset.data,
-            &base_config(k, CoordinationMode::SharedSeed),
-            &spec,
-            runs,
-        )
-        .expect("coordinated min-l is always defined");
-        let independent = measure_dispersed(
-            &dataset.data,
-            &base_config(k, CoordinationMode::Independent),
-            &spec,
-            runs,
-        )
-        .expect("independent min-l is always defined");
+        let [coordinated, independent] =
+            [CoordinationMode::SharedSeed, CoordinationMode::Independent].map(|mode| {
+                measure(&dataset.data, &base_config(k, mode), Layout::Dispersed, &spec, runs)
+                    .expect("min-l is always defined")
+            });
         let ratio = if coordinated[0].sigma_v > 0.0 {
             independent[0].sigma_v / coordinated[0].sigma_v
         } else {
@@ -157,43 +156,46 @@ pub(crate) fn min_ratio_panel(
 }
 
 /// Figures 4–7 style panel pair: absolute `ΣV` and normalized `nΣV` of the
-/// independent min, the per-assignment single-assignment baselines, and the
-/// coordinated min-l / max / L1-l estimators, as a function of k.
+/// independent min, the single-assignment baselines of `shown_baselines`,
+/// and the coordinated min-l / max / L1-l estimators over `relevant`, as a
+/// function of k. `title` prefixes both table captions.
 pub(crate) fn dispersed_variance_panels(
     dataset: &LabeledDataset,
+    title: &str,
     relevant: &[usize],
+    shown_baselines: &[usize],
     ks: &[usize],
     runs: u32,
 ) -> (Table, Table) {
     let mut columns = vec!["k".to_string(), "ind min".to_string()];
-    for &b in relevant {
+    for &b in shown_baselines {
         columns.push(dataset.label(b).to_string());
     }
     columns.extend(["coord min-l", "coord max", "coord L1-l"].map(str::to_string));
 
-    let mut sigma = Table::new(format!("{} — sum of square errors", dataset.name), columns.clone());
-    let mut normalized =
-        Table::new(format!("{} — normalized sum of square errors", dataset.name), columns);
+    let mut sigma = Table::new(format!("{title} — sum of square errors"), columns.clone());
+    let mut normalized = Table::new(format!("{title} — normalized sum of square errors"), columns);
 
     let mut coordinated_specs: Vec<EstimatorSpec> =
-        relevant.iter().map(|&b| EstimatorSpec::DispersedSingle(b)).collect();
-    coordinated_specs.push(EstimatorSpec::DispersedMin(relevant.to_vec(), SelectionKind::LSet));
-    coordinated_specs.push(EstimatorSpec::DispersedMax(relevant.to_vec()));
-    coordinated_specs.push(EstimatorSpec::DispersedL1(relevant.to_vec(), SelectionKind::LSet));
-    let independent_spec =
-        vec![EstimatorSpec::DispersedMin(relevant.to_vec(), SelectionKind::LSet)];
+        shown_baselines.iter().map(|&b| l_set(AggregateFn::SingleAssignment(b))).collect();
+    coordinated_specs.push(l_set(AggregateFn::Min(relevant.to_vec())));
+    coordinated_specs.push(l_set(AggregateFn::Max(relevant.to_vec())));
+    coordinated_specs.push(l_set(AggregateFn::L1(relevant.to_vec())));
+    let independent_spec = vec![l_set(AggregateFn::Min(relevant.to_vec()))];
 
     for &k in &usable_ks(ks, dataset.num_keys()) {
-        let coordinated = measure_dispersed(
+        let coordinated = measure(
             &dataset.data,
             &base_config(k, CoordinationMode::SharedSeed),
+            Layout::Dispersed,
             &coordinated_specs,
             runs,
         )
         .expect("coordinated estimators are defined");
-        let independent = measure_dispersed(
+        let independent = measure(
             &dataset.data,
             &base_config(k, CoordinationMode::Independent),
+            Layout::Dispersed,
             &independent_spec,
             runs,
         )
@@ -223,16 +225,17 @@ pub(crate) fn s_vs_l_panel(
         format!("{} (|R|={})", dataset.name, relevant.len()),
         vec!["k".to_string(), "min-s/min-l".to_string(), "L1-s/L1-l".to_string()],
     );
-    let specs = vec![
-        EstimatorSpec::DispersedMin(relevant.to_vec(), SelectionKind::SSet),
-        EstimatorSpec::DispersedMin(relevant.to_vec(), SelectionKind::LSet),
-        EstimatorSpec::DispersedL1(relevant.to_vec(), SelectionKind::SSet),
-        EstimatorSpec::DispersedL1(relevant.to_vec(), SelectionKind::LSet),
-    ];
+    let mut specs = Vec::new();
+    for aggregate in [AggregateFn::Min(relevant.to_vec()), AggregateFn::L1(relevant.to_vec())] {
+        for selection in [SelectionKind::SSet, SelectionKind::LSet] {
+            specs.push(EstimatorSpec::Adjusted(aggregate.clone(), selection));
+        }
+    }
     for &k in &usable_ks(ks, dataset.num_keys()) {
-        let results = measure_dispersed(
+        let results = measure(
             &dataset.data,
             &base_config(k, CoordinationMode::SharedSeed),
+            Layout::Dispersed,
             &specs,
             runs,
         )
@@ -271,7 +274,7 @@ pub(crate) fn colocated_ratio_panel(
 
     let mut specs = Vec::new();
     for b in 0..assignments {
-        specs.push(EstimatorSpec::ColocatedInclusive(AggregateFn::SingleAssignment(b)));
+        specs.push(l_set(AggregateFn::SingleAssignment(b)));
         specs.push(EstimatorSpec::ColocatedPlain(b));
     }
     for &k in &usable_ks(ks, dataset.num_keys()) {
@@ -279,8 +282,9 @@ pub(crate) fn colocated_ratio_panel(
             (CoordinationMode::SharedSeed, &mut coordinated_table),
             (CoordinationMode::Independent, &mut independent_table),
         ] {
-            let results = measure_colocated(&dataset.data, &base_config(k, mode), &specs, runs)
-                .expect("colocated estimators are defined");
+            let results =
+                measure(&dataset.data, &base_config(k, mode), Layout::Colocated, &specs, runs)
+                    .expect("colocated estimators are defined");
             let mut row = vec![k.to_string()];
             for b in 0..assignments {
                 let inclusive = &results[2 * b];
@@ -318,15 +322,16 @@ pub(crate) fn size_tradeoff_panel(
     );
     let specs = vec![
         EstimatorSpec::ColocatedPlain(assignment),
-        EstimatorSpec::ColocatedInclusive(AggregateFn::SingleAssignment(assignment)),
+        l_set(AggregateFn::SingleAssignment(assignment)),
     ];
     for &k in &usable_ks(ks, dataset.num_keys()) {
         let coord_cfg = base_config(k, CoordinationMode::SharedSeed);
         let ind_cfg = base_config(k, CoordinationMode::Independent);
-        let coord = measure_colocated(&dataset.data, &coord_cfg, &specs, runs).expect("defined");
-        let ind = measure_colocated(&dataset.data, &ind_cfg, &specs, runs).expect("defined");
-        let coord_size = measure_colocated_size(&dataset.data, &coord_cfg, runs.min(20));
-        let ind_size = measure_colocated_size(&dataset.data, &ind_cfg, runs.min(20));
+        let [(coord, coord_size), (ind, ind_size)] = [coord_cfg, ind_cfg].map(|config| {
+            let variance = measure(&dataset.data, &config, Layout::Colocated, &specs, runs);
+            let size = measure_colocated_size(&dataset.data, &config, runs.min(20));
+            (variance.expect("defined"), size.expect("defined"))
+        });
         table.push_row(vec![
             k.to_string(),
             fmt(coord_size.mean_distinct_keys),
@@ -348,16 +353,9 @@ pub(crate) fn sharing_panel(dataset: &LabeledDataset, ks: &[usize], runs: u32) -
         vec!["k".to_string(), "coordinated".to_string(), "independent".to_string()],
     );
     for &k in &usable_ks(ks, dataset.num_keys()) {
-        let coord = measure_colocated_size(
-            &dataset.data,
-            &base_config(k, CoordinationMode::SharedSeed),
-            runs,
-        );
-        let ind = measure_colocated_size(
-            &dataset.data,
-            &base_config(k, CoordinationMode::Independent),
-            runs,
-        );
+        let [coord, ind] = [CoordinationMode::SharedSeed, CoordinationMode::Independent]
+            .map(|mode| measure_colocated_size(&dataset.data, &base_config(k, mode), runs))
+            .map(|size| size.expect("defined"));
         table.push_row(vec![
             k.to_string(),
             fmt(coord.mean_sharing_index),

@@ -7,7 +7,11 @@
 //!   `ΣV[a]` and its normalized form `nΣV` for any estimator over any data
 //!   set, by averaging per-key squared errors over repeated, independently
 //!   seeded sampling runs; plus sharing-index and combined-sample-size
-//!   measurements for colocated summaries.
+//!   measurements for colocated summaries. Every run's summary is built by
+//!   the engine's `Pipeline` and evaluated by `Summary::adjusted_weights`,
+//!   the code `QueryBatch` runs; only Theorem 4.1 and the fixed-size and
+//!   sketch-kind ablations build `cws-core` constructions the pipeline
+//!   does not offer (k-mins, Poisson, a distinct-key budget).
 //! * [`datasets`] — the laptop-scale synthetic stand-ins for the paper's
 //!   data sets (IP dataset1/2, Netflix ratings, stock quotes), built with
 //!   fixed seeds so every experiment is reproducible.

@@ -4,34 +4,31 @@
 //! the normalized `nΣV = ΣV / (Σ_i f(i))²`, approximated "by averaging square
 //! errors over multiple (25–200) runs of the sampling algorithm" (Section 9).
 //! This module implements exactly that: for each run the summary is rebuilt
-//! with a fresh hash seed, every estimator under study is evaluated on it,
-//! and the per-key squared errors against the exact values are accumulated.
+//! through the engine's [`Pipeline`] with a fresh hash seed, every estimator
+//! under study is evaluated on it, and the per-key squared errors against the
+//! exact values are accumulated. Estimates come from
+//! [`Summary::adjusted_weights`], the same dispatch `QueryBatch` runs.
 
 use cws_core::aggregates::{exact_per_key, AggregateFn};
-use cws_core::error::Result;
+use cws_core::error::{CwsError, Result};
 use cws_core::estimate::adjusted::AdjustedWeights;
-use cws_core::estimate::colocated::{InclusiveEstimator, PlainEstimator};
-use cws_core::estimate::dispersed::{DispersedEstimator, SelectionKind};
-use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
+use cws_core::estimate::colocated::PlainEstimator;
+use cws_core::estimate::dispersed::SelectionKind;
+use cws_core::summary::SummaryConfig;
 use cws_core::weights::MultiWeighted;
+use cws_engine::{Ingest, Layout, Pipeline, Summary};
 
 /// An estimator under evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EstimatorSpec {
-    /// Plain RC estimator on the embedded sketch of one assignment
-    /// (dispersed summaries) — the single-assignment baseline `t^(b)`.
-    DispersedSingle(usize),
-    /// Dispersed `max_R` estimator (coordinated sketches only).
-    DispersedMax(Vec<usize>),
-    /// Dispersed `min_R` estimator with the chosen selection rule.
-    DispersedMin(Vec<usize>, SelectionKind),
-    /// Dispersed `L1_R` estimator with the chosen selection rule for the min
-    /// part (coordinated sketches only).
-    DispersedL1(Vec<usize>, SelectionKind),
-    /// Inclusive estimator of an aggregate over a colocated summary.
-    ColocatedInclusive(AggregateFn),
+    /// The estimator [`Summary::adjusted_weights`] picks for the aggregate:
+    /// inclusive over colocated summaries, the dispersed estimator (with the
+    /// given s-set / l-set selection for `min`, `L1` and ℓ-th largest) over
+    /// dispersed ones.
+    Adjusted(AggregateFn, SelectionKind),
     /// Plain single-sketch estimator of one assignment over a colocated
-    /// summary.
+    /// summary: the baseline the inclusive estimator improves on. Dispersed
+    /// summaries reject it.
     ColocatedPlain(usize),
 }
 
@@ -41,73 +38,21 @@ impl EstimatorSpec {
     #[must_use]
     pub fn target(&self) -> AggregateFn {
         match self {
-            EstimatorSpec::DispersedSingle(b) | EstimatorSpec::ColocatedPlain(b) => {
-                AggregateFn::SingleAssignment(*b)
-            }
-            EstimatorSpec::DispersedMax(r) => AggregateFn::Max(r.clone()),
-            EstimatorSpec::DispersedMin(r, _) => AggregateFn::Min(r.clone()),
-            EstimatorSpec::DispersedL1(r, _) => AggregateFn::L1(r.clone()),
-            EstimatorSpec::ColocatedInclusive(f) => f.clone(),
+            EstimatorSpec::Adjusted(f, _) => f.clone(),
+            EstimatorSpec::ColocatedPlain(b) => AggregateFn::SingleAssignment(*b),
         }
     }
 
-    /// `true` for specs evaluated over dispersed summaries.
-    #[must_use]
-    pub fn is_dispersed(&self) -> bool {
-        matches!(
-            self,
-            EstimatorSpec::DispersedSingle(_)
-                | EstimatorSpec::DispersedMax(_)
-                | EstimatorSpec::DispersedMin(..)
-                | EstimatorSpec::DispersedL1(..)
-        )
-    }
-
-    /// Short label used in reports.
-    #[must_use]
-    pub fn label(&self) -> String {
+    fn evaluate(&self, summary: &Summary) -> Result<AdjustedWeights> {
         match self {
-            EstimatorSpec::DispersedSingle(b) => format!("single({b})"),
-            EstimatorSpec::DispersedMax(_) => "coord max".to_string(),
-            EstimatorSpec::DispersedMin(_, SelectionKind::SSet) => "min-s".to_string(),
-            EstimatorSpec::DispersedMin(_, SelectionKind::LSet) => "min-l".to_string(),
-            EstimatorSpec::DispersedL1(_, SelectionKind::SSet) => "L1-s".to_string(),
-            EstimatorSpec::DispersedL1(_, SelectionKind::LSet) => "L1-l".to_string(),
-            EstimatorSpec::ColocatedInclusive(f) => format!("inclusive {}", f.label()),
-            EstimatorSpec::ColocatedPlain(b) => format!("plain w({b})"),
-        }
-    }
-
-    /// Evaluates the spec on a dispersed summary.
-    ///
-    /// # Errors
-    /// Propagates estimator errors (unsupported configuration, bad indices).
-    pub fn evaluate_dispersed(&self, summary: &DispersedSummary) -> Result<AdjustedWeights> {
-        let estimator = DispersedEstimator::new(summary);
-        match self {
-            EstimatorSpec::DispersedSingle(b) => estimator.single(*b),
-            EstimatorSpec::DispersedMax(r) => estimator.max(r),
-            EstimatorSpec::DispersedMin(r, kind) => estimator.min(r, *kind),
-            EstimatorSpec::DispersedL1(r, kind) => estimator.l1(r, *kind),
-            _ => Err(cws_core::CwsError::UnsupportedEstimator {
-                estimator: "colocated spec",
-                reason: "evaluated against a dispersed summary",
-            }),
-        }
-    }
-
-    /// Evaluates the spec on a colocated summary.
-    ///
-    /// # Errors
-    /// Propagates estimator errors (unsupported configuration, bad indices).
-    pub fn evaluate_colocated(&self, summary: &ColocatedSummary) -> Result<AdjustedWeights> {
-        match self {
-            EstimatorSpec::ColocatedInclusive(f) => InclusiveEstimator::new(summary).aggregate(f),
-            EstimatorSpec::ColocatedPlain(b) => PlainEstimator::new(summary).single(*b),
-            _ => Err(cws_core::CwsError::UnsupportedEstimator {
-                estimator: "dispersed spec",
-                reason: "evaluated against a colocated summary",
-            }),
+            EstimatorSpec::Adjusted(f, selection) => summary.adjusted_weights(f, *selection),
+            EstimatorSpec::ColocatedPlain(b) => match summary.as_colocated() {
+                Some(colocated) => PlainEstimator::new(colocated).single(*b),
+                None => Err(CwsError::UnsupportedEstimator {
+                    estimator: "plain colocated",
+                    reason: "evaluated against a dispersed summary",
+                }),
+            },
         }
     }
 }
@@ -115,8 +60,6 @@ impl EstimatorSpec {
 /// The outcome of a Monte-Carlo variance measurement for one estimator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VarianceMeasurement {
-    /// Label of the estimator.
-    pub estimator: String,
     /// Estimated sum of per-key variances `ΣV`.
     pub sigma_v: f64,
     /// Normalized `nΣV = ΣV / (Σ_i f(i))²`.
@@ -175,7 +118,6 @@ impl Accumulator {
         let sigma_v = self.squared_error_sum / f64::from(runs);
         let n_sigma_v = cws_core::variance::normalized_sigma_v(sigma_v, self.exact_total);
         VarianceMeasurement {
-            estimator: self.spec.label(),
             sigma_v,
             n_sigma_v,
             exact_total: self.exact_total,
@@ -185,7 +127,7 @@ impl Accumulator {
     }
 }
 
-/// Measures `ΣV` / `nΣV` for dispersed-summary estimators.
+/// Measures `ΣV` / `nΣV` for estimators over summaries of one layout.
 ///
 /// The summary is rebuilt once per run (with seeds derived from
 /// `config.seed` and the run index) and every spec is evaluated on it, so the
@@ -193,14 +135,15 @@ impl Accumulator {
 /// paper's evaluation.
 ///
 /// # Errors
-/// Propagates estimator errors (e.g. a `max` spec over independent
-/// sketches).
+/// Propagates estimator errors (e.g. a `max` spec over independent dispersed
+/// sketches, or [`EstimatorSpec::ColocatedPlain`] over a dispersed layout).
 ///
 /// # Panics
 /// Panics if `runs == 0`.
-pub fn measure_dispersed(
+pub fn measure(
     data: &MultiWeighted,
     config: &SummaryConfig,
+    layout: Layout,
     specs: &[EstimatorSpec],
     runs: u32,
 ) -> Result<Vec<VarianceMeasurement>> {
@@ -208,35 +151,9 @@ pub fn measure_dispersed(
     let mut accumulators: Vec<Accumulator> =
         specs.iter().map(|spec| Accumulator::new(spec.clone(), data)).collect();
     for run in 0..runs {
-        let summary = DispersedSummary::build(data, &run_config(config, run));
+        let summary = run_summary(data, config, layout, run)?;
         for accumulator in &mut accumulators {
-            let adjusted = accumulator.spec.evaluate_dispersed(&summary)?;
-            accumulator.add(&adjusted);
-        }
-    }
-    Ok(accumulators.into_iter().map(|a| a.finish(runs)).collect())
-}
-
-/// Measures `ΣV` / `nΣV` for colocated-summary estimators.
-///
-/// # Errors
-/// Propagates estimator errors.
-///
-/// # Panics
-/// Panics if `runs == 0`.
-pub fn measure_colocated(
-    data: &MultiWeighted,
-    config: &SummaryConfig,
-    specs: &[EstimatorSpec],
-    runs: u32,
-) -> Result<Vec<VarianceMeasurement>> {
-    assert!(runs > 0, "at least one run is required");
-    let mut accumulators: Vec<Accumulator> =
-        specs.iter().map(|spec| Accumulator::new(spec.clone(), data)).collect();
-    for run in 0..runs {
-        let summary = ColocatedSummary::build(data, &run_config(config, run));
-        for accumulator in &mut accumulators {
-            let adjusted = accumulator.spec.evaluate_colocated(&summary)?;
+            let adjusted = accumulator.spec.evaluate(&summary)?;
             accumulator.add(&adjusted);
         }
     }
@@ -257,49 +174,54 @@ pub struct SizeMeasurement {
 /// Measures the combined sample size and the sharing index of colocated
 /// summaries.
 ///
+/// # Errors
+/// Propagates pipeline errors.
+///
 /// # Panics
 /// Panics if `runs == 0`.
-#[must_use]
 pub fn measure_colocated_size(
     data: &MultiWeighted,
     config: &SummaryConfig,
     runs: u32,
-) -> SizeMeasurement {
+) -> Result<SizeMeasurement> {
     assert!(runs > 0, "at least one run is required");
     let mut distinct = 0.0;
     let mut sharing = 0.0;
     for run in 0..runs {
-        let summary = ColocatedSummary::build(data, &run_config(config, run));
-        distinct += summary.num_distinct_keys() as f64;
-        sharing += summary.sharing_index();
+        let summary = run_summary(data, config, Layout::Colocated, run)?;
+        let colocated = summary.as_colocated().expect("the colocated layout builds one");
+        distinct += colocated.num_distinct_keys() as f64;
+        sharing += colocated.sharing_index();
     }
-    SizeMeasurement {
+    Ok(SizeMeasurement {
         mean_distinct_keys: distinct / f64::from(runs),
         mean_sharing_index: sharing / f64::from(runs),
         runs,
-    }
+    })
 }
 
-/// Mean number of distinct keys of dispersed summaries (the storage cost
-/// coordination minimizes, Theorem 4.2).
-///
-/// # Panics
-/// Panics if `runs == 0`.
-#[must_use]
-pub fn measure_dispersed_size(data: &MultiWeighted, config: &SummaryConfig, runs: u32) -> f64 {
-    assert!(runs > 0, "at least one run is required");
-    let mut distinct = 0.0;
-    for run in 0..runs {
-        let summary = DispersedSummary::build(data, &run_config(config, run));
-        distinct += summary.num_distinct_keys() as f64;
+/// The summary of one Monte-Carlo run: `data` pushed record by record
+/// through a [`Pipeline`] whose seed is a deterministic derivation of
+/// `config.seed` and the run index.
+fn run_summary(
+    data: &MultiWeighted,
+    config: &SummaryConfig,
+    layout: Layout,
+    run: u32,
+) -> Result<Summary> {
+    let seed = cws_hash::mix64(config.seed ^ (u64::from(run) + 1).wrapping_mul(0x9E37));
+    let mut pipeline = Pipeline::builder()
+        .assignments(data.num_assignments())
+        .k(config.k)
+        .rank(config.family)
+        .coordination(config.mode)
+        .layout(layout)
+        .seed(seed)
+        .build()?;
+    for (key, weights) in data.iter() {
+        pipeline.push_record(key, weights)?;
     }
-    distinct / f64::from(runs)
-}
-
-/// The configuration used for one Monte-Carlo run: a deterministic
-/// derivation of the base seed.
-fn run_config(config: &SummaryConfig, run: u32) -> SummaryConfig {
-    config.with_seed(cws_hash::mix64(config.seed ^ (u64::from(run) + 1).wrapping_mul(0x9E37)))
+    pipeline.finalize()
 }
 
 #[cfg(test)]
@@ -317,26 +239,29 @@ mod tests {
         SummaryConfig::new(40, RankFamily::Ipps, mode, 5)
     }
 
+    fn adjusted(aggregate: AggregateFn) -> EstimatorSpec {
+        EstimatorSpec::Adjusted(aggregate, SelectionKind::LSet)
+    }
+
     #[test]
     fn dispersed_measurement_reports_all_specs_and_is_unbiased() {
         let data = data();
         let specs = vec![
-            EstimatorSpec::DispersedSingle(0),
-            EstimatorSpec::DispersedMax(vec![0, 1, 2]),
-            EstimatorSpec::DispersedMin(vec![0, 1, 2], SelectionKind::LSet),
-            EstimatorSpec::DispersedL1(vec![0, 1, 2], SelectionKind::LSet),
+            adjusted(AggregateFn::SingleAssignment(0)),
+            adjusted(AggregateFn::Max(vec![0, 1, 2])),
+            adjusted(AggregateFn::Min(vec![0, 1, 2])),
+            adjusted(AggregateFn::L1(vec![0, 1, 2])),
         ];
-        let results =
-            measure_dispersed(&data, &config(CoordinationMode::SharedSeed), &specs, 150).unwrap();
+        let cfg = config(CoordinationMode::SharedSeed);
+        let results = measure(&data, &cfg, Layout::Dispersed, &specs, 150).unwrap();
         assert_eq!(results.len(), 4);
-        for result in &results {
+        for (spec, result) in specs.iter().zip(&results) {
             assert!(result.sigma_v >= 0.0);
             assert!(result.n_sigma_v >= 0.0);
             assert!(result.exact_total > 0.0);
             assert!(
                 (result.mean_estimate - result.exact_total).abs() <= result.exact_total * 0.25,
-                "{}: mean {} vs exact {}",
-                result.estimator,
+                "{spec:?}: mean {} vs exact {}",
                 result.mean_estimate,
                 result.exact_total
             );
@@ -346,28 +271,24 @@ mod tests {
     #[test]
     fn coordination_reduces_min_variance() {
         let data = data();
-        let spec = vec![EstimatorSpec::DispersedMin(vec![0, 1, 2], SelectionKind::LSet)];
-        let coordinated =
-            measure_dispersed(&data, &config(CoordinationMode::SharedSeed), &spec, 120).unwrap();
-        let independent =
-            measure_dispersed(&data, &config(CoordinationMode::Independent), &spec, 120).unwrap();
+        let spec = vec![adjusted(AggregateFn::Min(vec![0, 1, 2]))];
+        let measure_in =
+            |mode| measure(&data, &config(mode), Layout::Dispersed, &spec, 120).unwrap()[0].sigma_v;
+        let coordinated = measure_in(CoordinationMode::SharedSeed);
+        let independent = measure_in(CoordinationMode::Independent);
         assert!(
-            independent[0].sigma_v > coordinated[0].sigma_v * 2.0,
-            "independent {} vs coordinated {}",
-            independent[0].sigma_v,
-            coordinated[0].sigma_v
+            independent > coordinated * 2.0,
+            "independent {independent} vs coordinated {coordinated}"
         );
     }
 
     #[test]
     fn colocated_measurement_inclusive_beats_plain() {
         let data = data();
-        let specs = vec![
-            EstimatorSpec::ColocatedInclusive(AggregateFn::SingleAssignment(1)),
-            EstimatorSpec::ColocatedPlain(1),
-        ];
-        let results =
-            measure_colocated(&data, &config(CoordinationMode::SharedSeed), &specs, 150).unwrap();
+        let specs =
+            vec![adjusted(AggregateFn::SingleAssignment(1)), EstimatorSpec::ColocatedPlain(1)];
+        let cfg = config(CoordinationMode::SharedSeed);
+        let results = measure(&data, &cfg, Layout::Colocated, &specs, 150).unwrap();
         assert!(results[0].sigma_v <= results[1].sigma_v * 1.05);
         assert!(results[0].n_sigma_v <= results[1].n_sigma_v * 1.05);
     }
@@ -375,46 +296,40 @@ mod tests {
     #[test]
     fn max_over_independent_sketches_is_an_error() {
         let data = data();
-        let specs = vec![EstimatorSpec::DispersedMax(vec![0, 1])];
-        assert!(
-            measure_dispersed(&data, &config(CoordinationMode::Independent), &specs, 10).is_err()
-        );
+        let specs = vec![adjusted(AggregateFn::Max(vec![0, 1]))];
+        let cfg = config(CoordinationMode::Independent);
+        assert!(measure(&data, &cfg, Layout::Dispersed, &specs, 10).is_err());
     }
 
     #[test]
     fn size_measurements_are_sensible() {
         let data = data();
-        let coordinated = measure_colocated_size(&data, &config(CoordinationMode::SharedSeed), 30);
-        let independent = measure_colocated_size(&data, &config(CoordinationMode::Independent), 30);
+        let measure_in = |mode| measure_colocated_size(&data, &config(mode), 30).unwrap();
+        let coordinated = measure_in(CoordinationMode::SharedSeed);
+        let independent = measure_in(CoordinationMode::Independent);
         assert!(coordinated.mean_distinct_keys < independent.mean_distinct_keys);
         assert!(coordinated.mean_sharing_index >= 1.0 / 3.0 - 1e-9);
         assert!(independent.mean_sharing_index <= 1.0);
-
-        let disp_coord = measure_dispersed_size(&data, &config(CoordinationMode::SharedSeed), 30);
-        let disp_ind = measure_dispersed_size(&data, &config(CoordinationMode::Independent), 30);
-        assert!(disp_coord < disp_ind);
     }
 
     #[test]
-    fn spec_helpers() {
-        let spec = EstimatorSpec::DispersedMin(vec![0, 1], SelectionKind::SSet);
-        assert!(spec.is_dispersed());
-        assert_eq!(spec.label(), "min-s");
+    fn spec_targets() {
+        let spec = adjusted(AggregateFn::Min(vec![0, 1]));
         assert_eq!(spec.target(), AggregateFn::Min(vec![0, 1]));
         let spec = EstimatorSpec::ColocatedPlain(2);
-        assert!(!spec.is_dispersed());
         assert_eq!(spec.target(), AggregateFn::SingleAssignment(2));
     }
 
     #[test]
-    fn mismatched_spec_and_summary_type_is_an_error() {
+    fn plain_estimator_over_a_dispersed_summary_is_unsupported() {
         let data = data();
         let cfg = config(CoordinationMode::SharedSeed);
-        let dispersed = DispersedSummary::build(&data, &cfg);
-        let colocated = ColocatedSummary::build(&data, &cfg);
-        let c_spec = EstimatorSpec::ColocatedPlain(0);
-        let d_spec = EstimatorSpec::DispersedSingle(0);
-        assert!(c_spec.evaluate_dispersed(&dispersed).is_err());
-        assert!(d_spec.evaluate_colocated(&colocated).is_err());
+        let error = measure(&data, &cfg, Layout::Dispersed, &[EstimatorSpec::ColocatedPlain(0)], 1)
+            .unwrap_err();
+        assert!(matches!(error, CwsError::UnsupportedEstimator { .. }), "{error:?}");
+        // The same spec over the colocated layout is defined.
+        assert!(
+            measure(&data, &cfg, Layout::Colocated, &[EstimatorSpec::ColocatedPlain(0)], 1).is_ok()
+        );
     }
 }

@@ -6,7 +6,7 @@ use coordinated_sampling::data::ip::{IpAttribute, IpKey, IpTrace, IpTraceConfig}
 use coordinated_sampling::data::synthetic::element_stream;
 use coordinated_sampling::eval::datasets::DatasetScale;
 use coordinated_sampling::eval::experiments::run_all;
-use coordinated_sampling::eval::measure::{measure_dispersed, EstimatorSpec};
+use coordinated_sampling::eval::measure::{measure, EstimatorSpec};
 use coordinated_sampling::prelude::*;
 
 fn ip_view() -> LabeledDataset {
@@ -139,21 +139,12 @@ fn colocated_facade_supports_posterior_queries() {
 #[test]
 fn coordination_beats_independence_on_the_ip_pipeline() {
     let view = ip_view();
-    let spec = vec![EstimatorSpec::DispersedMin(vec![0, 1, 2], SelectionKind::LSet)];
-    let coordinated = measure_dispersed(
-        &view.data,
-        &SummaryConfig::new(64, RankFamily::Ipps, CoordinationMode::SharedSeed, 9),
-        &spec,
-        40,
-    )
-    .unwrap();
-    let independent = measure_dispersed(
-        &view.data,
-        &SummaryConfig::new(64, RankFamily::Ipps, CoordinationMode::Independent, 9),
-        &spec,
-        40,
-    )
-    .unwrap();
+    let spec = vec![EstimatorSpec::Adjusted(AggregateFn::Min(vec![0, 1, 2]), SelectionKind::LSet)];
+    let [coordinated, independent] = [CoordinationMode::SharedSeed, CoordinationMode::Independent]
+        .map(|mode| {
+            let config = SummaryConfig::new(64, RankFamily::Ipps, mode, 9);
+            measure(&view.data, &config, Layout::Dispersed, &spec, 40).unwrap()
+        });
     assert!(
         independent[0].sigma_v > coordinated[0].sigma_v * 3.0,
         "independent ΣV {} vs coordinated ΣV {}",
