@@ -1,7 +1,7 @@
 //! Shared crash-safe filesystem primitives.
 //!
-//! Every durable artifact in the workspace — epoch snapshots, the advisory
-//! store manifest, write-ahead journal segments — commits through the same
+//! Every durable artifact in the workspace — epoch snapshots and
+//! write-ahead journal segments — commits through the same
 //! sequence: encode into `<name>.tmp`, `fsync` the file, rename it to its
 //! final name, then `fsync` the containing directory so the rename itself
 //! survives a power loss. The rename is the commit point; a crash anywhere

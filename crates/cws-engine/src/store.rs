@@ -15,7 +15,6 @@
 //!
 //! ```text
 //! store/
-//! ├── MANIFEST                         # advisory text index, last write wins
 //! ├── epoch-00000000000000000007.cws   # one serialized Summary per epoch
 //! ├── epoch-00000000000000000008.cws
 //! ├── epoch-00000000000000000009.cws.tmp          # in-flight publish (crash leftover)
@@ -37,11 +36,10 @@
 //! and body checksums catch it: [`SnapshotStore::recover`] decodes every
 //! `epoch-*.cws`, renames files that fail to `<name>.quarantined` (with the
 //! typed decode error in the report), and resumes from the **highest epoch
-//! that decodes cleanly**.
-//!
-//! The `MANIFEST` file is an advisory index for operators (`cat MANIFEST`
-//! tells you what the store holds) — recovery never trusts it; the scan and
-//! the checksums are the source of truth.
+//! that decodes cleanly**. The directory scan and the checksums are the
+//! only source of truth: the store keeps no index file, and recovery
+//! ignores any file that is not an epoch snapshot or a temp (such as the
+//! advisory `MANIFEST` that older versions wrote).
 //!
 //! # At-rest scrubbing
 //!
@@ -49,13 +47,12 @@
 //! sits on disk between crashes. [`Scrubber`] is the at-rest complement: a
 //! caller-driven [`scrub`](Scrubber::scrub) pass that re-verifies the
 //! checksums of every retained epoch, quarantines files that no longer
-//! decode, bounds `.quarantined` accumulation with its own retention, and
-//! repairs a missing or stale `MANIFEST`. Scrubbing touches only the
+//! decode, and bounds `.quarantined` accumulation with its own retention.
+//! Scrubbing touches only the
 //! directory — continuous pipelines serve `Arc<Summary>` snapshots from
 //! memory, so serving continues undisturbed while a scrub runs.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -70,8 +67,6 @@ const EPOCH_PREFIX: &str = "epoch-";
 const EPOCH_SUFFIX: &str = ".cws";
 /// Suffix a corrupt snapshot is renamed to by recovery.
 const QUARANTINE_SUFFIX: &str = ".quarantined";
-/// Name of the advisory manifest file.
-const MANIFEST_NAME: &str = "MANIFEST";
 
 /// Width of the zero-padded epoch number in file names: u64::MAX has 20
 /// decimal digits, so lexicographic order equals numeric order.
@@ -168,7 +163,7 @@ impl SnapshotStore {
     }
 
     /// Parses `epoch-<n>.cws` → `n`. Returns `None` for anything else
-    /// (temps, quarantined files, the manifest, foreign files).
+    /// (temps, quarantined files, foreign files).
     fn parse_epoch(file_name: &str) -> Option<u64> {
         let digits = file_name.strip_prefix(EPOCH_PREFIX)?.strip_suffix(EPOCH_SUFFIX)?;
         if digits.len() != EPOCH_DIGITS || !digits.bytes().all(|b| b.is_ascii_digit()) {
@@ -179,8 +174,7 @@ impl SnapshotStore {
 
     /// Durably publishes `summary` as `epoch`'s snapshot through the shared
     /// [`atomic_write`] sequence (temp file, fsync, rename, directory
-    /// fsync), then refreshes the manifest and prunes epochs beyond the
-    /// retention bound.
+    /// fsync), then prunes epochs beyond the retention bound.
     ///
     /// The rename is the commit point — a crash anywhere before it leaves
     /// the previous epoch untouched and only a `.tmp` leftover;
@@ -194,7 +188,6 @@ impl SnapshotStore {
         let final_path = self.epoch_path(epoch);
         atomic_write(&final_path, |file| summary.write_to(file))?;
         self.prune()?;
-        self.write_manifest()?;
         Ok(final_path)
     }
 
@@ -274,7 +267,6 @@ impl SnapshotStore {
             report.last_good = Some((*epoch, Arc::new(summary)));
         }
         self.sync_dir()?;
-        self.write_manifest()?;
         Ok(report)
     }
 
@@ -339,40 +331,6 @@ impl SnapshotStore {
         Ok(excess)
     }
 
-    /// The manifest text the store's current contents call for.
-    fn manifest_text(&self) -> Result<String> {
-        let epochs = self.epochs()?;
-        let mut text = String::from("# cws snapshot store manifest (advisory; recovery rescans)\n");
-        text.push_str(&format!("retention {}\n", self.retention));
-        for epoch in &epochs {
-            text.push_str(&format!("epoch {epoch} {}\n", Self::epoch_file_name(*epoch)));
-        }
-        Ok(text)
-    }
-
-    /// Rewrites the `MANIFEST` if it is missing or stale; returns whether a
-    /// repair happened. Advisory only — nothing reads the manifest for
-    /// correctness — but a stale one misleads operators.
-    fn repair_manifest(&self) -> Result<bool> {
-        let expected = self.manifest_text()?;
-        let current = fs::read_to_string(self.dir.join(MANIFEST_NAME)).ok();
-        if current.as_deref() == Some(expected.as_str()) {
-            return Ok(false);
-        }
-        self.write_manifest()?;
-        Ok(true)
-    }
-
-    /// Rewrites the advisory `MANIFEST` through the shared [`atomic_write`]
-    /// sequence.
-    fn write_manifest(&self) -> Result<()> {
-        let text = self.manifest_text()?;
-        let final_path = self.dir.join(MANIFEST_NAME);
-        atomic_write(&final_path, |file| {
-            file.write_all(text.as_bytes()).map_err(|e| store_error("write", &final_path, &e))
-        })
-    }
-
     /// Fsyncs the store directory so renames within it are durable — the
     /// shared [`sync_dir`] helper over this store's directory.
     fn sync_dir(&self) -> Result<()> {
@@ -393,9 +351,6 @@ pub struct ScrubReport {
     /// Number of old `…​.quarantined` files removed to respect the
     /// scrubber's quarantine retention.
     pub pruned_quarantined: usize,
-    /// `true` when the advisory `MANIFEST` was missing or stale and was
-    /// rewritten.
-    pub manifest_repaired: bool,
 }
 
 /// A caller-driven at-rest integrity pass over a [`SnapshotStore`] — the
@@ -410,8 +365,7 @@ pub struct ScrubReport {
 /// 2. quarantines (renames, never deletes) snapshots that no longer
 ///    decode, carrying the typed decode error in the report;
 /// 3. bounds `.quarantined` forensics with its own retention (default:
-///    the store's epoch retention);
-/// 4. repairs the advisory `MANIFEST` if it is missing or stale.
+///    the store's epoch retention).
 ///
 /// Scrubbing only touches the directory. Serving reads `Arc<Summary>`
 /// snapshots from memory (e.g.
@@ -451,7 +405,7 @@ impl Scrubber {
     }
 
     /// Runs one integrity pass over `store` (see the type docs for the
-    /// four steps).
+    /// three steps).
     ///
     /// Like recovery, a scrub is idempotent: a second pass over an
     /// undisturbed store verifies the same epochs and changes nothing.
@@ -483,7 +437,6 @@ impl Scrubber {
         }
         let retention = self.quarantine_retention.unwrap_or(store.retention());
         report.pruned_quarantined = store.prune_quarantined_to(retention)?;
-        report.manifest_repaired = store.repair_manifest()?;
         store.sync_dir()?;
         Ok(report)
     }
@@ -532,9 +485,6 @@ mod tests {
         assert!(path.ends_with("epoch-00000000000000000007.cws"));
         assert_eq!(store.load(7).unwrap(), summary);
         assert_eq!(store.epochs().unwrap(), vec![7]);
-        // The manifest names the epoch.
-        let manifest = fs::read_to_string(dir.join("MANIFEST")).unwrap();
-        assert!(manifest.contains("epoch 7 "), "{manifest}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -559,8 +509,10 @@ mod tests {
         store.publish(2, &new).unwrap();
         // A crash mid-publish leaves a .tmp with arbitrary garbage.
         fs::write(dir.join("epoch-00000000000000000003.cws.tmp"), b"partial").unwrap();
-        // Foreign files are ignored.
+        // Foreign files are ignored, including the advisory MANIFEST that
+        // stores written by older versions still hold.
         fs::write(dir.join("README"), b"not a snapshot").unwrap();
+        fs::write(dir.join("MANIFEST"), b"epoch 9 epoch-00000000000000000009.cws\n").unwrap();
         let report = store.recover().unwrap();
         assert_eq!(report.removed_temps, 1);
         assert!(report.quarantined.is_empty());
@@ -569,6 +521,7 @@ mod tests {
         assert_eq!(*summary, new);
         assert!(!dir.join("epoch-00000000000000000003.cws.tmp").exists());
         assert!(dir.join("README").exists());
+        assert!(dir.join("MANIFEST").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -606,7 +559,7 @@ mod tests {
 
     /// A scrub over a clean store verifies every epoch and changes
     /// nothing; over a rotted store it quarantines exactly the flipped
-    /// epochs and repairs the manifest.
+    /// epochs.
     #[test]
     fn scrub_verifies_clean_epochs_and_quarantines_rot() {
         let dir = scratch_dir("scrub");
@@ -618,7 +571,6 @@ mod tests {
         assert_eq!(clean.verified, vec![1, 2, 3, 4]);
         assert!(clean.quarantined.is_empty());
         assert_eq!(clean.pruned_quarantined, 0);
-        assert!(!clean.manifest_repaired, "a fresh manifest needs no repair");
 
         // Rot sets in at rest: flip one byte in epochs 2 and 4.
         for epoch in [2u64, 4] {
@@ -628,8 +580,6 @@ mod tests {
             bytes[middle] ^= 0x01;
             fs::write(&path, &bytes).unwrap();
         }
-        // And the manifest goes missing.
-        fs::remove_file(dir.join("MANIFEST")).unwrap();
 
         let report = Scrubber::new().scrub(&mut store).unwrap();
         assert_eq!(report.verified, vec![1, 3]);
@@ -641,15 +591,10 @@ mod tests {
         for rotten in &report.quarantined {
             assert!(rotten.path.exists(), "forensics are renamed, not deleted");
         }
-        assert!(report.manifest_repaired);
-        let manifest = fs::read_to_string(dir.join("MANIFEST")).unwrap();
-        assert!(manifest.contains("epoch 1 "), "{manifest}");
-        assert!(!manifest.contains("epoch 2 "), "{manifest}");
         // Idempotent: a second pass finds the store already settled.
         let again = Scrubber::new().scrub(&mut store).unwrap();
         assert_eq!(again.verified, vec![1, 3]);
         assert!(again.quarantined.is_empty());
-        assert!(!again.manifest_repaired);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -335,7 +335,7 @@ fn scrubber_detects_every_single_byte_flip_while_serving() {
             assert_eq!(still.value.to_bits(), baseline.value.to_bits());
 
             // Restore the epoch for the next offset; the follow-up scrub
-            // verifies it clean again (and repairs the manifest).
+            // verifies it clean again.
             std::fs::write(&path, &pristine).unwrap();
         }
         let clean = scrubber.scrub(&mut store).unwrap();
