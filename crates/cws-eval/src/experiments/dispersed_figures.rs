@@ -20,15 +20,15 @@ pub(super) fn fig3(scale: DatasetScale) -> ExperimentReport {
         "ΣV[min over independent sketches] / ΣV[min-l over coordinated sketches] vs k",
     );
     report.note(
-        "Each ΣV is the sum of per-key squared errors, averaged over the runs. Where both sketches sample \
-         well, the ratio is ≫ 1 (orders of magnitude in the paper) and tends to grow with |R|. \
-         Rows with large |R| and small k can read < 1: independent sketches rarely hold a key \
-         sampled for every assignment in R, so the independent min estimate is usually 0. In a \
-         row where it was 0 in every run, the measured ΣV is exactly Σf², the same at every k \
-         (stocks/high |R|=5 at k=16 and 64 at full scale, stocks/volume |R|=23 at smoke \
-         scale). The estimator is unbiased, so its variance sits in rare runs \
-         with huge estimates that a few dozen runs miss; there the measurement under-reads \
-         the independent estimator's variance, and the ratio does not compare true variances.",
+        "Each ΣV is the sum of per-key squared errors, averaged over the runs. Where both \
+         sketches sample well, the ratio is ≫ 1 (orders of magnitude in the paper) and tends to \
+         grow with |R|. Rows with large |R| and small k can read < 1: independent sketches \
+         rarely hold a key sampled for every assignment in R, so the independent min estimate \
+         is usually 0. In a row where it was 0 in every run, the measured ΣV is exactly Σf², \
+         the same at every k (stocks/high |R|=5 at k=16 and 64 at full scale, stocks/volume \
+         |R|=23 at smoke scale). The estimator is unbiased, so its variance sits in rare runs \
+         with huge estimates that a few dozen runs miss; there the measurement under-reads the \
+         independent estimator's variance, and the ratio does not compare true variances.",
     );
 
     let ip1 = datasets::ip_dataset1(scale);
