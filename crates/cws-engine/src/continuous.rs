@@ -361,6 +361,11 @@ impl EpochedPipeline {
     /// [`publish`](Self::publish), then durably persist the snapshot into
     /// `store` under its epoch number.
     ///
+    /// With a journal attached, the sealed segments the snapshot covers are
+    /// unlinked and the journal directory fsynced before this returns. The
+    /// blocks of those segments, at most one epoch's, are freed just after
+    /// on a reclaim thread.
+    ///
     /// # Errors
     /// As [`publish`](Self::publish) for the in-memory half. If only the
     /// *store* write fails, the snapshot **was** published in memory

@@ -123,6 +123,10 @@ pub struct RecoveryReport {
 pub struct SnapshotStore {
     dir: PathBuf,
     retention: usize,
+    /// The next retention unlink fails (root can unlink any file, so a
+    /// test cannot make one fail through the filesystem).
+    #[cfg(test)]
+    fail_next_remove: bool,
 }
 
 impl SnapshotStore {
@@ -136,7 +140,12 @@ impl SnapshotStore {
     pub fn open(dir: impl Into<PathBuf>, retention: usize) -> Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| store_error("create_dir", &dir, &e))?;
-        Ok(Self { dir, retention: retention.max(1) })
+        Ok(Self {
+            dir,
+            retention: retention.max(1),
+            #[cfg(test)]
+            fail_next_remove: false,
+        })
     }
 
     /// The store directory.
@@ -178,16 +187,22 @@ impl SnapshotStore {
     ///
     /// The rename is the commit point — a crash anywhere before it leaves
     /// the previous epoch untouched and only a `.tmp` leftover;
-    /// [`recover`](Self::recover) removes those.
+    /// [`recover`](Self::recover) removes those. The retention prune runs
+    /// after the commit point and is best-effort: an epoch it could not
+    /// delete stays on disk, and the next publish retries it.
     ///
     /// # Errors
-    /// [`CwsError::Store`] for filesystem failures, [`CwsError::Codec`] if
-    /// encoding fails. On error the final file is either absent or the
-    /// previous complete version — never torn.
+    /// [`CwsError::Store`] for filesystem failures before the commit point,
+    /// [`CwsError::Codec`] if encoding fails. On error the final file is
+    /// either absent or the previous complete version — never torn. A
+    /// failed retention prune is not an error: the new snapshot is
+    /// durable.
     pub fn publish(&mut self, epoch: u64, summary: &Summary) -> Result<PathBuf> {
         let final_path = self.epoch_path(epoch);
         atomic_write(&final_path, |file| summary.write_to(file))?;
-        self.prune()?;
+        // Past the commit point. `prune` rescans the directory, so the next
+        // publish retries whatever this one could not delete.
+        let _ = self.prune();
         Ok(final_path)
     }
 
@@ -289,11 +304,16 @@ impl SnapshotStore {
     }
 
     /// Deletes committed epochs beyond the retention bound (oldest first).
-    fn prune(&self) -> Result<()> {
+    fn prune(&mut self) -> Result<()> {
         let epochs = self.epochs()?;
         if epochs.len() > self.retention {
             for &epoch in &epochs[..epochs.len() - self.retention] {
                 let path = self.epoch_path(epoch);
+                #[cfg(test)]
+                if std::mem::take(&mut self.fail_next_remove) {
+                    let injected = std::io::Error::other("injected remove failure");
+                    return Err(store_error("remove", &path, &injected));
+                }
                 fs::remove_file(&path).map_err(|e| store_error("remove", &path, &e))?;
             }
             self.sync_dir()?;
@@ -496,6 +516,26 @@ mod tests {
             store.publish(epoch, &sample_summary(9, 50 + epoch)).unwrap();
         }
         assert_eq!(store.epochs().unwrap(), vec![4, 5, 6]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A retention prune that fails after the commit rename does not fail
+    /// the publish: the new snapshot is durable, the old epoch stays, and
+    /// the next publish prunes it.
+    #[test]
+    fn a_failed_retention_prune_does_not_fail_a_committed_publish() {
+        let dir = scratch_dir("prune-fails");
+        let mut store = SnapshotStore::open(&dir, 2).unwrap();
+        store.publish(1, &sample_summary(6, 60)).unwrap();
+        store.publish(2, &sample_summary(6, 70)).unwrap();
+        let third = sample_summary(6, 80);
+        store.fail_next_remove = true;
+        assert!(store.publish(3, &third).is_ok(), "epoch 3 committed before the prune");
+        assert!(!store.fail_next_remove, "the prune reached its unlink");
+        assert_eq!(store.epochs().unwrap(), vec![1, 2, 3]);
+        assert_eq!(store.load(3).unwrap(), third);
+        store.publish(4, &sample_summary(6, 90)).unwrap();
+        assert_eq!(store.epochs().unwrap(), vec![3, 4], "the next publish retried the prune");
         fs::remove_dir_all(&dir).unwrap();
     }
 

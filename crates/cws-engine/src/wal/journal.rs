@@ -258,7 +258,68 @@ impl Drop for SyncHelper {
     }
 }
 
-/// Failures a test can arm for the journal's next write, fsync or cut-back.
+/// Closes the handles of unlinked segments on a thread of its own.
+///
+/// Unlinking a file only removes its name; the filesystem frees its blocks
+/// when the last handle closes, and on a filesystem that discards freed
+/// blocks that is most of a prune's cost. [`Journal::mark_covered`] holds a
+/// handle across each unlink and hands them here, so the freeing leaves
+/// the caller's thread. It is not the fsync helper: queued there, the
+/// closes would delay the next epoch's fsyncs. At most one reclaim is
+/// outstanding: the previous one is joined before the next starts, and
+/// when the journal drops.
+#[derive(Debug, Default)]
+struct Reclaimer {
+    worker: Option<thread::JoinHandle<()>>,
+    /// Handles handed over so far.
+    #[cfg(test)]
+    handed: usize,
+}
+
+impl Reclaimer {
+    /// Closes `handles` on a fresh thread once the previous reclaim is
+    /// done. A failed spawn drops the closure, and the handles with it, on
+    /// this thread: the same outcome at the inline cost.
+    fn release(&mut self, handles: Vec<fs::File>) {
+        self.join();
+        if handles.is_empty() {
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.handed += handles.len();
+        }
+        let spawned =
+            thread::Builder::new().name("cws-wal-reclaim".to_string()).spawn(move || drop(handles));
+        self.worker = spawned.ok();
+    }
+
+    fn join(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
+        }
+    }
+}
+
+impl Drop for Reclaimer {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
+/// Unlinks `path`. On Unix the returned handle still holds the file's
+/// blocks until it closes; elsewhere the unlink frees them and there is no
+/// handle.
+fn unlink_holding(path: &Path) -> io::Result<Option<fs::File>> {
+    #[cfg(unix)]
+    let handle = fs::File::open(path).ok();
+    #[cfg(not(unix))]
+    let handle = None;
+    fs::remove_file(path).map(|()| handle)
+}
+
+/// Failures a test can arm for the journal's next write, fsync, cut-back
+/// or reclaim.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum InjectedFault {
@@ -268,6 +329,8 @@ pub(crate) enum InjectedFault {
     Sync,
     /// The next cut-back of a failed append fails, leaving the frame.
     CutBack,
+    /// The next reclaim thread fails to spawn; its handles close inline.
+    ReclaimSpawn,
 }
 
 /// A segmented write-ahead journal of ingestion batches.
@@ -293,6 +356,7 @@ pub struct Journal {
     unsettled: Option<Unsettled>,
     /// Spawned at the first overlapped fsync.
     helper: Option<SyncHelper>,
+    reclaimer: Reclaimer,
     /// The active segment is sealed durable and must rotate. Cleared by a
     /// successful rotation, so a failed one is retried at the next append.
     rotate_due: bool,
@@ -442,6 +506,7 @@ impl Journal {
             buf: Vec::new(),
             unsettled: None,
             helper: None,
+            reclaimer: Reclaimer::default(),
             rotate_due: false,
             refused: None,
             #[cfg(test)]
@@ -723,7 +788,7 @@ impl Journal {
         }
     }
 
-    /// Arms `fault` for the next write, fsync or cut-back it names.
+    /// Arms `fault` for the next write, fsync, cut-back or reclaim it names.
     #[cfg(test)]
     pub(crate) fn fail_next(&mut self, fault: InjectedFault) {
         self.faults.push(fault);
@@ -741,6 +806,11 @@ impl Journal {
     /// covered. Returns how many segments were reclaimed. A no-op while
     /// pruning is suppressed.
     ///
+    /// The covered segments are unlinked and the directory fsynced before
+    /// this returns, so their removal is durable. On Unix their blocks are
+    /// freed just after, when a reclaim thread closes the handles held
+    /// across the unlinks; at most one call's segments wait there.
+    ///
     /// # Errors
     /// The first failed unlink, as a typed `Store` error. A segment that
     /// could not be deleted stays listed — and counted by
@@ -755,22 +825,40 @@ impl Journal {
             .take_while(|segment| segment.max_epoch.is_none_or(|tag| tag <= epoch))
             .count();
         let mut kept = Vec::new();
+        let mut handles = Vec::new();
         let mut first_error = None;
         for segment in self.sealed.drain(..covered) {
-            match fs::remove_file(&segment.path) {
-                Err(error) if error.kind() != io::ErrorKind::NotFound => {
+            match unlink_holding(&segment.path) {
+                Ok(handle) => handles.extend(handle),
+                Err(error) if error.kind() == io::ErrorKind::NotFound => {}
+                Err(error) => {
                     first_error.get_or_insert(fs_error("remove", &segment.path, &error));
                     kept.push(segment);
                 }
-                _ => {}
             }
         }
         let pruned = covered - kept.len();
         self.sealed.splice(..0, kept);
+        // A crash while the reclaim still holds handles is safe: the
+        // directory fsync makes the name removal durable, and a crashed
+        // orphan inode is reclaimed by the filesystem, never resurrected
+        // under its name.
         if pruned > 0 {
             sync_dir(&self.dir)?;
         }
+        self.reclaim(handles);
         first_error.map_or(Ok(pruned), Err)
+    }
+
+    /// Hands unlinked segments' handles to the reclaim thread.
+    fn reclaim(&mut self, handles: Vec<fs::File>) {
+        #[cfg(test)]
+        if self.take_fault(InjectedFault::ReclaimSpawn) {
+            // What a failed spawn does: the handles close here.
+            drop(handles);
+            return;
+        }
+        self.reclaimer.release(handles);
     }
 
     /// Hands every clean frame currently in the journal to `visit`, oldest
@@ -810,4 +898,87 @@ fn quarantine(path: &Path) -> Result<()> {
     let mut condemned = path.as_os_str().to_os_string();
     condemned.push(QUARANTINE_SUFFIX);
     fs::rename(path, &condemned).map_err(|e| fs_error("quarantine", path, &e))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("cws-journal-{tag}-{}-{unique}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A journal whose epoch 1 fills several sealed 256-byte segments.
+    fn journal_with_a_sealed_epoch(dir: &Path) -> Journal {
+        let config = WalConfig::new(dir).segment_bytes(256).sync(SyncPolicy::OnRotate);
+        let (mut journal, _) = Journal::open(config, 2).unwrap();
+        for key in 0..20u64 {
+            journal.append(1, Push::Record(key, &[1.0, 2.0]), false).unwrap();
+            journal.sync().unwrap();
+            journal.keep();
+        }
+        journal.barrier(1).unwrap();
+        assert!(journal.sealed.len() >= 3, "256-byte segments must rotate");
+        journal
+    }
+
+    fn file_names(dir: &Path) -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> =
+            fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        names.sort();
+        names
+    }
+
+    /// When the reclaim thread cannot be spawned, the handles close on the
+    /// caller's thread and the prune ends exactly as a spawned one does.
+    #[test]
+    fn a_failed_reclaim_spawn_prunes_exactly_as_a_spawned_one() {
+        let (spawned_dir, inline_dir) = (scratch_dir("spawned"), scratch_dir("inline"));
+        let mut spawned = journal_with_a_sealed_epoch(&spawned_dir);
+        let mut inline = journal_with_a_sealed_epoch(&inline_dir);
+        let covered = spawned.sealed.len();
+        inline.fail_next(InjectedFault::ReclaimSpawn);
+        assert_eq!(spawned.mark_covered(1).unwrap(), covered);
+        assert_eq!(inline.mark_covered(1).unwrap(), covered);
+        assert_eq!(file_names(&spawned_dir), file_names(&inline_dir));
+        assert_eq!(file_names(&inline_dir).len(), 1, "only the active segment is left");
+        assert_eq!(spawned.total_bytes(), inline.total_bytes());
+        assert_eq!(spawned.reclaimer.handed, covered);
+        assert_eq!(inline.reclaimer.handed, 0, "the handles closed inline");
+        assert!(inline.faults.is_empty());
+        drop((spawned, inline));
+        fs::remove_dir_all(&spawned_dir).unwrap();
+        fs::remove_dir_all(&inline_dir).unwrap();
+    }
+
+    /// A covered segment that cannot be unlinked stays listed, and its
+    /// handle is closed at once instead of being handed to the reclaimer.
+    #[test]
+    fn a_segment_whose_unlink_fails_is_never_handed_to_the_reclaimer() {
+        let dir = scratch_dir("stuck");
+        let mut journal = journal_with_a_sealed_epoch(&dir);
+        let covered = journal.sealed.len();
+        // A non-empty directory where the oldest sealed segment was.
+        let stuck = journal.sealed[0].path.clone();
+        fs::remove_file(&stuck).unwrap();
+        fs::create_dir(&stuck).unwrap();
+        fs::write(stuck.join("pin"), b"keeps the directory non-empty").unwrap();
+        let error = journal.mark_covered(1).unwrap_err();
+        assert!(matches!(error, CwsError::Store { op: "remove", .. }), "{error:?}");
+        assert_eq!(journal.reclaimer.handed, covered - 1, "every unlinked segment, and no other");
+        assert_eq!(journal.num_segments(), 2, "the stuck segment stays listed");
+        // Once the path is clear, the retry finds nothing left to hold.
+        fs::remove_dir_all(&stuck).unwrap();
+        assert_eq!(journal.mark_covered(1).unwrap(), 1);
+        assert_eq!(journal.reclaimer.handed, covered - 1);
+        assert_eq!(journal.num_segments(), 1);
+        drop(journal);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

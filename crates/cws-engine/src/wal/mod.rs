@@ -25,7 +25,10 @@
 //!   [`ResourceBudget`](cws_core::budget::ResourceBudget) (a full journal
 //!   is a typed `BudgetExceeded`, never silent truncation), and epoch
 //!   watermarks: once a snapshot covers an epoch, the sealed segments
-//!   holding it are pruned.
+//!   holding it are pruned. They are unlinked and the directory fsynced
+//!   before `publish_into` returns; a reclaim thread frees their blocks
+//!   just after, so at most one epoch's covered segments still hold disk
+//!   space.
 //! * `replay` — [`recover_from_store_and_wal`], the 1-call recovery
 //!   procedure: highest clean snapshot from the
 //!   [`SnapshotStore`](crate::store::SnapshotStore), then the journal tail

@@ -22,6 +22,9 @@
 //!   prunes) can always make progress;
 //! * a covered segment that cannot be deleted stays listed and counted,
 //!   and the next publish reclaims it;
+//! * a crash right after a publish pruned its covered segments, while
+//!   their blocks may still be waiting to be freed, never brings a pruned
+//!   segment back;
 //! * a multi-seed stress run (`CWS_WAL_SEEDS=1,2,3,…`) mutates
 //!   plan-chosen bytes — truncations and bit rot, including during
 //!   rotation-heavy multi-segment windows — and proves convergence.
@@ -448,6 +451,59 @@ fn failed_prune_keeps_the_segment_listed_and_the_next_publish_retries_it() {
     let journal = pipeline.journal().unwrap();
     assert_eq!(journal.num_segments(), 1);
     assert_eq!(wal_files(journal.dir()).len(), 1);
+}
+
+/// A crash right after `publish_into` pruned the covered segments — the
+/// reclaim may still hold their handles — brings no pruned name back:
+/// recovery replays nothing the snapshot covers, and a later crash
+/// replays exactly the unpublished tail, bit-identical to the undisturbed
+/// run. One case per fsync policy.
+#[test]
+fn a_crash_right_after_a_prune_resurrects_no_segment() {
+    let (p, n) = (20u64, 34u64);
+    let ref1 = reference_bytes(0..p);
+    let ref2 = reference_bytes(p..n);
+    for (index, policy) in
+        [SyncPolicy::PerBatch, SyncPolicy::EveryN(3), SyncPolicy::OnRotate].into_iter().enumerate()
+    {
+        let ctx = format!("policy {policy:?}");
+        let wal = scratch_dir(&format!("pruned{index}-wal"));
+        let store_dir = scratch_dir(&format!("pruned{index}-store"));
+        let config = || WalConfig::new(&wal).segment_bytes(256).sync(policy);
+        let mut store = SnapshotStore::open(&store_dir, 16).unwrap();
+        let mut pipeline = EpochedPipeline::new(small_builder().journal(config())).unwrap();
+        for key in 0..p {
+            pipeline.push_record(key, &weights_for(key)).unwrap();
+        }
+        let pruned = wal_files(&wal);
+        assert!(pruned.len() >= 3, "{ctx}: 256-byte segments must rotate mid-epoch");
+        pipeline.publish_into(&mut store).unwrap();
+        drop(pipeline); // the crash, right after the prune
+        let survivors = wal_files(&wal);
+        assert!(survivors.iter().all(|file| !pruned.contains(file)), "{ctx}: {survivors:?}");
+
+        let mut store = SnapshotStore::open(&store_dir, 16).unwrap();
+        let recovery =
+            recover_from_store_and_wal(small_builder().journal(config()), &mut store).unwrap();
+        assert_eq!(recovery.pipeline.latest().unwrap().to_bytes(), ref1, "{ctx}");
+        assert_eq!(recovery.replay.frames_replayed, 0, "{ctx}: nothing is unpublished");
+        assert_eq!(recovery.replay.records_skipped, 0, "{ctx}: no covered frame came back");
+        // The unpublished tail, then a second crash.
+        let mut pipeline = recovery.pipeline;
+        for key in p..n {
+            pipeline.push_record(key, &weights_for(key)).unwrap();
+        }
+        drop(pipeline);
+        assert!(wal_files(&wal).iter().all(|file| !pruned.contains(file)), "{ctx}");
+        let recovery =
+            recover_from_store_and_wal(small_builder().journal(config()), &mut store).unwrap();
+        assert_eq!(recovery.replay.records_replayed, n - p, "{ctx}: exactly the tail");
+        assert_eq!(recovery.replay.records_skipped, 0, "{ctx}");
+        let mut pipeline = recovery.pipeline;
+        let report = pipeline.publish().unwrap();
+        assert_eq!(report.epoch, 2, "{ctx}");
+        assert_eq!(report.summary.to_bytes(), ref2, "{ctx}: epoch 2 must be bit-identical");
+    }
 }
 
 /// Dead WAL configuration is a typed `InvalidParameter` at build time —
