@@ -1,5 +1,4 @@
-//! Resource governance: byte/key budgets, wall-clock deadlines, and a
-//! deterministic retry policy.
+//! Resource governance: byte/key budgets and wall-clock deadlines.
 //!
 //! A long-lived sampling service dies two ways the fault framework in
 //! [`fault`](crate::fault) does not cover: it is *fed too much* (an
@@ -20,10 +19,6 @@
 //! * [`Deadline`] — a single armed wall-clock deadline, checked at chunk
 //!   boundaries so a timed-out operation returns a typed
 //!   [`CwsError::DeadlineExceeded`] with nothing half-applied.
-//! * [`RetryPolicy`] — seeded decorrelated-jitter backoff on the same
-//!   SplitMix64 stream as [`FaultPlan`], so a
-//!   retry schedule replays bit-exactly from its seed and fault-injection
-//!   tests can assert on the exact sequence of waits.
 //! * [`QuarantinedRecords`] — the typed report for record-granular
 //!   poison-record quarantine (dead-letter rings divert invalid records
 //!   while the rest of a batch ingests).
@@ -36,7 +31,6 @@ use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use crate::error::{CwsError, Result};
-use crate::fault::FaultPlan;
 
 /// A declarative resource cap: tracked bytes, distinct keys, wall-clock
 /// time. All three limits are optional; the default budget is unlimited.
@@ -281,147 +275,6 @@ impl Deadline {
     }
 }
 
-/// Deterministic decorrelated-jitter backoff, seeded on the same
-/// SplitMix64 stream as [`FaultPlan`].
-///
-/// The schedule follows the decorrelated-jitter rule
-/// `wait = min(cap, uniform(base, 3 × previous_wait))` — good spread under
-/// contention — but every draw comes from the seeded plan stream, so the
-/// exact sequence of waits replays from `(seed, base, cap)` alone. That is
-/// what makes retried overload runs testable: a same-seed re-run after an
-/// [`Overloaded`](CwsError::Overloaded) rejection backs off identically
-/// and re-ingests bit-exactly.
-///
-/// Retries make sense only for *transient* rejections; the policy treats
-/// [`CwsError::Overloaded`] and [`CwsError::ShardStalled`] as retryable
-/// and everything else (budget breaches need a flush, deadline breaches a
-/// fresh deadline) as final.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    plan: FaultPlan,
-    base_ms: u64,
-    cap_ms: u64,
-    max_attempts: u32,
-    previous_ms: u64,
-    attempts: u32,
-}
-
-impl RetryPolicy {
-    /// Default backoff floor: 1 ms.
-    pub const DEFAULT_BASE_MS: u64 = 1;
-    /// Default backoff ceiling: 1 s.
-    pub const DEFAULT_CAP_MS: u64 = 1_000;
-    /// Default attempt budget (initial try + 7 retries).
-    pub const DEFAULT_MAX_ATTEMPTS: u32 = 8;
-
-    /// A policy with the default base (1 ms), cap (1 s) and attempt budget
-    /// (8), drawing jitter from `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self {
-            plan: FaultPlan::new(seed),
-            base_ms: Self::DEFAULT_BASE_MS,
-            cap_ms: Self::DEFAULT_CAP_MS,
-            max_attempts: Self::DEFAULT_MAX_ATTEMPTS,
-            previous_ms: Self::DEFAULT_BASE_MS,
-            attempts: 0,
-        }
-    }
-
-    /// Overrides the backoff floor and ceiling (milliseconds). The floor
-    /// is clamped to at least 1 ms and the ceiling to at least the floor.
-    #[must_use]
-    pub fn with_backoff_ms(mut self, base_ms: u64, cap_ms: u64) -> Self {
-        self.base_ms = base_ms.max(1);
-        self.cap_ms = cap_ms.max(self.base_ms);
-        self.previous_ms = self.base_ms;
-        self
-    }
-
-    /// Overrides the attempt budget (clamped to at least 1: the initial
-    /// try always runs).
-    #[must_use]
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Number of backoffs already drawn.
-    #[must_use]
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// `true` for errors a backoff can plausibly clear (transient
-    /// admission/stall rejections); budget and deadline breaches are
-    /// final — they need a flush or a fresh deadline, not a wait.
-    #[must_use]
-    pub fn is_retryable(error: &CwsError) -> bool {
-        matches!(error, CwsError::Overloaded { .. } | CwsError::ShardStalled { .. })
-    }
-
-    /// Draws the next backoff, or `None` once the attempt budget is spent.
-    /// Pure accounting — the caller decides whether (and how) to sleep, so
-    /// tests can assert on the exact schedule without waiting it out.
-    pub fn next_backoff(&mut self) -> Option<Duration> {
-        if self.attempts + 1 >= self.max_attempts {
-            return None;
-        }
-        self.attempts += 1;
-        let spread = self.previous_ms.saturating_mul(3).max(self.base_ms + 1) - self.base_ms;
-        let wait = (self.base_ms + self.plan.next_below(spread)).min(self.cap_ms);
-        self.previous_ms = wait;
-        Some(Duration::from_millis(wait))
-    }
-
-    /// Runs `op`, sleeping through the seeded backoff schedule after each
-    /// retryable error, until it succeeds, fails with a non-retryable
-    /// error, or the attempt budget is spent (the last error is returned).
-    ///
-    /// # Errors
-    /// The first non-retryable error `op` returns, or its last retryable
-    /// error once attempts are exhausted.
-    pub fn run<T, F: FnMut() -> Result<T>>(&mut self, mut op: F) -> Result<T> {
-        loop {
-            match op() {
-                Ok(value) => return Ok(value),
-                Err(error) if Self::is_retryable(&error) => match self.next_backoff() {
-                    Some(wait) => std::thread::sleep(wait),
-                    None => return Err(error),
-                },
-                Err(error) => return Err(error),
-            }
-        }
-    }
-}
-
-/// How an admission-controlled stage (a sharded lane's bounded in-flight
-/// batch window) behaves when it is at capacity.
-///
-/// The two modes compose with the stall timeout rather than replacing it:
-/// `Block` is the classic behaviour — wait up to the (generous) stall
-/// timeout, then report [`CwsError::ShardStalled`] (the worker is
-/// genuinely wedged). `FailFast` bounds the *admission* wait much lower:
-/// a full in-flight window returns [`CwsError::Overloaded`] after `wait`,
-/// which a [`RetryPolicy`] can back off and retry, while a dead worker
-/// still surfaces as its own typed error immediately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionControl {
-    /// Wait up to the stall timeout for an admission slot (the classic
-    /// backpressure behaviour); an expiry means a wedged shard
-    /// ([`CwsError::ShardStalled`]).
-    #[default]
-    Block,
-    /// Wait at most `wait` for an admission slot, then shed the push with
-    /// [`CwsError::Overloaded`] — the records stay buffered on the caller
-    /// side, so the same push can be retried after a backoff.
-    FailFast {
-        /// Upper bound on the admission wait (clamped to the stall
-        /// timeout; `Duration::ZERO` never sleeps).
-        wait: Duration,
-    },
-}
-
 /// The typed report of a record-granular quarantine pass: how many
 /// records a dead-letter ring diverted, and the error that condemned the
 /// first of them (the most useful single diagnostic — poison records in
@@ -492,67 +345,6 @@ mod tests {
 
         let guard = ResourceBudget::unlimited().with_deadline(Duration::ZERO).guard();
         assert!(guard.check_deadline("ingest").is_err());
-    }
-
-    #[test]
-    fn retry_schedule_is_deterministic_and_bounded() {
-        let schedule = |seed: u64| {
-            let mut policy = RetryPolicy::new(seed).with_backoff_ms(2, 50);
-            let mut waits = Vec::new();
-            while let Some(wait) = policy.next_backoff() {
-                waits.push(wait.as_millis() as u64);
-            }
-            waits
-        };
-        let a = schedule(42);
-        let b = schedule(42);
-        assert_eq!(a, b, "same seed must replay the same backoff sequence");
-        assert_eq!(a.len() as u32, RetryPolicy::DEFAULT_MAX_ATTEMPTS - 1);
-        assert!(a.iter().all(|&ms| (2..=50).contains(&ms)), "{a:?}");
-        let c = schedule(43);
-        assert_ne!(a, c, "different seeds must decorrelate");
-    }
-
-    #[test]
-    fn run_retries_transient_errors_and_respects_the_attempt_budget() {
-        let mut policy = RetryPolicy::new(7).with_backoff_ms(1, 1).with_max_attempts(4);
-        let mut calls = 0;
-        let result: Result<u32> = policy.run(|| {
-            calls += 1;
-            if calls < 3 {
-                Err(CwsError::Overloaded { stage: "shard", in_flight: 4, capacity: 4 })
-            } else {
-                Ok(99)
-            }
-        });
-        assert_eq!(result.unwrap(), 99);
-        assert_eq!(calls, 3);
-
-        let mut policy = RetryPolicy::new(7).with_backoff_ms(1, 1).with_max_attempts(3);
-        let mut calls = 0;
-        let result: Result<()> = policy.run(|| {
-            calls += 1;
-            Err(CwsError::Overloaded { stage: "shard", in_flight: 4, capacity: 4 })
-        });
-        assert!(matches!(result, Err(CwsError::Overloaded { .. })));
-        assert_eq!(calls, 3, "max_attempts bounds the total number of tries");
-    }
-
-    #[test]
-    fn run_does_not_retry_final_errors() {
-        let mut policy = RetryPolicy::new(1);
-        let mut calls = 0;
-        let result: Result<()> = policy.run(|| {
-            calls += 1;
-            Err(CwsError::BudgetExceeded { resource: "keys", used: 1, requested: 1, limit: 1 })
-        });
-        assert!(matches!(result, Err(CwsError::BudgetExceeded { .. })));
-        assert_eq!(calls, 1, "budget breaches need a flush, not a retry");
-        assert!(!RetryPolicy::is_retryable(&CwsError::DeadlineExceeded {
-            op: "query",
-            budget_ms: 1
-        }));
-        assert!(RetryPolicy::is_retryable(&CwsError::ShardStalled { shard: 0, timeout_ms: 1 }));
     }
 
     #[test]

@@ -124,18 +124,6 @@ pub enum CwsError {
         /// How long the operation was allowed to run, in milliseconds.
         budget_ms: u64,
     },
-    /// An admission-controlled stage (the sharded in-flight batch window)
-    /// is at capacity and the caller asked not to block. The push did not
-    /// ingest its records; retry after a backoff (see
-    /// [`RetryPolicy`](crate::budget::RetryPolicy)) or shed the load.
-    Overloaded {
-        /// The stage that refused admission (`"shard"`, `"aggregator"`…).
-        stage: &'static str,
-        /// How many units were already in flight.
-        in_flight: usize,
-        /// The admission cap that was hit.
-        capacity: usize,
-    },
 }
 
 /// The precise way a serialized summary was malformed (the payload of
@@ -267,9 +255,6 @@ impl fmt::Display for CwsError {
             CwsError::DeadlineExceeded { op, budget_ms } => {
                 write!(f, "`{op}` deadline exceeded after {budget_ms} ms")
             }
-            CwsError::Overloaded { stage, in_flight, capacity } => {
-                write!(f, "{stage} overloaded: {in_flight} of {capacity} admission slots in flight")
-            }
         }
     }
 }
@@ -325,10 +310,6 @@ mod tests {
         let e = CwsError::DeadlineExceeded { op: "query", budget_ms: 250 };
         assert!(e.to_string().contains("query"));
         assert!(e.to_string().contains("250"));
-
-        let e = CwsError::Overloaded { stage: "shard", in_flight: 4, capacity: 4 };
-        assert!(e.to_string().contains("shard"));
-        assert!(e.to_string().contains("4 of 4"));
     }
 
     #[test]

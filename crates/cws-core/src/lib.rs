@@ -78,9 +78,7 @@ pub mod weights;
 mod paper_examples;
 
 pub use aggregates::{exact_aggregate, AggregateFn};
-pub use budget::{
-    AdmissionControl, BudgetGuard, Deadline, QuarantinedRecords, ResourceBudget, RetryPolicy,
-};
+pub use budget::{BudgetGuard, Deadline, QuarantinedRecords, ResourceBudget};
 pub use codec::DecodedSummary;
 pub use columns::RecordColumns;
 pub use coordination::{CoordinationMode, RankGenerator};
@@ -97,9 +95,7 @@ pub use weights::{Key, MultiWeighted, MultiWeightedBuilder, WeightedSet};
 /// Commonly used items.
 pub mod prelude {
     pub use crate::aggregates::{exact_aggregate, AggregateFn};
-    pub use crate::budget::{
-        AdmissionControl, BudgetGuard, Deadline, QuarantinedRecords, ResourceBudget, RetryPolicy,
-    };
+    pub use crate::budget::{BudgetGuard, Deadline, QuarantinedRecords, ResourceBudget};
     pub use crate::codec::DecodedSummary;
     pub use crate::columns::RecordColumns;
     pub use crate::coordination::{CoordinationMode, RankGenerator};

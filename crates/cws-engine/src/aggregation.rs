@@ -25,9 +25,8 @@
 //! Exact streaming aggregation must hold every open key (a key's total is
 //! unknown until the stream ends), so memory is `O(distinct keys)` — that
 //! is the cost of the aggregation guarantee, not an implementation detail.
-//! The flush threshold of the surrounding [`Pipeline`](crate::Pipeline)
-//! bounds the *hand-off batches* drained out of the table, not the table
-//! itself.
+//! The surrounding [`Pipeline`](crate::Pipeline) hands each drained table
+//! to its sampler as one batch.
 //!
 //! Summation order follows arrival order per slot, so for a given element
 //! stream the aggregate — and therefore the downstream sample — is exactly

@@ -7,8 +7,7 @@
 //! never stops, and [`publish`](EpochedPipeline::publish) atomically swaps
 //! in a fresh pipeline built from the same configuration, finalizes the
 //! outgoing epoch, and hands back an immutable [`Arc<Summary>`] snapshot.
-//! Works with every back-end, including sharded execution (the epoch swap
-//! is the one point where the worker threads quiesce).
+//! Works with both layouts; ingestion runs on the caller's thread.
 //!
 //! Every epoch uses the same seed, so keys keep their rank functions across
 //! epochs: summaries of different epochs are themselves coordinated.
@@ -22,11 +21,11 @@
 //! # Degraded-mode serving
 //!
 //! A long-lived service must keep answering queries through a failure. When
-//! [`publish`](EpochedPipeline::publish) fails — a sharded worker panicked
-//! mid-epoch, a stalled shard timed out, the snapshot store rejected the
+//! [`publish_into`](EpochedPipeline::publish_into) fails — the journal
+//! could not write its epoch barrier, or the snapshot store rejected the
 //! write — the pipeline does **not** stop serving:
-//! [`latest`](EpochedPipeline::latest) keeps returning the last good
-//! snapshot, ingestion resumes into a fresh same-seed pipeline, and
+//! [`latest`](EpochedPipeline::latest) keeps returning the newest snapshot
+//! it published in memory, ingestion continues, and
 //! [`degraded`](EpochedPipeline::degraded) reports the typed cause plus
 //! staleness counters ([`DegradedState`]). The first successful publish
 //! clears the state. Lost records are *counted, never hidden* — the
@@ -43,17 +42,17 @@
 //! frame in the journal: a failed write or fsync is cut back off, and so
 //! is a push the pipeline refuses whole, so a retry is journaled once. Only
 //! a refusal after part of the push was absorbed (a sum overflow
-//! mid-batch, a sharded back-end shedding a later chunk) keeps its frame,
-//! for recovery to replay. While an element batch's fsync runs on the
+//! mid-batch) keeps its frame, for recovery to replay. While an element batch's fsync runs on the
 //! journal's helper thread the aggregation stage resolves its keys, but no
 //! weight is combined before the fsync has completed; a failed fsync
 //! aborts the staged keys.
 //! [`publish_into`](EpochedPipeline::publish_into) writes an epoch barrier
 //! (always fsynced) before swapping epochs and prunes fully-covered
-//! segments after the snapshot commits; a finalize failure heals itself by
-//! replaying the destroyed epoch's records straight back out of the
-//! journal, reported as [`DegradedState::records_replayable`] instead of
-//! `records_lost`. After a crash,
+//! segments after the snapshot commits. Should [`Ingest::finalize`] ever
+//! fail, the destroyed epoch's records are replayed straight back out of
+//! the journal and reported as [`DegradedState::records_replayable`]
+//! instead of `records_lost`; neither layout's sampler fails there today.
+//! After a crash,
 //! [`recover_from_store_and_wal`](crate::wal::recover_from_store_and_wal)
 //! restores the whole state — snapshot plus replayed tail — in one call.
 //!
@@ -110,7 +109,7 @@ pub struct EpochReport {
     /// 1-based index of the epoch that was just closed.
     pub epoch: u64,
     /// Records (or aggregated fragments) ingested during that epoch alone —
-    /// uniform across back-ends, including sharded execution.
+    /// uniform across back-ends.
     pub records: u64,
     /// The immutable snapshot; share it, serialize it, or merge it with
     /// other epochs' snapshots of disjoint key ranges.
@@ -305,12 +304,13 @@ impl EpochedPipeline {
     /// same-seed pipeline (build failures leave the current epoch's
     /// pipeline in place instead), and [`degraded`](Self::degraded) carries
     /// the typed reason with staleness counters until a publish succeeds.
-    /// A finalize failure (e.g. a sharded worker panic) destroys the
-    /// epoch's in-memory records; with a journal attached they are
-    /// immediately replayed back into the fresh pipeline (counted in
-    /// [`DegradedState::records_replayable`] — nothing is lost), without
-    /// one they are counted in [`DegradedState::records_lost`] and must be
-    /// re-ingested from an external durable source.
+    /// A finalize failure would destroy the epoch's in-memory records
+    /// (neither layout's sampler fails there today); with a journal
+    /// attached they are immediately replayed back into the fresh pipeline
+    /// (counted in [`DegradedState::records_replayable`] — nothing is
+    /// lost), without one they are counted in
+    /// [`DegradedState::records_lost`] and must be re-ingested from an
+    /// external durable source.
     pub fn publish(&mut self) -> Result<EpochReport> {
         let replacement = match self.builder.clone().build() {
             Ok(replacement) => replacement,
@@ -485,19 +485,6 @@ impl EpochedPipeline {
         Ok(report)
     }
 
-    /// Fault injection into the current epoch's sharded back-end — see
-    /// [`Pipeline::inject_worker_fault`].
-    ///
-    /// # Errors
-    /// As [`Pipeline::inject_worker_fault`].
-    pub fn inject_worker_fault(
-        &mut self,
-        shard: usize,
-        fault: cws_core::WorkerFault,
-    ) -> Result<()> {
-        self.current.inject_worker_fault(shard, fault)
-    }
-
     /// Write-ahead ordering, shared by every push. With a journal attached
     /// the push's frames are written under the epoch it will publish as,
     /// and no weight of the push is combined before their fsync has
@@ -506,11 +493,10 @@ impl EpochedPipeline {
     /// once it succeeded; any other push runs after the fsync. A failed
     /// fsync aborts the stage, and the journal has already cut the frames
     /// back off. A push the pipeline refuses without absorbing any of it —
-    /// a shed flush-early hand-off, an expired deadline, an invalid record
-    /// — is withdrawn from the journal too, so its retry is journaled
+    /// an expired deadline, an invalid record, a batch wider than the key
+    /// cap — is withdrawn from the journal too, so its retry is journaled
     /// once. A refusal after part of the push was absorbed (a sum overflow
-    /// mid-batch, a sharded back-end shedding a later chunk) keeps the
-    /// frames, so recovery replays what was absorbed.
+    /// mid-batch) keeps the frames, so recovery replays what was absorbed.
     #[inline]
     fn journaled(&mut self, push: Push<'_>) -> Result<()> {
         let Some(journal) = self.journal.as_mut() else {
@@ -585,10 +571,6 @@ impl Ingest for EpochedPipeline {
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
         self.journaled(Push::Columns(columns))
-    }
-
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        self.journaled(Push::SharedColumns(columns))
     }
 
     /// Finalizes the current epoch without publishing it.
@@ -679,19 +661,10 @@ impl Drift {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Execution, Layout};
-    use cws_core::budget::AdmissionControl;
+    use crate::pipeline::Layout;
 
     fn dispersed_builder() -> PipelineBuilder {
         Pipeline::builder().assignments(2).k(64).layout(Layout::Dispersed).seed(9)
-    }
-
-    fn sharded_builder() -> PipelineBuilder {
-        dispersed_builder().execution(Execution::Sharded {
-            shards: 2,
-            stall_timeout: None,
-            admission: AdmissionControl::Block,
-        })
     }
 
     #[test]
@@ -714,8 +687,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_epochs_report_per_epoch_counts() {
-        let mut epochs = EpochedPipeline::new(sharded_builder()).unwrap();
+    fn epochs_report_per_epoch_counts() {
+        let mut epochs = EpochedPipeline::new(dispersed_builder()).unwrap();
         for key in 0..300u64 {
             epochs.push_record(key, &[1.0 + (key % 5) as f64, 2.0]).unwrap();
         }
@@ -759,46 +732,6 @@ mod tests {
         assert!(drift.stable_total.abs() < 1e-9);
         assert!(drift.jaccard().abs() < 1e-9);
         assert!(drift.l1 > 0.0);
-    }
-
-    #[test]
-    fn worker_panic_degrades_but_keeps_serving() {
-        use cws_core::WorkerFault;
-        let mut epochs = EpochedPipeline::new(sharded_builder()).unwrap();
-        for key in 0..200u64 {
-            epochs.push_record(key, &[1.0 + (key % 5) as f64, 2.0]).unwrap();
-        }
-        let good = epochs.publish().unwrap();
-        assert!(!epochs.is_degraded());
-        // Kill a worker mid-epoch; ingest a few records (tolerating typed
-        // errors once the death is detected), then publish.
-        for key in 0..50u64 {
-            epochs.push_record(key, &[1.0, 1.0]).unwrap();
-        }
-        epochs.inject_worker_fault(1, WorkerFault::Panic).unwrap();
-        for key in 50..100u64 {
-            let _ = epochs.push_record(key, &[1.0, 1.0]);
-        }
-        let err = epochs.publish().unwrap_err();
-        assert!(matches!(err, CwsError::ShardWorkerPanicked { .. }), "{err:?}");
-        // Degraded-mode serving: latest() still answers with the last good
-        // snapshot, the typed cause and staleness counters are surfaced.
-        assert_eq!(epochs.latest().unwrap(), good.summary);
-        let state = epochs.degraded().unwrap();
-        assert!(matches!(state.reason, CwsError::ShardWorkerPanicked { .. }));
-        assert_eq!(state.failed_publishes, 1);
-        assert!(state.records_lost > 0, "the lost epoch's records are counted");
-        assert_eq!(epochs.epochs_published(), 1, "the failed epoch is not numbered");
-        // Ingestion already resumed into a fresh same-seed pipeline; the
-        // next publish succeeds and clears the degraded state.
-        for key in 0..200u64 {
-            epochs.push_record(key, &[1.0 + (key % 5) as f64, 2.0]).unwrap();
-        }
-        let recovered = epochs.publish().unwrap();
-        assert_eq!(recovered.epoch, 2);
-        assert!(!epochs.is_degraded());
-        // Same seed + same records as epoch 1 ⇒ bit-identical snapshot.
-        assert_eq!(recovered.summary, good.summary);
     }
 
     #[test]
@@ -957,71 +890,65 @@ mod tests {
     }
 
     /// A push the pipeline refuses without absorbing any of it is taken
-    /// back out of the journal, so retrying it leaves one copy to replay:
-    /// here a stalled sharded back-end sheds flush-early hand-offs under a
-    /// key cap, and a retry policy re-offers each shed batch.
+    /// back out of the journal, so only accepted pushes are left to
+    /// replay: here a NaN record, an out-of-range element and a batch wider
+    /// than the key cap, interleaved with accepted batches that the cap
+    /// flushes early several times.
     #[test]
     fn refused_pushes_are_withdrawn_so_retries_replay_once() {
-        use std::time::Duration;
-
         use crate::aggregation::Aggregation;
         use crate::wal::{recover_from_store_and_wal, WalConfig};
-        use cws_core::budget::{ResourceBudget, RetryPolicy};
-        use cws_core::WorkerFault;
+        use cws_core::budget::ResourceBudget;
 
         let root =
             std::env::temp_dir().join(format!("cws-continuous-withdraw-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let wal = root.join("wal");
+        const CAP: usize = 6_000;
         // Each key once, so a flush cannot split a key and every run below
         // must publish the same summary.
         let elements: Vec<(Key, usize, f64)> =
-            (0..40_000u64).map(|key| (key, (key % 2) as usize, ((key % 11) + 1) as f64)).collect();
-        let builder = |execution: Execution| {
+            (0..20_000u64).map(|key| (key, (key % 2) as usize, ((key % 11) + 1) as f64)).collect();
+        let wide: Vec<(Key, usize, f64)> =
+            (0..=CAP as u64).map(|i| (1_000_000 + i, (i % 2) as usize, 1.0)).collect();
+        let builder = || {
             dispersed_builder()
                 .aggregation(Aggregation::SumByKey)
-                .budget(ResourceBudget::unlimited().with_max_keys(16_000))
-                .execution(execution)
+                .budget(ResourceBudget::unlimited().with_max_keys(CAP as u64))
         };
-        let sharded = || {
-            builder(Execution::Sharded {
-                shards: 2,
-                stall_timeout: Some(Duration::from_secs(10)),
-                admission: AdmissionControl::FailFast { wait: Duration::from_millis(5) },
-            })
-            .journal(WalConfig::new(&wal))
-        };
+        let journaled = || builder().journal(WalConfig::new(&wal));
 
-        let mut epochs = EpochedPipeline::new(sharded()).unwrap();
-        for shard in 0..2 {
-            epochs.inject_worker_fault(shard, WorkerFault::Stall { millis: 300 }).unwrap();
+        let mut epochs = EpochedPipeline::new(journaled()).unwrap();
+        let mut refusals = [0u32; 3];
+        for (index, batch) in elements.chunks(1_000).enumerate() {
+            epochs.push_elements(batch).unwrap();
+            let (on_disk, processed) = (bytes_on_disk(&wal), epochs.processed());
+            let refused = match index % 3 {
+                0 => epochs.push_record(1, &[f64::NAN, 1.0]).unwrap_err(),
+                1 => epochs.push_element(2, 7, 1.0).unwrap_err(),
+                _ => epochs.push_elements(&wide).unwrap_err(),
+            };
+            match (index % 3, &refused) {
+                (0, CwsError::InvalidParameter { name: "weight", .. })
+                | (1, CwsError::AssignmentOutOfRange { index: 7, available: 2 })
+                | (2, CwsError::BudgetExceeded { resource: "keys", .. }) => {
+                    refusals[index % 3] += 1;
+                }
+                other => panic!("unexpected refusal {other:?}"),
+            }
+            assert_eq!(bytes_on_disk(&wal), on_disk, "a refused push left a frame: {refused:?}");
+            assert_eq!(epochs.processed(), processed, "a refused push absorbed something");
         }
-        let mut policy = RetryPolicy::new(53).with_backoff_ms(10, 100).with_max_attempts(64);
-        let mut overloads = 0u64;
-        for batch in elements.chunks(1_000) {
-            policy
-                .run(|| {
-                    let result = epochs.push_elements(batch);
-                    overloads += u64::from(matches!(result, Err(CwsError::Overloaded { .. })));
-                    result
-                })
-                .unwrap();
-        }
-        assert!(overloads > 0, "the stall must have shed a flush-early hand-off");
-        // Refusals after the fsync are withdrawn the same way.
-        let on_disk = bytes_on_disk(&wal);
-        assert!(epochs.push_record(1, &[f64::NAN, 1.0]).is_err());
-        assert!(epochs.push_element(2, 7, 1.0).is_err());
-        assert_eq!(bytes_on_disk(&wal), on_disk, "a refused push left a frame");
+        assert!(refusals.iter().all(|&count| count > 0), "{refusals:?}");
         assert_eq!(epochs.processed(), elements.len() as u64);
         drop(epochs);
 
         let mut store = SnapshotStore::open(root.join("store"), 4).unwrap();
-        let recovered = recover_from_store_and_wal(sharded(), &mut store).unwrap();
-        assert_eq!(recovered.replay.frames_replayed, 40, "one frame per batch");
+        let recovered = recover_from_store_and_wal(journaled(), &mut store).unwrap();
+        assert_eq!(recovered.replay.frames_replayed, 20, "one frame per accepted batch");
         assert_eq!(recovered.replay.records_replayed, elements.len() as u64);
         assert_eq!(recovered.replay.rejected_records, 0);
-        let mut undisturbed = EpochedPipeline::new(builder(Execution::Sequential)).unwrap();
+        let mut undisturbed = EpochedPipeline::new(builder()).unwrap();
         for batch in elements.chunks(1_000) {
             undisturbed.push_elements(batch).unwrap();
         }

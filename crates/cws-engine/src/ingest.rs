@@ -1,19 +1,17 @@
-//! The unified ingestion trait over every stream sampler.
+//! The unified ingestion trait over the stream samplers.
 //!
-//! The three back-ends — [`ColocatedStreamSampler`], the hash-once
-//! [`MultiAssignmentStreamSampler`] and [`ShardedDispersedSampler`] — each
-//! have native record and structure-of-arrays paths. [`Ingest`] gives all of
-//! them all four record-shaped surfaces: the trait's default methods bridge
-//! row-major and columnar forms through the same per-record offers the
-//! native paths make, so **every call shape on every back-end produces
+//! The two back-ends — [`ColocatedStreamSampler`] for the colocated layout
+//! and the hash-once [`MultiAssignmentStreamSampler`] for the dispersed
+//! one — each have native record and structure-of-arrays paths. [`Ingest`]
+//! gives both all three record-shaped surfaces: the trait's default methods
+//! bridge row-major and columnar forms through the same per-record offers
+//! the native paths make, so **every call shape on every back-end produces
 //! bit-identical summaries** (asserted by `tests/pipeline_parity.rs` at the
 //! workspace root).
 
-use std::sync::Arc;
-
 use cws_core::columns::RecordColumns;
 use cws_core::{Key, Result};
-use cws_stream::{ColocatedStreamSampler, MultiAssignmentStreamSampler, ShardedDispersedSampler};
+use cws_stream::{ColocatedStreamSampler, MultiAssignmentStreamSampler};
 
 use crate::summary::Summary;
 
@@ -25,6 +23,14 @@ use crate::summary::Summary;
 /// `MaxByKey`](crate::Aggregation) stage instead). Implementations validate
 /// weights at the push boundary — NaN, infinite and negative weights are
 /// rejected with a typed error and the record is rejected whole.
+///
+/// Every push runs on the caller's thread. [`Pipeline`](crate::Pipeline)
+/// and [`EpochedPipeline`](crate::EpochedPipeline) also reject a record or
+/// batch whose weight count differs from
+/// [`num_assignments`](Self::num_assignments) with a typed
+/// [`InvalidParameter`](cws_core::CwsError::InvalidParameter), before any
+/// of it is journaled or ingested; the bare samplers treat that as a
+/// caller bug and panic (see their own documentation).
 pub trait Ingest {
     /// Number of weight assignments every record must carry.
     fn num_assignments(&self) -> usize;
@@ -35,7 +41,8 @@ pub trait Ingest {
     /// Processes one record: a key with its full weight vector.
     ///
     /// # Errors
-    /// Returns an error if any weight is NaN, infinite or negative.
+    /// Returns an error if any weight is NaN, infinite or negative, or (on
+    /// the pipelines) if `weights` has the wrong length.
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()>;
 
     /// Processes a batch of row-major records.
@@ -73,25 +80,12 @@ pub trait Ingest {
         Ok(())
     }
 
-    /// Processes a shared structure-of-arrays batch.
-    ///
-    /// The default forwards to [`Ingest::push_columns`]; the sharded
-    /// back-end overrides it to hand the `Arc` itself across the thread
-    /// boundary (the zero-copy path).
-    ///
-    /// # Errors
-    /// As [`Ingest::push_columns`]. On a zero-copy hand-off, validation
-    /// happens on the worker and an invalid weight surfaces from
-    /// [`Ingest::finalize`] instead.
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        self.push_columns(columns)
-    }
-
     /// Finalizes the pass into a [`Summary`].
     ///
     /// # Errors
-    /// Returns an error if the back-end failed asynchronously (e.g. a
-    /// sharded worker panicked or rejected a zero-copy batch).
+    /// Neither sampler fails here. A pipeline returns the error of handing
+    /// its aggregation stage's last batch to the sampler, which a validated
+    /// aggregate does not produce.
     fn finalize(self) -> Result<Summary>
     where
         Self: Sized;
@@ -141,32 +135,6 @@ impl Ingest for MultiAssignmentStreamSampler {
     }
 }
 
-impl Ingest for ShardedDispersedSampler {
-    fn num_assignments(&self) -> usize {
-        ShardedDispersedSampler::num_assignments(self)
-    }
-
-    fn processed(&self) -> u64 {
-        ShardedDispersedSampler::processed(self)
-    }
-
-    fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        ShardedDispersedSampler::push_record(self, key, weights)
-    }
-
-    fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        ShardedDispersedSampler::push_columns(self, columns)
-    }
-
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        ShardedDispersedSampler::push_columns_shared(self, columns)
-    }
-
-    fn finalize(self) -> Result<Summary> {
-        ShardedDispersedSampler::finalize(self).map(Summary::Dispersed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,8 +151,8 @@ mod tests {
         builder.build()
     }
 
-    /// Drives a back-end through every trait call shape and returns the four
-    /// finalized summaries (which must all be equal).
+    /// Drives a back-end through every trait call shape and returns the
+    /// three finalized summaries (which must all be equal).
     fn all_shapes<S, F>(make: F, data: &MultiWeighted) -> Vec<Summary>
     where
         S: Ingest,
@@ -208,11 +176,6 @@ mod tests {
         Ingest::push_columns(&mut sampler, &columns).unwrap();
         summaries.push(Ingest::finalize(sampler).unwrap());
 
-        let mut sampler = make();
-        let shared = Arc::new(columns);
-        Ingest::push_columns_shared(&mut sampler, &shared).unwrap();
-        summaries.push(Ingest::finalize(sampler).unwrap());
-
         summaries
     }
 
@@ -227,10 +190,8 @@ mod tests {
 
         let offline = Summary::Dispersed(DispersedSummary::build(&data, &config));
         let hash_once = all_shapes(|| MultiAssignmentStreamSampler::new(config, 3), &data);
-        let sharded =
-            all_shapes(|| ShardedDispersedSampler::with_batch_capacity(config, 3, 2, 64), &data);
-        for summary in hash_once.iter().chain(&sharded) {
-            assert_eq!(summary, &offline, "all dispersed back-ends and shapes agree");
+        for summary in &hash_once {
+            assert_eq!(summary, &offline, "every dispersed call shape agrees");
         }
     }
 }

@@ -4,20 +4,23 @@
 //! The paper's promise (Cohen, Kaplan, Sen; VLDB 2009) is a *single*
 //! coordinated summary that answers a-posteriori aggregate queries over any
 //! combination of weight assignments. The lower crates realize that promise
-//! with several specialized front-ends — offline builders, per-assignment
-//! stream samplers, the hash-once sampler, the sharded parallel engine —
-//! and two estimator types with diverging method sets. This crate folds all
-//! of them behind three small surfaces:
+//! with several specialized front-ends — offline builders, the colocated
+//! stream sampler, the hash-once dispersed sampler — and two estimator
+//! types with diverging method sets. This crate folds all of them behind
+//! three small surfaces:
 //!
 //! * [`Ingest`] — one ingestion trait (`push_record`, `push_batch`,
-//!   `push_columns`, `push_columns_shared`, `finalize`) implemented by every
-//!   stream sampler, with default methods bridging the row and column call
-//!   shapes so each back-end accepts all of them bit-exactly.
+//!   `push_columns`, `finalize`) implemented by both stream samplers, with
+//!   default methods bridging the row and column call shapes so each
+//!   back-end accepts all of them bit-exactly.
 //! * [`Pipeline`] / [`PipelineBuilder`] — one builder that picks the
 //!   back-end from a declarative configuration (`k`, rank family,
-//!   coordination, [`Layout`], [`Execution`], [`Aggregation`]) and, for
-//!   unaggregated element streams, inserts a hash-based pre-aggregation
-//!   stage ([`aggregation::KeyAggregator`]) in front of the samplers.
+//!   coordination, [`Layout`], [`Aggregation`]) and, for unaggregated
+//!   element streams, inserts a hash-based pre-aggregation stage
+//!   ([`aggregation::KeyAggregator`]) in front of the sampler. Each layout
+//!   has one sampler, which runs on the caller's thread; to scale out,
+//!   split the stream by key across pipelines and join their summaries
+//!   with [`Pipeline::merge`], which is bit-exact.
 //! * [`QuerySpec`] / [`QueryBatch`] — one query language evaluated
 //!   uniformly against colocated and dispersed summaries (the unified
 //!   [`Summary`]): specs are planned into shared adjusted-weight passes and
@@ -63,7 +66,7 @@ pub mod wal;
 pub use aggregation::{Aggregation, KeyAggregator, QuarantineDrain};
 pub use continuous::{DegradedState, Drift, EpochReport, EpochedPipeline};
 pub use ingest::Ingest;
-pub use pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
+pub use pipeline::{Layout, Pipeline, PipelineBuilder};
 pub use plan::{
     AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec, DEADLINE_CHECK_STRIDE,
 };
@@ -79,7 +82,7 @@ pub mod prelude {
     pub use crate::aggregation::Aggregation;
     pub use crate::continuous::{DegradedState, Drift, EpochReport, EpochedPipeline};
     pub use crate::ingest::Ingest;
-    pub use crate::pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
+    pub use crate::pipeline::{Layout, Pipeline, PipelineBuilder};
     pub use crate::plan::{
         AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec, DEADLINE_CHECK_STRIDE,
     };

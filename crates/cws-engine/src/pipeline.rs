@@ -2,16 +2,15 @@
 //! finalized [`Summary`] — over every sampling back-end of the workspace.
 
 use std::borrow::Borrow;
-use std::sync::Arc;
 use std::time::Duration;
 
-use cws_core::budget::{AdmissionControl, Deadline, QuarantinedRecords, ResourceBudget};
+use cws_core::budget::{Deadline, QuarantinedRecords, ResourceBudget};
 use cws_core::columns::RecordColumns;
 use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
-use cws_core::{CoordinationMode, CwsError, Key, RankFamily, Result, WorkerFault};
+use cws_core::{CoordinationMode, CwsError, Key, RankFamily, Result};
 use cws_stream::{
     merge_disjoint_colocated, merge_disjoint_summaries, ColocatedStreamSampler,
-    MultiAssignmentStreamSampler, ShardedDispersedSampler,
+    MultiAssignmentStreamSampler,
 };
 
 use crate::aggregation::{Aggregation, KeyAggregator, Staged};
@@ -27,37 +26,20 @@ pub enum Layout {
     /// the inclusive estimators, every aggregate including custom functions.
     Colocated,
     /// Dispersed summary (Section 7): one bottom-k sketch per assignment,
-    /// the s-set / l-set estimators, shardable ingestion.
+    /// the s-set / l-set estimators; summaries of disjoint key partitions
+    /// combine exactly through [`Pipeline::merge`].
     Dispersed,
-}
-
-/// How ingestion executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Execution {
-    /// Single-threaded ingestion on the calling thread.
-    Sequential,
-    /// Keys partitioned by hash across worker threads (bit-identical to
-    /// sequential at any shard count; dispersed layout only). The
-    /// supervision knobs live here because nothing else uses them.
-    Sharded {
-        /// Number of worker threads (at least one).
-        shards: usize,
-        /// How long a push waits for a wedged shard before returning
-        /// [`CwsError::ShardStalled`]; `None` means
-        /// [`ShardedDispersedSampler::DEFAULT_STALL_TIMEOUT`]. Must be
-        /// positive.
-        stall_timeout: Option<Duration>,
-        /// Admission-control policy for pushes into a full in-flight window
-        /// (see [`ShardedDispersedSampler::set_admission`]).
-        admission: AdmissionControl,
-    },
 }
 
 /// Builder for [`Pipeline`] — the declarative front door of the engine.
 ///
+/// Every pipeline ingests on the caller's thread. To scale out, split the
+/// stream by key across several pipelines (threads, processes or sites)
+/// and join their summaries with [`Pipeline::merge`], which is bit-exact.
+///
 /// ```
 /// use cws_engine::prelude::*;
-/// use cws_core::{AdmissionControl, CoordinationMode, RankFamily};
+/// use cws_core::{CoordinationMode, RankFamily};
 ///
 /// let mut pipeline = Pipeline::builder()
 ///     .assignments(8)
@@ -65,11 +47,6 @@ pub enum Execution {
 ///     .rank(RankFamily::Ipps)
 ///     .coordination(CoordinationMode::SharedSeed)
 ///     .layout(Layout::Dispersed)
-///     .execution(Execution::Sharded {
-///         shards: 2,
-///         stall_timeout: None,
-///         admission: AdmissionControl::Block,
-///     })
 ///     .aggregation(Aggregation::SumByKey)
 ///     .seed(42)
 ///     .build()
@@ -87,11 +64,9 @@ pub struct PipelineBuilder {
     family: RankFamily,
     mode: CoordinationMode,
     layout: Layout,
-    execution: Execution,
     aggregation: Aggregation,
     seed: u64,
     assignments: Option<usize>,
-    flush_threshold: Option<usize>,
     budget: ResourceBudget,
     deadline: Option<Duration>,
     journal: Option<WalConfig>,
@@ -104,11 +79,9 @@ impl Default for PipelineBuilder {
             family: RankFamily::Ipps,
             mode: CoordinationMode::SharedSeed,
             layout: Layout::Colocated,
-            execution: Execution::Sequential,
             aggregation: Aggregation::PreAggregated,
             seed: 0,
             assignments: None,
-            flush_threshold: None,
             budget: ResourceBudget::unlimited(),
             deadline: None,
             journal: None,
@@ -153,13 +126,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Execution strategy (default [`Execution::Sequential`]).
-    #[must_use]
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
-        self
-    }
-
     /// Weight aggregation mode (default [`Aggregation::PreAggregated`]).
     #[must_use]
     pub fn aggregation(mut self, aggregation: Aggregation) -> Self {
@@ -171,17 +137,6 @@ impl PipelineBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Maximum records per hand-off batch when the aggregation stage drains
-    /// into the sampler. Default: unbounded — the whole aggregate is handed
-    /// over as **one zero-copy batch**. Set a threshold to bound hand-off
-    /// batch sizes instead (e.g. to cap the sharded engine's in-flight
-    /// buffers).
-    #[must_use]
-    pub fn flush_threshold(mut self, records: usize) -> Self {
-        self.flush_threshold = Some(records);
         self
     }
 
@@ -244,11 +199,6 @@ impl PipelineBuilder {
     ///   (independent-differences requires EXP ranks);
     /// * the dispersed layout is combined with independent-differences
     ///   ranks (that construction only exists colocated);
-    /// * sharded execution is requested with the colocated layout, with
-    ///   zero shards, or with a zero stall timeout;
-    /// * a flush threshold of zero is set, or a flush threshold is set
-    ///   without an aggregation stage (it would be silently dead
-    ///   configuration);
     /// * a byte or key budget is set without an aggregation stage (only
     ///   governed stages track usage; deadlines work on any pipeline);
     /// * a [`journal`](Self::journal) is configured — journaling needs the
@@ -275,20 +225,6 @@ impl PipelineBuilder {
                 message: "at least one weight assignment is required".to_string(),
             });
         }
-        if self.flush_threshold == Some(0) {
-            return Err(CwsError::InvalidParameter {
-                name: "flush_threshold",
-                message: "the aggregation flush threshold must be positive".to_string(),
-            });
-        }
-        if self.flush_threshold.is_some() && !self.aggregation.is_aggregating() {
-            return Err(CwsError::InvalidParameter {
-                name: "flush_threshold",
-                message: "a flush threshold is only meaningful with an aggregation stage \
-                          (PipelineBuilder::aggregation(SumByKey | MaxByKey))"
-                    .to_string(),
-            });
-        }
         if (self.budget.max_bytes().is_some() || self.budget.max_keys().is_some())
             && !self.aggregation.is_aggregating()
         {
@@ -301,19 +237,11 @@ impl PipelineBuilder {
             });
         }
         let config = SummaryConfig::try_new(self.k, self.family, self.mode, self.seed)?;
-        let backend = match (self.layout, self.execution) {
-            (Layout::Colocated, Execution::Sequential) => {
+        let backend = match self.layout {
+            Layout::Colocated => {
                 Backend::Colocated(ColocatedStreamSampler::new(config, assignments))
             }
-            (Layout::Colocated, Execution::Sharded { .. }) => {
-                return Err(CwsError::InvalidParameter {
-                    name: "execution",
-                    message: "sharded execution requires the dispersed layout \
-                              (colocated summaries retain cross-assignment state)"
-                        .to_string(),
-                });
-            }
-            (Layout::Dispersed, execution) => {
+            Layout::Dispersed => {
                 if self.mode == CoordinationMode::IndependentDifferences {
                     return Err(CwsError::InvalidParameter {
                         name: "coordination",
@@ -322,31 +250,7 @@ impl PipelineBuilder {
                             .to_string(),
                     });
                 }
-                match execution {
-                    Execution::Sequential => {
-                        Backend::HashOnce(MultiAssignmentStreamSampler::new(config, assignments))
-                    }
-                    Execution::Sharded { shards: 0, .. } => {
-                        return Err(CwsError::InvalidParameter {
-                            name: "execution",
-                            message: "at least one shard is required".to_string(),
-                        });
-                    }
-                    Execution::Sharded { stall_timeout: Some(Duration::ZERO), .. } => {
-                        return Err(CwsError::InvalidParameter {
-                            name: "stall_timeout",
-                            message: "the stall timeout must be positive".to_string(),
-                        });
-                    }
-                    Execution::Sharded { shards, stall_timeout, admission } => {
-                        let mut sampler = ShardedDispersedSampler::new(config, assignments, shards);
-                        if let Some(timeout) = stall_timeout {
-                            sampler.set_stall_timeout(timeout);
-                        }
-                        sampler.set_admission(admission);
-                        Backend::Sharded(sampler)
-                    }
-                }
+                Backend::HashOnce(MultiAssignmentStreamSampler::new(config, assignments))
             }
         };
         let aggregator = if self.aggregation.is_aggregating() {
@@ -357,13 +261,7 @@ impl PipelineBuilder {
             None
         };
         let deadline = self.deadline.or(self.budget.deadline()).map(Deadline::after);
-        Ok(Pipeline {
-            backend,
-            aggregator,
-            unsent: None,
-            flush_threshold: self.flush_threshold,
-            deadline,
-        })
+        Ok(Pipeline { backend, aggregator, deadline })
     }
 }
 
@@ -374,17 +272,16 @@ impl PipelineBuilder {
 pub(crate) enum Push<'a> {
     Record(Key, &'a [f64]),
     Columns(&'a RecordColumns),
-    SharedColumns(&'a Arc<RecordColumns>),
     Element(Key, usize, f64),
     Elements(&'a [(Key, usize, f64)]),
 }
 
-/// The selected sampling back-end (an implementation detail of
-/// [`Pipeline`]; every variant implements [`Ingest`]).
+/// The selected sampling back-end, one per layout (an implementation
+/// detail of [`Pipeline`]; both variants implement [`Ingest`]).
+#[derive(Clone)]
 enum Backend {
     Colocated(ColocatedStreamSampler),
     HashOnce(MultiAssignmentStreamSampler),
-    Sharded(ShardedDispersedSampler),
 }
 
 macro_rules! for_backend {
@@ -392,46 +289,15 @@ macro_rules! for_backend {
         match $backend {
             Backend::Colocated($sampler) => $body,
             Backend::HashOnce($sampler) => $body,
-            Backend::Sharded($sampler) => $body,
         }
     };
 }
 
 impl Backend {
-    /// Hands `unsent`, a flushed aggregate, to the sampler: one zero-copy
-    /// batch by default, `flush_threshold`-sized copies otherwise. `unsent`
-    /// is cleared only once the back-end has accepted all of it; after an
-    /// error (a sharded back-end shedding the hand-off) it stays, and the
-    /// next call re-sends it whole. Rows that reached a shard before the
-    /// error are then offered twice, which the candidate sets absorb: the
-    /// same key at the same rank keeps one entry.
+    /// Hands a drained aggregate to the sampler as one batch.
     #[inline]
-    fn hand_off(
-        &mut self,
-        unsent: &mut Option<Arc<RecordColumns>>,
-        flush_threshold: Option<usize>,
-    ) -> Result<()> {
-        let Some(columns) = unsent.as_ref() else {
-            return Ok(());
-        };
-        match flush_threshold {
-            Some(threshold) if threshold < columns.len() => {
-                let mut batch = RecordColumns::with_capacity(columns.num_assignments(), threshold);
-                let mut start = 0;
-                while start < columns.len() {
-                    let len = threshold.min(columns.len() - start);
-                    batch.extend_from(columns, start, len);
-                    for_backend!(&mut *self, sampler => sampler.push_columns(&batch))?;
-                    batch.clear();
-                    start += len;
-                }
-            }
-            _ => {
-                for_backend!(&mut *self, sampler => Ingest::push_columns_shared(sampler, columns))?
-            }
-        }
-        *unsent = None;
-        Ok(())
+    fn hand_off(&mut self, columns: &RecordColumns) -> Result<()> {
+        for_backend!(self, sampler => Ingest::push_columns(sampler, columns))
     }
 }
 
@@ -440,7 +306,6 @@ impl std::fmt::Debug for Backend {
         match self {
             Backend::Colocated(_) => f.write_str("Colocated"),
             Backend::HashOnce(_) => f.write_str("HashOnce"),
-            Backend::Sharded(sampler) => write!(f, "Sharded({})", sampler.num_shards()),
         }
     }
 }
@@ -457,10 +322,6 @@ impl std::fmt::Debug for Backend {
 pub struct Pipeline {
     backend: Backend,
     aggregator: Option<KeyAggregator>,
-    /// A flush-early aggregate the back-end has not accepted in full; see
-    /// [`Backend::hand_off`].
-    unsent: Option<Arc<RecordColumns>>,
-    flush_threshold: Option<usize>,
     deadline: Option<Deadline>,
 }
 
@@ -552,58 +413,16 @@ impl Pipeline {
         }
     }
 
-    /// Instructs one worker of a **sharded** back-end to exhibit `fault`
-    /// (panic, stall) when it processes its next message — the
-    /// deterministic fault-injection entry point the fault battery uses to
-    /// exercise supervision and degraded-mode serving end to end. See
-    /// [`ShardedDispersedSampler::inject_worker_fault`].
-    ///
-    /// # Errors
-    /// A typed error when the pipeline is not sharded, the shard's worker
-    /// is already dead (its harvested failure), or the fault could not be
-    /// delivered within the stall timeout.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range for the sharded back-end.
-    pub fn inject_worker_fault(&mut self, shard: usize, fault: WorkerFault) -> Result<()> {
-        match &mut self.backend {
-            Backend::Sharded(sampler) => sampler.inject_worker_fault(shard, fault),
-            Backend::Colocated(_) | Backend::HashOnce(_) => Err(CwsError::InvalidParameter {
-                name: "execution",
-                message: "worker-fault injection targets shard workers; this pipeline runs \
-                          single-threaded (Execution::Sequential)"
-                    .to_string(),
-            }),
-        }
-    }
-
     /// Snapshots the pipeline's current state into a [`Summary`] without
     /// consuming it — ingestion can continue afterwards. The snapshot is
     /// exactly what [`finalize`](Ingest::finalize) would return right now.
     ///
     /// # Errors
-    /// Returns a typed error for sharded pipelines, whose in-flight state
-    /// lives on worker threads; use
-    /// [`EpochedPipeline`](crate::continuous::EpochedPipeline) to publish
-    /// point-in-time summaries from a sharded ingestion loop.
+    /// As [`finalize`](Ingest::finalize).
     pub fn snapshot(&self) -> Result<Summary> {
-        let backend = match &self.backend {
-            Backend::Colocated(sampler) => Backend::Colocated(sampler.clone()),
-            Backend::HashOnce(sampler) => Backend::HashOnce(sampler.clone()),
-            Backend::Sharded(_) => {
-                return Err(CwsError::InvalidParameter {
-                    name: "execution",
-                    message: "sharded pipelines cannot snapshot in place (worker state lives on \
-                              other threads); publish epochs with EpochedPipeline instead"
-                        .to_string(),
-                });
-            }
-        };
         let copy = Pipeline {
-            backend,
+            backend: self.backend.clone(),
             aggregator: self.aggregator.clone(),
-            unsent: self.unsent.clone(),
-            flush_threshold: self.flush_threshold,
             deadline: self.deadline,
         };
         copy.finalize()
@@ -615,10 +434,10 @@ impl Pipeline {
     /// right now?" mid-ingestion. For heavy concurrent serving, prefer
     /// publishing epochs with
     /// [`EpochedPipeline`](crate::continuous::EpochedPipeline) and batching
-    /// against the shared [`Arc<Summary>`] snapshots.
+    /// against the shared [`Arc<Summary>`](std::sync::Arc) snapshots.
     ///
     /// # Errors
-    /// As [`Pipeline::snapshot`] (typed error for sharded pipelines) and
+    /// As [`Pipeline::snapshot`] and
     /// [`QueryBatch::execute`](crate::plan::QueryBatch::execute).
     pub fn query_batch(&self, batch: &crate::plan::QueryBatch) -> Result<Vec<EstimateReport>> {
         batch.execute(&self.snapshot()?)
@@ -662,10 +481,9 @@ impl Pipeline {
     /// The one governed push behind every ingestion method (and behind
     /// [`stage`](Self::stage)). It checks the ingest deadline; without an
     /// aggregation stage it hands the push to the back-end through
-    /// `forward`. With one, it first re-sends any unsent flush-early
-    /// aggregate, then absorbs through `absorb`. On a budget breach it
-    /// flushes early — the aggregate goes to the back-end exactly as at
-    /// finalize, the table recharges to empty, lifetime counters
+    /// `forward`, and with one it absorbs through `absorb`. On a budget
+    /// breach it flushes early — the aggregate goes to the back-end exactly
+    /// as at finalize, the table recharges to empty, lifetime counters
     /// (processed, quarantined, peak bytes) survive — and absorbs once
     /// more.
     #[inline]
@@ -678,11 +496,9 @@ impl Pipeline {
         let Some(aggregator) = &mut self.aggregator else {
             return forward(&mut self.backend);
         };
-        self.backend.hand_off(&mut self.unsent, self.flush_threshold)?;
         match absorb(aggregator) {
             Err(CwsError::BudgetExceeded { .. }) => {
-                self.unsent = Some(Arc::new(aggregator.flush_columns()));
-                self.backend.hand_off(&mut self.unsent, self.flush_threshold)?;
+                self.backend.hand_off(&aggregator.flush_columns())?;
                 absorb(aggregator)
             }
             other => other,
@@ -699,7 +515,6 @@ impl Pipeline {
         match push {
             Push::Record(key, weights) => self.push_record(key, weights),
             Push::Columns(columns) => self.push_columns(columns),
-            Push::SharedColumns(columns) => self.push_columns_shared(columns),
             Push::Element(key, assignment, weight) => self.push_element(key, assignment, weight),
             Push::Elements(elements) => self.push_elements(elements),
         }
@@ -707,8 +522,7 @@ impl Pipeline {
 
     /// Stages an element batch in the aggregation table: everything
     /// [`push_elements`](Self::push_elements) does short of combining a
-    /// weight — the deadline check, the re-sent flush-early aggregate, the
-    /// probe pass and admission, flushing early and probing again on a
+    /// weight — the deadline check, the probe pass and admission, flushing early and probing again on a
     /// budget breach. [`commit`](Self::commit) then finishes it exactly as
     /// `push_elements` would have; [`abort`](Self::abort) removes the
     /// staged keys again.
@@ -749,6 +563,20 @@ impl Pipeline {
     }
 }
 
+/// The typed error of a record (or a column batch) whose weight count is
+/// not the `expected` number of assignments — checked before anything of
+/// the push is journaled or ingested.
+pub(crate) fn check_arity(expected: usize, weights: usize) -> Result<()> {
+    if weights == expected {
+        Ok(())
+    } else {
+        Err(CwsError::InvalidParameter {
+            name: "weights",
+            message: format!("record carries {weights} weights, the pipeline expects {expected}"),
+        })
+    }
+}
+
 /// The typed error of an element push into a pipeline without an
 /// aggregation stage.
 fn requires_aggregation(method: &str) -> CwsError {
@@ -777,6 +605,7 @@ impl Ingest for Pipeline {
     }
 
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
+        check_arity(self.num_assignments(), weights.len())?;
         self.governed_push(
             |aggregator| aggregator.absorb_record(key, weights),
             |backend| for_backend!(backend, sampler => Ingest::push_record(sampler, key, weights)),
@@ -784,24 +613,16 @@ impl Ingest for Pipeline {
     }
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
+        check_arity(self.num_assignments(), columns.num_assignments())?;
         self.governed_push(
             |aggregator| aggregator.absorb_columns(columns),
             |backend| for_backend!(backend, sampler => Ingest::push_columns(sampler, columns)),
         )
     }
 
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        self.governed_push(
-            |aggregator| aggregator.absorb_columns(columns),
-            |backend| for_backend!(backend, sampler => Ingest::push_columns_shared(sampler, columns)),
-        )
-    }
-
     fn finalize(mut self) -> Result<Summary> {
         if let Some(aggregator) = self.aggregator.take() {
-            self.backend.hand_off(&mut self.unsent, self.flush_threshold)?;
-            self.unsent = Some(Arc::new(aggregator.into_columns()));
-            self.backend.hand_off(&mut self.unsent, self.flush_threshold)?;
+            self.backend.hand_off(&aggregator.into_columns())?;
         }
         for_backend!(self.backend, sampler => Ingest::finalize(sampler))
     }
@@ -813,10 +634,6 @@ mod tests {
 
     fn base() -> PipelineBuilder {
         Pipeline::builder().assignments(2).k(8)
-    }
-
-    fn sharded(shards: usize) -> Execution {
-        Execution::Sharded { shards, stall_timeout: None, admission: AdmissionControl::Block }
     }
 
     #[test]
@@ -838,55 +655,20 @@ mod tests {
                 .build(),
             Err(CwsError::InvalidParameter { name: "coordination", .. })
         ));
-        assert!(matches!(
-            base().execution(sharded(2)).build(),
-            Err(CwsError::InvalidParameter { name: "execution", .. })
-        ));
-        assert!(matches!(
-            base().layout(Layout::Dispersed).execution(sharded(0)).build(),
-            Err(CwsError::InvalidParameter { name: "execution", .. })
-        ));
         // A journal on a one-shot pipeline is dead configuration: there is
         // no epoch barrier to ever cover (and so prune) what it writes.
         assert!(matches!(
             base().journal(WalConfig::new("/tmp/unused-wal")).build(),
             Err(CwsError::InvalidParameter { name: "journal", .. })
         ));
-        assert!(matches!(
-            base().aggregation(Aggregation::SumByKey).flush_threshold(0).build(),
-            Err(CwsError::InvalidParameter { name: "flush_threshold", .. })
-        ));
-        // A flush threshold without an aggregation stage would be silently
-        // dead configuration — rejected like every other invalid combo.
-        assert!(matches!(
-            base().flush_threshold(1000).build(),
-            Err(CwsError::InvalidParameter { name: "flush_threshold", .. })
-        ));
-        // Same policy for the governance knobs: zero or dead configuration
-        // is a typed build error, not silent acceptance.
-        assert!(matches!(
-            base()
-                .layout(Layout::Dispersed)
-                .execution(Execution::Sharded {
-                    shards: 2,
-                    stall_timeout: Some(Duration::ZERO),
-                    admission: AdmissionControl::Block,
-                })
-                .build(),
-            Err(CwsError::InvalidParameter { name: "stall_timeout", .. })
-        ));
+        // A byte or key budget without an aggregation stage would be
+        // silently dead configuration — a typed build error instead.
         assert!(matches!(
             base().budget(ResourceBudget::unlimited().with_max_keys(10)).build(),
             Err(CwsError::InvalidParameter { name: "budget", .. })
         ));
-        // Sharded pipelines accept all of them together.
         base()
             .layout(Layout::Dispersed)
-            .execution(Execution::Sharded {
-                shards: 2,
-                stall_timeout: Some(Duration::from_secs(1)),
-                admission: AdmissionControl::FailFast { wait: Duration::from_millis(1) },
-            })
             .aggregation(Aggregation::SumByKey)
             .budget(ResourceBudget::unlimited().with_max_keys(10))
             .build()
@@ -971,30 +753,66 @@ mod tests {
         assert_eq!(pipeline.processed(), 3);
     }
 
+    /// A record or column batch of the wrong width is a typed error that
+    /// absorbs nothing, on every layout and aggregation mode — the same
+    /// error the journal returns for it, never a panic in the sampler or
+    /// the aggregation table.
+    #[test]
+    fn wrong_arity_pushes_are_typed_errors() {
+        use crate::continuous::EpochedPipeline;
+        use crate::ingest::Ingest;
+
+        let dir = std::env::temp_dir().join(format!("cws-pipeline-arity-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut journaled =
+            EpochedPipeline::new(base().journal(WalConfig::new(dir.join("wal")))).unwrap();
+        let mut wide = RecordColumns::new(3);
+        wide.push(9, &[1.0, 2.0, 3.0]);
+        let narrow = RecordColumns::new(1);
+        for layout in [Layout::Colocated, Layout::Dispersed] {
+            for aggregation in [Aggregation::PreAggregated, Aggregation::SumByKey] {
+                let build = || base().layout(layout).aggregation(aggregation).build().unwrap();
+                let mut pipeline = build();
+                pipeline.push_record(1, &[1.0, 2.0]).unwrap();
+                type PushFn<'a> = &'a dyn Fn(&mut dyn Ingest) -> Result<()>;
+                let pushes: [(&str, PushFn<'_>); 4] = [
+                    ("short record", &|p| p.push_record(2, &[1.0])),
+                    ("long record", &|p| p.push_record(2, &[1.0, 2.0, 3.0])),
+                    ("wide columns", &|p| p.push_columns(&wide)),
+                    ("narrow columns", &|p| p.push_columns(&narrow)),
+                ];
+                for (shape, push) in pushes {
+                    let context = format!("{layout:?} {aggregation:?} {shape}");
+                    let error = push(&mut pipeline).unwrap_err();
+                    assert!(
+                        matches!(error, CwsError::InvalidParameter { name: "weights", .. }),
+                        "{context}: {error:?}"
+                    );
+                    assert_eq!(pipeline.processed(), 1, "{context}: the push absorbed something");
+                    let journal_error = push(&mut journaled).unwrap_err();
+                    assert_eq!(error.to_string(), journal_error.to_string(), "{context}");
+                }
+                let mut twin = build();
+                twin.push_record(1, &[1.0, 2.0]).unwrap();
+                assert_eq!(pipeline.finalize().unwrap(), twin.finalize().unwrap());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn every_valid_backend_combination_builds() {
         for layout in [Layout::Colocated, Layout::Dispersed] {
             for aggregation in
                 [Aggregation::PreAggregated, Aggregation::SumByKey, Aggregation::MaxByKey]
             {
-                let mut executions = vec![Execution::Sequential];
-                if layout == Layout::Dispersed {
-                    executions.push(sharded(2));
-                }
-                for execution in executions {
-                    let mut pipeline = base()
-                        .layout(layout)
-                        .execution(execution)
-                        .aggregation(aggregation)
-                        .build()
-                        .unwrap();
-                    pipeline.push_record(1, &[1.0, 2.0]).unwrap();
-                    let summary = pipeline.finalize().unwrap();
-                    assert_eq!(summary.num_assignments(), 2);
-                    match layout {
-                        Layout::Colocated => assert!(summary.as_colocated().is_some()),
-                        Layout::Dispersed => assert!(summary.as_dispersed().is_some()),
-                    }
+                let mut pipeline = base().layout(layout).aggregation(aggregation).build().unwrap();
+                pipeline.push_record(1, &[1.0, 2.0]).unwrap();
+                let summary = pipeline.finalize().unwrap();
+                assert_eq!(summary.num_assignments(), 2);
+                match layout {
+                    Layout::Colocated => assert!(summary.as_colocated().is_some()),
+                    Layout::Dispersed => assert!(summary.as_dispersed().is_some()),
                 }
             }
         }

@@ -29,7 +29,7 @@ use super::segment::{
     create_segment, decode_header, parse_segment_seq, scan_frames, QUARANTINE_SUFFIX,
     SEGMENT_HEADER_BYTES,
 };
-use crate::pipeline::Push;
+use crate::pipeline::{check_arity, Push};
 
 /// When journal appends are flushed to stable storage.
 ///
@@ -42,8 +42,8 @@ pub enum SyncPolicy {
     /// Fsync after every append — the zero-loss default. A push that
     /// returns `Ok` is durable. A push that returns `Err` absorbed nothing
     /// and left no frame behind, unless the pipeline refused it after
-    /// absorbing part of it (a sum overflow mid-batch, a sharded back-end
-    /// shedding a later chunk); that frame stays for recovery to replay.
+    /// absorbing part of it (a sum overflow mid-batch); that frame stays
+    /// for recovery to replay.
     /// While the fsync is in flight the pipeline may already resolve the
     /// push's keys in its aggregation table, but it combines no weight
     /// before the fsync has succeeded.
@@ -554,20 +554,6 @@ impl Journal {
         self.suppress_prune = true;
     }
 
-    fn check_record_shape(&self, weights: usize) -> Result<()> {
-        if weights == self.num_assignments {
-            Ok(())
-        } else {
-            Err(CwsError::InvalidParameter {
-                name: "weights",
-                message: format!(
-                    "record carries {weights} weights, the journal (and pipeline) expect {}",
-                    self.num_assignments
-                ),
-            })
-        }
-    }
-
     /// Frames `push` under `epoch` into the journal's buffer — records
     /// and elements copied once, straight from the caller's slices — and
     /// writes the frames. If the sync policy asks for an fsync, it starts
@@ -589,11 +575,10 @@ impl Journal {
         let num_assignments = self.num_assignments;
         match push {
             Push::Record(key, weights) => {
-                self.check_record_shape(weights.len())?;
+                check_arity(num_assignments, weights.len())?;
                 encode_records(&mut self.buf, epoch, &[key], num_assignments, |_, a| weights[a]);
             }
             Push::Columns(columns) => self.encode_columns(epoch, columns)?,
-            Push::SharedColumns(columns) => self.encode_columns(epoch, columns)?,
             Push::Element(key, assignment, weight) => {
                 encode_elements(&mut self.buf, epoch, &[(key, assignment, weight)])?;
             }
@@ -603,7 +588,7 @@ impl Journal {
     }
 
     fn encode_columns(&mut self, epoch: u64, columns: &RecordColumns) -> Result<()> {
-        self.check_record_shape(columns.num_assignments())?;
+        check_arity(self.num_assignments, columns.num_assignments())?;
         let weight = |row: usize, assignment: usize| columns.lane(assignment)[row];
         encode_records(&mut self.buf, epoch, columns.keys(), self.num_assignments, weight);
         Ok(())

@@ -19,7 +19,9 @@
 //!   full weight vector of every candidate key.
 //! * [`ShardedDispersedSampler`] — parallel ingestion: keys partitioned by
 //!   hash across `std::thread` workers, each running a hash-once sampler,
-//!   merged bit-exactly at finalize.
+//!   merged bit-exactly at finalize. On the hosts measured so far it is
+//!   slower than one hash-once sampler (figures in [`sharded`]), and the
+//!   `cws-engine` pipeline does not use it.
 //! * [`merge`] — mergeability: sketches computed over disjoint partitions of
 //!   the keys (e.g. different routers) combine into the sketch of the union.
 //!

@@ -25,8 +25,12 @@
 //!
 //! * [`push_columns_shared`](ShardedDispersedSampler::push_columns_shared)
 //!   forwards a whole `Arc<RecordColumns>` batch to a single shard's worker
-//!   without touching a byte of it — the true zero-copy path, and the reason
-//!   one-shard sharding now runs at the unsharded rate.
+//!   without touching a byte of it — the zero-copy path. It does not make
+//!   one shard as fast as no sharding: on a 2-vCPU host, 2,000,000 keys ×
+//!   8 assignments in 4096-record batches (k = 1024, IPPS, median of 7
+//!   passes, two runs) ingested at 12.1–14.8 M rec/s with 1 shard and
+//!   10.7–14.6 M rec/s with 2, against 29.2–31.9 M rec/s for the hash-once
+//!   [`MultiAssignmentStreamSampler::push_columns`] on the caller's thread.
 //! * With multiple shards, batches are partitioned lane-by-lane into
 //!   per-shard column buffers drawn from an **allocate-once pool**: each
 //!   worker returns processed buffers through a second (return) channel, so
@@ -55,16 +59,6 @@
 //!   return [`CwsError::ShardStalled`]. A stall is *not* fatal: the batch
 //!   stays buffered on the producer side and the push that observed the
 //!   stall can be retried once the shard drains.
-//! * **Admission control.** The in-flight window per shard (the bounded
-//!   batch channel plus the allocate-once pool) is the natural admission
-//!   limit. Under the default [`AdmissionControl::Block`] a full window
-//!   waits out the stall timeout as above; under
-//!   [`AdmissionControl::FailFast`]
-//!   ([`set_admission`](ShardedDispersedSampler::set_admission)) the wait
-//!   is bounded much lower and a saturated window returns
-//!   [`CwsError::Overloaded`] — load is shed, nothing is lost, and a
-//!   [`cws_core::budget::RetryPolicy`] can back off and retry the same
-//!   push deterministically.
 //! * **Deterministic recovery.**
 //!   [`respawn`](ShardedDispersedSampler::respawn) drains and joins every
 //!   worker (dead or alive) and rebuilds
@@ -82,7 +76,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cws_core::budget::AdmissionControl;
 use cws_core::columns::{first_invalid_weight, invalid_weight_error, RecordColumns};
 use cws_core::fault::WorkerFault;
 use cws_core::summary::{DispersedSummary, SummaryConfig};
@@ -161,22 +154,10 @@ fn send_bounded(
     }
 }
 
-/// The typed error for a timed-out bounded wait on a shard's in-flight
-/// window: [`CwsError::Overloaded`] under fail-fast admission (the shed
-/// push is retryable — its records stay buffered), otherwise
-/// [`CwsError::ShardStalled`] (the shard is genuinely wedged).
-fn overload_or_stall(
-    fail_fast: bool,
-    shard: usize,
-    waited: Duration,
-    in_flight: usize,
-    capacity: usize,
-) -> CwsError {
-    if fail_fast {
-        CwsError::Overloaded { stage: "shard", in_flight, capacity }
-    } else {
-        CwsError::ShardStalled { shard, timeout_ms: waited.as_millis() as u64 }
-    }
+/// The typed error for a timed-out bounded wait on a shard: its records
+/// stay buffered, and the push can be retried once the shard drains.
+fn stalled(shard: usize, waited: Duration) -> CwsError {
+    CwsError::ShardStalled { shard, timeout_ms: waited.as_millis() as u64 }
 }
 
 /// Joins a dead worker *now* and converts its outcome into the typed error
@@ -229,7 +210,6 @@ pub struct ShardedDispersedSampler {
     router: KeyHasher,
     batch_capacity: usize,
     stall_timeout: Duration,
-    admission: AdmissionControl,
     lanes: Vec<ShardLane>,
     processed: u64,
 }
@@ -241,7 +221,6 @@ impl std::fmt::Debug for ShardedDispersedSampler {
             .field("num_shards", &self.num_shards)
             .field("batch_capacity", &self.batch_capacity)
             .field("stall_timeout", &self.stall_timeout)
-            .field("admission", &self.admission)
             .field("failed_shards", &self.failed_shards())
             .field("processed", &self.processed)
             .finish_non_exhaustive()
@@ -308,7 +287,6 @@ impl ShardedDispersedSampler {
             router: KeyHasher::new(config.seed).derive(ROUTER_STREAM),
             batch_capacity,
             stall_timeout: Self::DEFAULT_STALL_TIMEOUT,
-            admission: AdmissionControl::default(),
             lanes,
             processed: 0,
         }
@@ -399,42 +377,6 @@ impl ShardedDispersedSampler {
         self.stall_timeout = timeout;
     }
 
-    /// Selects how a push behaves when a shard's in-flight window (the
-    /// bounded batch channel and the recycle pool) is at capacity.
-    ///
-    /// * [`AdmissionControl::Block`] (default): wait up to the
-    ///   [stall timeout](Self::set_stall_timeout), then return
-    ///   [`CwsError::ShardStalled`] — classic backpressure, suited to batch
-    ///   producers that prefer to ride out transient slowness.
-    /// * [`AdmissionControl::FailFast`]: wait at most `wait` (clamped to
-    ///   the stall timeout), then shed the push with
-    ///   [`CwsError::Overloaded`] — suited to latency-sensitive producers.
-    ///   The rejected records stay buffered on the producer side, so the
-    ///   same push can be retried (e.g. under a seeded
-    ///   [`cws_core::budget::RetryPolicy`]) once the shard drains.
-    ///
-    /// Worker *death* is unaffected by the policy: it surfaces as
-    /// [`CwsError::ShardWorkerPanicked`] (or the worker's own typed error)
-    /// either way.
-    pub fn set_admission(&mut self, admission: AdmissionControl) {
-        self.admission = admission;
-    }
-
-    /// The configured admission-control policy.
-    #[must_use]
-    pub fn admission(&self) -> AdmissionControl {
-        self.admission
-    }
-
-    /// The effective bounded wait for a saturated in-flight window, and
-    /// whether its expiry is reported as overload (fail-fast) or a stall.
-    fn admission_wait(&self) -> (Duration, bool) {
-        match self.admission {
-            AdmissionControl::Block => (self.stall_timeout, false),
-            AdmissionControl::FailFast { wait } => (wait.min(self.stall_timeout), true),
-        }
-    }
-
     /// The harvested failure of `shard`'s worker, if it died.
     ///
     /// # Panics
@@ -478,9 +420,7 @@ impl ShardedDispersedSampler {
     /// record was **not** ingested — there is no silent-drop window); or
     /// [`CwsError::ShardStalled`] if the shard did not accept traffic within
     /// the stall timeout (the record was not ingested; the push can be
-    /// retried). Under fail-fast [admission](Self::set_admission) the
-    /// saturation error is [`CwsError::Overloaded`] instead, equally
-    /// retryable.
+    /// retried).
     ///
     /// # Panics
     /// Panics if the vector length differs from the number of assignments.
@@ -531,8 +471,7 @@ impl ShardedDispersedSampler {
     /// `COLUMN_CHUNK` (1024) records are validated before being partitioned,
     /// so nothing of the failing chunk reaches a worker), on a dead shard
     /// worker (its typed cause), or on a saturated shard
-    /// ([`CwsError::ShardStalled`], or [`CwsError::Overloaded`] under
-    /// fail-fast [admission](Self::set_admission)). Records of earlier
+    /// ([`CwsError::ShardStalled`]). Records of earlier
     /// chunks were ingested; records at or after the failure point were
     /// not.
     ///
@@ -553,8 +492,8 @@ impl ShardedDispersedSampler {
 
     /// Hands a shared batch to the engine. With a **single shard** the
     /// `Arc` itself is forwarded to the worker — no weight or key is copied
-    /// on the producer side, which is what closes the gap between sharded
-    /// ×1 and unsharded ingestion. With multiple shards this is
+    /// on the producer side (see the module docs for what that does and
+    /// does not buy). With multiple shards this is
     /// [`push_columns`](ShardedDispersedSampler::push_columns) on the
     /// shared batch (partitioning is inherent to routing).
     ///
@@ -582,20 +521,14 @@ impl ShardedDispersedSampler {
         // records (not required for correctness — the sample is
         // order-independent — but it keeps `processed` honest per worker).
         self.flush_shard(0)?;
-        let (timeout, fail_fast) = self.admission_wait();
+        let timeout = self.stall_timeout;
         let lane = &mut self.lanes[0];
         match send_bounded(&lane.sender, timeout, ShardMessage::Shared(Arc::clone(columns))) {
             SendOutcome::Sent => {
                 self.processed += columns.len() as u64;
                 Ok(())
             }
-            SendOutcome::Stalled(_) => Err(overload_or_stall(
-                fail_fast,
-                0,
-                timeout,
-                Self::CHANNEL_DEPTH,
-                Self::CHANNEL_DEPTH,
-            )),
+            SendOutcome::Stalled(_) => Err(stalled(0, timeout)),
             SendOutcome::Disconnected => Err(harvest_failure(lane, 0)),
         }
     }
@@ -635,7 +568,7 @@ impl ShardedDispersedSampler {
     /// flush can be retried); on worker death the worker is joined and its
     /// cause stored and returned.
     fn flush_shard(&mut self, shard: usize) -> Result<()> {
-        let (timeout, fail_fast) = self.admission_wait();
+        let timeout = self.stall_timeout;
         let lane = &mut self.lanes[shard];
         if let Some(failure) = &lane.failure {
             return Err(failure.clone());
@@ -653,15 +586,8 @@ impl ShardedDispersedSampler {
                 Ok(buffer) => buffer,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     // A dry pool means every buffer is in flight: the whole
-                    // admission window (channel depth + the recycle loop) is
-                    // occupied.
-                    return Err(overload_or_stall(
-                        fail_fast,
-                        shard,
-                        timeout,
-                        Self::CHANNEL_DEPTH + 1,
-                        Self::CHANNEL_DEPTH + 1,
-                    ));
+                    // window (channel depth + the recycle loop) is occupied.
+                    return Err(stalled(shard, timeout));
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     // Worker died without returning buffers: join it now and
@@ -681,13 +607,7 @@ impl ShardedDispersedSampler {
                 };
                 let replacement = std::mem::replace(&mut lane.filling, full);
                 lane.pool.push(replacement);
-                Err(overload_or_stall(
-                    fail_fast,
-                    shard,
-                    timeout,
-                    Self::CHANNEL_DEPTH,
-                    Self::CHANNEL_DEPTH,
-                ))
+                Err(stalled(shard, timeout))
             }
             SendOutcome::Disconnected => Err(harvest_failure(lane, shard)),
         }
@@ -714,9 +634,7 @@ impl ShardedDispersedSampler {
         }
         match send_bounded(&lane.sender, timeout, ShardMessage::Fault(fault)) {
             SendOutcome::Sent => Ok(()),
-            SendOutcome::Stalled(_) => {
-                Err(CwsError::ShardStalled { shard, timeout_ms: timeout.as_millis() as u64 })
-            }
+            SendOutcome::Stalled(_) => Err(stalled(shard, timeout)),
             SendOutcome::Disconnected => Err(harvest_failure(lane, shard)),
         }
     }
@@ -1013,77 +931,6 @@ mod tests {
         sharded.push_record(42, &[1.0, 2.0]).unwrap();
         let summary = sharded.finalize().unwrap();
         assert!(summary.num_distinct_keys() > 0);
-    }
-
-    /// Fail-fast admission converts a saturated in-flight window into a
-    /// typed `Overloaded` within the (short) admission wait instead of
-    /// riding out the full stall timeout; the shard stays healthy and the
-    /// same push succeeds once the worker drains.
-    #[test]
-    fn fail_fast_admission_sheds_load_with_typed_overload() {
-        let config = SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::SharedSeed, 19);
-        let mut sharded = ShardedDispersedSampler::with_batch_capacity(config, 2, 1, 2);
-        // Generous stall timeout: under Block this test would take seconds.
-        sharded.set_stall_timeout(Duration::from_secs(10));
-        sharded.set_admission(AdmissionControl::FailFast { wait: Duration::from_millis(20) });
-        sharded.inject_worker_fault(0, WorkerFault::Stall { millis: 400 }).unwrap();
-        let start = Instant::now();
-        let mut observed = None;
-        for key in 0..10_000u64 {
-            if let Err(error) = sharded.push_record(key, &[1.0, 2.0]) {
-                observed = Some(error);
-                break;
-            }
-        }
-        let elapsed = start.elapsed();
-        match observed.expect("the saturated shard must shed load") {
-            CwsError::Overloaded { stage: "shard", in_flight, capacity } => {
-                assert!(in_flight > 0 && in_flight == capacity, "{in_flight}/{capacity}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-        assert!(elapsed < Duration::from_secs(5), "overload detection took {elapsed:?}");
-        // Overload is not a failure: the shard is healthy, and once the
-        // worker wakes the same push path succeeds.
-        assert!(sharded.is_healthy());
-        thread::sleep(Duration::from_millis(500));
-        sharded.push_record(42, &[1.0, 2.0]).unwrap();
-        let _ = sharded.finalize().unwrap();
-    }
-
-    /// The acceptance loop: drive a whole stream through a periodically
-    /// stalling shard under fail-fast admission, retrying each shed push
-    /// through a seeded `RetryPolicy`. Every record lands exactly once and
-    /// the final summary is bit-identical to a sequential run.
-    #[test]
-    fn overload_retry_via_retry_policy_is_bit_exact() {
-        use cws_core::budget::RetryPolicy;
-        let data = fixture();
-        let config = SummaryConfig::new(24, RankFamily::Ipps, CoordinationMode::SharedSeed, 29);
-        let mut sequential = MultiAssignmentStreamSampler::new(config, 3);
-        sequential.push_batch(data.iter()).unwrap();
-        let expected = sequential.finalize();
-
-        let mut sharded = ShardedDispersedSampler::with_batch_capacity(config, 3, 2, 8);
-        sharded.set_admission(AdmissionControl::FailFast { wait: Duration::from_millis(5) });
-        sharded.inject_worker_fault(0, WorkerFault::Stall { millis: 150 }).unwrap();
-        sharded.inject_worker_fault(1, WorkerFault::Stall { millis: 150 }).unwrap();
-        let mut policy = RetryPolicy::new(41).with_backoff_ms(10, 100).with_max_attempts(64);
-        let mut overloads = 0u32;
-        for (key, weights) in data.iter() {
-            policy
-                .run(|| {
-                    let result = sharded.push_record(key, weights);
-                    if matches!(result, Err(CwsError::Overloaded { .. })) {
-                        overloads += 1;
-                    }
-                    result
-                })
-                .unwrap();
-        }
-        assert!(overloads > 0, "the stalled shards must shed at least one push");
-        assert_eq!(sharded.processed(), 1200);
-        assert_eq!(sharded.finalize().unwrap(), expected);
     }
 
     /// Respawn rebuilds the lanes deterministically: after a worker death,

@@ -3,8 +3,11 @@
 //! Hourly summaries of router traffic are collected independently — each
 //! hour's collector samples its own flow records and only shares a hash seed
 //! with the other hours. Flows arrive *unaggregated* (a flow's bytes come
-//! packet batch by packet batch), so the pipeline runs a `SumByKey`
-//! aggregation stage in front of the sharded sampler. Later, an operator
+//! packet batch by packet batch), so each pipeline runs a `SumByKey`
+//! aggregation stage in front of its sampler. To scale out, the stream is
+//! split by destination across two collectors, each on its own thread, and
+//! `Pipeline::merge` joins their summaries into exactly the summary one
+//! pipeline over the whole stream would have built. Later, an operator
 //! asks change-detection questions such as "how much did the traffic of
 //! destinations in this suspicious subnet change between hour 1 and
 //! hour 4?", which the coordinated samples answer without ever collating
@@ -13,7 +16,7 @@
 //! Run with: `cargo run --release --example network_monitoring`
 
 use coordinated_sampling::data::ip::{IpAttribute, IpKey, IpTrace, IpTraceConfig};
-use coordinated_sampling::data::synthetic::element_stream;
+use coordinated_sampling::data::synthetic::{element_stream, Element};
 use coordinated_sampling::prelude::*;
 
 fn main() {
@@ -40,31 +43,41 @@ fn main() {
         packets.len()
     );
 
-    // One pipeline: SumByKey aggregation → sharded hash-once sampling →
-    // one coordinated bottom-k sketch per hour (k = 512).
-    let mut pipeline = Pipeline::builder()
-        .assignments(data.num_assignments())
-        .k(512)
-        .rank(RankFamily::Ipps)
-        .coordination(CoordinationMode::SharedSeed)
-        .layout(Layout::Dispersed)
-        .execution(Execution::Sharded {
-            shards: 2,
-            stall_timeout: None,
-            admission: AdmissionControl::Block,
-        })
-        .aggregation(Aggregation::SumByKey)
-        .seed(0xC0FE)
-        .build()
-        .expect("valid configuration");
-    // Collectors hand observations over in batches; `push_elements`
-    // resolves each batch's aggregation slots in one pass.
-    for batch in packets.chunks(4096) {
-        pipeline.push_elements(batch).expect("valid observations");
-    }
-    let summary = pipeline.finalize().expect("workers joined cleanly");
+    // Each collector: SumByKey aggregation → hash-once sampling → one
+    // coordinated bottom-k sketch per hour (k = 512). Every collector uses
+    // the same configuration and seed, which is what makes them merge.
+    let collector = |packets: &[Element]| {
+        let mut pipeline = Pipeline::builder()
+            .assignments(data.num_assignments())
+            .k(512)
+            .rank(RankFamily::Ipps)
+            .coordination(CoordinationMode::SharedSeed)
+            .layout(Layout::Dispersed)
+            .aggregation(Aggregation::SumByKey)
+            .seed(0xC0FE)
+            .build()
+            .expect("valid configuration");
+        // Observations arrive in batches; `push_elements` resolves each
+        // batch's aggregation slots in one pass.
+        for batch in packets.chunks(4096) {
+            pipeline.push_elements(batch).expect("valid observations");
+        }
+        pipeline.finalize().expect("a validated aggregate always finalizes")
+    };
+
+    // Scale-out: route each destination to one of two collectors (disjoint
+    // key partitions), run them on two threads, and merge their summaries.
+    let (even, odd): (Vec<Element>, Vec<Element>) =
+        packets.iter().partition(|&&(key, _, _)| key % 2 == 0);
+    let partials = std::thread::scope(|scope| {
+        let collectors = [&even, &odd].map(|part| scope.spawn(|| collector(part)));
+        collectors.map(|handle| handle.join().expect("collector thread"))
+    });
+    let summary = Pipeline::merge(&partials).expect("same configuration, disjoint keys");
+    assert_eq!(summary, collector(&packets), "the merge equals one pipeline over everything");
     println!(
-        "combined summary holds {} distinct destinations ({} per hour embedded)",
+        "merged summary of 2 collectors holds {} distinct destinations ({} per hour embedded), \
+         identical to one collector over the whole stream",
         summary.num_distinct_keys(),
         summary.k()
     );

@@ -74,11 +74,6 @@ fn unaggregated_element_stream_matches_aggregated_ingestion_end_to_end() {
             .assignments(data.num_assignments())
             .k(200)
             .layout(Layout::Dispersed)
-            .execution(Execution::Sharded {
-                shards: 2,
-                stall_timeout: None,
-                admission: AdmissionControl::Block,
-            })
             .seed(17)
     };
     let mut aggregated = build().build().unwrap();

@@ -2,7 +2,7 @@
 //! full persistence path must be **bit-identical** to single-node
 //! ingestion.
 //!
-//! For P ∈ {1, 2, 3, 7}, both layouts, and both executions: split a stream
+//! For P ∈ {1, 2, 3, 7} and both layouts: split a stream
 //! into P disjoint partitions, ingest each through its own pipeline,
 //! **serialize** every partial summary, **deserialize** it back, and
 //! `Pipeline::merge` the parts. The result must equal — byte for byte —
@@ -17,7 +17,7 @@ use coordinated_sampling::prelude::*;
 
 const PART_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
-fn builder_for(config: &SummaryConfig, layout: Layout, execution: Execution) -> PipelineBuilder {
+fn builder_for(config: &SummaryConfig, layout: Layout) -> PipelineBuilder {
     Pipeline::builder()
         .assignments(0) // overwritten by callers
         .k(config.k)
@@ -25,17 +25,11 @@ fn builder_for(config: &SummaryConfig, layout: Layout, execution: Execution) -> 
         .coordination(config.mode)
         .seed(config.seed)
         .layout(layout)
-        .execution(execution)
 }
 
-fn ingest_all(
-    data: &MultiWeighted,
-    config: &SummaryConfig,
-    layout: Layout,
-    execution: Execution,
-) -> Summary {
+fn ingest_all(data: &MultiWeighted, config: &SummaryConfig, layout: Layout) -> Summary {
     let mut pipeline =
-        builder_for(config, layout, execution).assignments(data.num_assignments()).build().unwrap();
+        builder_for(config, layout).assignments(data.num_assignments()).build().unwrap();
     pipeline.push_batch(data.iter()).unwrap();
     pipeline.finalize().unwrap()
 }
@@ -53,46 +47,26 @@ fn merge_through_codec(partials: &[Summary]) -> Result<Summary> {
 fn p_way_split_merge_equals_single_node() {
     let mut case = 0u64;
     for layout in [Layout::Colocated, Layout::Dispersed] {
-        let executions: &[Execution] = match layout {
-            Layout::Colocated => &[Execution::Sequential],
-            Layout::Dispersed => &[
-                Execution::Sequential,
-                Execution::Sharded {
-                    shards: 3,
-                    stall_timeout: None,
-                    admission: AdmissionControl::Block,
-                },
-            ],
-        };
-        for &execution in executions {
-            for parts in PART_COUNTS {
-                for round in 0..3u64 {
-                    let mut rng = case_rng("merge_parity", case);
-                    case += 1;
-                    let data = arb_multiweighted(&mut rng, 400);
-                    let config = common::arb_config(&mut rng);
-                    let reference = ingest_all(&data, &config, layout, execution);
+        for parts in PART_COUNTS {
+            for round in 0..3u64 {
+                let mut rng = case_rng("merge_parity", case);
+                case += 1;
+                let data = arb_multiweighted(&mut rng, 400);
+                let config = common::arb_config(&mut rng);
+                let reference = ingest_all(&data, &config, layout);
 
-                    let partitions = random_partition(&data, parts, &mut rng);
-                    let partials: Vec<Summary> = partitions
-                        .iter()
-                        .map(|part| ingest_all(part, &config, layout, execution))
-                        .collect();
-                    let merged = merge_through_codec(&partials).unwrap_or_else(|e| {
-                        panic!(
-                            "case {case} ({layout:?} {execution:?} P={parts} round {round}): {e}"
-                        )
-                    });
-                    assert_eq!(
-                        merged, reference,
-                        "case {case}: {layout:?} {execution:?} P={parts} round {round}"
-                    );
-                    assert_eq!(
-                        merged.to_bytes(),
-                        reference.to_bytes(),
-                        "case {case}: merged summary not byte-identical"
-                    );
-                }
+                let partitions = random_partition(&data, parts, &mut rng);
+                let partials: Vec<Summary> =
+                    partitions.iter().map(|part| ingest_all(part, &config, layout)).collect();
+                let merged = merge_through_codec(&partials).unwrap_or_else(|e| {
+                    panic!("case {case} ({layout:?} P={parts} round {round}): {e}")
+                });
+                assert_eq!(merged, reference, "case {case}: {layout:?} P={parts} round {round}");
+                assert_eq!(
+                    merged.to_bytes(),
+                    reference.to_bytes(),
+                    "case {case}: merged summary not byte-identical"
+                );
             }
         }
     }
@@ -104,10 +78,8 @@ fn merge_of_serialized_archives_is_order_insensitive() {
     let data = arb_multiweighted(&mut rng, 300);
     let config = SummaryConfig::new(10, RankFamily::Ipps, CoordinationMode::SharedSeed, 21);
     let partitions = random_partition(&data, 4, &mut rng);
-    let mut partials: Vec<Summary> = partitions
-        .iter()
-        .map(|part| ingest_all(part, &config, Layout::Dispersed, Execution::Sequential))
-        .collect();
+    let mut partials: Vec<Summary> =
+        partitions.iter().map(|part| ingest_all(part, &config, Layout::Dispersed)).collect();
     let forward = merge_through_codec(&partials).unwrap();
     partials.reverse();
     let backward = merge_through_codec(&partials).unwrap();
@@ -120,7 +92,7 @@ fn incompatible_headers_are_typed_errors() {
     let data = arb_multiweighted(&mut rng, 200);
     let assignments = data.num_assignments();
     let base = SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::SharedSeed, 5);
-    let reference = ingest_all(&data, &base, Layout::Dispersed, Execution::Sequential);
+    let reference = ingest_all(&data, &base, Layout::Dispersed);
 
     for (field, other) in [
         ("k", SummaryConfig::new(9, RankFamily::Ipps, CoordinationMode::SharedSeed, 5)),
@@ -128,7 +100,7 @@ fn incompatible_headers_are_typed_errors() {
         ("coordination", SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::Independent, 5)),
         ("seed", SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::SharedSeed, 6)),
     ] {
-        let mismatched = ingest_all(&data, &other, Layout::Dispersed, Execution::Sequential);
+        let mismatched = ingest_all(&data, &other, Layout::Dispersed);
         let err =
             merge_through_codec(&[reference.clone(), mismatched]).expect_err("must not merge");
         match err {
@@ -140,7 +112,7 @@ fn incompatible_headers_are_typed_errors() {
     }
 
     // Mixed layouts: typed error, not a coerced merge.
-    let colocated = ingest_all(&data, &base, Layout::Colocated, Execution::Sequential);
+    let colocated = ingest_all(&data, &base, Layout::Colocated);
     let err = Pipeline::merge(&[reference.clone(), colocated.clone()]).unwrap_err();
     assert!(matches!(err, CwsError::IncompatibleSummaries { field: "layout", .. }));
     let err = Pipeline::merge(&[colocated.clone(), reference.clone()]).unwrap_err();
@@ -152,7 +124,7 @@ fn incompatible_headers_are_typed_errors() {
         let row: Vec<f64> = (0..assignments + 1).map(|b| (b + 1) as f64).collect();
         builder.add_vector(key, &row);
     }
-    let wider = ingest_all(&builder.build(), &base, Layout::Dispersed, Execution::Sequential);
+    let wider = ingest_all(&builder.build(), &base, Layout::Dispersed);
     let err = Pipeline::merge(&[reference, wider]).unwrap_err();
     assert!(matches!(err, CwsError::IncompatibleSummaries { field: "assignments", .. }));
 

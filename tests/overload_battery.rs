@@ -5,9 +5,6 @@
 //! * ingest under a byte/key budget surfaces **typed** errors
 //!   (`BudgetExceeded`, never an OOM or a silent drop) and loses **zero**
 //!   valid records — quarantined + ingested always equals offered;
-//! * an `Overloaded` shard shed by fail-fast admission control is
-//!   retryable through the seeded [`RetryPolicy`], and the retried run is
-//!   **bit-exact** with an undisturbed same-seed run;
 //! * a query carrying an expired deadline returns `DeadlineExceeded`
 //!   without poisoning the pipeline or the summary — the same query
 //!   without a deadline still answers exactly;
@@ -124,127 +121,6 @@ fn over_cap_batch_surfaces_budget_exceeded_and_is_recoverable() {
         Err(CwsError::BudgetExceeded { resource: "bytes", limit: 8, .. }) => {}
         other => panic!("expected a typed bytes budget breach, got {other:?}"),
     }
-}
-
-/// Acceptance (b): under fail-fast admission control a stalled shard sheds
-/// load as typed `Overloaded`; retrying through the seeded [`RetryPolicy`]
-/// ingests everything, and the disturbed run is bit-exact with an
-/// undisturbed same-seed sequential run.
-#[test]
-fn overloaded_retry_via_retry_policy_is_bit_exact() {
-    // Large enough that each shard fills its batch (1024 records) more
-    // times than the channel + buffer pool can absorb while its worker is
-    // wedged — forcing the fail-fast admission path.
-    let records: Vec<(u64, [f64; 2])> = (0..16_000u64)
-        .map(|key| (key, [((key % 13) + 1) as f64, ((key % 5) + 1) as f64]))
-        .collect();
-
-    let sharded_builder = || {
-        Pipeline::builder().assignments(2).k(16).layout(Layout::Dispersed).seed(31).execution(
-            Execution::Sharded {
-                shards: 2,
-                stall_timeout: Some(Duration::from_secs(10)),
-                admission: AdmissionControl::FailFast { wait: Duration::from_millis(5) },
-            },
-        )
-    };
-
-    let mut sequential = Pipeline::builder()
-        .assignments(2)
-        .k(16)
-        .layout(Layout::Dispersed)
-        .seed(31)
-        .build()
-        .unwrap();
-    for (key, weights) in &records {
-        sequential.push_record(*key, weights).unwrap();
-    }
-    let expected = sequential.finalize().unwrap();
-
-    let mut disturbed = sharded_builder().build().unwrap();
-    for shard in 0..2 {
-        disturbed.inject_worker_fault(shard, WorkerFault::Stall { millis: 200 }).unwrap();
-    }
-    let mut policy = RetryPolicy::new(47).with_backoff_ms(10, 100).with_max_attempts(64);
-    let mut overloads = 0u64;
-    for (key, weights) in &records {
-        policy
-            .run(|| {
-                let result = disturbed.push_record(*key, weights);
-                if matches!(result, Err(CwsError::Overloaded { .. })) {
-                    overloads += 1;
-                }
-                result
-            })
-            .unwrap();
-    }
-    assert!(overloads > 0, "the stall must have shed at least one push");
-    assert_eq!(disturbed.processed(), records.len() as u64, "retries must lose nothing");
-    let recovered = disturbed.finalize().unwrap();
-    assert_eq!(
-        recovered.to_bytes(),
-        expected.to_bytes(),
-        "the retried run must be bit-exact with the undisturbed run"
-    );
-}
-
-/// A flush-early hand-off shed by a stalled sharded back-end keeps the
-/// flushed aggregate: the retry re-sends it (rows that reached a shard
-/// before the failure are offered twice) and the run stays bit-exact with
-/// an undisturbed one.
-#[test]
-fn shed_flush_early_hand_off_is_resent_bit_exactly() {
-    // Each key appears once; the 16,000-key cap forces two flush-early
-    // hand-offs of 16,000 rows, far more than a wedged shard's in-flight
-    // window holds.
-    let elements: Vec<(u64, usize, f64)> =
-        (0..40_000u64).map(|key| (key, (key % 2) as usize, ((key % 11) + 1) as f64)).collect();
-    let builder = |execution: Execution| {
-        Pipeline::builder()
-            .assignments(2)
-            .k(64)
-            .layout(Layout::Dispersed)
-            .seed(61)
-            .aggregation(Aggregation::SumByKey)
-            .budget(ResourceBudget::unlimited().with_max_keys(16_000))
-            .execution(execution)
-    };
-    let mut sequential = builder(Execution::Sequential).build().unwrap();
-    for batch in elements.chunks(1_000) {
-        sequential.push_elements(batch).unwrap();
-    }
-    let expected = sequential.finalize().unwrap().to_bytes();
-
-    let mut disturbed = builder(Execution::Sharded {
-        shards: 2,
-        stall_timeout: Some(Duration::from_secs(10)),
-        admission: AdmissionControl::FailFast { wait: Duration::from_millis(5) },
-    })
-    .build()
-    .unwrap();
-    for shard in 0..2 {
-        disturbed.inject_worker_fault(shard, WorkerFault::Stall { millis: 300 }).unwrap();
-    }
-    let mut policy = RetryPolicy::new(53).with_backoff_ms(10, 100).with_max_attempts(64);
-    let mut overloads = 0u64;
-    for batch in elements.chunks(1_000) {
-        policy
-            .run(|| {
-                let result = disturbed.push_elements(batch);
-                if matches!(result, Err(CwsError::Overloaded { .. })) {
-                    overloads += 1;
-                }
-                result
-            })
-            .unwrap();
-    }
-    assert!(overloads > 0, "the stall must have shed a flush-early hand-off");
-    assert_eq!(disturbed.processed(), elements.len() as u64, "retries must lose nothing");
-    assert_eq!(
-        disturbed.finalize().unwrap().to_bytes(),
-        expected,
-        "the retried run must be bit-exact with the undisturbed run"
-    );
 }
 
 /// Acceptance (c): a query with an expired deadline returns a typed

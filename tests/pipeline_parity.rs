@@ -1,5 +1,5 @@
-//! Facade parity: every `(layout, execution, aggregation, call-shape)`
-//! combination reachable from `PipelineBuilder` must produce summaries
+//! Facade parity: every `(layout, aggregation, call-shape)` combination
+//! reachable from `PipelineBuilder` must produce summaries
 //! **bit-identical** to the corresponding hand-wired sampler path.
 //!
 //! The facade adds configuration dispatch and (optionally) a pre-aggregation
@@ -12,12 +12,12 @@
 //! * the aggregation parity suite — `SumByKey` over a shuffled element
 //!   stream (each key's weight split into 2–5 fragments, slots interleaved)
 //!   and `MaxByKey` over running-peak fragments vs pre-aggregated
-//!   ingestion, for both layouts, both rank families, sequential and
-//!   sharded execution.
+//!   ingestion, for both layouts and both rank families, including runs
+//!   that a key cap hands to the sampler in several flush-early batches.
 
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use coordinated_sampling::data::synthetic::{correlated_zipf, element_stream};
+use coordinated_sampling::data::synthetic::{correlated_zipf, element_stream, Element};
 use coordinated_sampling::prelude::*;
 
 const ASSIGNMENTS: usize = 4;
@@ -37,19 +37,13 @@ fn families_and_modes() -> [(RankFamily, CoordinationMode); 3] {
     ]
 }
 
-fn builder(
-    family: RankFamily,
-    mode: CoordinationMode,
-    layout: Layout,
-    execution: Execution,
-) -> PipelineBuilder {
+fn builder(family: RankFamily, mode: CoordinationMode, layout: Layout) -> PipelineBuilder {
     Pipeline::builder()
         .assignments(ASSIGNMENTS)
         .k(K)
         .rank(family)
         .coordination(mode)
         .layout(layout)
-        .execution(execution)
         .seed(SEED)
 }
 
@@ -85,13 +79,11 @@ fn run_shape(
     family: RankFamily,
     mode: CoordinationMode,
     layout: Layout,
-    execution: Execution,
     aggregation: Aggregation,
     shape: &str,
 ) -> Summary {
     let data = dataset();
-    let mut pipeline =
-        builder(family, mode, layout, execution).aggregation(aggregation).build().unwrap();
+    let mut pipeline = builder(family, mode, layout).aggregation(aggregation).build().unwrap();
     match shape {
         "record" => {
             for (key, weights) in data.iter() {
@@ -104,11 +96,6 @@ fn run_shape(
                 pipeline.push_columns(&chunk).unwrap();
             }
         }
-        "columns_shared" => {
-            for chunk in data.to_columns().split(190) {
-                pipeline.push_columns_shared(&Arc::new(chunk)).unwrap();
-            }
-        }
         other => panic!("unknown shape {other}"),
     }
     pipeline.finalize().unwrap()
@@ -119,36 +106,39 @@ fn every_configuration_and_call_shape_matches_the_hand_wired_path() {
     for (family, mode) in families_and_modes() {
         for layout in [Layout::Colocated, Layout::Dispersed] {
             let expected = reference(family, mode, layout);
-            let mut executions = vec![Execution::Sequential];
-            if layout == Layout::Dispersed {
-                executions.extend([
-                    Execution::Sharded {
-                        shards: 1,
-                        stall_timeout: None,
-                        admission: AdmissionControl::Block,
-                    },
-                    Execution::Sharded {
-                        shards: 3,
-                        stall_timeout: None,
-                        admission: AdmissionControl::Block,
-                    },
-                ]);
-            }
-            for execution in executions {
-                for aggregation in
-                    [Aggregation::PreAggregated, Aggregation::SumByKey, Aggregation::MaxByKey]
-                {
-                    for shape in ["record", "batch", "columns", "columns_shared"] {
-                        let got = run_shape(family, mode, layout, execution, aggregation, shape);
-                        assert_eq!(
-                            got, expected,
-                            "{family:?}/{mode:?} {layout:?} {execution:?} {aggregation:?} {shape}"
-                        );
-                    }
+            for aggregation in
+                [Aggregation::PreAggregated, Aggregation::SumByKey, Aggregation::MaxByKey]
+            {
+                for shape in ["record", "batch", "columns"] {
+                    let got = run_shape(family, mode, layout, aggregation, shape);
+                    assert_eq!(
+                        got, expected,
+                        "{family:?}/{mode:?} {layout:?} {aggregation:?} {shape}"
+                    );
                 }
             }
         }
     }
+}
+
+/// The key cap of the flush-early case below: small enough that the
+/// 1500-key stream crosses it several times.
+const KEY_CAP: usize = 300;
+
+/// `elements`, each tagged with its run: the keys in order of first
+/// appearance, cut into runs of `cap`. Sorting by run (stably, so every
+/// slot keeps its fragment order) makes each run contiguous; a table capped
+/// at `cap` keys then fills exactly at each run's end, so every flush-early
+/// hand-off falls between runs and no key's fragments straddle one.
+fn key_runs(elements: &[Element], cap: usize) -> Vec<(usize, Element)> {
+    let mut run_of = HashMap::new();
+    for &(key, _, _) in elements {
+        let next = run_of.len() / cap;
+        run_of.entry(key).or_insert(next);
+    }
+    let mut tagged: Vec<(usize, Element)> = elements.iter().map(|&e| (run_of[&e.0], e)).collect();
+    tagged.sort_by_key(|&(run, _)| run);
+    tagged
 }
 
 /// `SumByKey` over a shuffled, fragmented element stream must reproduce
@@ -159,53 +149,52 @@ fn sum_by_key_over_fragmented_shuffled_elements_is_bit_identical() {
     let data = dataset();
     let elements = element_stream(&data.to_columns(), 2, 5, 0xE1E);
     assert!(elements.len() > KEYS * 2, "fragmentation produced too few elements");
+    let whole: Vec<(usize, Element)> = elements.iter().map(|&element| (0, element)).collect();
+    let runs = key_runs(&elements, KEY_CAP);
+    assert!(runs.last().unwrap().0 >= 3, "the key cap must force several flush-early hand-offs");
+    // No budget and byte accounting under a cap that never rejects take the
+    // whole aggregate in one hand-off; the key cap hands it over run by run.
+    let tracked = ResourceBudget::unlimited().with_max_bytes(u64::MAX);
+    let capped = tracked.with_max_keys(KEY_CAP as u64);
     for (family, mode) in families_and_modes() {
         for layout in [Layout::Colocated, Layout::Dispersed] {
             let expected = reference(family, mode, layout);
-            let mut executions = vec![Execution::Sequential];
-            if layout == Layout::Dispersed {
-                executions.push(Execution::Sharded {
-                    shards: 2,
-                    stall_timeout: None,
-                    admission: AdmissionControl::Block,
-                });
-            }
-            for execution in executions {
-                // Unbounded flush (one zero-copy hand-off batch), a tiny
-                // threshold (many copied batches) and byte accounting under
-                // a cap that never rejects must agree.
-                let tracked = ResourceBudget::unlimited().with_max_bytes(u64::MAX);
-                for (flush, budget) in [(None, None), (Some(97), None), (None, Some(tracked))] {
-                    let mut b =
-                        builder(family, mode, layout, execution).aggregation(Aggregation::SumByKey);
-                    if let Some(records) = flush {
-                        b = b.flush_threshold(records);
-                    }
-                    if let Some(budget) = budget {
-                        b = b.budget(budget);
-                    }
-                    let mut pipeline = b.build().unwrap();
-                    // Half the stream element by element, half in batches —
-                    // the two element surfaces must compose bit-exactly.
-                    let (scalar_half, batched_half) = elements.split_at(elements.len() / 2);
-                    for &(key, assignment, fragment) in scalar_half {
-                        pipeline.push_element(key, assignment, fragment).unwrap();
-                    }
-                    for batch in batched_half.chunks(1013) {
-                        pipeline.push_elements(batch).unwrap();
-                    }
-                    assert_eq!(pipeline.processed(), elements.len() as u64);
-                    if budget.is_some() {
-                        assert!(pipeline.peak_tracked_bytes() > 0, "bytes must be tracked");
-                    }
-                    let got = pipeline.finalize().unwrap();
-                    assert_eq!(
-                        got, expected,
-                        "{family:?}/{mode:?} {layout:?} {execution:?} flush {flush:?} \
-                         budget {budget:?}"
-                    );
+            let mut peaks = Vec::new();
+            for (stream, budget) in [(&whole, None), (&whole, Some(tracked)), (&runs, Some(capped))]
+            {
+                let mut b = builder(family, mode, layout).aggregation(Aggregation::SumByKey);
+                if let Some(budget) = budget {
+                    b = b.budget(budget);
                 }
+                let mut pipeline = b.build().unwrap();
+                // Half the stream element by element, half in batches —
+                // the two element surfaces must compose bit-exactly. No
+                // batch spans two runs.
+                let (scalar_half, batched_half) = stream.split_at(stream.len() / 2);
+                for &(_, (key, assignment, fragment)) in scalar_half {
+                    pipeline.push_element(key, assignment, fragment).unwrap();
+                }
+                for run in batched_half.chunk_by(|a, b| a.0 == b.0) {
+                    for chunk in run.chunks(1013) {
+                        let batch: Vec<Element> = chunk.iter().map(|&(_, e)| e).collect();
+                        if let Some(cap) = budget.and_then(|budget| budget.max_keys()) {
+                            let mut keys: Vec<Key> = batch.iter().map(|e| e.0).collect();
+                            keys.sort_unstable();
+                            keys.dedup();
+                            assert!(keys.len() as u64 <= cap, "a batch wider than the key cap");
+                        }
+                        pipeline.push_elements(&batch).unwrap();
+                    }
+                }
+                assert_eq!(pipeline.processed(), elements.len() as u64);
+                if budget.is_some() {
+                    assert!(pipeline.peak_tracked_bytes() > 0, "bytes must be tracked");
+                    peaks.push(pipeline.peak_tracked_bytes());
+                }
+                let got = pipeline.finalize().unwrap();
+                assert_eq!(got, expected, "{family:?}/{mode:?} {layout:?} budget {budget:?}");
             }
+            assert!(peaks[1] < peaks[0], "the key cap never flushed early: {peaks:?}");
         }
     }
 }
@@ -239,10 +228,8 @@ fn max_by_key_over_peak_observations_is_bit_identical() {
     for (family, mode) in families_and_modes() {
         for layout in [Layout::Colocated, Layout::Dispersed] {
             let expected = reference(family, mode, layout);
-            let mut pipeline = builder(family, mode, layout, Execution::Sequential)
-                .aggregation(Aggregation::MaxByKey)
-                .build()
-                .unwrap();
+            let mut pipeline =
+                builder(family, mode, layout).aggregation(Aggregation::MaxByKey).build().unwrap();
             for &(key, assignment, observation) in &elements {
                 pipeline.push_element(key, assignment, observation).unwrap();
             }
@@ -258,15 +245,10 @@ fn max_by_key_over_peak_observations_is_bit_identical() {
 fn aggregating_pipelines_accept_record_shaped_fragments() {
     let data = dataset();
     let expected = reference(RankFamily::Ipps, CoordinationMode::SharedSeed, Layout::Dispersed);
-    let mut pipeline = builder(
-        RankFamily::Ipps,
-        CoordinationMode::SharedSeed,
-        Layout::Dispersed,
-        Execution::Sequential,
-    )
-    .aggregation(Aggregation::SumByKey)
-    .build()
-    .unwrap();
+    let mut pipeline = builder(RankFamily::Ipps, CoordinationMode::SharedSeed, Layout::Dispersed)
+        .aggregation(Aggregation::SumByKey)
+        .build()
+        .unwrap();
     // Each record split into two half-weight fragments, one pushed as a
     // record and one as part of a columnar batch (w/2 + w/2 == w exactly).
     let mut halves = RecordColumns::new(ASSIGNMENTS);

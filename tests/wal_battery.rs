@@ -14,9 +14,9 @@
 //!   converges bit-exactly after the lost suffix is re-offered;
 //! * recovery is **idempotent** for both layers (snapshot store and
 //!   journal): a second run is a no-op that reproduces the same state;
-//! * a failed durable publish (store layer) and a failed finalize
-//!   (worker panic) both lose **zero** records when a journal is
-//!   attached — `DegradedState::records_replayable` carries the count;
+//! * a failed durable publish (store layer) loses **zero** records when a
+//!   journal is attached — `DegradedState::records_replayable` carries the
+//!   count;
 //! * a full journal is a typed `BudgetExceeded`, never silent
 //!   truncation, and epoch barriers stay exempt so publishing (which
 //!   prunes) can always make progress;
@@ -33,7 +33,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use coordinated_sampling::core::{CwsError, FaultPlan, ResourceBudget, WorkerFault};
+use coordinated_sampling::core::{CwsError, FaultPlan, ResourceBudget};
 use coordinated_sampling::prelude::*;
 
 /// A fresh scratch directory under the OS temp dir (no tempfile crate in
@@ -312,46 +312,6 @@ fn store_layer_publish_failure_loses_zero_records_with_a_journal() {
     assert_eq!(report.epoch, 2);
     assert_eq!(report.summary.to_bytes(), ref2, "zero records lost end to end");
     assert_eq!(store.epochs().unwrap(), vec![1, 2]);
-}
-
-/// A finalize failure (sharded worker panic) destroys the epoch's
-/// in-memory state — with a journal the records heal straight back into
-/// the fresh pipeline, including records the dying back-end had already
-/// absorbed, and the next publish matches the undisturbed run.
-#[test]
-fn finalize_failure_self_heals_from_the_journal() {
-    let n = 100u64;
-    let wal = scratch_dir("heal-wal");
-    let mut pipeline = EpochedPipeline::new(journaled(&wal).execution(Execution::Sharded {
-        shards: 2,
-        stall_timeout: None,
-        admission: AdmissionControl::Block,
-    }))
-    .unwrap();
-    for key in 0..n / 2 {
-        pipeline.push_record(key, &weights_for(key)).unwrap();
-    }
-    pipeline.inject_worker_fault(1, WorkerFault::Panic).unwrap();
-    for key in n / 2..n {
-        // Journaled first, then offered to the dying back-end — typed
-        // errors are tolerated once the death is detected.
-        let _ = pipeline.push_record(key, &weights_for(key));
-    }
-    let journal_bytes = pipeline.journal().unwrap().total_bytes();
-    let err = pipeline.publish().unwrap_err();
-    assert!(matches!(err, CwsError::ShardWorkerPanicked { .. }), "{err:?}");
-    let state = pipeline.degraded().unwrap();
-    assert_eq!(state.records_lost, 0, "the journal healed the epoch");
-    assert_eq!(state.records_replayable, n, "every offered record replayed");
-    // Healing reads the journal and never writes it: replayed records are
-    // not journaled a second time.
-    assert_eq!(pipeline.journal().unwrap().total_bytes(), journal_bytes);
-    // The healed pipeline publishes the epoch the panic tried to destroy:
-    // bit-identical to an undisturbed run over all offered records.
-    let report = pipeline.publish().unwrap();
-    assert_eq!(report.epoch, 1);
-    assert!(!pipeline.is_degraded());
-    assert_eq!(report.summary.to_bytes(), reference_bytes(0..n));
 }
 
 /// A full journal is a typed `BudgetExceeded` — never silent truncation —
