@@ -957,6 +957,188 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// Characterisation of a governed `SumByKey` run: every tracked-byte
+    /// peak and every budget breach, pinned to the value. It scripts the
+    /// bare aggregation table under key, byte and mixed caps (single
+    /// elements, records and columns, the index doubling at 513 keys), a
+    /// budget installed on a non-empty table, the benchmark twin's
+    /// never-rejecting byte cap, and a journaled pipeline whose element
+    /// batches flush early and whose stage a failed fsync aborts.
+    #[test]
+    fn governed_sum_by_key_readings_are_pinned() {
+        use crate::aggregation::{Aggregation, KeyAggregator};
+        use crate::wal::journal::InjectedFault;
+        use crate::wal::WalConfig;
+        use cws_core::budget::ResourceBudget;
+
+        fn outcome(result: Result<()>) -> String {
+            match result {
+                Ok(()) => "ok".to_string(),
+                Err(CwsError::BudgetExceeded { resource, used, requested, limit }) => {
+                    format!("{resource} used {used} requested {requested} limit {limit}")
+                }
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+        }
+        let mut log: Vec<String> = Vec::new();
+        let mut note = |step: &str, result: Result<()>, table: &KeyAggregator| {
+            let (keys, peak) = (table.num_keys(), table.peak_tracked_bytes());
+            log.push(format!("{step}: {} | keys {keys} peak {peak}", outcome(result)));
+        };
+        let columns = |keys: &[Key]| {
+            let mut columns = RecordColumns::new(2);
+            for &key in keys {
+                columns.push(key, &[1.0, 2.0]);
+            }
+            columns
+        };
+        let table = || KeyAggregator::new(Aggregation::SumByKey, 2, 5);
+
+        // A key cap: a key already held never breaches; new keys are
+        // admitted up to the cap and refused one past it, by every surface.
+        let mut keyed = table();
+        keyed.set_budget(&ResourceBudget::unlimited().with_max_keys(3));
+        note("keys element", keyed.absorb_element(1, 0, 1.0), &keyed);
+        note("keys record", keyed.absorb_record(2, &[1.0, 2.0]), &keyed);
+        note("keys update", keyed.absorb_element(1, 1, 2.0), &keyed);
+        note("keys columns over", keyed.absorb_columns(&columns(&[3, 4])), &keyed);
+        note("keys columns fit", keyed.absorb_columns(&columns(&[3])), &keyed);
+        note("keys element over", keyed.absorb_element(5, 0, 1.0), &keyed);
+        note("keys record over", keyed.absorb_record(6, &[1.0, 1.0]), &keyed);
+        note("keys elements over", keyed.absorb_elements(&[(1, 0, 1.0), (7, 0, 1.0)]), &keyed);
+        keyed.flush_columns();
+        note("keys flushed", keyed.absorb_element(5, 0, 1.0), &keyed);
+
+        // A byte cap at exactly 512 keys: the 513th doubles the index.
+        let mut bytes = table();
+        bytes.set_budget(&ResourceBudget::unlimited().with_max_bytes(16_384));
+        let fill: Vec<(Key, usize, f64)> = (0..512u64).map(|key| (key, 0, 1.0)).collect();
+        note("bytes fill", bytes.absorb_elements(&fill), &bytes);
+        note("bytes element over", bytes.absorb_element(512, 0, 1.0), &bytes);
+        note("bytes record over", bytes.absorb_record(512, &[1.0, 1.0]), &bytes);
+        note("bytes columns over", bytes.absorb_columns(&columns(&[512, 513])), &bytes);
+        note("bytes update", bytes.absorb_record(0, &[1.0, 1.0]), &bytes);
+        bytes.flush_columns();
+        note("bytes flushed", bytes.absorb_element(512, 0, 1.0), &bytes);
+
+        // Both caps: the byte cap refuses a column batch the key cap
+        // admits, then the key cap refuses a wider one.
+        let mut mixed = table();
+        mixed.set_budget(&ResourceBudget::unlimited().with_max_keys(5).with_max_bytes(4_168));
+        note("mixed fill", mixed.absorb_columns(&columns(&[1, 2, 3])), &mixed);
+        note("mixed bytes over", mixed.absorb_columns(&columns(&[4, 5])), &mixed);
+        note("mixed keys over", mixed.absorb_columns(&columns(&[4, 5, 6])), &mixed);
+        note("mixed element over", mixed.absorb_element(4, 0, 1.0), &mixed);
+
+        // Budgets installed on a table that already holds ten keys.
+        for (name, budget) in [
+            ("late keys", ResourceBudget::unlimited().with_max_keys(4)),
+            ("late bytes", ResourceBudget::unlimited().with_max_bytes(4_192)),
+        ] {
+            let mut late = table();
+            let ten: Vec<(Key, usize, f64)> = (0..10u64).map(|key| (key, 1, 2.0)).collect();
+            late.absorb_elements(&ten).unwrap();
+            late.set_budget(&budget);
+            note(&format!("{name} update"), late.absorb_element(3, 0, 1.0), &late);
+            note(&format!("{name} element over"), late.absorb_element(10, 0, 1.0), &late);
+            late.flush_columns();
+            note(&format!("{name} flushed"), late.absorb_element(10, 0, 1.0), &late);
+        }
+
+        // The benchmark twin's recipe: a byte cap that never rejects.
+        let mut twin = table();
+        twin.set_budget(&ResourceBudget::unlimited().with_max_bytes(u64::MAX));
+        let stream: Vec<(Key, usize, f64)> =
+            (0..3_000u64).map(|i| (i * 7 % 2_000, (i % 2) as usize, 1.5)).collect();
+        for (index, chunk) in stream.chunks(1_000).enumerate() {
+            note(&format!("twin chunk {index}"), twin.absorb_elements(chunk), &twin);
+        }
+
+        // A journaled pipeline under a 600-key cap: batches of 250 new keys
+        // flush early, a failed fsync aborts a stage after its flush, and a
+        // batch wider than the cap is refused by the drained table.
+        let root =
+            std::env::temp_dir().join(format!("cws-continuous-governed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut epochs = EpochedPipeline::new(
+            dispersed_builder()
+                .aggregation(Aggregation::SumByKey)
+                .budget(ResourceBudget::unlimited().with_max_keys(600))
+                .journal(WalConfig::new(root.join("wal"))),
+        )
+        .unwrap();
+        let batch = |first: Key, len: u64| -> Vec<(Key, usize, f64)> {
+            (first..first + len).map(|key| (key, (key % 2) as usize, 1.0)).collect()
+        };
+        let mut pipeline_note = |step: &str, result: Result<()>, epochs: &EpochedPipeline| {
+            let table = epochs.current.aggregator().unwrap();
+            let (keys, processed) = (table.num_keys(), epochs.processed());
+            let peak = epochs.peak_tracked_bytes();
+            log.push(format!(
+                "{step}: {} | keys {keys} processed {processed} peak {peak}",
+                outcome(result)
+            ));
+        };
+        pipeline_note("element", epochs.push_element(100_000, 0, 1.0), &epochs);
+        pipeline_note("record", epochs.push_record(100_001, &[1.0, 2.0]), &epochs);
+        pipeline_note("columns", epochs.push_columns(&columns(&[100_002, 100_003])), &epochs);
+        for index in 0..3 {
+            let pushed = epochs.push_elements(&batch(index * 250, 250));
+            pipeline_note(&format!("batch {index}"), pushed, &epochs);
+        }
+        epochs.journal.as_mut().unwrap().fail_next(InjectedFault::Sync);
+        let aborted = epochs.push_elements(&batch(750, 400));
+        assert!(matches!(aborted, Err(CwsError::Store { .. })), "{aborted:?}");
+        pipeline_note("fsync abort", Ok(()), &epochs);
+        pipeline_note("retry", epochs.push_elements(&batch(750, 400)), &epochs);
+        pipeline_note("too wide", epochs.push_elements(&batch(2_000, 601)), &epochs);
+        let published = epochs.publish().unwrap();
+        log.push(format!("published {} peak {}", published.records, epochs.peak_tracked_bytes()));
+        let _ = std::fs::remove_dir_all(&root);
+
+        let expected = [
+            "keys element: ok | keys 1 peak 4120",
+            "keys record: ok | keys 2 peak 4144",
+            "keys update: ok | keys 2 peak 4144",
+            "keys columns over: keys used 2 requested 2 limit 3 | keys 2 peak 4144",
+            "keys columns fit: ok | keys 3 peak 4168",
+            "keys element over: keys used 3 requested 1 limit 3 | keys 3 peak 4168",
+            "keys record over: keys used 3 requested 1 limit 3 | keys 3 peak 4168",
+            "keys elements over: keys used 3 requested 1 limit 3 | keys 3 peak 4168",
+            "keys flushed: ok | keys 1 peak 4168",
+            "bytes fill: ok | keys 512 peak 16384",
+            "bytes element over: bytes used 16384 requested 4120 limit 16384 | keys 512 peak 16384",
+            "bytes record over: bytes used 16384 requested 4120 limit 16384 | keys 512 peak 16384",
+            "bytes columns over: bytes used 16384 requested 4144 limit 16384 | keys 512 peak 16384",
+            "bytes update: ok | keys 512 peak 16384",
+            "bytes flushed: ok | keys 1 peak 16384",
+            "mixed fill: ok | keys 3 peak 4168",
+            "mixed bytes over: bytes used 4168 requested 48 limit 4168 | keys 3 peak 4168",
+            "mixed keys over: keys used 5 requested 1 limit 5 | keys 3 peak 4168",
+            "mixed element over: bytes used 4168 requested 24 limit 4168 | keys 3 peak 4168",
+            "late keys update: ok | keys 10 peak 4336",
+            "late keys element over: keys used 0 requested 11 limit 4 | keys 10 peak 4336",
+            "late keys flushed: ok | keys 1 peak 4336",
+            "late bytes update: ok | keys 10 peak 4336",
+            "late bytes element over: bytes used 0 requested 4360 limit 4192 | keys 10 peak 4336",
+            "late bytes flushed: ok | keys 1 peak 4120",
+            "twin chunk 0: ok | keys 1000 peak 32192",
+            "twin chunk 1: ok | keys 2000 peak 64384",
+            "twin chunk 2: ok | keys 2000 peak 64384",
+            "element: ok | keys 1 processed 1 peak 4120",
+            "record: ok | keys 2 processed 2 peak 4144",
+            "columns: ok | keys 4 processed 4 peak 4192",
+            "batch 0: ok | keys 254 processed 254 peak 10192",
+            "batch 1: ok | keys 504 processed 504 peak 16192",
+            "batch 2: ok | keys 250 processed 754 peak 16192",
+            "fsync abort: ok | keys 0 processed 754 peak 16192",
+            "retry: ok | keys 400 processed 1154 peak 16192",
+            "too wide: keys used 0 requested 601 limit 600 | keys 0 processed 1154 peak 16192",
+            "published 1154 peak 16192",
+        ];
+        assert_eq!(log, expected, "\n{}", log.join("\n"));
+    }
+
     #[test]
     fn resume_from_restores_serving_after_restart() {
         let mut epochs = EpochedPipeline::new(dispersed_builder()).unwrap();
