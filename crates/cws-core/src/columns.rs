@@ -59,6 +59,24 @@ pub fn invalid_weight_error(key: Key, assignment: usize, weight: f64) -> CwsErro
     }
 }
 
+/// The check every push boundary makes before any of a record (or a column
+/// batch) is journaled, absorbed or offered: it must carry one weight per
+/// assignment, `expected` of them.
+///
+/// # Errors
+/// [`CwsError::InvalidParameter`] named `"weights"` when the counts differ.
+#[inline]
+pub fn check_arity(expected: usize, weights: usize) -> Result<()> {
+    if weights == expected {
+        Ok(())
+    } else {
+        Err(CwsError::InvalidParameter {
+            name: "weights",
+            message: format!("record carries {weights} weights, {expected} assignments expected"),
+        })
+    }
+}
+
 /// Validates one weight lane against its key column — the validation kernel
 /// the hash-once and sharded columnar push boundaries share, built on the
 /// same [`weight_is_valid`] predicate as every other push boundary, so the

@@ -65,9 +65,9 @@
 
 use std::collections::VecDeque;
 
-use cws_core::budget::{BudgetGuard, QuarantinedRecords, ResourceBudget};
+use cws_core::budget::{QuarantinedRecords, ResourceBudget};
 use cws_core::columns::{
-    first_invalid_weight, invalid_weight_error, weight_is_valid, RecordColumns,
+    check_arity, first_invalid_weight, invalid_weight_error, weight_is_valid, RecordColumns,
 };
 use cws_core::{CwsError, Key, Result};
 use cws_hash::KeyHasher;
@@ -89,9 +89,6 @@ pub type QuarantineDrain = (QuarantinedRecords, Vec<(Key, usize, f64)>);
 pub(crate) struct Staged {
     old_len: usize,
     old_table_len: usize,
-    /// The budget before admission charged the staged keys (governed
-    /// tables only).
-    old_budget: Option<BudgetGuard>,
     poison: Vec<(Key, usize, f64, CwsError)>,
 }
 
@@ -139,13 +136,12 @@ pub struct KeyAggregator {
     slot_scratch: Vec<u32>,
     /// Number of absorbed elements / records (accepted pushes).
     absorbed: u64,
-    /// The armed resource budget (unlimited unless
-    /// [`KeyAggregator::set_budget`] installed caps).
-    budget: BudgetGuard,
-    /// `true` when the budget carries a byte or key cap — gates the
-    /// admission checks so ungoverned ingestion stays on the exact
-    /// historical hot path.
-    governed: bool,
+    /// Key cap installed by [`KeyAggregator::set_budget`], if any.
+    max_keys: Option<u64>,
+    /// Byte cap installed by [`KeyAggregator::set_budget`], if any.
+    max_bytes: Option<u64>,
+    /// The most tracked bytes the table held before any of its flushes.
+    peak_bytes: u64,
     /// Bounded dead-letter ring: the most recent quarantined
     /// `(key, assignment, weight)` poison elements, kept for diagnosis.
     dead_letters: VecDeque<(Key, usize, f64)>,
@@ -186,29 +182,30 @@ impl KeyAggregator {
             mask: (Self::INITIAL_TABLE - 1) as u64,
             slot_scratch: Vec::new(),
             absorbed: 0,
-            budget: BudgetGuard::unlimited(),
-            governed: false,
+            max_keys: None,
+            max_bytes: None,
+            peak_bytes: 0,
             dead_letters: VecDeque::new(),
             quarantined_count: 0,
             first_quarantine_error: None,
         }
     }
 
-    /// Installs (and arms) a resource budget. Key/byte caps are enforced
-    /// from the next push on; current contents are charged immediately, so
-    /// installing a budget smaller than what the table already holds makes
-    /// the *next* new-key push fail (the documented response is
+    /// Installs a resource budget. Key/byte caps are enforced from the next
+    /// push on, against what the table holds then, so installing a budget
+    /// smaller than what the table already holds makes the *next* new-key
+    /// push fail (the documented response is
     /// [`KeyAggregator::flush_columns`]).
     pub fn set_budget(&mut self, budget: &ResourceBudget) {
-        self.budget = budget.guard();
-        self.governed = budget.max_bytes().is_some() || budget.max_keys().is_some();
-        // Current contents count against the new budget, but installing a
-        // budget is configuration, not a push — it must not fail. Charge
-        // unchecked via the accessors' saturating behaviour: an over-cap
-        // charge is rejected, leaving usage at 0; the next admission check
-        // recomputes from the true table size anyway.
-        let _ = self.budget.try_charge_keys_to(self.keys.len() as u64);
-        let _ = self.budget.try_charge_bytes_to(self.tracked_bytes());
+        self.max_keys = budget.max_keys();
+        self.max_bytes = budget.max_bytes();
+    }
+
+    /// `true` when a key or byte cap is installed — gates the admission
+    /// checks so ungoverned ingestion stays on the plain hot path.
+    #[inline]
+    fn governed(&self) -> bool {
+        self.max_keys.is_some() || self.max_bytes.is_some()
     }
 
     /// Bytes of governed storage currently held: the dense key column and
@@ -222,12 +219,10 @@ impl KeyAggregator {
     }
 
     /// The high-water mark of tracked bytes over the aggregator's
-    /// lifetime (survives [`KeyAggregator::flush_columns`]). Only
-    /// maintained while a budget is installed-armed; for ad-hoc peak
-    /// accounting install `ResourceBudget::unlimited()`.
+    /// lifetime (survives [`KeyAggregator::flush_columns`]).
     #[must_use]
     pub fn peak_tracked_bytes(&self) -> u64 {
-        self.budget.peak_bytes().max(self.tracked_bytes())
+        self.peak_bytes.max(self.tracked_bytes())
     }
 
     /// Tracked bytes the table would hold at `total_keys` keys, including
@@ -241,13 +236,26 @@ impl KeyAggregator {
         per_key * total_keys as u64 + 4 * table_len as u64
     }
 
-    /// Admission check for `new_keys` additional distinct keys: charges
-    /// the budget to the prospective totals, rejecting (without charging)
-    /// on a breach.
-    fn admit_new_keys(&self, new_keys: usize) -> Result<()> {
-        let total = self.keys.len() + new_keys;
-        self.budget.try_charge_keys_to(total as u64)?;
-        self.budget.try_charge_bytes_to(self.tracked_bytes_for(total))
+    /// Admission check for a push that takes the table from `held` keys
+    /// (`held_bytes` tracked) to `total` keys: a breach of the key cap, then
+    /// of the byte cap, is reported against what the table held.
+    fn admit(&self, held: usize, held_bytes: u64, total: usize) -> Result<()> {
+        let check = |resource, used: u64, total: u64, limit: Option<u64>| match limit {
+            Some(limit) if total > limit => Err(CwsError::BudgetExceeded {
+                resource,
+                used,
+                requested: total.saturating_sub(used),
+                limit,
+            }),
+            _ => Ok(()),
+        };
+        check("keys", held as u64, total as u64, self.max_keys)?;
+        check("bytes", held_bytes, self.tracked_bytes_for(total), self.max_bytes)
+    }
+
+    /// Admission check for one new key.
+    fn admit_one(&self) -> Result<()> {
+        self.admit(self.keys.len(), self.tracked_bytes(), self.keys.len() + 1)
     }
 
     /// Number of weight assignments.
@@ -340,16 +348,13 @@ impl KeyAggregator {
         }
     }
 
-    /// Aborts a stage: every key it inserted is removed, the index is
-    /// rebuilt at its old size and the budget restored, so the aggregator
-    /// is exactly as it was before the stage began. Nothing was combined
-    /// and nothing quarantined, so nothing else needs undoing.
+    /// Aborts a stage: every key it inserted is removed and the index is
+    /// rebuilt at its old size, so the aggregator is exactly as it was
+    /// before the stage began. Nothing was combined and nothing
+    /// quarantined, so nothing else needs undoing.
     pub(crate) fn abort(&mut self, staged: Staged) {
         if self.keys.len() != staged.old_len || self.table.len() != staged.old_table_len {
             self.rollback_keys_to(staged.old_len, staged.old_table_len);
-        }
-        if let Some(budget) = staged.old_budget {
-            self.budget = budget;
         }
     }
 
@@ -404,18 +409,17 @@ impl KeyAggregator {
     /// batch (key first-seen order, zero-copy) and resets the table to its
     /// initial size, releasing the governed bytes/keys — the documented
     /// spill path after a [`CwsError::BudgetExceeded`] rejection. The
-    /// lifetime counters ([`KeyAggregator::absorbed`], quarantine, peak
-    /// bytes) survive the flush.
+    /// lifetime counters ([`KeyAggregator::absorbed`], quarantine,
+    /// [peak bytes](KeyAggregator::peak_tracked_bytes)) survive the flush.
     ///
     /// A key whose fragments straddle a flush boundary reaches the sampler
     /// once per flush with partial aggregates; see the module docs for the
     /// exactness contract.
     pub fn flush_columns(&mut self) -> RecordColumns {
+        self.peak_bytes = self.peak_tracked_bytes();
         let keys = std::mem::take(&mut self.keys);
         let lanes: Vec<Vec<f64>> = self.lanes.iter_mut().map(std::mem::take).collect();
         self.rebuild_table(Self::INITIAL_TABLE);
-        let _ = self.budget.try_charge_keys_to(0);
-        let _ = self.budget.try_charge_bytes_to(self.tracked_bytes());
         RecordColumns::from_parts(keys, lanes)
     }
 
@@ -479,11 +483,11 @@ impl KeyAggregator {
         if !weight_is_valid(weight) {
             return Err(invalid_weight_error(key, assignment, weight));
         }
-        let slot = if self.governed {
+        let slot = if self.governed() {
             match self.find_slot(key) {
                 Some(slot) => slot,
                 None => {
-                    self.admit_new_keys(1)?;
+                    self.admit_one()?;
                     self.slot_of(key)
                 }
             }
@@ -544,9 +548,9 @@ impl KeyAggregator {
         let mut staged = Staged {
             old_len: self.keys.len(),
             old_table_len: self.table.len(),
-            old_budget: self.governed.then(|| self.budget.clone()),
             poison: Vec::new(),
         };
+        let held_bytes = self.tracked_bytes();
         // Pass 1: record-granular validation — poison elements are marked
         // with the sentinel so the later passes skip them.
         let mut slots = std::mem::take(&mut self.slot_scratch);
@@ -576,8 +580,8 @@ impl KeyAggregator {
             }
         }
         self.slot_scratch = slots;
-        if self.governed {
-            if let Err(error) = self.admit_new_keys(0) {
+        if self.governed() {
+            if let Err(error) = self.admit(staged.old_len, held_bytes, self.keys.len()) {
                 self.abort(staged);
                 return Err(error);
             }
@@ -617,24 +621,22 @@ impl KeyAggregator {
     /// combined lane-wise (a record is one fragment per assignment).
     ///
     /// # Errors
-    /// Returns an invalid-weight error for a NaN, infinite or negative
-    /// entry (the fragment is rejected whole), an overflow error if a
-    /// lane's running sum would reach `+∞` (lanes before the overflowing
-    /// one were combined; treat the stream as poisoned), or — under an
-    /// installed [`ResourceBudget`] — [`CwsError::BudgetExceeded`] when
-    /// admitting a new key would breach the cap (the table is untouched;
-    /// flush and retry).
-    ///
-    /// # Panics
-    /// Panics if the vector length differs from the number of assignments.
+    /// Returns a typed error for a vector whose length differs from the
+    /// number of assignments, an invalid-weight error for a NaN, infinite
+    /// or negative entry (the fragment is rejected whole), an overflow
+    /// error if a lane's running sum would reach `+∞` (lanes before the
+    /// overflowing one were combined; treat the stream as poisoned), or —
+    /// under an installed [`ResourceBudget`] —
+    /// [`CwsError::BudgetExceeded`] when admitting a new key would breach
+    /// the cap (the table is untouched; flush and retry).
     #[inline]
     pub fn absorb_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        assert_eq!(weights.len(), self.lanes.len(), "weight vector arity mismatch");
+        check_arity(self.lanes.len(), weights.len())?;
         if let Some(assignment) = first_invalid_weight(weights) {
             return Err(invalid_weight_error(key, assignment, weights[assignment]));
         }
-        if self.governed && self.find_slot(key).is_none() {
-            self.admit_new_keys(1)?;
+        if self.governed() && self.find_slot(key).is_none() {
+            self.admit_one()?;
         }
         let slot = self.slot_of(key);
         for (assignment, (lane, &weight)) in self.lanes.iter_mut().zip(weights).enumerate() {
@@ -656,15 +658,13 @@ impl KeyAggregator {
     /// [`ResourceBudget`], a batch whose new keys would breach the cap is
     /// rejected whole with [`CwsError::BudgetExceeded`] and the table as
     /// before the call. An overflow mid-batch leaves the records before
-    /// the offending one combined.
-    ///
-    /// # Panics
-    /// Panics if the batch's assignment count differs from the
-    /// aggregator's.
+    /// the offending one combined. A batch whose assignment count differs
+    /// from the aggregator's is rejected whole with a typed error.
     pub fn absorb_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        assert_eq!(columns.num_assignments(), self.lanes.len(), "weight vector arity mismatch");
+        check_arity(self.lanes.len(), columns.num_assignments())?;
         let old_len = self.keys.len();
         let old_table_len = self.table.len();
+        let held_bytes = self.tracked_bytes();
         let mut staged_poison: Vec<(Key, usize, f64, CwsError)> = Vec::new();
 
         let mut slots = std::mem::take(&mut self.slot_scratch);
@@ -693,8 +693,8 @@ impl KeyAggregator {
                 *slot = self.slot_of(key) as u32;
             }
         }
-        if self.governed {
-            if let Err(error) = self.admit_new_keys(0) {
+        if self.governed() {
+            if let Err(error) = self.admit(old_len, held_bytes, self.keys.len()) {
                 self.rollback_keys_to(old_len, old_table_len);
                 self.slot_scratch = slots;
                 return Err(error);
@@ -1062,13 +1062,12 @@ mod tests {
         let lanes: Vec<Vec<u64>> = aggregator.lanes.iter().map(bits).collect();
         let letters: Vec<(Key, usize, u64)> =
             aggregator.dead_letters.iter().map(|&(k, a, w)| (k, a, w.to_bits())).collect();
-        let budget = &aggregator.budget;
         format!(
             "{:?}",
             (
                 (&aggregator.keys, lanes, &aggregator.table, aggregator.mask, aggregator.absorbed),
                 (letters, aggregator.quarantined_count, &aggregator.first_quarantine_error),
-                (budget.used_bytes(), budget.used_keys(), budget.peak_bytes()),
+                (aggregator.max_keys, aggregator.max_bytes, aggregator.peak_bytes),
             )
         )
     }

@@ -28,9 +28,10 @@
 //! it published in memory, ingestion continues, and
 //! [`degraded`](EpochedPipeline::degraded) reports the typed cause plus
 //! staleness counters ([`DegradedState`]). The first successful publish
-//! clears the state. Lost records are *counted, never hidden* — the
-//! recovery route is [`SnapshotStore::recover`](crate::store::SnapshotStore)
-//! plus re-ingesting the failed epoch from its durable source.
+//! clears the state. Sealing an epoch cannot fail, so a failed publish
+//! loses no records: the recovery route is
+//! [`SnapshotStore::recover`](crate::store::SnapshotStore) plus
+//! re-ingesting the un-stored epoch from its durable source.
 //!
 //! # Write-ahead journaling
 //!
@@ -42,17 +43,13 @@
 //! frame in the journal: a failed write or fsync is cut back off, and so
 //! is a push the pipeline refuses whole, so a retry is journaled once. Only
 //! a refusal after part of the push was absorbed (a sum overflow
-//! mid-batch) keeps its frame, for recovery to replay. While an element batch's fsync runs on the
-//! journal's helper thread the aggregation stage resolves its keys, but no
-//! weight is combined before the fsync has completed; a failed fsync
-//! aborts the staged keys.
+//! mid-batch) keeps its frame, for recovery to replay. While an element
+//! batch's fsync runs on the journal's helper thread the aggregation stage
+//! resolves its keys, but no weight is combined before the fsync has
+//! completed; a failed fsync aborts the staged keys.
 //! [`publish_into`](EpochedPipeline::publish_into) writes an epoch barrier
 //! (always fsynced) before swapping epochs and prunes fully-covered
-//! segments after the snapshot commits. Should [`Ingest::finalize`] ever
-//! fail, the destroyed epoch's records are replayed straight back out of
-//! the journal and reported as [`DegradedState::records_replayable`]
-//! instead of `records_lost`; neither layout's sampler fails there today.
-//! After a crash,
+//! segments after the snapshot commits. After a crash,
 //! [`recover_from_store_and_wal`](crate::wal::recover_from_store_and_wal)
 //! restores the whole state — snapshot plus replayed tail — in one call.
 //!
@@ -86,19 +83,11 @@ pub struct DegradedState {
     pub reason: CwsError,
     /// Consecutive failed publishes since the last successful one.
     pub failed_publishes: u64,
-    /// Records ingested into epochs whose publish failed — data that is in
-    /// no published snapshot, is **not** in the write-ahead journal, and
-    /// must be re-ingested from an external durable source after recovery.
-    /// Publishes that failed only at the *store* layer (snapshot serving
-    /// succeeded, durability did not) do not add here; neither do records
-    /// a journal still holds (those count as
-    /// [`records_replayable`](Self::records_replayable)).
-    pub records_lost: u64,
     /// Records that are in no durable snapshot but **are** recoverable
-    /// from the write-ahead journal — either already healed back into the
-    /// current epoch (finalize failures) or waiting for
-    /// [`recover_from_store_and_wal`](crate::wal::recover_from_store_and_wal)
-    /// (store-layer failures). Always zero without a journal.
+    /// from the write-ahead journal: the epochs whose snapshot the store
+    /// failed to write, waiting for
+    /// [`recover_from_store_and_wal`](crate::wal::recover_from_store_and_wal).
+    /// Always zero without a journal.
     pub records_replayable: u64,
 }
 
@@ -264,8 +253,8 @@ impl EpochedPipeline {
     }
 
     /// High-water mark of tracked aggregation bytes across all epochs —
-    /// the current one and every one closed before it. Zero without a
-    /// byte budget (see [`PipelineBuilder::budget`]).
+    /// the current one and every one closed before it. Zero only without
+    /// an aggregation stage: even an empty table tracks its index.
     #[must_use]
     pub fn peak_tracked_bytes(&self) -> u64 {
         self.peak_bytes_past.max(self.current.peak_tracked_bytes())
@@ -294,64 +283,30 @@ impl EpochedPipeline {
     }
 
     /// Closes the current epoch: swaps in a fresh pipeline (same
-    /// configuration, same seed), finalizes the outgoing one, and publishes
-    /// its summary as an immutable snapshot.
+    /// configuration, same seed), seals the outgoing one, and publishes its
+    /// summary as an immutable snapshot. Sealing cannot fail.
     ///
     /// # Errors
-    /// As [`PipelineBuilder::build`] and [`Ingest::finalize`]. Either way
-    /// the service **keeps serving**: [`latest`](Self::latest) still
-    /// returns the last good snapshot, ingestion continues into a fresh
-    /// same-seed pipeline (build failures leave the current epoch's
-    /// pipeline in place instead), and [`degraded`](Self::degraded) carries
-    /// the typed reason with staleness counters until a publish succeeds.
-    /// A finalize failure would destroy the epoch's in-memory records
-    /// (neither layout's sampler fails there today); with a journal
-    /// attached they are immediately replayed back into the fresh pipeline
-    /// (counted in [`DegradedState::records_replayable`] — nothing is
-    /// lost), without one they are counted in
-    /// [`DegradedState::records_lost`] and must be re-ingested from an
-    /// external durable source.
+    /// As [`PipelineBuilder::build`]. The service then **keeps serving**:
+    /// [`latest`](Self::latest) still returns the last good snapshot,
+    /// ingestion continues into the current epoch's pipeline, and
+    /// [`degraded`](Self::degraded) carries the typed reason until a
+    /// publish succeeds.
     pub fn publish(&mut self) -> Result<EpochReport> {
         let replacement = match self.builder.clone().build() {
             Ok(replacement) => replacement,
             Err(error) => {
-                self.mark_degraded(error.clone(), 0, 0);
+                self.mark_degraded(error.clone(), 0);
                 return Err(error);
             }
         };
         let outgoing = std::mem::replace(&mut self.current, replacement);
         let records = outgoing.processed();
-        // Harvest governance counters before finalize consumes the epoch's
+        // Harvest governance counters before sealing consumes the epoch's
         // pipeline — they are lifetime totals, not per-epoch ones.
         self.absorb_quarantine(outgoing.quarantined());
         self.peak_bytes_past = self.peak_bytes_past.max(outgoing.peak_tracked_bytes());
-        let summary = match outgoing.finalize() {
-            Ok(summary) => Arc::new(summary),
-            Err(error) => {
-                // The epoch's records are gone from memory, but with a
-                // journal they are still on disk tagged `epoch + 1`: replay
-                // them into the fresh pipeline right here. This recovers
-                // even records the dying back-end had already absorbed.
-                // Per-record rejections (poison the original run also
-                // rejected) are tolerated, so healing converges to exactly
-                // the original accept set.
-                let sealing = self.epoch + 1;
-                match self.replay_frames(|epoch| epoch == sealing) {
-                    Ok(healed) => self.mark_degraded(error.clone(), 0, healed.records_replayed),
-                    Err(_) => {
-                        // No journal, or an unreadable one: the records are
-                        // lost to this process. A journal is now the only
-                        // copy; make sure nothing prunes it before an
-                        // operator recovers.
-                        if let Some(journal) = self.journal.as_mut() {
-                            journal.suppress_pruning();
-                        }
-                        self.mark_degraded(error.clone(), records, 0);
-                    }
-                }
-                return Err(error);
-            }
-        };
+        let summary = Arc::new(outgoing.seal());
         self.epoch += 1;
         self.latest = Some(Arc::clone(&summary));
         self.degraded = None;
@@ -383,7 +338,7 @@ impl EpochedPipeline {
         // snapshot commits.
         if let Some(journal) = self.journal.as_mut() {
             if let Err(error) = journal.barrier(self.epoch + 1) {
-                self.mark_degraded(error.clone(), 0, 0);
+                self.mark_degraded(error.clone(), 0);
                 return Err(error);
             }
         }
@@ -395,7 +350,7 @@ impl EpochedPipeline {
             } else {
                 0
             };
-            self.mark_degraded(error.clone(), 0, replayable);
+            self.mark_degraded(error.clone(), replayable);
             return Err(error);
         }
         // Prune segments the new snapshot fully covers. Best-effort: a
@@ -408,16 +363,14 @@ impl EpochedPipeline {
     }
 
     /// Accumulates a failed publish into the degraded state.
-    fn mark_degraded(&mut self, reason: CwsError, records_lost: u64, records_replayable: u64) {
+    fn mark_degraded(&mut self, reason: CwsError, records_replayable: u64) {
         let state = self.degraded.get_or_insert(DegradedState {
             reason: reason.clone(),
             failed_publishes: 0,
-            records_lost: 0,
             records_replayable: 0,
         });
         state.reason = reason;
         state.failed_publishes += 1;
-        state.records_lost += records_lost;
         state.records_replayable += records_replayable;
     }
 
@@ -432,34 +385,17 @@ impl EpochedPipeline {
     /// snapshot is missing (store-layer publish failure, quarantined
     /// corruption) replays — conservative toward re-ingesting, never
     /// toward losing.
+    ///
+    /// Frames replay oldest first through the normal `Ingest` path of the
+    /// current pipeline (so rejections match the original run exactly),
+    /// straight to the pipeline, never back into the journal; the records
+    /// of covered data frames count as skipped. Frames are decoded in
+    /// place and pushed record by record (never through a columnar fast
+    /// path, so a mid-batch rejection cannot double-ingest a prefix).
     pub(crate) fn replay_journal(&mut self, stored_epochs: &[u64]) -> Result<ReplayReport> {
+        // `recover_from_store_and_wal`, the one caller, requires a journal.
+        let journal = self.journal.as_ref().expect("recovery opens a journaled pipeline");
         let resumed = self.epoch;
-        let mut report = self.replay_frames(|epoch| {
-            epoch > resumed || stored_epochs.binary_search(&epoch).is_err()
-        })?;
-        if let Some(open) = &self.wal_open {
-            report.truncated_bytes = open.truncated_bytes;
-            report.quarantined_segments = open.quarantined_segments;
-            report.removed_temps = open.removed_temps;
-        }
-        Ok(report)
-    }
-
-    /// Re-ingests, oldest first, every journaled data frame whose epoch tag
-    /// `replays` selects, through the normal `Ingest` path of the current
-    /// pipeline (so rejections match the original run exactly); the
-    /// records of data frames it passes over count as skipped. Replayed
-    /// records go straight to the pipeline, never back into the journal.
-    /// Frames are decoded in place and pushed record by record (never
-    /// through a columnar fast path, so a mid-batch rejection cannot
-    /// double-ingest a prefix).
-    fn replay_frames(&mut self, replays: impl Fn(u64) -> bool) -> Result<ReplayReport> {
-        let Some(journal) = self.journal.as_ref() else {
-            return Err(CwsError::InvalidParameter {
-                name: "journal",
-                message: "replay needs a journaled pipeline".to_string(),
-            });
-        };
         let current = &mut self.current;
         let mut report = ReplayReport::default();
         let mut row = Vec::with_capacity(current.num_assignments());
@@ -467,7 +403,8 @@ impl EpochedPipeline {
             if matches!(frame, Frame::Barrier { .. }) {
                 return;
             }
-            if !replays(frame.epoch()) {
+            let epoch = frame.epoch();
+            if epoch <= resumed && stored_epochs.binary_search(&epoch).is_ok() {
                 report.records_skipped += frame.record_count() as u64;
                 return;
             }
@@ -482,6 +419,11 @@ impl EpochedPipeline {
                 tally(current.push_element(key, assignment as usize, weight));
             }
         })?;
+        if let Some(open) = &self.wal_open {
+            report.truncated_bytes = open.truncated_bytes;
+            report.quarantined_segments = open.quarantined_segments;
+            report.removed_temps = open.removed_temps;
+        }
         Ok(report)
     }
 
@@ -575,7 +517,7 @@ impl Ingest for EpochedPipeline {
 
     /// Finalizes the current epoch without publishing it.
     fn finalize(self) -> Result<Summary> {
-        self.current.finalize()
+        Ok(self.current.seal())
     }
 }
 
@@ -753,8 +695,7 @@ mod tests {
         let state = epochs.degraded().unwrap();
         assert!(matches!(state.reason, CwsError::Store { .. }));
         // The snapshot *was* published in memory — serving is ahead of
-        // durability, and no records were lost.
-        assert_eq!(state.records_lost, 0);
+        // durability.
         assert_eq!(epochs.epochs_published(), 2);
         assert_eq!(epochs.latest().unwrap().num_distinct_keys(), 1);
         std::fs::remove_file(&dir).unwrap();
@@ -1114,14 +1055,18 @@ mod tests {
             "bytes flushed: ok | keys 1 peak 16384",
             "mixed fill: ok | keys 3 peak 4168",
             "mixed bytes over: bytes used 4168 requested 48 limit 4168 | keys 3 peak 4168",
-            "mixed keys over: keys used 5 requested 1 limit 5 | keys 3 peak 4168",
+            // `used` is what the table held before the refused push, also
+            // after a refusal by the other cap or a budget installed late.
+            "mixed keys over: keys used 3 requested 3 limit 5 | keys 3 peak 4168",
             "mixed element over: bytes used 4168 requested 24 limit 4168 | keys 3 peak 4168",
             "late keys update: ok | keys 10 peak 4336",
-            "late keys element over: keys used 0 requested 11 limit 4 | keys 10 peak 4336",
+            "late keys element over: keys used 10 requested 1 limit 4 | keys 10 peak 4336",
             "late keys flushed: ok | keys 1 peak 4336",
             "late bytes update: ok | keys 10 peak 4336",
-            "late bytes element over: bytes used 0 requested 4360 limit 4192 | keys 10 peak 4336",
-            "late bytes flushed: ok | keys 1 peak 4120",
+            "late bytes element over: bytes used 4336 requested 24 limit 4192 | keys 10 peak 4336",
+            // The peak keeps what the table held before the flush, also
+            // above a byte cap installed late.
+            "late bytes flushed: ok | keys 1 peak 4336",
             "twin chunk 0: ok | keys 1000 peak 32192",
             "twin chunk 1: ok | keys 2000 peak 64384",
             "twin chunk 2: ok | keys 2000 peak 64384",
@@ -1137,6 +1082,80 @@ mod tests {
             "published 1154 peak 16192",
         ];
         assert_eq!(log, expected, "\n{}", log.join("\n"));
+    }
+
+    /// Sealing an epoch cannot fail: whatever a hostile element stream does
+    /// to the aggregation table — sums that overflow, `f64::MAX` maxima,
+    /// zero weights, NaN, ∞ and negative poison, a key cap that flushes
+    /// early — every publish succeeds, healthy, with the summary a one-shot
+    /// twin fed the same pushes finalizes.
+    #[test]
+    fn publishing_a_hostile_stream_cannot_fail() {
+        use crate::aggregation::Aggregation;
+        use cws_core::budget::ResourceBudget;
+
+        const CAP: u64 = 8;
+        // Runs of eight elements over four keys, each key twice in a row
+        // under one assignment: `f64::MAX` twice, then 0 and NaN, ∞ and a
+        // negative weight, then two finite weights.
+        let hostile: Vec<(Key, usize, f64)> = (0..240u64)
+            .map(|i| {
+                let key = (i % 80) / 2;
+                let weight = match i % 8 {
+                    0 | 1 => f64::MAX,
+                    2 => 0.0,
+                    3 => f64::NAN,
+                    4 => f64::INFINITY,
+                    5 => -1.0,
+                    _ => (i % 5) as f64 + 0.5,
+                };
+                (key, ((i / 8) % 2) as usize, weight)
+            })
+            .collect();
+        for aggregation in [Aggregation::SumByKey, Aggregation::MaxByKey] {
+            for layout in [Layout::Colocated, Layout::Dispersed] {
+                let context = format!("{aggregation:?} {layout:?}");
+                let builder = || {
+                    dispersed_builder()
+                        .layout(layout)
+                        .aggregation(aggregation)
+                        .budget(ResourceBudget::unlimited().with_max_keys(CAP))
+                };
+                let mut epochs = EpochedPipeline::new(builder()).unwrap();
+                for epoch in 0..2 {
+                    let mut twin = builder().build().unwrap();
+                    let (mut refusals, mut overflows) = (0, 0);
+                    // Each run fits the drained table; the stream's 40 keys
+                    // flush it early. Half the runs go in as one batch, the
+                    // other half's first four elements one at a time.
+                    for (index, run) in hostile.chunks(8).enumerate() {
+                        let mut pushes = Vec::new();
+                        if index % 2 == epoch {
+                            pushes.push((epochs.push_elements(run), twin.push_elements(run)));
+                        } else {
+                            for &(key, assignment, weight) in &run[..4] {
+                                pushes.push((
+                                    epochs.push_element(key, assignment, weight),
+                                    twin.push_element(key, assignment, weight),
+                                ));
+                            }
+                        }
+                        for (pushed, expected) in pushes {
+                            assert_eq!(format!("{pushed:?}"), format!("{expected:?}"), "{context}");
+                            let overflow = |e: &CwsError| e.to_string().contains("overflowed");
+                            refusals += u32::from(pushed.is_err());
+                            overflows += u32::from(pushed.as_ref().is_err_and(overflow));
+                        }
+                    }
+                    assert!(refusals > 0, "{context}: the stream must be refused somewhere");
+                    let sums = aggregation == Aggregation::SumByKey;
+                    assert_eq!(overflows > 0, sums, "{context}: only sums overflow");
+                    let report = epochs.publish().unwrap();
+                    assert!(epochs.degraded().is_none(), "{context}");
+                    assert_eq!(*report.summary, twin.finalize().unwrap(), "{context}");
+                }
+            }
+        }
     }
 
     #[test]

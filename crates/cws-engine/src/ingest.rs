@@ -24,13 +24,11 @@ use crate::summary::Summary;
 /// weights at the push boundary — NaN, infinite and negative weights are
 /// rejected with a typed error and the record is rejected whole.
 ///
-/// Every push runs on the caller's thread. [`Pipeline`](crate::Pipeline)
-/// and [`EpochedPipeline`](crate::EpochedPipeline) also reject a record or
-/// batch whose weight count differs from
-/// [`num_assignments`](Self::num_assignments) with a typed
-/// [`InvalidParameter`](cws_core::CwsError::InvalidParameter), before any
-/// of it is journaled or ingested; the bare samplers treat that as a
-/// caller bug and panic (see their own documentation).
+/// Every push runs on the caller's thread. Every implementation, the bare
+/// samplers included, rejects a record or batch whose weight count differs
+/// from [`num_assignments`](Self::num_assignments) with a typed
+/// [`InvalidParameter`](cws_core::CwsError::InvalidParameter) before any of
+/// it is journaled or ingested.
 pub trait Ingest {
     /// Number of weight assignments every record must carry.
     fn num_assignments(&self) -> usize;
@@ -41,8 +39,8 @@ pub trait Ingest {
     /// Processes one record: a key with its full weight vector.
     ///
     /// # Errors
-    /// Returns an error if any weight is NaN, infinite or negative, or (on
-    /// the pipelines) if `weights` has the wrong length.
+    /// Returns an error if `weights` has the wrong length or any weight is
+    /// NaN, infinite or negative.
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()>;
 
     /// Processes a batch of row-major records.
@@ -83,9 +81,9 @@ pub trait Ingest {
     /// Finalizes the pass into a [`Summary`].
     ///
     /// # Errors
-    /// Neither sampler fails here. A pipeline returns the error of handing
-    /// its aggregation stage's last batch to the sampler, which a validated
-    /// aggregate does not produce.
+    /// No implementation here fails: the samplers finalize infallibly, and
+    /// a pipeline's aggregation stage holds only weights its sampler
+    /// accepts, so sealing it cannot fail either.
     fn finalize(self) -> Result<Summary>
     where
         Self: Sized;
@@ -193,5 +191,50 @@ mod tests {
         for summary in &hash_once {
             assert_eq!(summary, &offline, "every dispersed call shape agrees");
         }
+    }
+
+    /// A record or column batch of the wrong width is a typed error on the
+    /// bare public types too — both samplers (row and column surfaces, the
+    /// colocated one in both of its column paths) and the aggregation
+    /// table — and none of it is counted.
+    #[test]
+    fn bare_types_reject_wrong_arity_with_typed_errors() {
+        use crate::aggregation::{Aggregation, KeyAggregator};
+        use cws_core::CwsError;
+
+        let (short, long) = (RecordColumns::new(1), RecordColumns::new(3));
+        let mut wide = RecordColumns::new(3);
+        wide.push(9, &[1.0, 2.0, 3.0]);
+        let is_arity_error = |result: Result<()>| {
+            matches!(result, Err(CwsError::InvalidParameter { name: "weights", .. }))
+        };
+        let mut samplers: Vec<(&str, Box<dyn Ingest>)> = Vec::new();
+        for (family, mode) in [
+            (RankFamily::Ipps, CoordinationMode::SharedSeed),
+            (RankFamily::Exp, CoordinationMode::IndependentDifferences),
+        ] {
+            let config = SummaryConfig::new(4, family, mode, 5);
+            samplers.push(("colocated", Box::new(ColocatedStreamSampler::new(config, 2))));
+        }
+        let config = SummaryConfig::new(4, RankFamily::Ipps, CoordinationMode::SharedSeed, 5);
+        samplers.push(("hash-once", Box::new(MultiAssignmentStreamSampler::new(config, 2))));
+        for (name, mut sampler) in samplers {
+            sampler.push_record(1, &[1.0, 2.0]).unwrap();
+            assert!(is_arity_error(sampler.push_record(2, &[1.0])), "{name} short record");
+            assert!(is_arity_error(sampler.push_record(2, &[1.0, 2.0, 3.0])), "{name} long record");
+            for columns in [&short, &long, &wide] {
+                assert!(is_arity_error(sampler.push_columns(columns)), "{name} columns");
+            }
+            assert_eq!(sampler.processed(), 1, "{name}: a refused push was counted");
+        }
+
+        let mut table = KeyAggregator::new(Aggregation::SumByKey, 2, 5);
+        table.absorb_record(1, &[1.0, 2.0]).unwrap();
+        assert!(is_arity_error(table.absorb_record(2, &[1.0])));
+        assert!(is_arity_error(table.absorb_record(2, &[1.0, 2.0, 3.0])));
+        for columns in [&short, &long, &wide] {
+            assert!(is_arity_error(table.absorb_columns(columns)));
+        }
+        assert_eq!((table.absorbed(), table.num_keys()), (1, 1));
     }
 }

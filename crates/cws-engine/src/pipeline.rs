@@ -147,8 +147,7 @@ impl PipelineBuilder {
     /// sampling back-end ("flush early", see
     /// [`KeyAggregator::flush_columns`]) and only fails — with a typed
     /// [`CwsError::BudgetExceeded`] — if even the freshly drained table
-    /// cannot hold it. A budget deadline behaves exactly like
-    /// [`deadline`](Self::deadline).
+    /// cannot hold it.
     #[must_use]
     pub fn budget(mut self, budget: ResourceBudget) -> Self {
         self.budget = budget;
@@ -260,7 +259,7 @@ impl PipelineBuilder {
         } else {
             None
         };
-        let deadline = self.deadline.or(self.budget.deadline()).map(Deadline::after);
+        let deadline = self.deadline.map(Deadline::after);
         Ok(Pipeline { backend, aggregator, deadline })
     }
 }
@@ -296,8 +295,18 @@ macro_rules! for_backend {
 impl Backend {
     /// Hands a drained aggregate to the sampler as one batch.
     #[inline]
-    fn hand_off(&mut self, columns: &RecordColumns) -> Result<()> {
-        for_backend!(self, sampler => Ingest::push_columns(sampler, columns))
+    fn hand_off(&mut self, columns: &RecordColumns) {
+        // Invariant: the table admits only valid weights; `combine` refuses an overflowing sum.
+        for_backend!(self, sampler => sampler.push_columns(columns))
+            .expect("an aggregate holds only weights the sampler accepts");
+    }
+
+    /// Finalizes the sampler into its layout's summary.
+    fn finalize(self) -> Summary {
+        match self {
+            Backend::Colocated(sampler) => Summary::Colocated(sampler.finalize()),
+            Backend::HashOnce(sampler) => Summary::Dispersed(sampler.finalize()),
+        }
     }
 }
 
@@ -416,16 +425,23 @@ impl Pipeline {
     /// Snapshots the pipeline's current state into a [`Summary`] without
     /// consuming it — ingestion can continue afterwards. The snapshot is
     /// exactly what [`finalize`](Ingest::finalize) would return right now.
-    ///
-    /// # Errors
-    /// As [`finalize`](Ingest::finalize).
-    pub fn snapshot(&self) -> Result<Summary> {
+    #[must_use]
+    pub fn snapshot(&self) -> Summary {
         let copy = Pipeline {
             backend: self.backend.clone(),
             aggregator: self.aggregator.clone(),
             deadline: self.deadline,
         };
-        copy.finalize()
+        copy.seal()
+    }
+
+    /// Seals the pipeline into its summary: the aggregation stage's last
+    /// batch goes to the sampler, which finalizes. Sealing cannot fail.
+    pub(crate) fn seal(mut self) -> Summary {
+        if let Some(aggregator) = self.aggregator.take() {
+            self.backend.hand_off(&aggregator.into_columns());
+        }
+        self.backend.finalize()
     }
 
     /// Snapshots the pipeline ([`snapshot`](Pipeline::snapshot)) and
@@ -437,10 +453,9 @@ impl Pipeline {
     /// against the shared [`Arc<Summary>`](std::sync::Arc) snapshots.
     ///
     /// # Errors
-    /// As [`Pipeline::snapshot`] and
-    /// [`QueryBatch::execute`](crate::plan::QueryBatch::execute).
+    /// As [`QueryBatch::execute`](crate::plan::QueryBatch::execute).
     pub fn query_batch(&self, batch: &crate::plan::QueryBatch) -> Result<Vec<EstimateReport>> {
-        batch.execute(&self.snapshot()?)
+        batch.execute(&self.snapshot())
     }
 
     /// The aggregation stage's quarantine report: how many poison records
@@ -498,7 +513,7 @@ impl Pipeline {
         };
         match absorb(aggregator) {
             Err(CwsError::BudgetExceeded { .. }) => {
-                self.backend.hand_off(&aggregator.flush_columns())?;
+                self.backend.hand_off(&aggregator.flush_columns());
                 absorb(aggregator)
             }
             other => other,
@@ -563,20 +578,6 @@ impl Pipeline {
     }
 }
 
-/// The typed error of a record (or a column batch) whose weight count is
-/// not the `expected` number of assignments — checked before anything of
-/// the push is journaled or ingested.
-pub(crate) fn check_arity(expected: usize, weights: usize) -> Result<()> {
-    if weights == expected {
-        Ok(())
-    } else {
-        Err(CwsError::InvalidParameter {
-            name: "weights",
-            message: format!("record carries {weights} weights, the pipeline expects {expected}"),
-        })
-    }
-}
-
 /// The typed error of an element push into a pipeline without an
 /// aggregation stage.
 fn requires_aggregation(method: &str) -> CwsError {
@@ -605,7 +606,6 @@ impl Ingest for Pipeline {
     }
 
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        check_arity(self.num_assignments(), weights.len())?;
         self.governed_push(
             |aggregator| aggregator.absorb_record(key, weights),
             |backend| for_backend!(backend, sampler => Ingest::push_record(sampler, key, weights)),
@@ -613,18 +613,14 @@ impl Ingest for Pipeline {
     }
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        check_arity(self.num_assignments(), columns.num_assignments())?;
         self.governed_push(
             |aggregator| aggregator.absorb_columns(columns),
             |backend| for_backend!(backend, sampler => Ingest::push_columns(sampler, columns)),
         )
     }
 
-    fn finalize(mut self) -> Result<Summary> {
-        if let Some(aggregator) = self.aggregator.take() {
-            self.backend.hand_off(&aggregator.into_columns())?;
-        }
-        for_backend!(self.backend, sampler => Ingest::finalize(sampler))
+    fn finalize(self) -> Result<Summary> {
+        Ok(self.seal())
     }
 }
 

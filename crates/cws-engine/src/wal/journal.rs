@@ -19,8 +19,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cws_core::budget::ResourceBudget;
-use cws_core::columns::RecordColumns;
+use cws_core::columns::{check_arity, RecordColumns};
 use cws_core::durable::{fs_error, sync_dir, TEMP_SUFFIX};
 use cws_core::{CwsError, Result};
 
@@ -29,7 +28,7 @@ use super::segment::{
     create_segment, decode_header, parse_segment_seq, scan_frames, QUARANTINE_SUFFIX,
     SEGMENT_HEADER_BYTES,
 };
-use crate::pipeline::{check_arity, Push};
+use crate::pipeline::Push;
 
 /// When journal appends are flushed to stable storage.
 ///
@@ -64,19 +63,19 @@ pub struct WalConfig {
     pub(crate) dir: PathBuf,
     pub(crate) segment_bytes: u64,
     pub(crate) sync: SyncPolicy,
-    pub(crate) budget: ResourceBudget,
+    pub(crate) max_bytes: Option<u64>,
 }
 
 impl WalConfig {
     /// A journal living in `dir` with the defaults: 1 MiB segment rotation,
-    /// [`SyncPolicy::PerBatch`], unlimited disk budget.
+    /// [`SyncPolicy::PerBatch`], no cap on disk bytes.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             segment_bytes: 1 << 20,
             sync: SyncPolicy::PerBatch,
-            budget: ResourceBudget::unlimited(),
+            max_bytes: None,
         }
     }
 
@@ -103,12 +102,9 @@ impl WalConfig {
     /// writing anything — the journal never silently truncates. Barrier
     /// frames are exempt: a full journal must still be able to publish,
     /// since publishing is exactly what prunes it.
-    ///
-    /// Only the byte cap of the budget is meaningful here; a key cap or
-    /// deadline on a WAL budget is dead configuration and rejected at open.
     #[must_use]
-    pub fn budget(mut self, budget: ResourceBudget) -> Self {
-        self.budget = budget;
+    pub fn max_bytes(mut self, bytes: u64) -> Self {
+        self.max_bytes = Some(bytes);
         self
     }
 
@@ -377,13 +373,12 @@ impl Journal {
     ///
     /// # Errors
     /// Typed [`CwsError::InvalidParameter`] for dead configuration (zero
-    /// `EveryN`, a segment cap smaller than one header, a WAL budget with a
-    /// key cap or deadline, or a directory written with a different
-    /// assignment count); [`CwsError::Store`] for filesystem failures.
-    /// On-disk corruption is never an error — it is quarantined/truncated
-    /// and reported.
+    /// `EveryN`, a segment cap smaller than one header, or a directory
+    /// written with a different assignment count); [`CwsError::Store`] for
+    /// filesystem failures. On-disk corruption is never an error — it is
+    /// quarantined/truncated and reported.
     pub(crate) fn open(config: WalConfig, num_assignments: usize) -> Result<(Self, WalOpenReport)> {
-        let WalConfig { dir, segment_bytes, sync, budget } = config;
+        let WalConfig { dir, segment_bytes, sync, max_bytes } = config;
         if let SyncPolicy::EveryN(0) = sync {
             return Err(CwsError::InvalidParameter {
                 name: "sync",
@@ -397,14 +392,6 @@ impl Journal {
                     "a segment cap of {segment_bytes} bytes cannot hold the \
                      {SEGMENT_HEADER_BYTES}-byte segment header"
                 ),
-            });
-        }
-        if budget.max_keys().is_some() || budget.deadline().is_some() {
-            return Err(CwsError::InvalidParameter {
-                name: "wal_budget",
-                message: "a journal budget governs bytes only; a key cap or deadline on it \
-                          is dead configuration"
-                    .to_string(),
             });
         }
         fs::create_dir_all(&dir).map_err(|e| fs_error("create_dir", &dir, &e))?;
@@ -497,7 +484,7 @@ impl Journal {
             dir,
             segment_bytes,
             sync,
-            max_bytes: budget.max_bytes(),
+            max_bytes,
             num_assignments,
             sealed,
             active,
@@ -540,16 +527,16 @@ impl Journal {
     }
 
     /// `true` once pruning has been suspended to preserve unpublished data
-    /// (after a failed self-heal); cleared only by reopening the journal
-    /// through recovery.
+    /// (after a store-layer publish failure); cleared only by reopening the
+    /// journal through recovery.
     #[must_use]
     pub fn pruning_suppressed(&self) -> bool {
         self.suppress_prune
     }
 
     /// Stops [`mark_covered`](Self::mark_covered) from deleting anything —
-    /// the last-resort switch when in-memory state could not be healed and
-    /// the journal is the only copy of the data.
+    /// the switch for when a snapshot could not be stored and the journal
+    /// is the only durable copy of its epoch.
     pub(crate) fn suppress_pruning(&mut self) {
         self.suppress_prune = true;
     }

@@ -20,10 +20,9 @@
 //!   the [`SyncPolicy`] fsync knob (an element batch's fsync runs on one
 //!   helper thread while the pipeline stages the batch; a failed or
 //!   refused append is cut back off the segment), open-time torn-tail
-//!   recovery that truncates exactly at the last clean frame, disk
-//!   governance via
-//!   [`ResourceBudget`](cws_core::budget::ResourceBudget) (a full journal
-//!   is a typed `BudgetExceeded`, never silent truncation), and epoch
+//!   recovery that truncates exactly at the last clean frame, a disk cap
+//!   ([`WalConfig::max_bytes`]: a full journal is a typed
+//!   `BudgetExceeded`, never silent truncation), and epoch
 //!   watermarks: once a snapshot covers an epoch, the sealed segments
 //!   holding it are pruned. They are unlinked and the directory fsynced
 //!   before `publish_into` returns; a reclaim thread frees their blocks

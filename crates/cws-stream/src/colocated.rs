@@ -3,7 +3,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use cws_core::columns::{first_invalid_weight, invalid_weight_error, RecordColumns};
+use cws_core::columns::{check_arity, first_invalid_weight, invalid_weight_error, RecordColumns};
 use cws_core::coordination::{CoordinationMode, RankGenerator};
 use cws_core::summary::{ColocatedRecord, ColocatedSummary, SummaryConfig};
 use cws_core::{CwsError, Key, Result};
@@ -83,13 +83,11 @@ impl ColocatedStreamSampler {
     /// Processes one record: a key together with its full weight vector.
     ///
     /// # Errors
-    /// Returns an error if any weight is NaN, infinite or negative; the
+    /// Returns an error if the vector length differs from the number of
+    /// assignments, or if any weight is NaN, infinite or negative; the
     /// record is rejected whole.
-    ///
-    /// # Panics
-    /// Panics if the vector length differs from the number of assignments.
     pub fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        assert_eq!(weights.len(), self.num_assignments, "weight vector arity mismatch");
+        check_arity(self.num_assignments, weights.len())?;
         if let Some(assignment) = first_invalid_weight(weights) {
             return Err(invalid_weight_error(key, assignment, weights[assignment]));
         }
@@ -113,9 +111,6 @@ impl ColocatedStreamSampler {
     /// # Errors
     /// As [`ColocatedStreamSampler::push_record`]; records before the
     /// offending one were ingested.
-    ///
-    /// # Panics
-    /// As [`ColocatedStreamSampler::push_record`].
     pub fn push_batch<'a, I>(&mut self, records: I) -> Result<()>
     where
         I: IntoIterator<Item = (Key, &'a [f64])>,
@@ -148,12 +143,10 @@ impl ColocatedStreamSampler {
     /// As [`ColocatedStreamSampler::push_record`]: the first record, in
     /// row-major order, with a NaN, infinite or negative weight is rejected
     /// with the error naming its key and its first bad assignment; every
-    /// record before it was ingested, and no record after it.
-    ///
-    /// # Panics
-    /// Panics if the batch's assignment count differs from the sampler's.
+    /// record before it was ingested, and no record after it. A batch whose
+    /// assignment count differs from the sampler's is rejected whole.
     pub fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        assert_eq!(columns.num_assignments(), self.num_assignments, "weight vector arity mismatch");
+        check_arity(self.num_assignments, columns.num_assignments())?;
         if self.config.mode == CoordinationMode::IndependentDifferences {
             return self.push_rows(columns);
         }
@@ -437,11 +430,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity mismatch")]
     fn wrong_arity_is_rejected() {
         let config = SummaryConfig::new(5, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
         let mut sampler = ColocatedStreamSampler::new(config, 3);
-        let _ = sampler.push_record(1, &[1.0, 2.0]);
+        let err = sampler.push_record(1, &[1.0, 2.0]).unwrap_err();
+        assert!(matches!(err, CwsError::InvalidParameter { name: "weights", .. }), "{err:?}");
+        assert_eq!(sampler.processed(), 0);
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub(crate) fn push_column_chunks<S: ChunkSink>(
     sink: &mut S,
     processed: &mut u64,
 ) -> Result<()> {
+    // Every public push boundary checks arity first (`check_arity`).
     assert_eq!(columns.num_assignments(), candidates.len(), "weight vector arity mismatch");
     let shared = match generator.mode() {
         CoordinationMode::SharedSeed => true,

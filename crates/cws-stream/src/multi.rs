@@ -26,7 +26,7 @@
 //! data.
 
 use cws_core::columns::{
-    first_invalid_weight, invalid_weight_error, weight_is_valid, RecordColumns,
+    check_arity, first_invalid_weight, invalid_weight_error, weight_is_valid, RecordColumns,
 };
 use cws_core::summary::{DispersedSummary, SummaryConfig};
 use cws_core::{CoordinationMode, CwsError, Key, RankGenerator, Result};
@@ -155,14 +155,12 @@ impl MultiAssignmentStreamSampler {
     /// [`RankGenerator::dispersed_rank`], keeping the sample bit-identical.
     ///
     /// # Errors
-    /// Returns an error if any weight is NaN, infinite or negative; the
+    /// Returns an error if the vector length differs from the number of
+    /// assignments, or if any weight is NaN, infinite or negative; the
     /// record is rejected whole (no assignment sees any part of it).
-    ///
-    /// # Panics
-    /// Panics if the vector length differs from the number of assignments.
     #[inline]
     pub fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        assert_eq!(weights.len(), self.num_assignments, "weight vector arity mismatch");
+        check_arity(self.num_assignments, weights.len())?;
         if let Some(assignment) = first_invalid_weight(weights) {
             return Err(invalid_weight_error(key, assignment, weights[assignment]));
         }
@@ -200,9 +198,6 @@ impl MultiAssignmentStreamSampler {
     /// # Errors
     /// As [`MultiAssignmentStreamSampler::push_record`]; records before the
     /// offending one were ingested.
-    ///
-    /// # Panics
-    /// Panics if any vector length differs from the number of assignments.
     pub fn push_batch<'a, I>(&mut self, records: I) -> Result<()>
     where
         I: IntoIterator<Item = (Key, &'a [f64])>,
@@ -236,11 +231,10 @@ impl MultiAssignmentStreamSampler {
     /// validated before any of their records are offered, so on error the
     /// sampler holds a correct sample of all preceding chunks and nothing
     /// of the failing one; treat the stream as poisoned and re-run it after
-    /// repair.
-    ///
-    /// # Panics
-    /// Panics if the batch's assignment count differs from the sampler's.
+    /// repair. A batch whose assignment count differs from the sampler's
+    /// is rejected whole.
     pub fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
+        check_arity(self.num_assignments, columns.num_assignments())?;
         self.push_columns_inner(columns, true)
     }
 
@@ -426,11 +420,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity mismatch")]
     fn wrong_arity_is_rejected() {
         let config = SummaryConfig::new(5, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
         let mut sampler = MultiAssignmentStreamSampler::new(config, 3);
-        let _ = sampler.push_record(1, &[1.0]);
+        let err = sampler.push_record(1, &[1.0]).unwrap_err();
+        assert!(matches!(err, CwsError::InvalidParameter { name: "weights", .. }), "{err:?}");
+        assert_eq!(sampler.processed(), 0);
     }
 
     #[test]
