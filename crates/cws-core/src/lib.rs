@@ -29,6 +29,9 @@
 //!   [`AdjustedWeights`] (Horvitz–Thompson style adjusted-weight summaries).
 //! * [`aggregates`] — exact evaluation of the aggregates, used as ground
 //!   truth by tests and by the evaluation harness.
+//! * [`codec`] — the versioned binary format of a summary, over any
+//!   `Read` / `Write`. The crate does no filesystem I/O of its own: the
+//!   snapshot store and the write-ahead journal live in `cws-engine`.
 //!
 //! # Quick example
 //!
@@ -64,7 +67,6 @@ pub mod budget;
 pub mod codec;
 pub mod columns;
 pub mod coordination;
-pub mod durable;
 pub mod error;
 pub mod estimate;
 pub mod fault;

@@ -69,7 +69,7 @@ use crate::plan::{EstimateReport, QueryBatch, QuerySpec};
 use crate::store::SnapshotStore;
 use crate::summary::Summary;
 use crate::wal::frame::Frame;
-use crate::wal::{Journal, ReplayReport, WalOpenReport};
+use crate::wal::{Journal, ReplayReport};
 
 /// Why (and how badly) the service is serving stale data — the payload of
 /// [`EpochedPipeline::degraded`].
@@ -135,9 +135,6 @@ pub struct EpochedPipeline {
     peak_bytes_past: u64,
     /// The write-ahead journal, when one was configured on the builder.
     journal: Option<Journal>,
-    /// What opening the journal found (torn tails truncated, temps
-    /// removed) — folded into the replay report during recovery.
-    wal_open: Option<WalOpenReport>,
 }
 
 impl EpochedPipeline {
@@ -154,12 +151,9 @@ impl EpochedPipeline {
     pub fn new(mut builder: PipelineBuilder) -> Result<Self> {
         let wal_config = builder.take_journal();
         let current = builder.clone().build()?;
-        let (journal, wal_open) = match wal_config {
-            Some(config) => {
-                let (journal, report) = Journal::open(config, current.num_assignments())?;
-                (Some(journal), Some(report))
-            }
-            None => (None, None),
+        let journal = match wal_config {
+            Some(config) => Some(Journal::open(config, current.num_assignments())?),
+            None => None,
         };
         Ok(Self {
             builder,
@@ -170,7 +164,6 @@ impl EpochedPipeline {
             quarantined_past: None,
             peak_bytes_past: 0,
             journal,
-            wal_open,
         })
     }
 
@@ -178,12 +171,6 @@ impl EpochedPipeline {
     #[must_use]
     pub fn journal(&self) -> Option<&Journal> {
         self.journal.as_ref()
-    }
-
-    /// What opening the journal found and did, if one was configured.
-    #[must_use]
-    pub fn wal_open_report(&self) -> Option<&WalOpenReport> {
-        self.wal_open.as_ref()
     }
 
     /// The pipeline ingesting the current (unpublished) epoch.
@@ -284,22 +271,15 @@ impl EpochedPipeline {
 
     /// Closes the current epoch: swaps in a fresh pipeline (same
     /// configuration, same seed), seals the outgoing one, and publishes its
-    /// summary as an immutable snapshot. Sealing cannot fail.
+    /// summary as an immutable snapshot.
     ///
     /// # Errors
-    /// As [`PipelineBuilder::build`]. The service then **keeps serving**:
-    /// [`latest`](Self::latest) still returns the last good snapshot,
-    /// ingestion continues into the current epoch's pipeline, and
-    /// [`degraded`](Self::degraded) carries the typed reason until a
-    /// publish succeeds.
+    /// None: rebuilding the epoch's pipeline and sealing the outgoing one
+    /// cannot fail. The `Result` is kept so callers handle `publish` and
+    /// [`publish_into`](Self::publish_into) alike.
     pub fn publish(&mut self) -> Result<EpochReport> {
-        let replacement = match self.builder.clone().build() {
-            Ok(replacement) => replacement,
-            Err(error) => {
-                self.mark_degraded(error.clone(), 0);
-                return Err(error);
-            }
-        };
+        // `new` built this builder once, and `build` only checks it.
+        let replacement = self.builder.clone().build().expect("the builder was validated by new");
         let outgoing = std::mem::replace(&mut self.current, replacement);
         let records = outgoing.processed();
         // Harvest governance counters before sealing consumes the epoch's
@@ -322,8 +302,9 @@ impl EpochedPipeline {
     /// on a reclaim thread.
     ///
     /// # Errors
-    /// As [`publish`](Self::publish) for the in-memory half. If only the
-    /// *store* write fails, the snapshot **was** published in memory
+    /// A failed journal barrier: nothing is published, and the pipeline is
+    /// marked degraded with the journal's typed error. If only the *store*
+    /// write fails, the snapshot **was** published in memory
     /// ([`latest`](Self::latest) serves it, no records were lost) but is
     /// not durable; the pipeline is marked degraded with the store's typed
     /// error so the operator knows durability is behind serving. With a
@@ -397,7 +378,7 @@ impl EpochedPipeline {
         let journal = self.journal.as_ref().expect("recovery opens a journaled pipeline");
         let resumed = self.epoch;
         let current = &mut self.current;
-        let mut report = ReplayReport::default();
+        let mut report = journal.opened();
         let mut row = Vec::with_capacity(current.num_assignments());
         journal.for_each_frame(|frame| {
             if matches!(frame, Frame::Barrier { .. }) {
@@ -419,11 +400,6 @@ impl EpochedPipeline {
                 tally(current.push_element(key, assignment as usize, weight));
             }
         })?;
-        if let Some(open) = &self.wal_open {
-            report.truncated_bytes = open.truncated_bytes;
-            report.quarantined_segments = open.quarantined_segments;
-            report.removed_temps = open.removed_temps;
-        }
         Ok(report)
     }
 

@@ -56,6 +56,7 @@
 
 pub mod aggregation;
 pub mod continuous;
+mod durable;
 pub mod ingest;
 pub mod pipeline;
 pub mod plan;
@@ -70,11 +71,10 @@ pub use pipeline::{Layout, Pipeline, PipelineBuilder};
 pub use plan::{
     AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec, DEADLINE_CHECK_STRIDE,
 };
-pub use store::{QuarantinedSnapshot, RecoveryReport, ScrubReport, Scrubber, SnapshotStore};
+pub use store::{QuarantinedSnapshot, RecoveryReport, ScrubReport, SnapshotStore};
 pub use summary::Summary;
 pub use wal::{
     recover_from_store_and_wal, DurableRecovery, Journal, ReplayReport, SyncPolicy, WalConfig,
-    WalOpenReport,
 };
 
 /// Commonly used items.
@@ -86,12 +86,9 @@ pub mod prelude {
     pub use crate::plan::{
         AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec, DEADLINE_CHECK_STRIDE,
     };
-    pub use crate::store::{
-        QuarantinedSnapshot, RecoveryReport, ScrubReport, Scrubber, SnapshotStore,
-    };
+    pub use crate::store::{QuarantinedSnapshot, RecoveryReport, ScrubReport, SnapshotStore};
     pub use crate::summary::Summary;
     pub use crate::wal::{
         recover_from_store_and_wal, DurableRecovery, Journal, ReplayReport, SyncPolicy, WalConfig,
-        WalOpenReport,
     };
 }

@@ -19,7 +19,7 @@ use cws_core::budget::Deadline;
 use cws_core::variance::{ht_variance_component, normal_ci, ConfidenceInterval, Z_95};
 use cws_core::{CwsError, Result};
 
-use crate::plan::ir::QueryBatch;
+use crate::plan::ir::{QueryBatch, DEADLINE_CHECK_STRIDE};
 use crate::plan::planner::{Binding, Role};
 use crate::summary::Summary;
 
@@ -66,8 +66,6 @@ struct SpecState {
 
 pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<EstimateReport>> {
     let plan = batch.plan()?;
-    // Planning validated the stride.
-    let stride = batch.check_stride();
     let deadline = batch.deadline().map(Deadline::after);
     let check = |deadline: &Option<Deadline>| match deadline {
         Some(armed) => armed.check("query"),
@@ -112,7 +110,7 @@ pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<Estim
         match supported {
             Some(iter) => {
                 for (index, (key, weight, selected)) in iter.enumerate() {
-                    if index % stride == 0 {
+                    if index % DEADLINE_CHECK_STRIDE == 0 {
                         check(&deadline)?;
                     }
                     let variance = if sums {
@@ -164,7 +162,7 @@ pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<Estim
                 // Support-free kernel (dispersed L1): only sum-shaped roles
                 // can reach here.
                 for (index, (key, weight)) in adjusted.iter().enumerate() {
-                    if index % stride == 0 {
+                    if index % DEADLINE_CHECK_STRIDE == 0 {
                         check(&deadline)?;
                     }
                     for tap in taps {
@@ -299,19 +297,6 @@ mod tests {
             let generous = QueryBatch::new().push(spec()).with_deadline(Duration::from_secs(3600));
             assert_eq!(generous.execute(summary).unwrap(), [summary.query(&spec()).unwrap()]);
         }
-    }
-
-    #[test]
-    fn zero_check_stride_is_a_typed_error() {
-        let (colocated, _) = summaries(20, 25);
-        let spec = || QuerySpec::sum(0).filter(|key| key % 2 == 0);
-        assert!(matches!(
-            QueryBatch::new().push(spec()).deadline_check_stride(0).execute(&colocated),
-            Err(CwsError::InvalidParameter { name: "deadline_check_stride", .. })
-        ));
-        // A custom positive stride changes nothing about the result.
-        let narrow = QueryBatch::new().push(spec()).deadline_check_stride(1);
-        assert_eq!(narrow.execute(&colocated).unwrap(), [colocated.query(&spec()).unwrap()]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! s-set / l-set selection on dispersed summaries).
 //!
 //! A [`QueryBatch`] is an ordered list of [`QuerySpec`]s plus batch-wide
-//! execution knobs (deadline, deadline-check stride). Specs are deliberately
+//! execution knob (its deadline). Specs are deliberately
 //! declarative — no closures over summaries, no layout knowledge — so the
 //! planner can regroup them freely.
 
@@ -18,26 +18,13 @@ use crate::plan::executor::{self, EstimateReport};
 use crate::plan::planner::QueryPlan;
 use crate::summary::Summary;
 
-/// How many folded keys pass between wall-clock deadline checks by default
-/// during batched execution.
+/// How many folded keys pass between wall-clock deadline checks during
+/// batched execution.
 ///
 /// The check itself is one `Instant::now()` comparison; at this stride its
 /// cost is amortized to noise while an armed deadline is still noticed
-/// within ~a thousand predicate evaluations. Override per batch with
-/// [`QueryBatch::deadline_check_stride`] when folds are unusually expensive
-/// (check more often) or unusually hot (check less often).
+/// within ~a thousand predicate evaluations.
 pub const DEADLINE_CHECK_STRIDE: usize = 1024;
-
-/// Rejects a zero deadline-check stride with a typed error.
-pub(crate) fn validate_stride(stride: usize) -> Result<usize> {
-    if stride == 0 {
-        return Err(CwsError::InvalidParameter {
-            name: "deadline_check_stride",
-            message: "must be positive (the number of folded keys between deadline checks)".into(),
-        });
-    }
-    Ok(stride)
-}
 
 /// The aggregate a [`QuerySpec`] estimates.
 ///
@@ -303,14 +290,13 @@ impl QuerySpec {
 pub struct QueryBatch {
     specs: Vec<QuerySpec>,
     deadline: Option<Duration>,
-    check_stride: usize,
 }
 
 impl QueryBatch {
     /// An empty batch (executing it yields an empty result vector).
     #[must_use]
     pub fn new() -> Self {
-        Self { specs: Vec::new(), deadline: None, check_stride: DEADLINE_CHECK_STRIDE }
+        Self::default()
     }
 
     /// Appends a spec (builder style). Results are returned in push order.
@@ -331,21 +317,12 @@ impl QueryBatch {
     /// deadline is armed afresh per execution and checked before every
     /// kernel pass and every
     /// [`DEADLINE_CHECK_STRIDE`]
-    /// folded keys (see [`QueryBatch::deadline_check_stride`]); expiry is a
+    /// folded keys; expiry is a
     /// typed [`CwsError::DeadlineExceeded`](cws_core::CwsError) and poisons
     /// nothing — the summary stays queryable.
     #[must_use]
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Overrides the deadline-check cadence (default
-    /// [`DEADLINE_CHECK_STRIDE`] folded keys). Zero is rejected with a
-    /// typed error at execution time.
-    #[must_use]
-    pub fn deadline_check_stride(mut self, stride: usize) -> Self {
-        self.check_stride = stride;
         self
     }
 
@@ -373,20 +350,13 @@ impl QueryBatch {
         self.deadline
     }
 
-    /// The deadline-check stride.
-    #[must_use]
-    pub fn check_stride(&self) -> usize {
-        self.check_stride
-    }
-
     /// Plans the batch: validates every spec and groups them into shared
     /// summary passes (kernels). Planning is summary-independent — the same
     /// plan shape serves both layouts.
     ///
     /// # Errors
     /// Returns a typed [`CwsError`] for invalid specs (an empty relevant
-    /// set, a repeated assignment, an ℓ outside `1..=|R|`) or a zero
-    /// deadline-check stride.
+    /// set, a repeated assignment, an ℓ outside `1..=|R|`).
     pub fn plan(&self) -> Result<QueryPlan> {
         QueryPlan::build(self)
     }

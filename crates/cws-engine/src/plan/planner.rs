@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use cws_core::aggregates::AggregateFn;
 use cws_core::{Result, SelectionKind};
 
-use crate::plan::ir::{validate_stride, AggregateSpec, QueryBatch};
+use crate::plan::ir::{AggregateSpec, QueryBatch};
 
 /// One shared adjusted-weight pass: which aggregate, under which dispersed
 /// selection rule. Colocated summaries ignore the selection (their inclusive
@@ -84,7 +84,6 @@ pub struct QueryPlan {
 
 impl QueryPlan {
     pub(crate) fn build(batch: &QueryBatch) -> Result<Self> {
-        validate_stride(batch.check_stride())?;
         let mut kernels: Vec<Kernel> = Vec::new();
         let mut taps: Vec<Vec<Tap>> = Vec::new();
         let mut slots: HashMap<Kernel, usize> = HashMap::new();

@@ -44,42 +44,30 @@
 //! # At-rest scrubbing
 //!
 //! Recovery runs at startup; rot can set in *afterwards*, while the store
-//! sits on disk between crashes. [`Scrubber`] is the at-rest complement: a
-//! caller-driven [`scrub`](Scrubber::scrub) pass that re-verifies the
-//! checksums of every retained epoch, quarantines files that no longer
-//! decode, and bounds `.quarantined` accumulation with its own retention.
-//! Scrubbing touches only the
-//! directory — continuous pipelines serve `Arc<Summary>` snapshots from
-//! memory, so serving continues undisturbed while a scrub runs.
+//! sits on disk between crashes. [`SnapshotStore::scrub`] is the at-rest
+//! complement: the same verify-and-quarantine pass as recovery, without
+//! touching temps, so it can run on a live store. Scrubbing touches only
+//! the directory — continuous pipelines serve `Arc<Summary>` snapshots
+//! from memory, so serving continues undisturbed while a scrub runs.
+//!
+//! The file names, the listing, the atomic commit and the removals are the
+//! crate's shared directory rules, which the write-ahead journal follows
+//! too.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use cws_core::durable::{atomic_write, fs_error as store_error, sync_dir, TEMP_SUFFIX};
 use cws_core::{CwsError, Result};
 
+use crate::durable::{atomic_write, fs_error, quarantine, remove_all, sync_dir, Listing, Names};
 use crate::summary::Summary;
 
-/// File-name prefix of an epoch snapshot.
-const EPOCH_PREFIX: &str = "epoch-";
-/// File-name suffix of a committed epoch snapshot.
-const EPOCH_SUFFIX: &str = ".cws";
-/// Suffix a corrupt snapshot is renamed to by recovery.
-const QUARANTINE_SUFFIX: &str = ".quarantined";
+/// `epoch-<n>.cws`: one committed snapshot per epoch.
+const EPOCH_FILES: Names = Names { prefix: "epoch-", suffix: ".cws" };
 
-/// Width of the zero-padded epoch number in file names: u64::MAX has 20
-/// decimal digits, so lexicographic order equals numeric order.
-const EPOCH_DIGITS: usize = 20;
-
-/// `<path>.quarantined` — where a condemned snapshot is moved aside.
-fn quarantine_path(path: &Path) -> PathBuf {
-    let mut quarantined = path.as_os_str().to_os_string();
-    quarantined.push(QUARANTINE_SUFFIX);
-    PathBuf::from(quarantined)
-}
-
-/// A quarantined file found during [`SnapshotStore::recover`].
+/// A snapshot quarantined by [`SnapshotStore::recover`] or
+/// [`SnapshotStore::scrub`].
 #[derive(Debug, Clone)]
 pub struct QuarantinedSnapshot {
     /// The file's path *after* quarantining (`…​.cws.quarantined`).
@@ -139,7 +127,7 @@ impl SnapshotStore {
     /// [`CwsError::Store`] when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>, retention: usize) -> Result<Self> {
         let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| store_error("create_dir", &dir, &e))?;
+        fs::create_dir_all(&dir).map_err(|e| fs_error("create_dir", &dir, &e))?;
         Ok(Self {
             dir,
             retention: retention.max(1),
@@ -160,29 +148,15 @@ impl SnapshotStore {
         self.retention
     }
 
-    fn epoch_file_name(epoch: u64) -> String {
-        format!("{EPOCH_PREFIX}{epoch:0EPOCH_DIGITS$}{EPOCH_SUFFIX}")
-    }
-
     /// The path a given epoch's snapshot lives at (whether or not it
     /// currently exists).
     #[must_use]
     pub fn epoch_path(&self, epoch: u64) -> PathBuf {
-        self.dir.join(Self::epoch_file_name(epoch))
+        self.dir.join(EPOCH_FILES.name(epoch))
     }
 
-    /// Parses `epoch-<n>.cws` → `n`. Returns `None` for anything else
-    /// (temps, quarantined files, foreign files).
-    fn parse_epoch(file_name: &str) -> Option<u64> {
-        let digits = file_name.strip_prefix(EPOCH_PREFIX)?.strip_suffix(EPOCH_SUFFIX)?;
-        if digits.len() != EPOCH_DIGITS || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        digits.parse().ok()
-    }
-
-    /// Durably publishes `summary` as `epoch`'s snapshot through the shared
-    /// [`atomic_write`] sequence (temp file, fsync, rename, directory
+    /// Durably publishes `summary` as `epoch`'s snapshot through the
+    /// crate's atomic-write sequence (temp file, fsync, rename, directory
     /// fsync), then prunes epochs beyond the retention bound.
     ///
     /// The rename is the commit point — a crash anywhere before it leaves
@@ -213,7 +187,7 @@ impl SnapshotStore {
     /// [`CwsError::Codec`] when it does not decode cleanly.
     pub fn load(&self, epoch: u64) -> Result<Summary> {
         let path = self.epoch_path(epoch);
-        let mut file = fs::File::open(&path).map_err(|e| store_error("open", &path, &e))?;
+        let mut file = fs::File::open(&path).map_err(|e| fs_error("open", &path, &e))?;
         Summary::read_from(&mut file)
     }
 
@@ -223,10 +197,7 @@ impl SnapshotStore {
     /// # Errors
     /// [`CwsError::Store`] when the directory cannot be scanned.
     pub fn epochs(&self) -> Result<Vec<u64>> {
-        let mut epochs: Vec<u64> =
-            self.scan()?.into_iter().filter_map(|name| Self::parse_epoch(&name)).collect();
-        epochs.sort_unstable();
-        Ok(epochs)
+        Ok(EPOCH_FILES.list(&self.dir, false)?.live)
     }
 
     /// Scans the store, removes abandoned `.tmp` files, quarantines
@@ -245,120 +216,99 @@ impl SnapshotStore {
     /// quarantine rename fails. Decode failures are *not* errors — they are
     /// reported in [`RecoveryReport::quarantined`].
     pub fn recover(&mut self) -> Result<RecoveryReport> {
-        let mut report = RecoveryReport::default();
-        let mut good: Vec<(u64, PathBuf)> = Vec::new();
-        for name in self.scan()? {
-            let path = self.dir.join(&name);
-            if name.ends_with(TEMP_SUFFIX) {
-                fs::remove_file(&path).map_err(|e| store_error("remove", &path, &e))?;
-                report.removed_temps += 1;
-                continue;
-            }
-            let Some(epoch) = Self::parse_epoch(&name) else { continue };
-            match fs::File::open(&path)
-                .map_err(|e| store_error("open", &path, &e))
-                .and_then(|mut file| Summary::read_from(&mut file))
-            {
-                Ok(_) => good.push((epoch, path)),
-                Err(error) => {
-                    let quarantined = quarantine_path(&path);
-                    fs::rename(&path, &quarantined)
-                        .map_err(|e| store_error("quarantine", &path, &e))?;
-                    report.quarantined.push(QuarantinedSnapshot {
-                        path: quarantined,
-                        epoch,
-                        error,
-                    });
-                }
-            }
-        }
-        report.pruned_quarantined = self.prune_quarantined_to(self.retention)?;
-        good.sort_unstable_by_key(|(epoch, _)| *epoch);
-        if let Some((epoch, path)) = good.last() {
-            // Re-read the winner (files are small relative to the cost of
-            // keeping every candidate decoded in memory).
-            let mut file = fs::File::open(path).map_err(|e| store_error("open", path, &e))?;
-            let summary = Summary::read_from(&mut file)?;
-            report.last_good = Some((*epoch, Arc::new(summary)));
-        }
-        self.sync_dir()?;
+        let listing = EPOCH_FILES.list(&self.dir, true)?;
+        let removed_temps = listing.removed_temps;
+        let (pass, newest) = self.verify(listing)?;
+        Ok(RecoveryReport {
+            last_good: newest.map(|(epoch, summary)| (epoch, Arc::new(summary))),
+            quarantined: pass.quarantined,
+            removed_temps,
+            pruned_quarantined: pass.pruned_quarantined,
+        })
+    }
+
+    /// Runs one at-rest integrity pass, the complement of crash-time
+    /// [`recover`](Self::recover), on whatever cadence the operator
+    /// chooses (a timer, a cron job, an admin endpoint). It:
+    ///
+    /// 1. re-reads every retained epoch and verifies its checksums,
+    ///    catching rot that set in after publish;
+    /// 2. quarantines (renames, never deletes) snapshots that no longer
+    ///    decode, carrying the typed decode error in the report;
+    /// 3. prunes `.quarantined` forensics to the store's retention, as
+    ///    recovery does.
+    ///
+    /// Unlike recovery it leaves `.tmp` files alone. Serving reads
+    /// `Arc<Summary>` snapshots from memory (e.g.
+    /// [`EpochedPipeline::latest`](crate::continuous::EpochedPipeline::latest)),
+    /// so queries keep answering bit-exactly while a scrub runs — even one
+    /// that quarantines the latest epoch's file. A second pass over an
+    /// undisturbed store verifies the same epochs and changes nothing.
+    ///
+    /// ```no_run
+    /// use cws_engine::store::SnapshotStore;
+    ///
+    /// let mut store = SnapshotStore::open("/var/lib/cws/snapshots", 24).unwrap();
+    /// for rotten in &store.scrub().unwrap().quarantined {
+    ///     eprintln!("epoch {} rotted at rest: {}", rotten.epoch, rotten.error);
+    /// }
+    /// ```
+    ///
+    /// # Errors
+    /// [`CwsError::Store`] when the directory cannot be scanned or a
+    /// rename/remove fails. Decode failures are *not* errors — they are
+    /// the findings, reported in [`ScrubReport::quarantined`].
+    pub fn scrub(&mut self) -> Result<ScrubReport> {
+        let (report, _) = self.verify(EPOCH_FILES.list(&self.dir, false)?)?;
         Ok(report)
     }
 
-    /// File names in the store directory (no recursion; subdirectories are
-    /// ignored).
-    fn scan(&self) -> Result<Vec<String>> {
-        let entries =
-            fs::read_dir(&self.dir).map_err(|e| store_error("read_dir", &self.dir, &e))?;
-        let mut names = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| store_error("read_dir", &self.dir, &e))?;
-            if entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-                if let Ok(name) = entry.file_name().into_string() {
-                    names.push(name);
+    /// The pass [`recover`](Self::recover) and [`scrub`](Self::scrub)
+    /// share: decodes every live epoch of `listing`, quarantines those
+    /// that fail, prunes forensics beyond the retention (oldest first),
+    /// and fsyncs the directory. Also returns the newest clean summary.
+    fn verify(&self, listing: Listing) -> Result<(ScrubReport, Option<(u64, Summary)>)> {
+        let mut report = ScrubReport::default();
+        let mut newest = None;
+        let mut forensics = listing.quarantined;
+        for epoch in listing.live {
+            match self.load(epoch) {
+                Ok(summary) => {
+                    report.verified.push(epoch);
+                    newest = Some((epoch, summary));
+                }
+                Err(error) => {
+                    let path = quarantine(&self.epoch_path(epoch))?;
+                    forensics.push(epoch);
+                    report.quarantined.push(QuarantinedSnapshot { path, epoch, error });
                 }
             }
         }
-        names.sort_unstable();
-        Ok(names)
+        forensics.sort_unstable();
+        forensics.dedup();
+        let excess = forensics.len().saturating_sub(self.retention);
+        let condemned =
+            forensics[..excess].iter().map(|&n| EPOCH_FILES.quarantined_path(&self.dir, n));
+        report.pruned_quarantined = remove_all(&self.dir, condemned)?;
+        sync_dir(&self.dir)?;
+        Ok((report, newest))
     }
 
     /// Deletes committed epochs beyond the retention bound (oldest first).
     fn prune(&mut self) -> Result<()> {
         let epochs = self.epochs()?;
-        if epochs.len() > self.retention {
-            for &epoch in &epochs[..epochs.len() - self.retention] {
-                let path = self.epoch_path(epoch);
-                #[cfg(test)]
-                if std::mem::take(&mut self.fail_next_remove) {
-                    let injected = std::io::Error::other("injected remove failure");
-                    return Err(store_error("remove", &path, &injected));
-                }
-                fs::remove_file(&path).map_err(|e| store_error("remove", &path, &e))?;
-            }
-            self.sync_dir()?;
+        let excess = epochs.len().saturating_sub(self.retention);
+        #[cfg(test)]
+        if excess > 0 && std::mem::take(&mut self.fail_next_remove) {
+            let injected = std::io::Error::other("injected remove failure");
+            return Err(fs_error("remove", &self.epoch_path(epochs[0]), &injected));
         }
+        remove_all(&self.dir, epochs[..excess].iter().map(|&epoch| self.epoch_path(epoch)))?;
         Ok(())
-    }
-
-    /// Quarantined snapshots on disk, ascending by epoch.
-    fn quarantined_files(&self) -> Result<Vec<(u64, PathBuf)>> {
-        let mut found = Vec::new();
-        for name in self.scan()? {
-            if let Some(stem) = name.strip_suffix(QUARANTINE_SUFFIX) {
-                if let Some(epoch) = Self::parse_epoch(stem) {
-                    found.push((epoch, self.dir.join(&name)));
-                }
-            }
-        }
-        found.sort_unstable_by_key(|(epoch, _)| *epoch);
-        Ok(found)
-    }
-
-    /// Removes `.quarantined` files beyond `retention` (oldest first),
-    /// returning how many were removed — the forensics counterpart of
-    /// [`prune`](Self::prune).
-    fn prune_quarantined_to(&self, retention: usize) -> Result<usize> {
-        let files = self.quarantined_files()?;
-        if files.len() <= retention {
-            return Ok(0);
-        }
-        let excess = files.len() - retention;
-        for (_, path) in &files[..excess] {
-            fs::remove_file(path).map_err(|e| store_error("remove", path, &e))?;
-        }
-        self.sync_dir()?;
-        Ok(excess)
-    }
-
-    /// Fsyncs the store directory so renames within it are durable — the
-    /// shared [`sync_dir`] helper over this store's directory.
-    fn sync_dir(&self) -> Result<()> {
-        sync_dir(&self.dir)
     }
 }
 
-/// What one [`Scrubber::scrub`] pass found and did.
+/// What one [`SnapshotStore::scrub`] pass found and did.
 #[derive(Debug, Clone, Default)]
 pub struct ScrubReport {
     /// Epochs whose snapshots re-verified cleanly (header and body
@@ -368,98 +318,9 @@ pub struct ScrubReport {
     /// to `…​.quarantined`, with the typed decode error that condemned
     /// each.
     pub quarantined: Vec<QuarantinedSnapshot>,
-    /// Number of old `…​.quarantined` files removed to respect the
-    /// scrubber's quarantine retention.
+    /// Number of old `…​.quarantined` files removed to keep forensics
+    /// within the store's epoch retention.
     pub pruned_quarantined: usize,
-}
-
-/// A caller-driven at-rest integrity pass over a [`SnapshotStore`] — the
-/// complement of crash-time [`SnapshotStore::recover`].
-///
-/// Recovery runs when a process starts; a [`Scrubber`] runs *while it
-/// serves*, on whatever cadence the operator chooses (a timer, a cron
-/// job, an admin endpoint). One [`scrub`](Scrubber::scrub) pass:
-///
-/// 1. re-reads every retained epoch and verifies its checksums, catching
-///    rot that set in after publish;
-/// 2. quarantines (renames, never deletes) snapshots that no longer
-///    decode, carrying the typed decode error in the report;
-/// 3. bounds `.quarantined` forensics with its own retention (default:
-///    the store's epoch retention).
-///
-/// Scrubbing only touches the directory. Serving reads `Arc<Summary>`
-/// snapshots from memory (e.g.
-/// [`EpochedPipeline::latest`](crate::continuous::EpochedPipeline::latest)),
-/// so queries keep answering bit-exactly while a scrub runs — even one
-/// that quarantines the latest epoch's file.
-///
-/// ```no_run
-/// use cws_engine::store::{Scrubber, SnapshotStore};
-///
-/// let mut store = SnapshotStore::open("/var/lib/cws/snapshots", 24).unwrap();
-/// let report = Scrubber::new().scrub(&mut store).unwrap();
-/// for rotten in &report.quarantined {
-///     eprintln!("epoch {} rotted at rest: {}", rotten.epoch, rotten.error);
-/// }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Scrubber {
-    quarantine_retention: Option<usize>,
-}
-
-impl Scrubber {
-    /// A scrubber whose quarantine retention follows the store's epoch
-    /// retention.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bounds how many `.quarantined` files survive a scrub (newest kept,
-    /// oldest removed; `0` keeps no forensics at all). Default: the
-    /// scrubbed store's own epoch retention.
-    #[must_use]
-    pub fn with_quarantine_retention(mut self, retention: usize) -> Self {
-        self.quarantine_retention = Some(retention);
-        self
-    }
-
-    /// Runs one integrity pass over `store` (see the type docs for the
-    /// three steps).
-    ///
-    /// Like recovery, a scrub is idempotent: a second pass over an
-    /// undisturbed store verifies the same epochs and changes nothing.
-    ///
-    /// # Errors
-    /// [`CwsError::Store`] when the directory cannot be scanned or a
-    /// rename/remove fails. Decode failures are *not* errors — they are
-    /// the findings, reported in [`ScrubReport::quarantined`].
-    pub fn scrub(&self, store: &mut SnapshotStore) -> Result<ScrubReport> {
-        let mut report = ScrubReport::default();
-        for epoch in store.epochs()? {
-            let path = store.epoch_path(epoch);
-            match fs::File::open(&path)
-                .map_err(|e| store_error("open", &path, &e))
-                .and_then(|mut file| Summary::read_from(&mut file))
-            {
-                Ok(_) => report.verified.push(epoch),
-                Err(error) => {
-                    let quarantined = quarantine_path(&path);
-                    fs::rename(&path, &quarantined)
-                        .map_err(|e| store_error("quarantine", &path, &e))?;
-                    report.quarantined.push(QuarantinedSnapshot {
-                        path: quarantined,
-                        epoch,
-                        error,
-                    });
-                }
-            }
-        }
-        let retention = self.quarantine_retention.unwrap_or(store.retention());
-        report.pruned_quarantined = store.prune_quarantined_to(retention)?;
-        store.sync_dir()?;
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -607,7 +468,7 @@ mod tests {
         for epoch in 1..=4u64 {
             store.publish(epoch, &sample_summary(7, 80 + epoch)).unwrap();
         }
-        let clean = Scrubber::new().scrub(&mut store).unwrap();
+        let clean = store.scrub().unwrap();
         assert_eq!(clean.verified, vec![1, 2, 3, 4]);
         assert!(clean.quarantined.is_empty());
         assert_eq!(clean.pruned_quarantined, 0);
@@ -621,7 +482,7 @@ mod tests {
             fs::write(&path, &bytes).unwrap();
         }
 
-        let report = Scrubber::new().scrub(&mut store).unwrap();
+        let report = store.scrub().unwrap();
         assert_eq!(report.verified, vec![1, 3]);
         assert_eq!(
             report.quarantined.iter().map(|q| q.epoch).collect::<Vec<_>>(),
@@ -632,15 +493,14 @@ mod tests {
             assert!(rotten.path.exists(), "forensics are renamed, not deleted");
         }
         // Idempotent: a second pass finds the store already settled.
-        let again = Scrubber::new().scrub(&mut store).unwrap();
+        let again = store.scrub().unwrap();
         assert_eq!(again.verified, vec![1, 3]);
         assert!(again.quarantined.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Satellite: `.quarantined` files no longer accumulate forever — both
-    /// recovery and the scrubber prune them oldest-first to the retention
-    /// bound.
+    /// `.quarantined` files do not accumulate forever: recovery and scrubs
+    /// prune them oldest-first to the retention bound.
     #[test]
     fn quarantine_accumulation_is_bounded_by_retention() {
         let dir = scratch_dir("qretention");
@@ -653,16 +513,12 @@ mod tests {
         store.publish(8, &sample_summary(4, 90)).unwrap();
         let report = store.recover().unwrap();
         assert_eq!(report.pruned_quarantined, 5, "recovery prunes to the epoch retention");
-        let survivors = store.quarantined_files().unwrap();
-        assert_eq!(
-            survivors.iter().map(|(epoch, _)| *epoch).collect::<Vec<_>>(),
-            vec![6, 7],
-            "the newest forensics survive"
-        );
-        // A scrubber with its own (tighter) retention prunes further.
-        let report = Scrubber::new().with_quarantine_retention(0).scrub(&mut store).unwrap();
-        assert_eq!(report.pruned_quarantined, 2);
-        assert!(store.quarantined_files().unwrap().is_empty());
+        let survivors = EPOCH_FILES.list(&dir, false).unwrap().quarantined;
+        assert_eq!(survivors, vec![6, 7], "the newest forensics survive");
+        // A scrub keeps the same bound.
+        fs::write(dir.join("epoch-00000000000000000005.cws.quarantined"), b"older").unwrap();
+        assert_eq!(store.scrub().unwrap().pruned_quarantined, 1);
+        assert_eq!(EPOCH_FILES.list(&dir, false).unwrap().quarantined, vec![6, 7]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

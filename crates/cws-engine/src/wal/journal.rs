@@ -20,14 +20,14 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cws_core::columns::{check_arity, RecordColumns};
-use cws_core::durable::{fs_error, sync_dir, TEMP_SUFFIX};
 use cws_core::{CwsError, Result};
 
 use super::frame::{encode_barrier, encode_elements, encode_records, Frame};
+use super::replay::ReplayReport;
 use super::segment::{
-    create_segment, decode_header, parse_segment_seq, scan_frames, QUARANTINE_SUFFIX,
-    SEGMENT_HEADER_BYTES,
+    create_segment, decode_header, scan_frames, SEGMENT_FILES, SEGMENT_HEADER_BYTES,
 };
+use crate::durable::{fs_error, quarantine, sync_dir, unlink_holding};
 use crate::pipeline::Push;
 
 /// When journal appends are flushed to stable storage.
@@ -113,25 +113,6 @@ impl WalConfig {
     pub fn dir_path(&self) -> &Path {
         &self.dir
     }
-}
-
-/// What opening a journal found on disk and did about it.
-#[derive(Debug, Clone, Default)]
-pub struct WalOpenReport {
-    /// Live segments that survived (the fresh active segment excluded).
-    pub segments_kept: usize,
-    /// Clean frames available for replay across surviving segments.
-    pub clean_frames: usize,
-    /// Segments whose tail was torn and truncated back to the last clean
-    /// frame.
-    pub torn_segments: usize,
-    /// Bytes removed by torn-tail truncation.
-    pub truncated_bytes: u64,
-    /// Segments condemned (bad header, or stranded behind a torn segment)
-    /// and renamed `…​.quarantined` for forensics.
-    pub quarantined_segments: usize,
-    /// Abandoned `…​.tmp` files (crashes mid-rotation) removed.
-    pub removed_temps: usize,
 }
 
 #[derive(Debug)]
@@ -303,17 +284,6 @@ impl Drop for Reclaimer {
     }
 }
 
-/// Unlinks `path`. On Unix the returned handle still holds the file's
-/// blocks until it closes; elsewhere the unlink frees them and there is no
-/// handle.
-fn unlink_holding(path: &Path) -> io::Result<Option<fs::File>> {
-    #[cfg(unix)]
-    let handle = fs::File::open(path).ok();
-    #[cfg(not(unix))]
-    let handle = None;
-    fs::remove_file(path).map(|()| handle)
-}
-
 /// Failures a test can arm for the journal's next write, fsync, cut-back
 /// or reclaim.
 #[cfg(test)]
@@ -358,6 +328,8 @@ pub struct Journal {
     rotate_due: bool,
     /// Why appends are refused: a failed append could not be cut back off.
     refused: Option<String>,
+    /// What opening the journal repaired: the counts a replay starts from.
+    opened: ReplayReport,
     #[cfg(test)]
     faults: Vec<InjectedFault>,
 }
@@ -377,7 +349,7 @@ impl Journal {
     /// written with a different assignment count); [`CwsError::Store`] for
     /// filesystem failures. On-disk corruption is never an error — it is
     /// quarantined/truncated and reported.
-    pub(crate) fn open(config: WalConfig, num_assignments: usize) -> Result<(Self, WalOpenReport)> {
+    pub(crate) fn open(config: WalConfig, num_assignments: usize) -> Result<Self> {
         let WalConfig { dir, segment_bytes, sync, max_bytes } = config;
         if let SyncPolicy::EveryN(0) = sync {
             return Err(CwsError::InvalidParameter {
@@ -396,37 +368,18 @@ impl Journal {
         }
         fs::create_dir_all(&dir).map_err(|e| fs_error("create_dir", &dir, &e))?;
 
-        let mut report = WalOpenReport::default();
-        let mut live: Vec<(u64, PathBuf)> = Vec::new();
-        let mut max_seq_seen: Option<u64> = None;
-        let entries = fs::read_dir(&dir).map_err(|e| fs_error("read_dir", &dir, &e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| fs_error("read_dir", &dir, &e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(TEMP_SUFFIX) {
-                let path = entry.path();
-                fs::remove_file(&path).map_err(|e| fs_error("remove", &path, &e))?;
-                report.removed_temps += 1;
-            } else if let Some(seq) = parse_segment_seq(name) {
-                max_seq_seen = Some(max_seq_seen.map_or(seq, |m: u64| m.max(seq)));
-                live.push((seq, entry.path()));
-            } else if let Some(stem) = name.strip_suffix(QUARANTINE_SUFFIX) {
-                // Quarantined forensics from an earlier recovery; only their
-                // sequence numbers matter (never reuse them).
-                if let Some(seq) = parse_segment_seq(stem) {
-                    max_seq_seen = Some(max_seq_seen.map_or(seq, |m: u64| m.max(seq)));
-                }
-            }
-        }
-        live.sort_by_key(|(seq, _)| *seq);
-
+        let listing = SEGMENT_FILES.list(&dir, true)?;
+        let mut opened =
+            ReplayReport { removed_temps: listing.removed_temps, ..Default::default() };
+        // Quarantined forensics only reserve their sequence numbers.
+        let next_seq = listing.live.iter().chain(&listing.quarantined).max().map_or(0, |m| m + 1);
         let mut sealed = Vec::new();
         let mut condemn_rest = false;
-        for (seq, path) in live {
+        for seq in listing.live {
+            let path = dir.join(SEGMENT_FILES.name(seq));
             if condemn_rest {
                 quarantine(&path)?;
-                report.quarantined_segments += 1;
+                opened.quarantined_segments += 1;
                 continue;
             }
             let bytes = fs::read(&path).map_err(|e| fs_error("read", &path, &e))?;
@@ -437,7 +390,7 @@ impl Journal {
                 // after it (the stream is broken here).
                 _ => {
                     quarantine(&path)?;
-                    report.quarantined_segments += 1;
+                    opened.quarantined_segments += 1;
                     condemn_rest = true;
                     continue;
                 }
@@ -461,17 +414,13 @@ impl Journal {
                     .map_err(|e| fs_error("open", &path, &e))?;
                 file.set_len(scan.clean_len).map_err(|e| fs_error("truncate", &path, &e))?;
                 file.sync_all().map_err(|e| fs_error("fsync", &path, &e))?;
-                report.torn_segments += 1;
-                report.truncated_bytes += bytes.len() as u64 - scan.clean_len;
+                opened.truncated_bytes += bytes.len() as u64 - scan.clean_len;
                 condemn_rest = true;
             }
-            report.clean_frames += scan.frames;
-            report.segments_kept += 1;
             sealed.push(SealedSegment { path, len: scan.clean_len, max_epoch: scan.max_epoch });
         }
         sync_dir(&dir)?;
 
-        let next_seq = max_seq_seen.map_or(0, |m| m + 1);
         let (path, file) = create_segment(&dir, next_seq, num_assignments as u64)?;
         let active = ActiveSegment {
             file: Arc::new(file),
@@ -496,10 +445,17 @@ impl Journal {
             reclaimer: Reclaimer::default(),
             rotate_due: false,
             refused: None,
+            opened,
             #[cfg(test)]
             faults: Vec::new(),
         };
-        Ok((journal, report))
+        Ok(journal)
+    }
+
+    /// What opening the journal repaired (torn bytes truncated, segments
+    /// quarantined, temps removed): the counts a replay report starts from.
+    pub(crate) fn opened(&self) -> ReplayReport {
+        self.opened.clone()
     }
 
     /// The journal directory.
@@ -866,12 +822,6 @@ impl Journal {
     }
 }
 
-fn quarantine(path: &Path) -> Result<()> {
-    let mut condemned = path.as_os_str().to_os_string();
-    condemned.push(QUARANTINE_SUFFIX);
-    fs::rename(path, &condemned).map_err(|e| fs_error("quarantine", path, &e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -889,7 +839,7 @@ mod tests {
     /// A journal whose epoch 1 fills several sealed 256-byte segments.
     fn journal_with_a_sealed_epoch(dir: &Path) -> Journal {
         let config = WalConfig::new(dir).segment_bytes(256).sync(SyncPolicy::OnRotate);
-        let (mut journal, _) = Journal::open(config, 2).unwrap();
+        let mut journal = Journal::open(config, 2).unwrap();
         for key in 0..20u64 {
             journal.append(1, Push::Record(key, &[1.0, 2.0]), false).unwrap();
             journal.sync().unwrap();

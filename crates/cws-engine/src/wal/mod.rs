@@ -15,7 +15,9 @@
 //!   Every frame carries the **epoch tag** it will publish under; weights
 //!   travel as raw IEEE-754 bit patterns, the summary codec's convention.
 //! * `segment` — `wal-<seq>.cwsj` files with a checksummed header,
-//!   created through the shared atomic-write sequence.
+//!   created through the atomic-write sequence of the crate's shared
+//!   directory rules, which the snapshot store follows too (names,
+//!   listing, `.quarantined` renames, unlinks and directory fsyncs).
 //! * `journal` — the segmented log: appends, rotation at a byte cap,
 //!   the [`SyncPolicy`] fsync knob (an element batch's fsync runs on one
 //!   helper thread while the pipeline stages the batch; a failed or
@@ -47,5 +49,5 @@ pub(crate) mod journal;
 pub(crate) mod replay;
 pub(crate) mod segment;
 
-pub use journal::{Journal, SyncPolicy, WalConfig, WalOpenReport};
+pub use journal::{Journal, SyncPolicy, WalConfig};
 pub use replay::{recover_from_store_and_wal, DurableRecovery, ReplayReport};

@@ -16,8 +16,8 @@
 //!     24     8  header checksum: `frame_checksum` of bytes 0..24
 //! ```
 //!
-//! Segments are **created** through the shared
-//! [`atomic_write`](cws_core::durable::atomic_write) sequence (the header
+//! Segments are **created** through the crate's shared
+//! [`atomic_write`](crate::durable::atomic_write) sequence (the header
 //! commits atomically, then the file is reopened for appends), so a
 //! half-written header can never appear under a final segment name.
 
@@ -25,10 +25,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cws_core::codec::frame_checksum;
-use cws_core::durable::{atomic_write, fs_error};
 use cws_core::error::{CodecErrorKind, CwsError, Result};
 
 use super::frame::{decode_frame, DecodeStep, Frame};
+use crate::durable::{atomic_write, fs_error, Names};
 
 /// The four magic bytes every journal segment starts with.
 pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"CWSJ";
@@ -39,29 +39,8 @@ pub(crate) const SEGMENT_VERSION: u16 = 1;
 /// Size of the fixed segment header in bytes.
 pub(crate) const SEGMENT_HEADER_BYTES: usize = 32;
 
-/// File-name shape of a live segment: `wal-<seq:020>.cwsj`.
-pub(crate) const SEGMENT_PREFIX: &str = "wal-";
-/// See [`SEGMENT_PREFIX`].
-pub(crate) const SEGMENT_SUFFIX: &str = ".cwsj";
-/// Suffix appended (after the full segment name) to condemned segments.
-pub(crate) const QUARANTINE_SUFFIX: &str = ".quarantined";
-
-const SEQ_DIGITS: usize = 20;
-
-/// `wal-<seq:020>.cwsj` — zero-padded so lexicographic order is replay
-/// order.
-pub(crate) fn segment_file_name(seq: u64) -> String {
-    format!("{SEGMENT_PREFIX}{seq:0SEQ_DIGITS$}{SEGMENT_SUFFIX}")
-}
-
-/// Parses `wal-<seq>.cwsj` → `seq`; `None` for anything else.
-pub(crate) fn parse_segment_seq(file_name: &str) -> Option<u64> {
-    let digits = file_name.strip_prefix(SEGMENT_PREFIX)?.strip_suffix(SEGMENT_SUFFIX)?;
-    if digits.len() != SEQ_DIGITS || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
+/// `wal-<seq>.cwsj`: name order is replay order.
+pub(crate) const SEGMENT_FILES: Names = Names { prefix: "wal-", suffix: ".cwsj" };
 
 /// The decoded fields of a clean segment header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +116,7 @@ pub(crate) fn create_segment(
     num_assignments: u64,
 ) -> Result<(PathBuf, fs::File)> {
     use std::io::Write as _;
-    let path = dir.join(segment_file_name(seq));
+    let path = dir.join(SEGMENT_FILES.name(seq));
     let header = encode_header(seq, num_assignments);
     atomic_write(&path, |file| file.write_all(&header).map_err(|e| fs_error("write", &path, &e)))?;
     let file = fs::OpenOptions::new()
@@ -219,11 +198,11 @@ mod tests {
 
     #[test]
     fn file_names_round_trip_in_order() {
-        assert_eq!(parse_segment_seq(&segment_file_name(0)), Some(0));
-        assert_eq!(parse_segment_seq(&segment_file_name(u64::MAX)), Some(u64::MAX));
-        assert!(segment_file_name(9) < segment_file_name(10), "lexicographic = numeric");
-        assert_eq!(parse_segment_seq("wal-1.cwsj"), None, "unpadded names are foreign");
-        assert_eq!(parse_segment_seq("epoch-00000000000000000001.cws"), None);
+        assert_eq!(SEGMENT_FILES.parse(&SEGMENT_FILES.name(0)), Some(0));
+        assert_eq!(SEGMENT_FILES.parse(&SEGMENT_FILES.name(u64::MAX)), Some(u64::MAX));
+        assert!(SEGMENT_FILES.name(9) < SEGMENT_FILES.name(10), "lexicographic = numeric");
+        assert_eq!(SEGMENT_FILES.parse("wal-1.cwsj"), None, "unpadded names are foreign");
+        assert_eq!(SEGMENT_FILES.parse("epoch-00000000000000000001.cws"), None);
     }
 
     #[test]

@@ -219,7 +219,7 @@ fn store_and_journal_directories_follow_their_pinned_lifecycle() {
     // A snapshot rots at rest; the scrub quarantines it and prunes the
     // forensics to the store's retention.
     flip(&store.epoch_path(published.epoch - 1), |len| len / 2);
-    let scrubbed = Scrubber::new().scrub(&mut store).unwrap();
+    let scrubbed = store.scrub().unwrap();
     t.line("scrub", scrub(&scrubbed));
     t.dirs("scrub");
 

@@ -14,7 +14,7 @@
 //! * a multi-seed stress run (`CWS_FAULT_SEEDS=1,2,3 …`) injects
 //!   plan-scheduled faults and proves respawn + re-ingest always converges
 //!   to the undisturbed summary — then rots one plan-chosen byte at rest
-//!   and proves the scrubber catches it.
+//!   and proves the scrub catches it.
 
 use std::io::ErrorKind;
 use std::path::PathBuf;
@@ -26,7 +26,7 @@ use coordinated_sampling::core::fault::{
 };
 use coordinated_sampling::prelude::*;
 use coordinated_sampling::stream::sharded::ShardedDispersedSampler;
-use cws_engine::store::{Scrubber, SnapshotStore};
+use cws_engine::store::SnapshotStore;
 
 /// A fresh scratch directory under the OS temp dir (no tempfile crate in
 /// the offline build).
@@ -185,7 +185,7 @@ fn codec_roundtrips_through_interrupted_io() {
 
 /// Satellite: `.quarantined` forensics files must not accumulate without
 /// bound — recovery and scrubbing both prune them to the store's epoch
-/// retention (or the scrubber's own override).
+/// retention.
 #[test]
 fn quarantined_file_accumulation_is_bounded() {
     let dir = scratch_dir("qbound");
@@ -195,7 +195,6 @@ fn quarantined_file_accumulation_is_bounded() {
     store.publish(1, &good).unwrap();
 
     // Years of rot: many epochs corrupted on disk, quarantined one by one.
-    let scrubber = Scrubber::new();
     for epoch in 2..=12u64 {
         store.publish(epoch, &good).unwrap();
         let path = store.epoch_path(epoch);
@@ -203,7 +202,7 @@ fn quarantined_file_accumulation_is_bounded() {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let report = scrubber.scrub(&mut store).unwrap();
+        let report = store.scrub().unwrap();
         assert_eq!(report.quarantined.len(), 1, "epoch {epoch}");
         let forensics = std::fs::read_dir(&dir)
             .unwrap()
@@ -217,19 +216,9 @@ fn quarantined_file_accumulation_is_bounded() {
         );
     }
 
-    // Recovery applies the same bound, and a zero-retention scrub empties
-    // the forensics shelf entirely.
+    // Recovery applies the same bound.
     let report = store.recover().unwrap();
     assert!(report.last_good.is_some());
-    let report = Scrubber::new().with_quarantine_retention(0).scrub(&mut store).unwrap();
-    assert!(report.pruned_quarantined > 0);
-    let leftover = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter(|entry| {
-            entry.as_ref().unwrap().file_name().to_string_lossy().ends_with(".quarantined")
-        })
-        .count();
-    assert_eq!(leftover, 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -301,7 +290,7 @@ fn multi_seed_fault_stress_converges_after_respawn() {
         assert_eq!(recovered, expected, "seed {seed}: recovery must be bit-exact");
 
         // Scrub phase: persist the recovered epoch, rot one plan-chosen
-        // byte at rest, and prove the scrubber catches it while recovery
+        // byte at rest, and prove the scrub catches it while recovery
         // still restores the previous good epoch bit-exactly.
         let dir = scratch_dir(&format!("stress-scrub-{seed}"));
         let mut store = SnapshotStore::open(&dir, 4).unwrap();
@@ -313,7 +302,7 @@ fn multi_seed_fault_stress_converges_after_respawn() {
         let offset = plan.next_below(bytes.len() as u64) as usize;
         bytes[offset] ^= 1 + plan.next_below(255) as u8;
         std::fs::write(&rotten_path, &bytes).unwrap();
-        let report = Scrubber::new().scrub(&mut store).unwrap();
+        let report = store.scrub().unwrap();
         assert_eq!(
             report.quarantined.len(),
             1,

@@ -8,7 +8,7 @@
 //! * a query carrying an expired deadline returns `DeadlineExceeded`
 //!   without poisoning the pipeline or the summary — the same query
 //!   without a deadline still answers exactly;
-//! * [`Scrubber::scrub`] detects **every single-byte flip** across every
+//! * [`SnapshotStore::scrub`] detects **every single-byte flip** across every
 //!   retained epoch while `latest()` keeps serving the last good snapshot.
 
 use std::path::PathBuf;
@@ -165,7 +165,7 @@ fn expired_ingest_deadline_never_loses_ingested_work() {
     assert!(expired.finalize().is_ok());
 }
 
-/// Acceptance (d): the scrubber detects **every** single-byte flip across
+/// Acceptance (d): a scrub detects **every** single-byte flip across
 /// every retained epoch — quarantining exactly the rotten epoch — while
 /// the serving side keeps answering from the last published snapshot.
 #[test]
@@ -184,9 +184,8 @@ fn scrubber_detects_every_single_byte_flip_while_serving() {
     }
     let serving = epochs.latest().expect("three epochs were published");
     let baseline = serving.query(&QuerySpec::l1(0, 1)).unwrap();
-    // Quarantine retention 0: each detected flip's forensics file is
-    // pruned immediately, so the restore loop below stays simple.
-    let scrubber = Scrubber::new().with_quarantine_retention(0);
+    // Each detected flip's forensics file replaces the epoch's previous
+    // one, so at most one per epoch stays within the store's retention.
 
     for epoch in store.epochs().unwrap() {
         let path = store.epoch_path(epoch);
@@ -196,7 +195,7 @@ fn scrubber_detects_every_single_byte_flip_while_serving() {
             rotten[offset] ^= 0x01;
             std::fs::write(&path, &rotten).unwrap();
 
-            let report = scrubber.scrub(&mut store).unwrap();
+            let report = store.scrub().unwrap();
             assert_eq!(
                 report.quarantined.len(),
                 1,
@@ -214,7 +213,7 @@ fn scrubber_detects_every_single_byte_flip_while_serving() {
             // verifies it clean again.
             std::fs::write(&path, &pristine).unwrap();
         }
-        let clean = scrubber.scrub(&mut store).unwrap();
+        let clean = store.scrub().unwrap();
         assert!(clean.quarantined.is_empty(), "epoch {epoch}: restore must scrub clean");
         assert!(clean.verified.contains(&epoch));
     }

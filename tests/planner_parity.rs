@@ -256,12 +256,6 @@ fn invalid_specs_and_deadlines_are_typed_and_poison_nothing() {
             summary.query_batch(&out_of_range),
             Err(CwsError::AssignmentOutOfRange { index: 7, .. })
         ));
-        // Zero stride: typed InvalidParameter.
-        let zero_stride = QueryBatch::new().push(QuerySpec::sum(0)).deadline_check_stride(0);
-        assert!(matches!(
-            summary.query_batch(&zero_stride),
-            Err(CwsError::InvalidParameter { name: "deadline_check_stride", .. })
-        ));
         // Expired deadline: typed, and poisons nothing — the same batch
         // with a generous deadline matches the undeadlined run bit-for-bit.
         let specs = || {
@@ -276,10 +270,7 @@ fn invalid_specs_and_deadlines_are_typed_and_poison_nothing() {
             summary.query_batch(&expired),
             Err(CwsError::DeadlineExceeded { op: "query", budget_ms: 0 })
         ));
-        let generous = QueryBatch::new()
-            .extend(specs())
-            .with_deadline(Duration::from_secs(3600))
-            .deadline_check_stride(64);
+        let generous = QueryBatch::new().extend(specs()).with_deadline(Duration::from_secs(3600));
         let plain = QueryBatch::new().extend(specs());
         let deadlined = summary.query_batch(&generous).unwrap();
         let undeadlined = summary.query_batch(&plain).unwrap();
