@@ -465,7 +465,7 @@ fn decode_dispersed_body<R: Read>(
         sketches.push(decode_sketch(decoder, header.config.k)?);
     }
     verify_body_checksum(decoder)?;
-    Ok(DispersedSummary::from_sketches(header.config, sketches))
+    DispersedSummary::from_sketches(header.config, sketches)
 }
 
 fn decode_colocated_body<R: Read>(

@@ -10,11 +10,10 @@
 //! * [`FaultPlan`] — a seeded deterministic schedule generator (SplitMix64).
 //!   Every fault a test injects derives from a plan seed, so a failing
 //!   interleaving reruns bit-exactly from its seed alone.
-//! * [`FailingWriter`] / [`FailingReader`] — I/O wrappers that perform
-//!   faithfully up to a chosen byte offset and then fail with a chosen
-//!   [`std::io::ErrorKind`]. Writing through a `FailingWriter` and keeping
-//!   what reached the inner writer models a **torn write** (a crash at that
-//!   offset).
+//! * [`FailingWriter`] — an I/O wrapper that performs faithfully up to a
+//!   chosen byte offset and then fails with a chosen
+//!   [`std::io::ErrorKind`]. Writing through it and keeping what reached
+//!   the inner writer models a **torn write** (a crash at that offset).
 //! * [`ShortWriter`] / [`ShortReader`] — wrappers that transfer at most `n`
 //!   bytes per call, exercising every partial-progress loop in a codec.
 //! * [`InterruptingWriter`] / [`InterruptingReader`] — wrappers that
@@ -144,35 +143,6 @@ impl<W: Write> Write for FailingWriter<W> {
 
     fn flush(&mut self) -> IoResult<()> {
         self.inner.flush()
-    }
-}
-
-/// A reader that yields faithfully until `limit` bytes have been read, then
-/// fails every further read with `kind`.
-#[derive(Debug)]
-pub struct FailingReader<R> {
-    inner: R,
-    remaining: u64,
-    kind: ErrorKind,
-}
-
-impl<R: Read> FailingReader<R> {
-    /// Fails with `kind` once `limit` bytes have been served.
-    #[must_use]
-    pub fn new(inner: R, limit: u64, kind: ErrorKind) -> Self {
-        Self { inner, remaining: limit, kind }
-    }
-}
-
-impl<R: Read> Read for FailingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> IoResult<usize> {
-        if self.remaining == 0 && !buf.is_empty() {
-            return Err(Error::new(self.kind, "injected read fault"));
-        }
-        let take = buf.len().min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
-        let read = self.inner.read(&mut buf[..take])?;
-        self.remaining -= read as u64;
-        Ok(read)
     }
 }
 
@@ -352,17 +322,6 @@ mod tests {
             assert!(writer.tripped());
             assert_eq!(writer.into_inner(), payload[..limit as usize].to_vec());
         }
-    }
-
-    #[test]
-    fn failing_reader_serves_then_fails() {
-        let payload: Vec<u8> = (0..16).collect();
-        let mut reader = FailingReader::new(payload.as_slice(), 10, ErrorKind::UnexpectedEof);
-        let mut first = [0u8; 10];
-        reader.read_exact(&mut first).unwrap();
-        assert_eq!(first, payload[..10]);
-        let mut more = [0u8; 1];
-        assert_eq!(reader.read(&mut more).unwrap_err().kind(), ErrorKind::UnexpectedEof);
     }
 
     #[test]

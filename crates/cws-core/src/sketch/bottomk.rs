@@ -247,43 +247,9 @@ impl BottomKSketch {
     }
 }
 
-/// Combines coordinated bottom-k sketches of assignments `R` into a bottom-k
-/// sketch with respect to the maximum weight `w^(max R)` (Lemma 4.2).
-///
-/// The result contains the `k` distinct keys with the smallest rank observed
-/// anywhere in the union of the input sketches. The weight recorded for each
-/// key is the largest weight observed for it across the inputs; in the
-/// dispersed model this equals `w^(max R)(i)` whenever the key is included in
-/// the sketch of its maximizing assignment, which holds for every key the
-/// lemma selects when ranks are consistent.
-///
-/// # Panics
-/// Panics if `sketches` is empty or the sketches have different `k`.
-#[must_use]
-pub fn union_max_sketch(sketches: &[BottomKSketch]) -> BottomKSketch {
-    assert!(!sketches.is_empty(), "at least one sketch is required");
-    let k = sketches[0].k();
-    assert!(sketches.iter().all(|s| s.k() == k), "all sketches must share the same k");
-
-    let mut best: std::collections::HashMap<Key, SketchEntry> = std::collections::HashMap::new();
-    for sketch in sketches {
-        for entry in sketch.entries() {
-            best.entry(entry.key)
-                .and_modify(|cur| {
-                    cur.rank = cur.rank.min(entry.rank);
-                    cur.weight = cur.weight.max(entry.weight);
-                })
-                .or_insert(*entry);
-        }
-    }
-    BottomKSketch::from_ranked(k, best.into_values().map(|e| (e.key, e.rank, e.weight)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordination::{CoordinationMode, RankGenerator};
-    use crate::weights::MultiWeighted;
 
     fn ranked_fixture() -> Vec<(Key, f64, f64)> {
         vec![
@@ -402,55 +368,5 @@ mod tests {
         let b = BottomKSketch::sample(&set, 10, RankFamily::Ipps, &seeds);
         assert_eq!(a, b);
         assert_eq!(a.len(), 10);
-    }
-
-    #[test]
-    fn union_max_sketch_matches_direct_max_sketch() {
-        // Build coordinated sketches for 3 assignments and verify Lemma 4.2:
-        // the union sketch contains the same keys as a bottom-k sketch of the
-        // max weights using the minimum ranks.
-        let mut builder = MultiWeighted::builder(3);
-        for key in 0..300u64 {
-            for b in 0..3usize {
-                let w = ((key * (b as u64 + 3)) % 17) as f64;
-                builder.add(key, b, w);
-            }
-        }
-        let data = builder.build();
-        let gen = RankGenerator::new(RankFamily::Ipps, CoordinationMode::SharedSeed, 77).unwrap();
-
-        let k = 20;
-        let mut sketches = Vec::new();
-        for b in 0..3 {
-            sketches.push(BottomKSketch::from_ranked(
-                k,
-                data.iter().map(|(key, wv)| (key, gen.rank_vector(key, wv)[b], wv[b])),
-            ));
-        }
-        let union = union_max_sketch(&sketches);
-
-        let direct = BottomKSketch::from_ranked(
-            k,
-            data.iter().map(|(key, wv)| {
-                let ranks = gen.rank_vector(key, wv);
-                let min_rank = ranks.iter().copied().fold(f64::INFINITY, f64::min);
-                let max_w = wv.iter().copied().fold(0.0f64, f64::max);
-                (key, min_rank, max_w)
-            }),
-        );
-
-        let union_keys: Vec<Key> = union.entries().iter().map(|e| e.key).collect();
-        let direct_keys: Vec<Key> = direct.entries().iter().map(|e| e.key).collect();
-        assert_eq!(union_keys, direct_keys);
-        for (u, d) in union.entries().iter().zip(direct.entries()) {
-            assert_eq!(u.rank.to_bits(), d.rank.to_bits());
-            assert_eq!(u.weight, d.weight);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sketch")]
-    fn union_of_nothing_panics() {
-        let _ = union_max_sketch(&[]);
     }
 }

@@ -9,6 +9,6 @@ pub mod bottomk;
 pub mod kmins;
 pub mod poisson;
 
-pub use bottomk::{union_max_sketch, BottomKSketch, SketchEntry};
+pub use bottomk::{BottomKSketch, SketchEntry};
 pub use kmins::{kmins_sketches, KMinsSketch};
 pub use poisson::{threshold_for_expected_size, PoissonSketch};

@@ -2,6 +2,7 @@
 //! sketches coordinated only through the shared hash seed (Section 7).
 
 use crate::coordination::CoordinationMode;
+use crate::error::{CwsError, Result};
 use crate::ranks::RankFamily;
 use crate::sketch::bottomk::BottomKSketch;
 use crate::summary::SummaryConfig;
@@ -72,22 +73,32 @@ impl DispersedSummary {
             );
             sketches.push(sketch);
         }
-        Self::from_sketches(*config, sketches)
+        // A `MultiWeighted` has at least one assignment, and every sketch
+        // was built at `config.k`.
+        Self::from_sketches(*config, sketches).expect("one sketch per assignment, each at k")
     }
 
     /// Assembles a summary from per-assignment sketches that were computed
     /// elsewhere (e.g. by the stream samplers of `cws-stream` or at remote
     /// sites).
     ///
-    /// # Panics
-    /// Panics if `sketches` is empty or the sketches disagree on `k`.
-    #[must_use]
-    pub fn from_sketches(config: SummaryConfig, sketches: Vec<BottomKSketch>) -> Self {
-        assert!(!sketches.is_empty(), "at least one assignment is required");
-        assert!(
-            sketches.iter().all(|s| s.k() == config.k),
-            "all sketches must use the configured k"
-        );
+    /// # Errors
+    /// [`CwsError::InvalidParameter`] naming `sketches` when none are given,
+    /// and [`CwsError::IncompatibleSummaries`] naming `k` when a sketch's
+    /// `k` differs from the configured one.
+    pub fn from_sketches(config: SummaryConfig, sketches: Vec<BottomKSketch>) -> Result<Self> {
+        if sketches.is_empty() {
+            return Err(CwsError::InvalidParameter {
+                name: "sketches",
+                message: "at least one assignment's sketch is required".to_string(),
+            });
+        }
+        if let Some(other) = sketches.iter().find(|s| s.k() != config.k) {
+            return Err(CwsError::IncompatibleSummaries {
+                field: "k",
+                details: format!("configured {} vs sketch {}", config.k, other.k()),
+            });
+        }
         let assignments = sketches.len();
         let mut keys: Vec<Key> =
             sketches.iter().flat_map(|sketch| sketch.entries().iter().map(|e| e.key)).collect();
@@ -102,7 +113,7 @@ impl DispersedSummary {
             }
         }
         let thresholds = sketches.iter().map(|s| [s.kth_rank(), s.next_rank()]).collect();
-        Self { config, sketches, keys, cells, thresholds }
+        Ok(Self { config, sketches, keys, cells, thresholds })
     }
 
     /// The configuration used to build the summary.
@@ -308,17 +319,24 @@ mod tests {
         let data = fixture();
         let cfg = config(CoordinationMode::SharedSeed);
         let built = DispersedSummary::build(&data, &cfg);
-        let reassembled = DispersedSummary::from_sketches(cfg, built.sketches().to_vec());
+        let reassembled = DispersedSummary::from_sketches(cfg, built.sketches().to_vec()).unwrap();
         assert_eq!(built, reassembled);
     }
 
     #[test]
-    #[should_panic(expected = "configured k")]
     fn from_sketches_rejects_mismatched_k() {
         let data = fixture();
         let cfg = config(CoordinationMode::SharedSeed);
         let built = DispersedSummary::build(&data, &cfg);
         let wrong = SummaryConfig::new(5, cfg.family, cfg.mode, cfg.seed);
-        let _ = DispersedSummary::from_sketches(wrong, built.sketches().to_vec());
+        let err = DispersedSummary::from_sketches(wrong, built.sketches().to_vec()).unwrap_err();
+        assert!(matches!(err, CwsError::IncompatibleSummaries { field: "k", .. }), "{err:?}");
+    }
+
+    #[test]
+    fn from_sketches_rejects_an_empty_list() {
+        let cfg = config(CoordinationMode::SharedSeed);
+        let err = DispersedSummary::from_sketches(cfg, Vec::new()).unwrap_err();
+        assert!(matches!(err, CwsError::InvalidParameter { name: "sketches", .. }), "{err:?}");
     }
 }

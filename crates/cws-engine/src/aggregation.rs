@@ -722,9 +722,11 @@ impl KeyAggregator {
     }
 
     /// Finishes aggregation, handing the dense storage over as one
-    /// [`RecordColumns`] batch without copying — the columnar output that
-    /// feeds the samplers' zero-copy ingestion path. Records appear in key
-    /// first-seen order.
+    /// [`RecordColumns`] batch without copying. Records appear in key
+    /// first-seen order, each key once. A [`Pipeline`](crate::Pipeline)
+    /// seal passes it through the hand-off pre-filter, which offers the
+    /// sampler only the rows that can still be sampled and relies on the
+    /// keys being distinct.
     #[must_use]
     pub fn into_columns(self) -> RecordColumns {
         RecordColumns::from_parts(self.keys, self.lanes)

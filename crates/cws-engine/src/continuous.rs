@@ -549,7 +549,7 @@ impl Drift {
         }
         let config = *a.config();
         config.ensure_compatible(b.config())?;
-        let paired = Summary::Dispersed(DispersedSummary::from_sketches(config, sketches));
+        let paired = Summary::Dispersed(DispersedSummary::from_sketches(config, sketches)?);
         let reports = QueryBatch::new()
             .push(QuerySpec::l1(0, 1))
             .push(QuerySpec::max(0, 1))

@@ -71,8 +71,11 @@ impl Names {
     }
 
     /// Lists the regular files of `dir` in name order (other entries are
-    /// skipped), unlinking every `.tmp` file on the way when
-    /// `remove_temps` is set; those unlinks are not fsynced here.
+    /// skipped), unlinking this directory's own temps
+    /// (`<prefix><number><suffix>.tmp`) on the way when `remove_temps` is
+    /// set; those unlinks are not fsynced here. Any other `.tmp` file is
+    /// foreign, like every other name these rules do not produce, and is
+    /// left alone.
     pub(crate) fn list(self, dir: &Path, remove_temps: bool) -> Result<Listing> {
         let read_error = |e: io::Error| fs_error("read_dir", dir, &e);
         let mut files = Vec::new();
@@ -85,7 +88,7 @@ impl Names {
         files.sort_unstable();
         let mut listing = Listing::default();
         for name in files {
-            if name.ends_with(TEMP_SUFFIX) {
+            if name.strip_suffix(TEMP_SUFFIX).is_some_and(|stem| self.parse(stem).is_some()) {
                 if remove_temps {
                     remove(&dir.join(&name))?;
                     listing.removed_temps += 1;
@@ -222,11 +225,14 @@ mod tests {
     }
 
     /// The listing sorts, sorts quarantined files apart, skips foreign
-    /// files and subdirectories, and removes temps only when asked.
+    /// files (foreign temps too) and subdirectories, and removes its own
+    /// temps only when asked.
     #[test]
     fn listing_sorts_and_removes_only_temps() {
         let dir = scratch_dir("listing");
-        for name in [SNAPSHOTS.name(12), SNAPSHOTS.name(3), "MANIFEST".to_string()] {
+        let foreign =
+            ["MANIFEST".to_string(), "MANIFEST.tmp".to_string(), "epoch-7.cws.tmp".into()];
+        for name in [SNAPSHOTS.name(12), SNAPSHOTS.name(3)].into_iter().chain(foreign.clone()) {
             fs::write(dir.join(name), b"x").unwrap();
         }
         fs::write(SNAPSHOTS.quarantined_path(&dir, 5), b"x").unwrap();
@@ -237,7 +243,8 @@ mod tests {
         let swept = SNAPSHOTS.list(&dir, true).unwrap();
         assert_eq!((swept.live, swept.quarantined, swept.removed_temps), (vec![3, 12], vec![5], 1));
         assert_eq!(SNAPSHOTS.list(&dir, true).unwrap().removed_temps, 0);
-        assert!(dir.join("MANIFEST").exists() && dir.join(SNAPSHOTS.name(20)).is_dir());
+        assert!(foreign.iter().all(|name| dir.join(name).exists()));
+        assert!(dir.join(SNAPSHOTS.name(20)).is_dir());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -57,6 +57,7 @@
 pub mod aggregation;
 pub mod continuous;
 mod durable;
+mod hand_off;
 pub mod ingest;
 pub mod pipeline;
 pub mod plan;

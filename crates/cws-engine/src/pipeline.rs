@@ -14,6 +14,7 @@ use cws_stream::{
 };
 
 use crate::aggregation::{Aggregation, KeyAggregator, Staged};
+use crate::hand_off::sampleable_rows;
 use crate::ingest::Ingest;
 use crate::plan::EstimateReport;
 use crate::summary::Summary;
@@ -260,7 +261,7 @@ impl PipelineBuilder {
             None
         };
         let deadline = self.deadline.map(Deadline::after);
-        Ok(Pipeline { backend, aggregator, deadline })
+        Ok(Pipeline { config, backend, aggregator, deadline })
     }
 }
 
@@ -293,9 +294,24 @@ macro_rules! for_backend {
 }
 
 impl Backend {
-    /// Hands a drained aggregate to the sampler as one batch.
-    #[inline]
-    fn hand_off(&mut self, columns: &RecordColumns) {
+    /// Hands a drained aggregation table to the sampler as one batch:
+    /// only the rows that can still be sampled ([`sampleable_rows`], in
+    /// table order), or the whole table when that pre-filter does not
+    /// engage. `last` says no hand-off follows (the seal). Either way the
+    /// summary is bit-identical to pushing the whole table; the argument
+    /// is in `hand_off.rs`.
+    fn hand_off(&mut self, config: &SummaryConfig, table: &RecordColumns, last: bool) {
+        // A colocated sampler replaces the weight row of a key offered
+        // again (one whose fragments straddle a flush-early boundary) only
+        // when that offer passes the threshold its sets hold at that
+        // moment, and a filtered push moves those thresholds. So a
+        // colocated sampler filters only its one and only hand-off.
+        let filter = match self {
+            Backend::Colocated(sampler) => last && sampler.processed() == 0,
+            Backend::HashOnce(_) => true,
+        };
+        let rows = if filter { sampleable_rows(config, table) } else { None };
+        let columns = rows.as_ref().unwrap_or(table);
         // Invariant: the table admits only valid weights; `combine` refuses an overflowing sum.
         for_backend!(self, sampler => sampler.push_columns(columns))
             .expect("an aggregate holds only weights the sampler accepts");
@@ -329,6 +345,7 @@ impl std::fmt::Debug for Backend {
 /// [`QuerySpec`](crate::QuerySpec) evaluation.
 #[derive(Debug)]
 pub struct Pipeline {
+    config: SummaryConfig,
     backend: Backend,
     aggregator: Option<KeyAggregator>,
     deadline: Option<Deadline>,
@@ -428,6 +445,7 @@ impl Pipeline {
     #[must_use]
     pub fn snapshot(&self) -> Summary {
         let copy = Pipeline {
+            config: self.config,
             backend: self.backend.clone(),
             aggregator: self.aggregator.clone(),
             deadline: self.deadline,
@@ -436,10 +454,14 @@ impl Pipeline {
     }
 
     /// Seals the pipeline into its summary: the aggregation stage's last
-    /// batch goes to the sampler, which finalizes. Sealing cannot fail.
+    /// table goes to the sampler, which finalizes. The hand-off offers only
+    /// the table's rows that can still be sampled (see
+    /// [`Backend::hand_off`]), so a large table costs one hashing and
+    /// counting pass rather than a full stream through the sampler.
+    /// Sealing cannot fail.
     pub(crate) fn seal(mut self) -> Summary {
         if let Some(aggregator) = self.aggregator.take() {
-            self.backend.hand_off(&aggregator.into_columns());
+            self.backend.hand_off(&self.config, &aggregator.into_columns(), true);
         }
         self.backend.finalize()
     }
@@ -513,7 +535,7 @@ impl Pipeline {
         };
         match absorb(aggregator) {
             Err(CwsError::BudgetExceeded { .. }) => {
-                self.backend.hand_off(&aggregator.flush_columns());
+                self.backend.hand_off(&self.config, &aggregator.flush_columns(), false);
                 absorb(aggregator)
             }
             other => other,

@@ -87,7 +87,8 @@ pub struct RecoveryReport {
     /// Corrupt snapshots renamed to `…​.quarantined`, with their typed
     /// decode errors. Empty in every run that did not hit disk corruption.
     pub quarantined: Vec<QuarantinedSnapshot>,
-    /// Number of abandoned `…​.tmp` files (crashes mid-publish) removed.
+    /// Number of the store's own abandoned `epoch-…​.cws.tmp` files
+    /// (crashes mid-publish) removed; a foreign `.tmp` file stays.
     pub removed_temps: usize,
     /// Number of old `…​.quarantined` files removed to keep forensics
     /// bounded (the store's epoch retention applies to them too).

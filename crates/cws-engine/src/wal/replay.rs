@@ -27,7 +27,8 @@ pub struct ReplayReport {
     pub truncated_bytes: u64,
     /// Journal segments condemned and quarantined when it was opened.
     pub quarantined_segments: usize,
-    /// Abandoned temp files removed when the journal was opened.
+    /// The journal's own abandoned `wal-…​.cwsj.tmp` files removed when it
+    /// was opened; a foreign `.tmp` file stays.
     pub removed_temps: usize,
 }
 

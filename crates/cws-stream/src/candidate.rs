@@ -34,13 +34,13 @@
 //! smallest by counting the entries that beat the key, `O(k)`.
 //!
 //! The `(rank, key)` total order matches `BottomKSketch::from_ranked`
-//! exactly, and finalization hands the buffer to it, so a candidate set fed
-//! any permutation of a ranked population finalizes into the bit-identical
+//! exactly, and finalization selects under it, so a candidate set fed any
+//! permutation of a ranked population finalizes into the bit-identical
 //! sketch the offline builder computes — rank ties included.
 
 use std::cmp::Ordering;
 
-use cws_core::sketch::bottomk::BottomKSketch;
+use cws_core::sketch::bottomk::{BottomKSketch, SketchEntry};
 use cws_core::Key;
 
 /// A candidate entry: a key with its rank and weight under one assignment.
@@ -349,13 +349,30 @@ impl CandidateSet {
         self.index.contains(key)
     }
 
-    /// Finalizes into a bottom-k sketch: the offline builder selects the
-    /// `k + 1` smallest buffered entries.
+    /// Finalizes into a bottom-k sketch: selects the `k + 1` smallest
+    /// buffered entries under `(rank, key)`, sorts the first `k` and takes
+    /// the last as `r_{k+1}` (`+∞` when `k` or fewer are buffered).
+    ///
+    /// The buffer holds distinct keys with finite ranks, so this is
+    /// bit-identical to handing it to `BottomKSketch::from_ranked`, whose
+    /// heap does the same selection under the same total order.
     pub(crate) fn into_sketch(self) -> BottomKSketch {
-        BottomKSketch::from_ranked(
-            self.k,
-            self.buffer.into_iter().map(|c| (c.key, c.rank, c.weight)),
-        )
+        let k = self.k;
+        let mut buffer = self.buffer;
+        let next_rank = if buffer.len() > k {
+            let (_, next, _) = buffer.select_nth_unstable_by(k, Candidate::order);
+            let next_rank = next.rank;
+            buffer.truncate(k);
+            next_rank
+        } else {
+            f64::INFINITY
+        };
+        buffer.sort_unstable_by(Candidate::order);
+        let entries = buffer
+            .into_iter()
+            .map(|c| SketchEntry { key: c.key, rank: c.rank, weight: c.weight })
+            .collect();
+        BottomKSketch::from_sorted_parts(k, entries, next_rank)
     }
 
     /// Whether `key` is among the `k + 1` smallest offered so far: buffered
@@ -494,6 +511,30 @@ mod tests {
             }
             assert_eq!(admitted, expected, "k={k}");
             assert_eq!(batched.into_sketch(), scalar.into_sketch(), "k={k}");
+        }
+    }
+
+    /// Finalization by selection equals the offline heap for every buffer
+    /// length a finalize can meet past `k` (from `k + 1` to `2k + 1`, the
+    /// last length before a compaction), with few rank levels so ties at
+    /// the cut are broken by key, and keys offered in scrambled order.
+    #[test]
+    fn selection_finalize_matches_from_ranked_at_every_buffer_length() {
+        for k in [1usize, 2, 5, 33] {
+            for len in k + 1..=2 * k + 1 {
+                let mut set = CandidateSet::new(k);
+                let mut offered = Vec::new();
+                for i in 0..len as u64 {
+                    let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                    let rank = ((key % 4) + 1) as f64 / 8.0;
+                    set.offer(key, rank, 1.0 + i as f64);
+                    offered.push((key, rank, 1.0 + i as f64));
+                }
+                assert_eq!(set.len(), len, "k={k}: the buffer compacted early");
+                let selected = sketch_bits(&set.into_sketch());
+                let offline = sketch_bits(&BottomKSketch::from_ranked(k, offered));
+                assert_eq!(selected, offline, "k={k} len={len}");
+            }
         }
     }
 

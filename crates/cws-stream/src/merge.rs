@@ -77,7 +77,7 @@ pub fn merge_disjoint_summaries<S: Borrow<DispersedSummary>>(
             summaries.iter().map(|s| s.borrow().sketch(b).clone()).collect();
         merged.push(merge_disjoint_sketches(&per_partition)?);
     }
-    Ok(DispersedSummary::from_sketches(config, merged))
+    DispersedSummary::from_sketches(config, merged)
 }
 
 /// Merges colocated summaries computed over disjoint key partitions.

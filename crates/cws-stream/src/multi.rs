@@ -260,7 +260,9 @@ impl MultiAssignmentStreamSampler {
     #[must_use]
     pub fn finalize(self) -> DispersedSummary {
         let sketches = self.candidates.into_iter().map(CandidateSet::into_sketch).collect();
+        // One candidate set per assignment (at least one), each at `config.k`.
         DispersedSummary::from_sketches(self.config, sketches)
+            .expect("one sketch per assignment, each at k")
     }
 
     /// Snapshots the current state into a summary **without** consuming the

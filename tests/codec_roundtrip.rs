@@ -101,7 +101,8 @@ fn tie_rank_entries_round_trip() {
         [(10u64, 0.25, 2.0), (11, 0.25, 3.0), (12, 0.25, 4.0), (13, 0.5, 1.0), (14, 0.5, 9.0)],
     );
     assert_eq!(tied.len(), 4, "three-way tie plus one must fill the sketch");
-    let summary = Summary::Dispersed(DispersedSummary::from_sketches(config, vec![tied.clone()]));
+    let summary =
+        Summary::Dispersed(DispersedSummary::from_sketches(config, vec![tied.clone()]).unwrap());
     assert_round_trips(&summary, "tie-rank dispersed sketch");
 
     // A tie exactly at the k-th/(k+1)-st boundary: next_rank equals the
@@ -109,8 +110,9 @@ fn tie_rank_entries_round_trip() {
     let boundary =
         BottomKSketch::from_ranked(2, [(1u64, 0.125, 1.0), (2, 0.75, 1.0), (3, 0.75, 5.0)]);
     assert_eq!(boundary.next_rank(), 0.75);
-    let summary =
-        Summary::Dispersed(DispersedSummary::from_sketches(config_with_k(2), vec![boundary]));
+    let summary = Summary::Dispersed(
+        DispersedSummary::from_sketches(config_with_k(2), vec![boundary]).unwrap(),
+    );
     assert_round_trips(&summary, "boundary tie sketch");
 }
 

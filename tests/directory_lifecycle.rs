@@ -269,3 +269,46 @@ fn store_and_journal_directories_follow_their_pinned_lifecycle() {
     }
     assert_eq!(t.lines.len(), EXPECTED.len(), "transcript:\n{}", t.lines.join("\n"));
 }
+
+/// Recovery removes only the temps the two stores write themselves
+/// (`<prefix><number><suffix>.tmp`): a foreign `.tmp` file, such as an
+/// operator's `MANIFEST.tmp` or an unpadded look-alike, survives both the
+/// store's and the journal's recovery.
+#[test]
+fn recovery_leaves_foreign_temp_files_alone() {
+    let store_dir = scratch_dir("foreign-store");
+    let wal_dir = scratch_dir("foreign-wal");
+    let mut store = SnapshotStore::open(&store_dir, 2).unwrap();
+    let mut pipeline = EpochedPipeline::new(builder(&wal_dir)).unwrap();
+    push(&mut pipeline, 0..5);
+    pipeline.publish_into(&mut store).unwrap();
+    push(&mut pipeline, 5..9);
+    drop(pipeline);
+
+    let own_store_temp = store_dir.join(format!("epoch-{:020}.cws.tmp", 2));
+    let own_wal_temp = wal_dir.join(format!("wal-{:020}.cwsj.tmp", 40));
+    let foreign = [
+        store_dir.join("MANIFEST.tmp"),
+        store_dir.join("epoch-2.cws.tmp"),
+        wal_dir.join("MANIFEST.tmp"),
+        wal_dir.join(format!("wal-{:020}.cws.tmp", 41)),
+    ];
+    for path in foreign.iter().chain([&own_store_temp, &own_wal_temp]) {
+        fs::write(path, b"partial").unwrap();
+    }
+
+    let mut store = SnapshotStore::open(&store_dir, 2).unwrap();
+    let report = store.recover().unwrap();
+    assert_eq!(report.removed_temps, 1, "the store removes its own temp only");
+    assert!(!own_store_temp.exists());
+    let recovered = recover_from_store_and_wal(builder(&wal_dir), &mut store).unwrap();
+    assert_eq!(recovered.store.removed_temps, 0, "the store's temp was already gone");
+    assert_eq!(recovered.replay.removed_temps, 1, "the journal removes its own temp only");
+    assert!(!own_wal_temp.exists());
+    for path in &foreign {
+        assert!(path.exists(), "recovery removed the foreign file {}", path.display());
+    }
+    drop(recovered);
+    fs::remove_dir_all(&store_dir).unwrap();
+    fs::remove_dir_all(&wal_dir).unwrap();
+}
