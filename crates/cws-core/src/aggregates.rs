@@ -34,7 +34,7 @@ pub enum AggregateFn {
 impl AggregateFn {
     /// The set of assignments the function depends on.
     #[must_use]
-    pub fn relevant_assignments(&self) -> Vec<usize> {
+    pub(crate) fn relevant_assignments(&self) -> Vec<usize> {
         match self {
             AggregateFn::SingleAssignment(b) => vec![*b],
             AggregateFn::Max(r) | AggregateFn::Min(r) | AggregateFn::L1(r) => r.clone(),
@@ -48,7 +48,7 @@ impl AggregateFn {
     /// Panics if an assignment index is out of range for the vector, if the
     /// relevant set is empty, or if ℓ is out of range.
     #[must_use]
-    pub fn evaluate(&self, weights: &[f64]) -> f64 {
+    pub(crate) fn evaluate(&self, weights: &[f64]) -> f64 {
         match self {
             AggregateFn::SingleAssignment(b) => weights[*b],
             AggregateFn::Max(r) => {

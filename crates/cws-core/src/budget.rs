@@ -76,16 +76,19 @@ impl ResourceBudget {
 /// bounding how far past its budget an operation can run.
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline {
-    expires: Instant,
+    /// `None` when `now + budget` is past what an `Instant` can hold: such a
+    /// deadline never expires.
+    expires: Option<Instant>,
     budget_ms: u64,
 }
 
 impl Deadline {
-    /// Arms a deadline `budget` from now.
+    /// Arms a deadline `budget` from now. A budget too far out for the
+    /// clock to represent (such as `Duration::MAX`) never expires.
     #[must_use]
     pub fn after(budget: Duration) -> Self {
         Self {
-            expires: Instant::now() + budget,
+            expires: Instant::now().checked_add(budget),
             budget_ms: budget.as_millis().min(u128::from(u64::MAX)) as u64,
         }
     }
@@ -93,7 +96,7 @@ impl Deadline {
     /// `true` once the wall clock has passed the deadline.
     #[must_use]
     pub fn expired(&self) -> bool {
-        Instant::now() >= self.expires
+        self.expires.is_some_and(|expires| Instant::now() >= expires)
     }
 
     /// Typed check: the chunk-boundary form of [`Deadline::expired`].

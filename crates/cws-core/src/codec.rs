@@ -66,7 +66,7 @@ use crate::sketch::bottomk::{BottomKSketch, SketchEntry};
 use crate::summary::{ColocatedRecord, ColocatedSummary, DispersedSummary, SummaryConfig};
 
 /// The four magic bytes every serialized summary starts with.
-pub const MAGIC: [u8; 4] = *b"CWSM";
+pub(crate) const MAGIC: [u8; 4] = *b"CWSM";
 
 /// The format version this build reads and writes.
 pub const VERSION: u16 = 1;
@@ -203,7 +203,7 @@ fn write_frame<W: Write>(
 /// # Errors
 /// Returns [`CwsError::Codec`] with [`CodecErrorKind::Io`] if the writer
 /// fails; the encoding itself is infallible for any well-formed summary.
-pub fn write_dispersed<W: Write>(summary: &DispersedSummary, writer: &mut W) -> Result<()> {
+pub(crate) fn write_dispersed<W: Write>(summary: &DispersedSummary, writer: &mut W) -> Result<()> {
     let mut body = Encoder::new();
     for sketch in summary.sketches() {
         body.f64(sketch.next_rank());
@@ -227,7 +227,7 @@ pub fn write_dispersed<W: Write>(summary: &DispersedSummary, writer: &mut W) -> 
 ///
 /// # Errors
 /// As [`write_dispersed`].
-pub fn write_colocated<W: Write>(summary: &ColocatedSummary, writer: &mut W) -> Result<()> {
+pub(crate) fn write_colocated<W: Write>(summary: &ColocatedSummary, writer: &mut W) -> Result<()> {
     let assignments = summary.num_assignments();
     let mut body = Encoder::new();
     body.u64(summary.effective_k() as u64);
@@ -558,13 +558,13 @@ fn decode_colocated_body<R: Read>(
         ));
     }
     verify_body_checksum(decoder)?;
-    Ok(ColocatedSummary::from_parts(
+    ColocatedSummary::from_parts(
         header.config,
         effective_k as usize,
         kth_ranks,
         next_ranks,
         records,
-    ))
+    )
 }
 
 /// A summary decoded from a stream — either layout, as declared by the

@@ -88,7 +88,7 @@ pub fn check_arity(expected: usize, weights: usize) -> Result<()> {
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn validate_weight_lane(keys: &[Key], lane: &[f64], assignment: usize) -> Result<()> {
+pub(crate) fn validate_weight_lane(keys: &[Key], lane: &[f64], assignment: usize) -> Result<()> {
     assert_eq!(keys.len(), lane.len(), "key and weight columns must align");
     match first_invalid_weight(lane) {
         None => Ok(()),
@@ -288,7 +288,7 @@ impl RecordColumns {
     /// Converts a row-major [`MultiWeighted`] data set into columns
     /// (insertion order preserved).
     #[must_use]
-    pub fn from_multi(data: &MultiWeighted) -> Self {
+    pub(crate) fn from_multi(data: &MultiWeighted) -> Self {
         let mut columns = Self::with_capacity(data.num_assignments(), data.num_keys());
         for (key, row) in data.iter() {
             columns.push(key, row);

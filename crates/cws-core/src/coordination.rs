@@ -81,7 +81,7 @@ impl RankGenerator {
     ///
     /// # Errors
     /// Same as [`RankGenerator::new`].
-    pub fn with_seed_sequence(
+    pub(crate) fn with_seed_sequence(
         family: RankFamily,
         mode: CoordinationMode,
         seeds: SeedSequence,
@@ -112,7 +112,7 @@ impl RankGenerator {
 
     /// Derives a generator for an unrelated repetition (Monte-Carlo run).
     #[must_use]
-    pub fn derive(&self, run: u64) -> Self {
+    pub(crate) fn derive(&self, run: u64) -> Self {
         Self { family: self.family, mode: self.mode, seeds: self.seeds.derive(run) }
     }
 
@@ -134,7 +134,7 @@ impl RankGenerator {
     /// used with dispersed data (Section 4, "Computing coordinated
     /// sketches").
     #[inline]
-    pub fn require_dispersable(&self) -> Result<()> {
+    pub(crate) fn require_dispersable(&self) -> Result<()> {
         match self.mode {
             CoordinationMode::IndependentDifferences => Err(CwsError::UnsupportedEstimator {
                 estimator: "dispersed_rank",
@@ -150,7 +150,8 @@ impl RankGenerator {
     /// `b`.
     ///
     /// # Errors
-    /// As [`RankGenerator::require_dispersable`].
+    /// Returns [`CwsError::UnsupportedEstimator`] in independent-differences
+    /// mode, which needs the full weight vector.
     pub fn dispersed_rank(&self, key: Key, weight: f64, assignment: usize) -> Result<f64> {
         self.require_dispersable()?;
         match self.mode {

@@ -46,9 +46,8 @@ impl Hasher for KeyMix {
 
 /// Adjusted weights of the sampled keys.
 ///
-/// When built through the template estimator
-/// ([`AdjustedWeights::from_selected`], which every concrete estimator uses),
-/// each entry additionally retains its *support* — the raw `(value,
+/// When built through the template estimator (which every concrete
+/// estimator uses), each entry additionally retains its *support* — the raw `(value,
 /// probability)` pair behind the adjusted weight — which is what the
 /// variance estimators ([`AdjustedWeights::subset_variance`]) and the count
 /// estimator ([`AdjustedWeights::subset_count`]) consume. Derived summaries
@@ -90,7 +89,7 @@ impl AdjustedWeights {
     /// # Panics
     /// Panics on duplicate keys or negative / non-finite values.
     #[must_use]
-    pub fn from_entries<I>(entries: I) -> Self
+    pub(crate) fn from_entries<I>(entries: I) -> Self
     where
         I: IntoIterator<Item = (Key, f64)>,
     {
@@ -121,7 +120,7 @@ impl AdjustedWeights {
     /// Panics on duplicate keys or selections yielding negative /
     /// non-finite adjusted weights.
     #[must_use]
-    pub fn from_selected<I>(selections: I) -> Self
+    pub(crate) fn from_selected<I>(selections: I) -> Self
     where
         I: IntoIterator<Item = (Key, Selected)>,
     {
@@ -237,30 +236,6 @@ impl AdjustedWeights {
             .fold(0.0, |acc, &(_, value)| acc + value)
     }
 
-    /// Estimates `Σ_{i : predicate(i)} h(i)` for a secondary numeric function
-    /// `h` with `h(i) > 0 ⇒ f(i) > 0`, by rescaling each adjusted weight with
-    /// `h(i)/f(i)` (Section 3). `per_key` must return `(h(i), f(i))` for a
-    /// sampled key.
-    #[must_use]
-    pub fn ratio_estimate<P, G>(&self, predicate: P, per_key: G) -> f64
-    where
-        P: Fn(Key) -> bool,
-        G: Fn(Key) -> (f64, f64),
-    {
-        self.entries
-            .iter()
-            .filter(|&&(key, _)| predicate(key))
-            .map(|&(key, value)| {
-                let (h, f) = per_key(key);
-                if f == 0.0 {
-                    0.0
-                } else {
-                    value * h / f
-                }
-            })
-            .sum()
-    }
-
     /// The HT plug-in estimate of the estimator variance over a
     /// subpopulation, `Σ_{sampled i : predicate(i)} f(i)²(1/p(i) − 1)/p(i)`
     /// (see [`ht_variance_component`]) — an unbiased estimate of
@@ -277,12 +252,6 @@ impl AdjustedWeights {
         Some(iter.filter(|&(key, _, _)| predicate(key)).fold(0.0, |acc, (_, _, selected)| {
             acc + ht_variance_component(selected.value, selected.probability)
         }))
-    }
-
-    /// [`AdjustedWeights::subset_variance`] over the full population.
-    #[must_use]
-    pub fn variance_total(&self) -> Option<f64> {
-        self.subset_variance(|_| true)
     }
 
     /// The HT estimate of the subpopulation *cardinality*
@@ -328,18 +297,6 @@ mod tests {
         let aw = AdjustedWeights::from_entries((0u64..10).map(|k| (k, 1.0)));
         assert_eq!(aw.subset_total(|k| k < 3), 3.0);
         assert_eq!(aw.subset_total(|_| false), 0.0);
-    }
-
-    #[test]
-    fn ratio_estimate_scales_by_secondary_function() {
-        let aw = AdjustedWeights::from_entries(vec![(1, 10.0), (2, 20.0)]);
-        // h(i) = f(i) / 2 for every key.
-        let estimate = aw.ratio_estimate(|_| true, |_| (1.0, 2.0));
-        assert_eq!(estimate, 15.0);
-        // Keys with f = 0 contribute nothing.
-        let estimate =
-            aw.ratio_estimate(|_| true, |k| if k == 1 { (3.0, 0.0) } else { (1.0, 1.0) });
-        assert_eq!(estimate, 20.0);
     }
 
     #[test]
@@ -401,12 +358,12 @@ mod tests {
             (2, Selected { value: 3.0, probability: 0.25 }),
         ]);
         // key 1: 4·(2−1)·2 = 8; key 2: 9·(4−1)·4 = 108.
-        let total = aw.variance_total().unwrap();
+        let total = aw.subset_variance(|_| true).unwrap();
         assert!((total - 116.0).abs() < 1e-9);
         let only_one = aw.subset_variance(|k| k == 1).unwrap();
         assert!((only_one - 8.0).abs() < 1e-12);
         // No support → no variance estimate.
-        assert!(AdjustedWeights::from_entries(vec![(1, 1.0)]).variance_total().is_none());
+        assert!(AdjustedWeights::from_entries(vec![(1, 1.0)]).subset_variance(|_| true).is_none());
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl<'a> InclusiveEstimator<'a> {
     /// for shared-seed ranks, and the `A_ℓ` recursion for
     /// independent-differences ranks).
     #[must_use]
-    pub fn inclusion_probability(&self, record: &ColocatedRecord) -> f64 {
+    pub(crate) fn inclusion_probability(&self, record: &ColocatedRecord) -> f64 {
         let summary = self.summary;
         let family = summary.family();
         let assignments = summary.num_assignments();
@@ -99,7 +99,7 @@ impl<'a> InclusiveEstimator<'a> {
     /// with a positive maximum weight (requirement (3) of Section 6) — which
     /// holds for every aggregate built from the weights themselves.
     #[must_use]
-    pub fn adjusted_weights_with<F>(&self, f: F) -> AdjustedWeights
+    pub(crate) fn adjusted_weights_with<F>(&self, f: F) -> AdjustedWeights
     where
         F: Fn(&[f64]) -> f64,
     {
@@ -138,7 +138,11 @@ impl<'a> InclusiveEstimator<'a> {
     /// # Panics
     /// Panics when `probabilities` is not aligned with the summary records.
     #[must_use]
-    pub fn adjusted_weights_with_probs<F>(&self, f: F, probabilities: &[f64]) -> AdjustedWeights
+    pub(crate) fn adjusted_weights_with_probs<F>(
+        &self,
+        f: F,
+        probabilities: &[f64],
+    ) -> AdjustedWeights
     where
         F: Fn(&[f64]) -> f64,
     {
@@ -487,8 +491,8 @@ mod tests {
                     );
                 }
                 assert_eq!(
-                    direct.variance_total().unwrap().to_bits(),
-                    shared.variance_total().unwrap().to_bits()
+                    direct.subset_variance(|_| true).unwrap().to_bits(),
+                    shared.subset_variance(|_| true).unwrap().to_bits()
                 );
             }
             // Validation is shared too.

@@ -559,7 +559,7 @@ mod tests {
                         l1.iter().map(|(key, value)| (key, value.to_bits())).collect();
                     assert_eq!(got, expected, "{family:?} {r:?} {kind:?}");
                     assert!(!l1.has_support());
-                    assert!(l1.variance_total().is_none());
+                    assert!(l1.subset_variance(|_| true).is_none());
                 }
             }
         }

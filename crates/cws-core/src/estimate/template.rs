@@ -44,7 +44,7 @@ impl Selected {
     /// the value is positive — that would make the estimator undefined
     /// (requirement 1 of the template).
     #[must_use]
-    pub fn adjusted_weight(&self) -> f64 {
+    pub(crate) fn adjusted_weight(&self) -> f64 {
         if self.value == 0.0 {
             return 0.0;
         }
@@ -65,7 +65,7 @@ impl Selected {
 /// probability)` pairs are retained as support detail, so the resulting
 /// summary can also estimate its own variance and the subpopulation count.
 #[must_use]
-pub fn estimate_from_selection<I, F>(candidates: I, mut selection: F) -> AdjustedWeights
+pub(crate) fn estimate_from_selection<I, F>(candidates: I, mut selection: F) -> AdjustedWeights
 where
     I: IntoIterator<Item = Key>,
     F: FnMut(Key) -> Option<Selected>,

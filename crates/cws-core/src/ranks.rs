@@ -69,7 +69,7 @@ impl RankFamily {
     /// `w > 0`.
     #[inline]
     #[must_use]
-    pub fn inclusion_probability(self, weight: f64, threshold: f64) -> f64 {
+    pub(crate) fn inclusion_probability(self, weight: f64, threshold: f64) -> f64 {
         debug_assert!(weight >= 0.0, "weight must be non-negative");
         if weight <= 0.0 || threshold <= 0.0 {
             return 0.0;
@@ -91,7 +91,7 @@ impl RankFamily {
     /// function; the l-set estimators use it (Section 7.2, "known seeds").
     #[inline]
     #[must_use]
-    pub fn seed_from_rank(self, weight: f64, rank: f64) -> f64 {
+    pub(crate) fn seed_from_rank(self, weight: f64, rank: f64) -> f64 {
         self.inclusion_probability(weight, rank)
     }
 

@@ -223,18 +223,6 @@ impl BottomKSketch {
         self.entries.iter().any(|e| e.key == key)
     }
 
-    /// The rank of `key` if it was sampled.
-    #[must_use]
-    pub fn rank_of(&self, key: Key) -> Option<f64> {
-        self.entries.iter().find(|e| e.key == key).map(|e| e.rank)
-    }
-
-    /// The weight recorded for `key` if it was sampled.
-    #[must_use]
-    pub fn weight_of(&self, key: Key) -> Option<f64> {
-        self.entries.iter().find(|e| e.key == key).map(|e| e.weight)
-    }
-
     /// `r_k(I \ {key})` — the conditioning threshold of the RC estimator:
     /// `r_{k+1}(I)` when `key` is in the sketch, `r_k(I)` otherwise.
     #[must_use]
@@ -309,9 +297,6 @@ mod tests {
     fn membership_helpers() {
         let sketch = BottomKSketch::from_ranked(3, ranked_fixture());
         assert!(sketch.contains(6));
-        assert_eq!(sketch.rank_of(6), Some(0.037));
-        assert_eq!(sketch.weight_of(6), Some(10.0));
-        assert_eq!(sketch.rank_of(2), None);
         assert!(!sketch.is_empty());
     }
 

@@ -28,12 +28,6 @@ impl KMinsSketch {
         self.entries.len()
     }
 
-    /// The minimum-rank key of replica `j`, if any.
-    #[must_use]
-    pub fn min_key(&self, replica: usize) -> Option<Key> {
-        self.entries.get(replica).and_then(|e| e.map(|(key, _)| key))
-    }
-
     /// The replica entries.
     #[must_use]
     pub fn entries(&self) -> &[Option<(Key, f64)>] {
@@ -125,7 +119,6 @@ mod tests {
         let sketches = kmins_sketches(&data, 32, &gen);
         assert_eq!(sketches.len(), 2);
         assert_eq!(sketches[0].k(), 32);
-        assert!(sketches[0].min_key(0).is_some());
         assert!(sketches[0].entries().iter().all(Option::is_some));
     }
 

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use crate::coordination::CoordinationMode;
+use crate::error::{CwsError, Result};
 use crate::ranks::RankFamily;
 use crate::sketch::bottomk::BottomKSketch;
 use crate::summary::SummaryConfig;
@@ -103,28 +104,51 @@ impl ColocatedSummary {
     /// rank of assignment `b` over the full population, and every record must
     /// carry one membership flag and one weight per assignment.
     ///
-    /// # Panics
-    /// Panics if the per-assignment vectors disagree in length, a record has
-    /// the wrong arity, or `effective_k` is zero.
-    #[must_use]
+    /// # Errors
+    /// [`CwsError::InvalidParameter`] if `effective_k` is zero, the rank
+    /// vectors are empty or disagree in length, a record has the wrong
+    /// weight or membership arity, or two records share a key.
     pub fn from_parts(
         config: SummaryConfig,
         effective_k: usize,
         kth_ranks: Vec<f64>,
         next_ranks: Vec<f64>,
         mut records: Vec<ColocatedRecord>,
-    ) -> Self {
-        assert!(effective_k > 0, "effective sample size must be positive");
+    ) -> Result<Self> {
+        let invalid = |name, message: String| Err(CwsError::InvalidParameter { name, message });
+        if effective_k == 0 {
+            return invalid("effective_k", "effective sample size must be positive".to_string());
+        }
         let assignments = kth_ranks.len();
-        assert_eq!(next_ranks.len(), assignments, "rank vectors must have equal length");
-        assert!(assignments > 0, "at least one assignment is required");
+        if assignments == 0 || next_ranks.len() != assignments {
+            return invalid(
+                "ranks",
+                format!(
+                    "need one k-th and one (k+1)-st rank per assignment, got {} and {}",
+                    assignments,
+                    next_ranks.len()
+                ),
+            );
+        }
         for record in &records {
-            assert_eq!(record.weights.len(), assignments, "weight vector arity mismatch");
-            assert_eq!(record.in_sketch.len(), assignments, "membership arity mismatch");
+            if record.weights.len() != assignments || record.in_sketch.len() != assignments {
+                return invalid(
+                    "records",
+                    format!(
+                        "key {} has {} weights and {} membership flags, expected {assignments}",
+                        record.key,
+                        record.weights.len(),
+                        record.in_sketch.len()
+                    ),
+                );
+            }
         }
         records.sort_by_key(|record| record.key);
+        if let Some(pair) = records.windows(2).find(|pair| pair[0].key == pair[1].key) {
+            return invalid("records", format!("key {} appears twice", pair[0].key));
+        }
         let index = records.iter().enumerate().map(|(slot, record)| (record.key, slot)).collect();
-        Self {
+        Ok(Self {
             config,
             effective_k,
             num_assignments: assignments,
@@ -132,7 +156,7 @@ impl ColocatedSummary {
             next_ranks,
             records,
             index,
-        }
+        })
     }
 
     fn build_with_k(data: &MultiWeighted, config: &SummaryConfig, k: usize) -> Self {
@@ -224,7 +248,7 @@ impl ColocatedSummary {
 
     /// The record of `key`, if it was retained.
     #[must_use]
-    pub fn record(&self, key: Key) -> Option<&ColocatedRecord> {
+    pub(crate) fn record(&self, key: Key) -> Option<&ColocatedRecord> {
         self.index.get(&key).map(|&slot| &self.records[slot])
     }
 
@@ -251,7 +275,7 @@ impl ColocatedSummary {
     /// record: the next rank when the record is in the sample of `b`, the
     /// ℓ-th rank otherwise.
     #[must_use]
-    pub fn threshold_excluding(&self, record: &ColocatedRecord, assignment: usize) -> f64 {
+    pub(crate) fn threshold_excluding(&self, record: &ColocatedRecord, assignment: usize) -> f64 {
         if record.in_sketch[assignment] {
             self.next_ranks[assignment]
         } else {
@@ -285,6 +309,52 @@ mod tests {
 
     fn config(mode: CoordinationMode) -> SummaryConfig {
         SummaryConfig::new(25, RankFamily::Ipps, mode, 7)
+    }
+
+    fn from_parts_error(
+        effective_k: usize,
+        next_ranks: Vec<f64>,
+        records: Vec<ColocatedRecord>,
+    ) -> &'static str {
+        let config = config(CoordinationMode::SharedSeed);
+        match ColocatedSummary::from_parts(config, effective_k, vec![0.5, 0.5], next_ranks, records)
+        {
+            Err(CwsError::InvalidParameter { name, .. }) => name,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
+
+    fn record(key: Key, weights: usize, flags: usize) -> ColocatedRecord {
+        ColocatedRecord { key, weights: vec![1.0; weights], in_sketch: vec![true; flags] }
+    }
+
+    #[test]
+    fn from_parts_rejects_zero_effective_k() {
+        assert_eq!(from_parts_error(0, vec![0.6, 0.6], vec![record(1, 2, 2)]), "effective_k");
+    }
+
+    #[test]
+    fn from_parts_rejects_empty_or_unequal_rank_vectors() {
+        assert_eq!(from_parts_error(1, vec![0.6], vec![record(1, 2, 2)]), "ranks");
+        let config = config(CoordinationMode::SharedSeed);
+        let empty = ColocatedSummary::from_parts(config, 1, Vec::new(), Vec::new(), Vec::new());
+        assert!(matches!(empty, Err(CwsError::InvalidParameter { name: "ranks", .. })));
+    }
+
+    #[test]
+    fn from_parts_rejects_a_record_of_the_wrong_arity() {
+        assert_eq!(from_parts_error(1, vec![0.6, 0.6], vec![record(1, 3, 2)]), "records");
+        assert_eq!(from_parts_error(1, vec![0.6, 0.6], vec![record(1, 2, 1)]), "records");
+    }
+
+    #[test]
+    fn from_parts_rejects_a_repeated_key() {
+        let records = vec![record(4, 2, 2), record(1, 2, 2), record(4, 2, 2)];
+        assert_eq!(from_parts_error(1, vec![0.6, 0.6], records), "records");
+        let config = config(CoordinationMode::SharedSeed);
+        let distinct = vec![record(4, 2, 2), record(1, 2, 2)];
+        assert!(ColocatedSummary::from_parts(config, 1, vec![0.5, 0.5], vec![0.6, 0.6], distinct)
+            .is_ok());
     }
 
     #[test]

@@ -83,13 +83,6 @@ impl SummaryConfig {
         Self { seed, ..*self }
     }
 
-    /// A copy with a different sample size.
-    #[must_use]
-    pub fn with_k(&self, k: usize) -> Self {
-        assert!(k > 0, "sample size must be positive");
-        Self { k, ..*self }
-    }
-
     /// Checks that summaries built under `self` and `other` can be combined
     /// (merged, or paired sketch by sketch), comparing field by field so a
     /// mismatch names exactly what disagrees instead of silently combining
@@ -146,9 +139,9 @@ mod tests {
     #[test]
     fn with_seed_and_k() {
         let config = SummaryConfig::new(4, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
-        let other = config.with_seed(9).with_k(8);
+        let other = config.with_seed(9);
         assert_eq!(other.seed, 9);
-        assert_eq!(other.k, 8);
+        assert_eq!(other.k, 4);
         assert_eq!(other.family, config.family);
         let gen = other.generator();
         assert_eq!(gen.family(), RankFamily::Ipps);

@@ -7,8 +7,8 @@
 //! of a given size.
 //!
 //! This module provides the analytic per-key variance of HT-style estimators
-//! given the conditional inclusion probability, and the paper's worst-case
-//! bound `ΣV ≤ w(I)²/(k − 2)`. The Monte-Carlo measurement of `ΣV` used by
+//! given the conditional inclusion probability, its plug-in estimate and the
+//! normal-approximation confidence interval built on it. The Monte-Carlo measurement of `ΣV` used by
 //! the experiments lives in the `cws-eval` crate.
 
 /// Per-key variance of an HT/HTP adjusted weight with value `f` and
@@ -16,7 +16,7 @@
 ///
 /// Returns `0` when `f == 0`; `p` must be positive whenever `f > 0`.
 #[must_use]
-pub fn per_key_variance(f: f64, p: f64) -> f64 {
+pub(crate) fn per_key_variance(f: f64, p: f64) -> f64 {
     if f == 0.0 {
         return 0.0;
     }
@@ -27,7 +27,7 @@ pub fn per_key_variance(f: f64, p: f64) -> f64 {
 /// The HT plug-in estimate of one *sampled* key's contribution to `ΣV`:
 /// `f² (1/p − 1) / p`.
 ///
-/// [`per_key_variance`] is the analytic variance `VAR[a(i)]` — it sums over
+/// `f² (1/p − 1)` is the analytic variance `VAR[a(i)]` — it sums over
 /// **all** keys, sampled or not, so a summary alone cannot evaluate it. The
 /// plug-in divides each sampled key's term by its inclusion probability once
 /// more, which makes the sum over just the *sampled* keys an unbiased
@@ -95,17 +95,6 @@ pub fn normal_ci(value: f64, variance: f64, z: f64) -> ConfidenceInterval {
     ConfidenceInterval { lower: value - half, upper: value + half, z }
 }
 
-/// The worst-case bound on the sum of per-key variances for bottom-k /
-/// Poisson / k-mins sketches with EXP or IPPS ranks and (expected) sample
-/// size `k`: `ΣV ≤ w(I)² / (k − 2)` (Section 3).
-///
-/// Defined for `k > 2`.
-#[must_use]
-pub fn sigma_v_upper_bound(total_weight: f64, k: usize) -> f64 {
-    assert!(k > 2, "the bound w(I)^2/(k-2) requires k > 2");
-    total_weight * total_weight / (k as f64 - 2.0)
-}
-
 /// The normalized sum of per-key variances `nΣV = ΣV / total²`.
 ///
 /// Returns `0` when the total is zero and the variance is also zero, and
@@ -121,13 +110,6 @@ pub fn normalized_sigma_v(sigma_v: f64, total: f64) -> f64 {
     } else {
         sigma_v / (total * total)
     }
-}
-
-/// Relative-error proxy: the square root of `nΣV` scaled by the expected
-/// number of samples hitting a subpopulation; convenient for reporting.
-#[must_use]
-pub fn typical_relative_error(n_sigma_v: f64) -> f64 {
-    n_sigma_v.max(0.0).sqrt()
 }
 
 #[cfg(test)]
@@ -146,20 +128,6 @@ mod tests {
     #[should_panic(expected = "inclusion probability")]
     fn per_key_variance_rejects_zero_probability_with_positive_value() {
         let _ = per_key_variance(1.0, 0.0);
-    }
-
-    #[test]
-    fn bound_decreases_with_k() {
-        let b3 = sigma_v_upper_bound(100.0, 3);
-        let b12 = sigma_v_upper_bound(100.0, 12);
-        assert!(b12 < b3);
-        assert_eq!(b12, 100.0 * 100.0 / 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires k > 2")]
-    fn bound_requires_k_greater_than_two() {
-        let _ = sigma_v_upper_bound(1.0, 2);
     }
 
     #[test]
@@ -195,6 +163,5 @@ mod tests {
         assert_eq!(normalized_sigma_v(4.0, 2.0), 1.0);
         assert_eq!(normalized_sigma_v(0.0, 0.0), 0.0);
         assert!(normalized_sigma_v(1.0, 0.0).is_infinite());
-        assert!((typical_relative_error(0.04) - 0.2).abs() < 1e-12);
     }
 }

@@ -157,7 +157,7 @@ impl MultiWeighted {
     /// # Panics
     /// Panics if `assignment >= num_assignments`.
     #[must_use]
-    pub fn weight(&self, key: Key, assignment: usize) -> f64 {
+    pub(crate) fn weight(&self, key: Key, assignment: usize) -> f64 {
         assert!(assignment < self.num_assignments, "assignment out of range");
         self.index
             .get(&key)
@@ -166,7 +166,7 @@ impl MultiWeighted {
 
     /// The full weight vector of `key`, or `None` if the key is absent.
     #[must_use]
-    pub fn weight_vector(&self, key: Key) -> Option<&[f64]> {
+    pub(crate) fn weight_vector(&self, key: Key) -> Option<&[f64]> {
         self.index
             .get(&key)
             .map(|&row| &self.weights[row * self.num_assignments..(row + 1) * self.num_assignments])

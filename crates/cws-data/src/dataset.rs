@@ -20,7 +20,7 @@ impl LabeledDataset {
     /// # Panics
     /// Panics if the number of labels differs from the number of assignments.
     #[must_use]
-    pub fn new(name: impl Into<String>, data: MultiWeighted, labels: Vec<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, data: MultiWeighted, labels: Vec<String>) -> Self {
         assert_eq!(
             labels.len(),
             data.num_assignments(),

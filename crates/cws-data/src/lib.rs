@@ -40,5 +40,5 @@ pub mod prelude {
     pub use crate::ip::{IpAttribute, IpKey, IpTrace, IpTraceConfig};
     pub use crate::ratings::{RatingsConfig, RatingsData};
     pub use crate::stocks::{StockAttribute, StocksConfig, StocksData};
-    pub use crate::synthetic::{correlated_zipf, correlated_zipf_columns, element_stream, Element};
+    pub use crate::synthetic::{correlated_zipf, element_stream, Element};
 }

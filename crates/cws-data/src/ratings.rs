@@ -99,12 +99,6 @@ impl RatingsData {
         &self.dataset
     }
 
-    /// Consumes the generator output and returns the labeled data set.
-    #[must_use]
-    pub fn into_dataset(self) -> LabeledDataset {
-        self.dataset
-    }
-
     /// The underlying multi-assignment data.
     #[must_use]
     pub fn data(&self) -> &MultiWeighted {

@@ -59,28 +59,6 @@ pub fn correlated_zipf(
     builder.build()
 }
 
-/// As [`correlated_zipf`], but emits the stream in structure-of-arrays form
-/// — the format the batched ingestion hot path
-/// ([`cws_core::columns::RecordColumns`]) consumes without conversion.
-///
-/// Implemented as a transpose of [`correlated_zipf`], so record `i` is
-/// bit-identical between the two by construction. (Generation is benchmark
-/// setup, never measured work, so the extra pass is free.)
-///
-/// # Panics
-/// As [`correlated_zipf`].
-#[must_use]
-pub fn correlated_zipf_columns(
-    num_keys: usize,
-    num_assignments: usize,
-    exponent: f64,
-    correlation: f64,
-    churn: f64,
-    seed: u64,
-) -> RecordColumns {
-    correlated_zipf(num_keys, num_assignments, exponent, correlation, churn, seed).to_columns()
-}
-
 /// One observation of an *unaggregated* element stream: a key, the weight
 /// assignment it contributes to, and a fragment of that slot's total weight.
 pub type Element = (u64, usize, f64);
@@ -185,7 +163,7 @@ mod tests {
     #[test]
     fn columnar_generator_matches_row_generator_bit_for_bit() {
         let rows = correlated_zipf(400, 3, 1.1, 0.7, 0.15, 0x17_6E57);
-        let columns = correlated_zipf_columns(400, 3, 1.1, 0.7, 0.15, 0x17_6E57);
+        let columns = correlated_zipf(400, 3, 1.1, 0.7, 0.15, 0x17_6E57).to_columns();
         assert_eq!(columns.len(), rows.num_keys());
         assert_eq!(columns, rows.to_columns());
         for (index, (key, weights)) in rows.iter().enumerate() {
@@ -228,7 +206,7 @@ mod tests {
 
     #[test]
     fn element_stream_recombines_bit_exactly_in_slot_order() {
-        let columns = correlated_zipf_columns(300, 4, 1.1, 0.7, 0.2, 0x5EED);
+        let columns = correlated_zipf(300, 4, 1.1, 0.7, 0.2, 0x5EED).to_columns();
         let elements = element_stream(&columns, 2, 5, 9);
         assert_eq!(elements, element_stream(&columns, 2, 5, 9), "deterministic");
 

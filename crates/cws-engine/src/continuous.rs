@@ -217,12 +217,6 @@ impl EpochedPipeline {
         self.degraded.as_ref()
     }
 
-    /// `true` when the last publish attempt failed (stale serving).
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.is_some()
-    }
-
     /// Lifetime quarantine totals: poison records diverted in the current
     /// epoch **plus** every epoch closed before it. Each publish swaps the
     /// inner pipeline, so per-epoch counters alone would silently reset;
@@ -1145,7 +1139,7 @@ mod tests {
         restarted.resume_from(report.epoch, Arc::clone(&report.summary));
         assert_eq!(restarted.latest().unwrap(), report.summary);
         assert_eq!(restarted.epochs_published(), 1);
-        assert!(!restarted.is_degraded());
+        assert!(restarted.degraded().is_none());
         restarted.push_record(8, &[2.0, 2.0]).unwrap();
         assert_eq!(restarted.publish().unwrap().epoch, 2);
     }

@@ -69,9 +69,7 @@ pub use aggregation::{Aggregation, KeyAggregator, QuarantineDrain};
 pub use continuous::{DegradedState, Drift, EpochReport, EpochedPipeline};
 pub use ingest::Ingest;
 pub use pipeline::{Layout, Pipeline, PipelineBuilder};
-pub use plan::{
-    AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec, DEADLINE_CHECK_STRIDE,
-};
+pub use plan::{AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec};
 pub use store::{QuarantinedSnapshot, RecoveryReport, ScrubReport, SnapshotStore};
 pub use summary::Summary;
 pub use wal::{
@@ -84,9 +82,7 @@ pub mod prelude {
     pub use crate::continuous::{DegradedState, Drift, EpochReport, EpochedPipeline};
     pub use crate::ingest::Ingest;
     pub use crate::pipeline::{Layout, Pipeline, PipelineBuilder};
-    pub use crate::plan::{
-        AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec, DEADLINE_CHECK_STRIDE,
-    };
+    pub use crate::plan::{AggregateSpec, EstimateReport, QueryBatch, QueryPlan, QuerySpec};
     pub use crate::store::{QuarantinedSnapshot, RecoveryReport, ScrubReport, SnapshotStore};
     pub use crate::summary::Summary;
     pub use crate::wal::{

@@ -737,6 +737,18 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_too_far_to_represent_never_expires() {
+        use crate::ingest::Ingest;
+        use crate::plan::{QueryBatch, QuerySpec};
+        let mut pipeline = base().deadline(Duration::MAX).build().unwrap();
+        pipeline.push_record(1, &[1.0, 2.0]).unwrap();
+        let summary = pipeline.finalize().unwrap();
+        let batch = QueryBatch::new().push(QuerySpec::sum(0)).with_deadline(Duration::MAX);
+        let reports = batch.execute(&summary).unwrap();
+        assert_eq!(reports[0].value, 1.0);
+    }
+
+    #[test]
     fn quarantine_surfaces_through_the_facade() {
         let mut pipeline = base().aggregation(Aggregation::SumByKey).build().unwrap();
         assert!(pipeline.quarantined().is_none());

@@ -24,7 +24,7 @@ use crate::summary::Summary;
 /// The check itself is one `Instant::now()` comparison; at this stride its
 /// cost is amortized to noise while an armed deadline is still noticed
 /// within ~a thousand predicate evaluations.
-pub const DEADLINE_CHECK_STRIDE: usize = 1024;
+pub(crate) const DEADLINE_CHECK_STRIDE: usize = 1024;
 
 /// The aggregate a [`QuerySpec`] estimates.
 ///
@@ -315,9 +315,7 @@ impl QueryBatch {
 
     /// Bounds how long one [`QueryBatch::execute`] call may run. The
     /// deadline is armed afresh per execution and checked before every
-    /// kernel pass and every
-    /// [`DEADLINE_CHECK_STRIDE`]
-    /// folded keys; expiry is a
+    /// kernel pass and every 1024 folded keys; expiry is a
     /// typed [`CwsError::DeadlineExceeded`](cws_core::CwsError) and poisons
     /// nothing — the summary stays queryable.
     #[must_use]

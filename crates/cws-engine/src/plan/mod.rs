@@ -23,8 +23,8 @@
 //!    with variance and 95% CI where the estimator supports them.
 //!
 //! Batches honor the governance layer: [`QueryBatch::with_deadline`] arms a
-//! wall-clock budget checked before every kernel and every
-//! [`DEADLINE_CHECK_STRIDE`] folded keys, and invalid specs fail with typed
+//! wall-clock budget checked before every kernel and every 1024 folded
+//! keys, and invalid specs fail with typed
 //! [`CwsError`](cws_core::CwsError)s before any work is done.
 //!
 //! ```
@@ -54,5 +54,5 @@ pub mod ir;
 pub mod planner;
 
 pub use executor::EstimateReport;
-pub use ir::{AggregateSpec, QueryBatch, QuerySpec, SharedPredicate, DEADLINE_CHECK_STRIDE};
+pub use ir::{AggregateSpec, QueryBatch, QuerySpec, SharedPredicate};
 pub use planner::QueryPlan;

@@ -74,7 +74,7 @@ impl KeyHasher {
     /// hot path.
     #[inline]
     #[must_use]
-    pub fn pair_base(&self, a: u64) -> u64 {
+    pub(crate) fn pair_base(&self, a: u64) -> u64 {
         a ^ self.seed
     }
 
@@ -85,7 +85,7 @@ impl KeyHasher {
     /// out across all weight assignments.
     #[inline]
     #[must_use]
-    pub fn hash_pair_from_base(&self, base: u64, b: u64) -> u64 {
+    pub(crate) fn hash_pair_from_base(&self, base: u64, b: u64) -> u64 {
         mix64(mum(base, b ^ 0x9E37_79B9_7F4A_7C15) ^ self.seed)
     }
 
@@ -97,7 +97,7 @@ impl KeyHasher {
     /// # Panics
     /// Panics if the slices have different lengths.
     #[inline]
-    pub fn pair_base_batch(&self, keys: &[u64], out: &mut [u64]) {
+    pub(crate) fn pair_base_batch(&self, keys: &[u64], out: &mut [u64]) {
         assert_eq!(keys.len(), out.len(), "output lane length mismatch");
         for (slot, &key) in out.iter_mut().zip(keys) {
             *slot = key ^ self.seed;

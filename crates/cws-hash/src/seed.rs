@@ -52,7 +52,7 @@ impl SeedSequence {
     }
 
     /// Pre-mixes a whole column of keys into pair-hash bases (the columnar
-    /// hash-once step; see [`KeyHasher::pair_base_batch`]). Each base feeds
+    /// hash-once step, one `mix64` per key). Each base feeds
     /// [`SeedSequence::assignment_seed_from_base`] for any number of
     /// assignments without touching the key again.
     #[inline]

@@ -76,7 +76,8 @@ impl ColocatedStreamSampler {
     /// Number of weight vectors currently retained (bounded by the
     /// compaction threshold plus one).
     #[must_use]
-    pub fn retained_vectors(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn retained_vectors(&self) -> usize {
         self.vectors.len()
     }
 
@@ -212,7 +213,11 @@ impl ColocatedStreamSampler {
             })
             .collect();
 
+        // Invariant: `k` and the assignment count are validated at
+        // construction, every record carries one weight and one flag per
+        // assignment, and `records` holds one record per distinct sampled key.
         ColocatedSummary::from_parts(self.config, self.config.k, kth_ranks, next_ranks, records)
+            .expect("the sampler's own parts form a valid summary")
     }
 
     /// Snapshots the current state into a summary **without** consuming the

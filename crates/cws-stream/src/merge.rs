@@ -165,7 +165,7 @@ pub fn merge_disjoint_colocated(summaries: &[&ColocatedSummary]) -> Result<Coloc
             in_sketch,
         })
         .collect();
-    Ok(ColocatedSummary::from_parts(config, effective_k, kth_ranks, next_ranks, records))
+    ColocatedSummary::from_parts(config, effective_k, kth_ranks, next_ranks, records)
 }
 
 #[cfg(test)]
