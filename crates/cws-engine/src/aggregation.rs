@@ -258,12 +258,6 @@ impl KeyAggregator {
         self.admit(self.keys.len(), self.tracked_bytes(), self.keys.len() + 1)
     }
 
-    /// Number of weight assignments.
-    #[must_use]
-    pub fn num_assignments(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Number of distinct keys currently held.
     #[must_use]
     pub fn num_keys(&self) -> usize {

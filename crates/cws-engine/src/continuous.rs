@@ -65,11 +65,10 @@ use cws_core::{CwsError, Key, Result};
 
 use crate::ingest::Ingest;
 use crate::pipeline::{Pipeline, PipelineBuilder, Push};
-use crate::plan::{EstimateReport, QueryBatch, QuerySpec};
+use crate::plan::{QueryBatch, QuerySpec};
 use crate::store::SnapshotStore;
 use crate::summary::Summary;
-use crate::wal::frame::Frame;
-use crate::wal::{Journal, ReplayReport};
+use crate::wal::{Journal, ReplayReport, WalConfig};
 
 /// Why (and how badly) the service is serving stale data — the payload of
 /// [`EpochedPipeline::degraded`].
@@ -152,7 +151,7 @@ impl EpochedPipeline {
         let wal_config = builder.take_journal();
         let current = builder.clone().build()?;
         let journal = match wal_config {
-            Some(config) => Some(Journal::open(config, current.num_assignments())?),
+            Some(config) => Some(Journal::open(config, current.num_assignments(), |_| {})?.0),
             None => None,
         };
         Ok(Self {
@@ -173,12 +172,6 @@ impl EpochedPipeline {
         self.journal.as_ref()
     }
 
-    /// The pipeline ingesting the current (unpublished) epoch.
-    #[must_use]
-    pub fn current(&self) -> &Pipeline {
-        &self.current
-    }
-
     /// Number of epochs published so far.
     #[must_use]
     pub fn epochs_published(&self) -> u64 {
@@ -193,20 +186,6 @@ impl EpochedPipeline {
     #[must_use]
     pub fn latest(&self) -> Option<Arc<Summary>> {
         self.latest.clone()
-    }
-
-    /// Executes a [`QueryBatch`] against the most recently published
-    /// snapshot ([`latest`](Self::latest)); `None` before the first
-    /// publish. During degraded serving this answers from the last *good*
-    /// epoch, like every other read.
-    ///
-    /// Concurrent callers should instead clone the `Arc<Summary>` from
-    /// [`latest`](Self::latest) once and batch against it directly (see
-    /// `examples/query_fleet.rs`) — this convenience borrows the pipeline,
-    /// which normally lives with the ingestion thread.
-    #[must_use]
-    pub fn query_batch(&self, batch: &QueryBatch) -> Option<Result<Vec<EstimateReport>>> {
-        self.latest().map(|summary| batch.execute(&summary))
     }
 
     /// The degraded state, present from the first failed publish until the
@@ -349,10 +328,11 @@ impl EpochedPipeline {
         state.records_replayable += records_replayable;
     }
 
-    /// Replays the journal tail after a restart: every frame whose epoch
-    /// is **not** covered by a durable snapshot is re-ingested; covered
-    /// frames — segments that simply had not been pruned yet — are skipped,
-    /// never double-ingested.
+    /// Opens the journal of `config` and replays its tail into the current
+    /// epoch in the same scan: every data frame whose epoch is **not**
+    /// covered by a durable snapshot is pushed again; covered frames —
+    /// segments that simply had not been pruned yet — are skipped, never
+    /// double-ingested.
     ///
     /// `stored_epochs` are the snapshot epochs currently on disk
     /// (ascending). A frame is covered when its epoch is at most the
@@ -361,40 +341,48 @@ impl EpochedPipeline {
     /// corruption) replays — conservative toward re-ingesting, never
     /// toward losing.
     ///
-    /// Frames replay oldest first through the normal `Ingest` path of the
-    /// current pipeline (so rejections match the original run exactly),
-    /// straight to the pipeline, never back into the journal; the records
-    /// of covered data frames count as skipped. Frames are decoded in
-    /// place and pushed record by record (never through a columnar fast
-    /// path, so a mid-batch rejection cannot double-ingest a prefix).
-    pub(crate) fn replay_journal(&mut self, stored_epochs: &[u64]) -> Result<ReplayReport> {
-        // `recover_from_store_and_wal`, the one caller, requires a journal.
-        let journal = self.journal.as_ref().expect("recovery opens a journaled pipeline");
+    /// Each replayed frame is one push of the shape the journaled push
+    /// had, straight to the current pipeline and never back into the
+    /// journal: a records frame as one columns batch, an elements frame as
+    /// one elements batch. A batch is admitted, flushed early and refused
+    /// as a whole, so the replay absorbs exactly what the original push
+    /// absorbed, up to a mid-batch refusal. Only a push larger than one
+    /// frame replays as several pushes (see [`encode_records`]).
+    ///
+    /// [`encode_records`]: crate::wal::frame::encode_records
+    pub(crate) fn replay_journal(
+        &mut self,
+        config: WalConfig,
+        stored_epochs: &[u64],
+    ) -> Result<ReplayReport> {
         let resumed = self.epoch;
         let current = &mut self.current;
-        let mut report = journal.opened();
-        let mut row = Vec::with_capacity(current.num_assignments());
-        journal.for_each_frame(|frame| {
-            if matches!(frame, Frame::Barrier { .. }) {
-                return;
-            }
+        let mut columns = RecordColumns::new(current.num_assignments());
+        let mut elements = Vec::new();
+        let mut replay = ReplayReport::default();
+        let (journal, opened) = Journal::open(config, current.num_assignments(), |frame| {
             let epoch = frame.epoch();
+            let records = frame.record_count() as u64;
             if epoch <= resumed && stored_epochs.binary_search(&epoch).is_ok() {
-                report.records_skipped += frame.record_count() as u64;
+                replay.records_skipped += records;
                 return;
             }
-            report.frames_replayed += 1;
-            let mut tally = |pushed: Result<()>| match pushed {
-                Ok(()) => report.records_replayed += 1,
-                Err(_) => report.rejected_records += 1,
-            };
-            frame
-                .for_each_record(&mut row, |key, weights| tally(current.push_record(key, weights)));
-            for (key, assignment, weight) in frame.elements() {
-                tally(current.push_element(key, assignment as usize, weight));
-            }
+            let Some(push) = frame.decode_into(&mut columns, &mut elements) else { return };
+            let before = current.processed();
+            // A refusal is counted below, exactly as the original run refused.
+            let _ = current.push(push);
+            let absorbed = current.processed() - before;
+            replay.frames_replayed += 1;
+            replay.records_replayed += absorbed;
+            replay.rejected_records += records - absorbed;
         })?;
-        Ok(report)
+        self.journal = Some(journal);
+        Ok(ReplayReport {
+            truncated_bytes: opened.truncated_bytes,
+            quarantined_segments: opened.quarantined_segments,
+            removed_temps: opened.removed_temps,
+            ..replay
+        })
     }
 
     /// Write-ahead ordering, shared by every push. With a journal attached

@@ -16,7 +16,6 @@ use cws_stream::{
 use crate::aggregation::{Aggregation, KeyAggregator, Staged};
 use crate::hand_off::sampleable_rows;
 use crate::ingest::Ingest;
-use crate::plan::EstimateReport;
 use crate::summary::Summary;
 use crate::wal::WalConfig;
 
@@ -185,11 +184,6 @@ impl PipelineBuilder {
         self.journal.take()
     }
 
-    /// `true` when a journal is configured.
-    pub(crate) fn has_journal(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// Validates the configuration and assembles the pipeline.
     ///
     /// # Errors
@@ -278,7 +272,6 @@ pub(crate) enum Push<'a> {
 
 /// The selected sampling back-end, one per layout (an implementation
 /// detail of [`Pipeline`]; both variants implement [`Ingest`]).
-#[derive(Clone)]
 enum Backend {
     Colocated(ColocatedStreamSampler),
     HashOnce(MultiAssignmentStreamSampler),
@@ -439,20 +432,6 @@ impl Pipeline {
         }
     }
 
-    /// Snapshots the pipeline's current state into a [`Summary`] without
-    /// consuming it — ingestion can continue afterwards. The snapshot is
-    /// exactly what [`finalize`](Ingest::finalize) would return right now.
-    #[must_use]
-    pub fn snapshot(&self) -> Summary {
-        let copy = Pipeline {
-            config: self.config,
-            backend: self.backend.clone(),
-            aggregator: self.aggregator.clone(),
-            deadline: self.deadline,
-        };
-        copy.seal()
-    }
-
     /// Seals the pipeline into its summary: the aggregation stage's last
     /// table goes to the sampler, which finalizes. The hand-off offers only
     /// the table's rows that can still be sampled (see
@@ -464,20 +443,6 @@ impl Pipeline {
             self.backend.hand_off(&self.config, &aggregator.into_columns(), true);
         }
         self.backend.finalize()
-    }
-
-    /// Snapshots the pipeline ([`snapshot`](Pipeline::snapshot)) and
-    /// executes a [`QueryBatch`](crate::plan::QueryBatch) against the
-    /// snapshot — the one-liner for "what do these aggregates look like
-    /// right now?" mid-ingestion. For heavy concurrent serving, prefer
-    /// publishing epochs with
-    /// [`EpochedPipeline`](crate::continuous::EpochedPipeline) and batching
-    /// against the shared [`Arc<Summary>`](std::sync::Arc) snapshots.
-    ///
-    /// # Errors
-    /// As [`QueryBatch::execute`](crate::plan::QueryBatch::execute).
-    pub fn query_batch(&self, batch: &crate::plan::QueryBatch) -> Result<Vec<EstimateReport>> {
-        batch.execute(&self.snapshot())
     }
 
     /// The aggregation stage's quarantine report: how many poison records

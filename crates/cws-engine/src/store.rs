@@ -55,7 +55,7 @@
 //! too.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use cws_core::{CwsError, Result};
@@ -135,18 +135,6 @@ impl SnapshotStore {
             #[cfg(test)]
             fail_next_remove: false,
         })
-    }
-
-    /// The store directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// How many committed epochs the store retains.
-    #[must_use]
-    pub fn retention(&self) -> usize {
-        self.retention
     }
 
     /// The path a given epoch's snapshot lives at (whether or not it

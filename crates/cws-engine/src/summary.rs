@@ -7,9 +7,7 @@ use cws_core::aggregates::AggregateFn;
 use cws_core::codec::{self, DecodedSummary};
 use cws_core::estimate::adjusted::AdjustedWeights;
 use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
-use cws_core::{
-    CoordinationMode, DispersedEstimator, InclusiveEstimator, RankFamily, Result, SelectionKind,
-};
+use cws_core::{DispersedEstimator, InclusiveEstimator, Result, SelectionKind};
 
 use crate::plan::{EstimateReport, QueryBatch, QuerySpec};
 
@@ -44,24 +42,6 @@ impl Summary {
     #[must_use]
     pub fn k(&self) -> usize {
         self.config().k
-    }
-
-    /// The rank distribution family.
-    #[must_use]
-    pub fn family(&self) -> RankFamily {
-        match self {
-            Summary::Colocated(summary) => summary.family(),
-            Summary::Dispersed(summary) => summary.family(),
-        }
-    }
-
-    /// The coordination mode across assignments.
-    #[must_use]
-    pub fn mode(&self) -> CoordinationMode {
-        match self {
-            Summary::Colocated(summary) => summary.mode(),
-            Summary::Dispersed(summary) => summary.mode(),
-        }
     }
 
     /// Number of weight assignments summarized.
@@ -253,7 +233,7 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cws_core::MultiWeighted;
+    use cws_core::{CoordinationMode, MultiWeighted, RankFamily};
 
     fn fixture() -> MultiWeighted {
         let mut builder = MultiWeighted::builder(2);
@@ -272,8 +252,8 @@ mod tests {
         let dispersed = Summary::Dispersed(DispersedSummary::build(&data, &config));
         for summary in [&colocated, &dispersed] {
             assert_eq!(summary.k(), 16);
-            assert_eq!(summary.family(), RankFamily::Ipps);
-            assert_eq!(summary.mode(), CoordinationMode::SharedSeed);
+            assert_eq!(summary.config().family, RankFamily::Ipps);
+            assert_eq!(summary.config().mode, CoordinationMode::SharedSeed);
             assert_eq!(summary.num_assignments(), 2);
             assert!(summary.num_distinct_keys() >= 16);
             assert_eq!(summary.config().seed, 1);

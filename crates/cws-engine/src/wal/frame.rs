@@ -30,7 +30,10 @@
 //! truncate at the last clean frame.
 
 use cws_core::codec::frame_checksum;
+use cws_core::columns::RecordColumns;
 use cws_core::{CwsError, Key, Result};
+
+use crate::pipeline::Push;
 
 /// Fixed prefix of every frame: payload length (u32) + payload CRC (u64).
 pub(crate) const FRAME_HEADER_BYTES: usize = 12;
@@ -54,9 +57,9 @@ fn record_stride(num_assignments: usize) -> usize {
 /// Bytes per element in an elements frame body (key + assignment + weight).
 const ELEMENT_STRIDE: usize = 8 + 4 + 8;
 
-/// One clean frame, borrowed from the bytes it was decoded from. Records
-/// and elements are decoded on demand, so scanning or replaying a segment
-/// never copies its frames.
+/// One clean frame, borrowed from the bytes it was decoded from. Scanning
+/// a segment never copies its frames; replay decodes each data frame once,
+/// into reused buffers ([`Frame::decode_into`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Frame<'a> {
     /// Whole records: `rows` holds `count × (key · A × weight)`.
@@ -68,7 +71,7 @@ pub(crate) enum Frame<'a> {
     Barrier { epoch: u64 },
 }
 
-impl<'a> Frame<'a> {
+impl Frame<'_> {
     /// The epoch tag the frame carries.
     pub(crate) fn epoch(&self) -> u64 {
         match self {
@@ -89,28 +92,38 @@ impl<'a> Frame<'a> {
         }
     }
 
-    /// Visits the records of a records frame in order, decoding each one's
-    /// weights into `row` (reused across records and calls). Other frame
-    /// kinds visit nothing.
-    pub(crate) fn for_each_record(&self, row: &mut Vec<f64>, mut visit: impl FnMut(Key, &[f64])) {
-        let Self::Records { rows, num_assignments, .. } = *self else { return };
-        for record in rows.chunks_exact(record_stride(num_assignments)) {
-            row.clear();
-            row.extend(record[8..].chunks_exact(8).map(|bits| f64::from_bits(read_u64(bits))));
-            visit(read_u64(record), row);
+    /// The push a data frame replays as, decoded into reused buffers: a
+    /// records frame as one [`Push::Columns`] batch, an elements frame as
+    /// one [`Push::Elements`] batch, in the shape the journaled push had.
+    /// `None` for a barrier.
+    pub(crate) fn decode_into<'b>(
+        &self,
+        columns: &'b mut RecordColumns,
+        elements: &'b mut Vec<(Key, usize, f64)>,
+    ) -> Option<Push<'b>> {
+        match *self {
+            Self::Records { rows, num_assignments, .. } => {
+                columns.clear();
+                let mut row = Vec::with_capacity(num_assignments);
+                for record in rows.chunks_exact(record_stride(num_assignments)) {
+                    row.clear();
+                    row.extend(
+                        record[8..].chunks_exact(8).map(|bits| f64::from_bits(read_u64(bits))),
+                    );
+                    columns.push(read_u64(record), &row);
+                }
+                Some(Push::Columns(columns))
+            }
+            Self::Elements { rows, .. } => {
+                elements.clear();
+                elements.extend(rows.chunks_exact(ELEMENT_STRIDE).map(|element| {
+                    let weight = f64::from_bits(read_u64(&element[12..]));
+                    (read_u64(element), read_u32(&element[8..]) as usize, weight)
+                }));
+                Some(Push::Elements(elements))
+            }
+            Self::Barrier { .. } => None,
         }
-    }
-
-    /// The `(key, assignment, weight)` elements of an elements frame, in
-    /// order, decoded on the fly. Other frame kinds yield nothing.
-    pub(crate) fn elements(&self) -> impl Iterator<Item = (Key, u32, f64)> + 'a {
-        let rows: &'a [u8] = match *self {
-            Self::Elements { rows, .. } => rows,
-            _ => &[],
-        };
-        rows.chunks_exact(ELEMENT_STRIDE).map(|element| {
-            (read_u64(element), read_u32(&element[8..]), f64::from_bits(read_u64(&element[12..])))
-        })
     }
 }
 
@@ -164,6 +177,11 @@ pub(crate) const MAX_ELEMENTS_PER_FRAME: usize =
 /// Appends the records frames of `keys` to `buf`, chunked to
 /// [`max_records_per_frame`]; `weight(row, assignment)` reads each weight
 /// straight from the caller's storage. An empty batch appends nothing.
+///
+/// Replay makes one push per frame, so a push larger than
+/// [`MAX_FRAME_PAYLOAD`] (64 MiB) replays as several pushes; under a key
+/// or byte cap those can flush early at a different point than the one
+/// original push did. The same holds for [`encode_elements`].
 pub(crate) fn encode_records(
     buf: &mut Vec<u8>,
     epoch: u64,
@@ -188,7 +206,9 @@ pub(crate) fn encode_records(
 }
 
 /// Appends the elements frames of `elements` to `buf`, chunked to
-/// [`MAX_ELEMENTS_PER_FRAME`]. An empty batch appends nothing.
+/// [`MAX_ELEMENTS_PER_FRAME`]. An empty batch appends nothing. A push
+/// larger than one frame replays as several pushes (see
+/// [`encode_records`]).
 ///
 /// # Errors
 /// [`CwsError::InvalidParameter`], with `buf` untouched, when an assignment
@@ -431,28 +451,36 @@ mod tests {
         let frame = records_frame(7, &[10, u64::MAX], &weights, 2);
         let decoded = decode_one(&frame, 2);
         assert_eq!((decoded.epoch(), decoded.record_count()), (7, 2));
-        let mut seen = Vec::new();
-        decoded.for_each_record(&mut Vec::new(), |key, row| {
-            seen.push((key, row.iter().map(|w| w.to_bits()).collect::<Vec<_>>()));
-        });
+        let (mut columns, mut elements) = (RecordColumns::new(2), Vec::new());
         let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-        assert_eq!(seen, vec![(10, bits(&weights[..2])), (u64::MAX, bits(&weights[2..]))]);
-        assert_eq!(decoded.elements().count(), 0, "a records frame has no elements");
+        match decoded.decode_into(&mut columns, &mut elements) {
+            Some(Push::Columns(columns)) => {
+                assert_eq!(columns.keys(), &[10, u64::MAX]);
+                assert_eq!(bits(columns.lane(0)), bits(&[weights[0], weights[2]]));
+                assert_eq!(bits(columns.lane(1)), bits(&[weights[1], weights[3]]));
+            }
+            other => panic!("a records frame replays as one columns batch, got {other:?}"),
+        }
 
         let frame = elements_frame(3, &[(9, 1, 2.25), (9, 0, f64::NAN)]);
         let decoded = decode_one(&frame, 2);
         assert_eq!((decoded.epoch(), decoded.record_count()), (3, 2));
-        let items: Vec<(Key, u32, f64)> = decoded.elements().collect();
-        assert_eq!((items[0].0, items[0].1, items[0].2), (9, 1, 2.25));
-        // NaN journals and replays by bit pattern, so the replayed
-        // pipeline rejects it exactly like the original did.
-        assert_eq!(items[1].2.to_bits(), f64::NAN.to_bits());
-        decoded.for_each_record(&mut Vec::new(), |_, _| panic!("an elements frame has no records"));
+        match decoded.decode_into(&mut columns, &mut elements) {
+            Some(Push::Elements(items)) => {
+                assert_eq!(items.len(), 2);
+                assert_eq!((items[0].0, items[0].1, items[0].2), (9, 1, 2.25));
+                // NaN journals and replays by bit pattern, so the replayed
+                // pipeline rejects it exactly like the original did.
+                assert_eq!(items[1].2.to_bits(), f64::NAN.to_bits());
+            }
+            other => panic!("an elements frame replays as one elements batch, got {other:?}"),
+        }
 
         let frame = barrier_frame(12);
         let decoded = decode_one(&frame, 2);
         assert!(matches!(decoded, Frame::Barrier { epoch: 12 }));
         assert_eq!(decoded.record_count(), 0);
+        assert!(decoded.decode_into(&mut columns, &mut elements).is_none());
     }
 
     #[test]

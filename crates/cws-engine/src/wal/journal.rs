@@ -328,8 +328,6 @@ pub struct Journal {
     rotate_due: bool,
     /// Why appends are refused: a failed append could not be cut back off.
     refused: Option<String>,
-    /// What opening the journal repaired: the counts a replay starts from.
-    opened: ReplayReport,
     #[cfg(test)]
     faults: Vec<InjectedFault>,
 }
@@ -343,13 +341,22 @@ impl Journal {
     /// are renamed `…​.quarantined`, and a fresh active segment is started
     /// (sequence numbers are never reused).
     ///
+    /// The same scan hands every clean frame to `visit`, oldest first: each
+    /// surviving segment is read once, into one reused buffer, and its
+    /// frames are visited in place. Returns the journal and what opening it
+    /// repaired (the repair counts of a [`ReplayReport`]).
+    ///
     /// # Errors
     /// Typed [`CwsError::InvalidParameter`] for dead configuration (zero
     /// `EveryN`, a segment cap smaller than one header, or a directory
     /// written with a different assignment count); [`CwsError::Store`] for
     /// filesystem failures. On-disk corruption is never an error — it is
     /// quarantined/truncated and reported.
-    pub(crate) fn open(config: WalConfig, num_assignments: usize) -> Result<Self> {
+    pub(crate) fn open(
+        config: WalConfig,
+        num_assignments: usize,
+        mut visit: impl FnMut(Frame<'_>),
+    ) -> Result<(Self, ReplayReport)> {
         let WalConfig { dir, segment_bytes, sync, max_bytes } = config;
         if let SyncPolicy::EveryN(0) = sync {
             return Err(CwsError::InvalidParameter {
@@ -375,6 +382,7 @@ impl Journal {
         let next_seq = listing.live.iter().chain(&listing.quarantined).max().map_or(0, |m| m + 1);
         let mut sealed = Vec::new();
         let mut condemn_rest = false;
+        let mut bytes = Vec::new();
         for seq in listing.live {
             let path = dir.join(SEGMENT_FILES.name(seq));
             if condemn_rest {
@@ -382,7 +390,10 @@ impl Journal {
                 opened.quarantined_segments += 1;
                 continue;
             }
-            let bytes = fs::read(&path).map_err(|e| fs_error("read", &path, &e))?;
+            bytes.clear();
+            fs::File::open(&path)
+                .and_then(|mut file| file.read_to_end(&mut bytes))
+                .map_err(|e| fs_error("read", &path, &e))?;
             let header = match decode_header(&bytes) {
                 Ok(header) if header.seq == seq => header,
                 // Wrong magic/version/checksum, or a header disagreeing
@@ -406,7 +417,7 @@ impl Journal {
                     ),
                 });
             }
-            let scan = scan_frames(&bytes, num_assignments, |_| {});
+            let scan = scan_frames(&bytes, num_assignments, &mut visit);
             if scan.torn.is_some() {
                 let file = fs::OpenOptions::new()
                     .write(true)
@@ -445,17 +456,10 @@ impl Journal {
             reclaimer: Reclaimer::default(),
             rotate_due: false,
             refused: None,
-            opened,
             #[cfg(test)]
             faults: Vec::new(),
         };
-        Ok(journal)
-    }
-
-    /// What opening the journal repaired (torn bytes truncated, segments
-    /// quarantined, temps removed): the counts a replay report starts from.
-    pub(crate) fn opened(&self) -> ReplayReport {
-        self.opened.clone()
+        Ok((journal, opened))
     }
 
     /// The journal directory.
@@ -474,12 +478,6 @@ impl Journal {
     #[must_use]
     pub fn num_segments(&self) -> usize {
         self.sealed.len() + 1
-    }
-
-    /// The configured fsync policy.
-    #[must_use]
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
     }
 
     /// `true` once pruning has been suspended to preserve unpublished data
@@ -789,22 +787,6 @@ impl Journal {
         self.reclaimer.release(handles);
     }
 
-    /// Hands every clean frame currently in the journal to `visit`, oldest
-    /// first (sealed segments, then the active one). Segments are read one
-    /// at a time into one reused buffer, and frames are decoded in place.
-    pub(crate) fn for_each_frame(&self, mut visit: impl FnMut(Frame<'_>)) -> Result<()> {
-        let mut bytes = Vec::new();
-        let paths = self.sealed.iter().map(|s| &s.path).chain(std::iter::once(&self.active.path));
-        for path in paths {
-            bytes.clear();
-            fs::File::open(path)
-                .and_then(|mut file| file.read_to_end(&mut bytes))
-                .map_err(|e| fs_error("read", path, &e))?;
-            scan_frames(&bytes, self.num_assignments, &mut visit);
-        }
-        Ok(())
-    }
-
     fn rotate(&mut self) -> Result<()> {
         let seq = self.active.seq + 1;
         let (path, file) = create_segment(&self.dir, seq, self.num_assignments as u64)?;
@@ -839,7 +821,7 @@ mod tests {
     /// A journal whose epoch 1 fills several sealed 256-byte segments.
     fn journal_with_a_sealed_epoch(dir: &Path) -> Journal {
         let config = WalConfig::new(dir).segment_bytes(256).sync(SyncPolicy::OnRotate);
-        let mut journal = Journal::open(config, 2).unwrap();
+        let (mut journal, _) = Journal::open(config, 2, |_| {}).unwrap();
         for key in 0..20u64 {
             journal.append(1, Push::Record(key, &[1.0, 2.0]), false).unwrap();
             journal.sync().unwrap();

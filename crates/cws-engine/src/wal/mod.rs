@@ -6,12 +6,13 @@
 //! workspace builds on. This module exploits the same property for
 //! durability: the one state a crash can destroy (records ingested since
 //! the last published epoch) can be reconstructed **bit-exactly** by
-//! replaying a durable record log through the same [`Ingest`] path.
+//! replaying a durable log of the pushes through the same pipeline.
 //!
 //! The pieces, bottom-up:
 //!
 //! * `frame` — length-prefixed, CRC-framed record batches, encoded once
-//!   from the caller's slice into a reused buffer and decoded in place.
+//!   from the caller's slice into a reused buffer, and decoded once into
+//!   reused batch buffers on replay.
 //!   Every frame carries the **epoch tag** it will publish under; weights
 //!   travel as raw IEEE-754 bit patterns, the summary codec's convention.
 //! * `segment` — `wal-<seq>.cwsj` files with a checksummed header,
@@ -22,7 +23,8 @@
 //!   the [`SyncPolicy`] fsync knob (an element batch's fsync runs on one
 //!   helper thread while the pipeline stages the batch; a failed or
 //!   refused append is cut back off the segment), open-time torn-tail
-//!   recovery that truncates exactly at the last clean frame, a disk cap
+//!   recovery that truncates exactly at the last clean frame and hands
+//!   every clean frame of that one scan to the replay, a disk cap
 //!   ([`WalConfig::max_bytes`]: a full journal is a typed
 //!   `BudgetExceeded`, never silent truncation), and epoch
 //!   watermarks: once a snapshot covers an epoch, the sealed segments
@@ -33,7 +35,7 @@
 //! * `replay` — [`recover_from_store_and_wal`], the 1-call recovery
 //!   procedure: highest clean snapshot from the
 //!   [`SnapshotStore`](crate::store::SnapshotStore), then the journal tail
-//!   replayed into the current epoch.
+//!   replayed into the current epoch, one push per frame.
 //!
 //! Attach a journal with
 //! [`PipelineBuilder::journal`](crate::pipeline::PipelineBuilder::journal);
@@ -41,8 +43,6 @@
 //! weight and
 //! writes an epoch barrier inside
 //! [`publish_into`](crate::continuous::EpochedPipeline::publish_into).
-//!
-//! [`Ingest`]: crate::ingest::Ingest
 
 pub(crate) mod frame;
 pub(crate) mod journal;

@@ -12,16 +12,16 @@ use crate::store::{RecoveryReport, SnapshotStore};
 /// [`DurableRecovery`].
 #[derive(Debug, Clone, Default)]
 pub struct ReplayReport {
-    /// Data frames whose records were replayed into the current epoch.
+    /// Data frames replayed into the current epoch, one push each.
     pub frames_replayed: usize,
-    /// Records/elements re-ingested through the normal `Ingest` path.
+    /// Records/elements of replayed frames the pipeline absorbed.
     pub records_replayed: u64,
     /// Records/elements skipped because a durable snapshot already covers
     /// their epoch (their segments simply had not been pruned yet).
     pub records_skipped: u64,
-    /// Replayed records the pipeline rejected — exactly the records the
-    /// original run rejected too (invalid weights replay bit-exactly and
-    /// fail the same validation), so these were never in any summary.
+    /// Records/elements of replayed frames the pipeline did not absorb,
+    /// exactly as in the original run: quarantined poison, and the rest of
+    /// a batch refused mid-way (a sum overflow).
     pub rejected_records: u64,
     /// Bytes removed by torn-tail truncation when the journal was opened.
     pub truncated_bytes: u64,
@@ -47,22 +47,23 @@ pub struct DurableRecovery {
 
 /// The 1-call recovery procedure for a journaled pipeline.
 ///
-/// Opens the journal (truncating torn tails, quarantining condemned
-/// segments), recovers the snapshot store, resumes serving from the
-/// highest clean snapshot, and replays the journal tail — every record not
-/// covered by a durable snapshot — through the same [`Ingest`] path the
-/// original run used. Because a coordinated summary is a deterministic
-/// function of `(records, seed)` and weights are journaled as raw bit
-/// patterns, the recovered pipeline's next publish is **bit-identical** to
-/// the undisturbed run's.
+/// Validates `builder`, recovers the snapshot store, resumes serving from
+/// the highest clean snapshot, then opens the journal (truncating torn
+/// tails, quarantining condemned segments) and, in the same scan, replays
+/// its tail — every frame not covered by a durable snapshot — into the
+/// current epoch. Each surviving segment is read once, and each replayed
+/// frame is one push of the shape the original run journaled (a records
+/// batch or an elements batch), so the pipeline absorbs and refuses
+/// exactly what it did the first time. Because a coordinated summary is a
+/// deterministic function of `(records, seed)` and weights are journaled
+/// as raw bit patterns, the recovered pipeline's next publish is
+/// **bit-identical** to the undisturbed run's.
 ///
-/// A record is replayed when its epoch tag is newer than the last good
+/// A frame is replayed when its epoch tag is newer than the last good
 /// snapshot, *or* when its epoch has no snapshot on disk (a publish that
 /// failed at the store layer, or a snapshot that was itself corrupted and
 /// quarantined) — replay is conservative toward re-ingesting, never toward
 /// losing.
-///
-/// [`Ingest`]: crate::ingest::Ingest
 ///
 /// # Errors
 /// [`CwsError::InvalidParameter`] when `builder` has no
@@ -71,23 +72,23 @@ pub struct DurableRecovery {
 /// corruption is never an error — it is truncated or quarantined and
 /// reported.
 pub fn recover_from_store_and_wal(
-    builder: PipelineBuilder,
+    mut builder: PipelineBuilder,
     store: &mut SnapshotStore,
 ) -> Result<DurableRecovery> {
-    if !builder.has_journal() {
+    let Some(config) = builder.take_journal() else {
         return Err(CwsError::InvalidParameter {
             name: "journal",
             message: "recover_from_store_and_wal needs a journaled pipeline; \
                       configure PipelineBuilder::journal(WalConfig)"
                 .to_string(),
         });
-    }
+    };
     let mut pipeline = EpochedPipeline::new(builder)?;
     let store_report = store.recover()?;
     if let Some((epoch, summary)) = &store_report.last_good {
         pipeline.resume_from(*epoch, Arc::clone(summary));
     }
     let stored_epochs = store.epochs()?;
-    let replay = pipeline.replay_journal(&stored_epochs)?;
+    let replay = pipeline.replay_journal(config, &stored_epochs)?;
     Ok(DurableRecovery { pipeline, store: store_report, replay })
 }

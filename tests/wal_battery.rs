@@ -25,9 +25,14 @@
 //! * a crash right after a publish pruned its covered segments, while
 //!   their blocks may still be waiting to be freed, never brings a pruned
 //!   segment back;
+//! * replay makes the pushes the journal recorded, one batch per frame:
+//!   a governed batch flushes early where it did the first time, and a
+//!   batch refused mid-way absorbs the same prefix again, so the
+//!   recovered publish equals the undisturbed twin's;
 //! * a multi-seed stress run (`CWS_WAL_SEEDS=1,2,3,…`) mutates
 //!   plan-chosen bytes — truncations and bit rot, including during
-//!   rotation-heavy multi-segment windows — and proves convergence.
+//!   rotation-heavy multi-segment windows — and proves convergence, and
+//!   runs seeded governed element batches through a torn tail.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -511,6 +516,17 @@ fn every_sync_policy_recovers_bit_exactly() {
     }
 }
 
+/// The fault-plan seeds of the seeded scenes: `CWS_WAL_SEEDS` (comma
+/// separated), `1,2` by default.
+fn wal_seeds() -> Vec<u64> {
+    std::env::var("CWS_WAL_SEEDS")
+        .unwrap_or_else(|_| "1,2".to_string())
+        .split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(|s| s.trim().parse().expect("CWS_WAL_SEEDS must be comma-separated integers"))
+        .collect()
+}
+
 /// Seed-driven stress: rotation-heavy multi-segment windows with a
 /// plan-chosen mutation — a truncation or a single-bit rot at a random
 /// offset of a random surviving segment (including segment boundaries and
@@ -518,13 +534,7 @@ fn every_sync_policy_recovers_bit_exactly() {
 /// coverage with `CWS_WAL_SEEDS=1,2,3,…` in release mode.
 #[test]
 fn multi_seed_wal_stress_converges() {
-    let seeds: Vec<u64> = std::env::var("CWS_WAL_SEEDS")
-        .unwrap_or_else(|_| "1,2".to_string())
-        .split(',')
-        .filter(|s| !s.trim().is_empty())
-        .map(|s| s.trim().parse().expect("CWS_WAL_SEEDS must be comma-separated integers"))
-        .collect();
-    for seed in seeds {
+    for seed in wal_seeds() {
         let mut plan = FaultPlan::new(seed);
         let p = 20 + plan.next_below(20);
         let n = p + 10 + plan.next_below(30);
@@ -548,5 +558,193 @@ fn multi_seed_wal_stress_converges() {
         };
         fs::write(target, &bytes).unwrap();
         recover_and_check(&wal, &store_dir, p, n, &ref1, &ref2, &ctx);
+    }
+}
+
+/// A governed pipeline: 2 assignments, `aggregation`, a key cap of `cap`.
+fn governed_builder(layout: Layout, aggregation: Aggregation, cap: u64) -> PipelineBuilder {
+    Pipeline::builder()
+        .assignments(2)
+        .k(16)
+        .layout(layout)
+        .aggregation(aggregation)
+        .budget(ResourceBudget::unlimited().with_max_keys(cap))
+        .seed(77)
+}
+
+/// Pushes every batch into a journaled pipeline, crashes, recovers, and
+/// checks the recovered publish and replay report against an undisturbed
+/// twin fed the same batches: the publish byte for byte, and the
+/// absorbed and unabsorbed counts against the twin's `processed` and the
+/// batch lengths. `push` makes one push and returns its outcome.
+fn crash_and_compare_with_twin<B>(
+    tag: &str,
+    builder: impl Fn() -> PipelineBuilder,
+    batches: &[B],
+    push: impl Fn(&mut EpochedPipeline, &B) -> Result<()>,
+    len: impl Fn(&B) -> u64,
+) -> ReplayReport {
+    let wal = scratch_dir(&format!("{tag}-wal"));
+    let mut journaled = EpochedPipeline::new(builder().journal(WalConfig::new(&wal))).unwrap();
+    let mut twin = EpochedPipeline::new(builder()).unwrap();
+    for batch in batches {
+        let (pushed, expected) = (push(&mut journaled, batch), push(&mut twin, batch));
+        assert_eq!(format!("{pushed:?}"), format!("{expected:?}"), "{tag}: the twin differs");
+    }
+    let absorbed = twin.processed();
+    drop(journaled); // the crash
+    let mut store = SnapshotStore::open(scratch_dir(&format!("{tag}-store")), 4).unwrap();
+    let recovery = recover_from_store_and_wal(builder().journal(WalConfig::new(&wal)), &mut store)
+        .unwrap_or_else(|error| panic!("{tag}: recovery must never fail: {error:?}"));
+    let replay = recovery.replay;
+    let mut pipeline = recovery.pipeline;
+    let recovered = pipeline.publish().unwrap().summary;
+    let undisturbed = twin.publish().unwrap().summary;
+    assert_eq!(recovered.num_distinct_keys(), undisturbed.num_distinct_keys(), "{tag}");
+    assert_eq!(recovered.to_bytes(), undisturbed.to_bytes(), "{tag}: the recovered publish");
+    let offered: u64 = batches.iter().map(len).sum();
+    assert_eq!(replay.records_replayed, absorbed, "{tag}: absorbed as in the original run");
+    assert_eq!(replay.rejected_records, offered - absorbed, "{tag}: refused as in the original");
+    replay
+}
+
+/// A governed batch is admitted whole and flushes early *before* it, so
+/// replaying it element by element would flush mid-batch and split its
+/// keys' fragments into different partial aggregates. Replayed as the
+/// batch it was, it flushes at the same point. 400 keys under a 300-key
+/// cap, each key repeated across 250-element batches; both layouts.
+#[test]
+fn governed_batches_replay_their_flush_early_points() {
+    let elements: Vec<(u64, usize, f64)> = (0..3_000u64)
+        .map(|i| {
+            let key = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 400;
+            (key, (i % 2) as usize, ((i % 13) + 1) as f64 * 0.75)
+        })
+        .collect();
+    let batches: Vec<&[(u64, usize, f64)]> = elements.chunks(250).collect();
+    for layout in [Layout::Colocated, Layout::Dispersed] {
+        let replay = crash_and_compare_with_twin(
+            &format!("flush-{layout:?}"),
+            || governed_builder(layout, Aggregation::SumByKey, 300),
+            &batches,
+            |pipeline, batch| pipeline.push_elements(batch),
+            |batch| batch.len() as u64,
+        );
+        assert_eq!(replay.frames_replayed, batches.len(), "{layout:?}: one push per frame");
+    }
+}
+
+/// A sum that overflows mid-batch keeps the elements before it and the
+/// frame, and refuses the rest: the replay absorbs the same one element
+/// and ingests no key after the overflow.
+#[test]
+fn a_mid_batch_overflow_replays_the_same_prefix() {
+    let batch = [(1u64, 0usize, f64::MAX), (1, 0, f64::MAX), (2, 0, 5.0)];
+    for layout in [Layout::Colocated, Layout::Dispersed] {
+        let replay = crash_and_compare_with_twin(
+            &format!("overflow-{layout:?}"),
+            || governed_builder(layout, Aggregation::SumByKey, 300),
+            &[&batch[..]],
+            |pipeline, batch| pipeline.push_elements(batch),
+            |batch| batch.len() as u64,
+        );
+        assert_eq!((replay.records_replayed, replay.rejected_records), (1, 2), "{layout:?}");
+    }
+}
+
+/// A colocated pipeline without an aggregation stage ingests a column
+/// batch up to its first invalid row and refuses the rest, keeping the
+/// frame: the replay ingests row 1 only, never the valid row 3.
+#[test]
+fn a_column_batch_refused_mid_way_replays_its_prefix_only() {
+    let mut columns = RecordColumns::new(2);
+    columns.push(1, &[1.0, 2.0]);
+    columns.push(2, &[f64::NAN, 1.0]);
+    columns.push(3, &[4.0, 3.0]);
+    let replay = crash_and_compare_with_twin(
+        "columns-nan",
+        || small_builder().layout(Layout::Colocated),
+        &[columns],
+        |pipeline, columns| pipeline.push_columns(columns),
+        |columns| columns.len() as u64,
+    );
+    assert_eq!((replay.records_replayed, replay.rejected_records), (1, 2));
+}
+
+/// Seed-driven governed batches: a plan-chosen layout, aggregation, key
+/// space, key cap and batch length; element batches with repeated keys
+/// and some NaN poison, flushed early by the cap. Epoch 1 is published,
+/// the rest crashes in the journal, whose tail is then cut at a
+/// plan-chosen byte. Recovery replays the surviving frames one batch
+/// each; after re-offering the lost batches, the next publish equals the
+/// undisturbed twin's epoch 2 byte for byte. CI widens coverage with
+/// `CWS_WAL_SEEDS=1,2,3,…` in release mode.
+#[test]
+fn multi_seed_governed_batches_replay_bit_exactly() {
+    for seed in wal_seeds() {
+        let mut plan = FaultPlan::new(seed);
+        let layout = if plan.coin(2) { Layout::Colocated } else { Layout::Dispersed };
+        let aggregation = if plan.coin(2) { Aggregation::SumByKey } else { Aggregation::MaxByKey };
+        let keys = 100 + plan.next_below(500);
+        let batch_len = 20 + plan.next_below(200);
+        // At least one batch wide, so no batch is refused whole.
+        let cap = batch_len + plan.next_below(keys);
+        let (published, total) = (1 + plan.next_below(4), 6 + plan.next_below(8));
+        let batches: Vec<Vec<(u64, usize, f64)>> = (0..published + total)
+            .map(|_| {
+                (0..batch_len)
+                    .map(|_| {
+                        let weight =
+                            if plan.coin(64) { f64::NAN } else { 0.5 + plan.next_below(99) as f64 };
+                        (plan.next_below(keys), plan.next_below(2) as usize, weight)
+                    })
+                    .collect()
+            })
+            .collect();
+        let ctx = format!(
+            "seed {seed}: {layout:?} {aggregation:?} {keys} keys cap {cap} batch {batch_len}"
+        );
+        let builder = || governed_builder(layout, aggregation, cap);
+        let (epoch1, tail) = batches.split_at(published as usize);
+
+        let mut twin = EpochedPipeline::new(builder()).unwrap();
+        let wal = scratch_dir(&format!("governed{seed}-wal"));
+        let store_dir = scratch_dir(&format!("governed{seed}-store"));
+        let mut store = SnapshotStore::open(&store_dir, 4).unwrap();
+        let mut journaled = EpochedPipeline::new(builder().journal(WalConfig::new(&wal))).unwrap();
+        for batch in epoch1 {
+            journaled.push_elements(batch).unwrap();
+            twin.push_elements(batch).unwrap();
+        }
+        let ref1 = twin.publish().unwrap().summary.to_bytes();
+        assert_eq!(journaled.publish_into(&mut store).unwrap().summary.to_bytes(), ref1, "{ctx}");
+        for batch in tail {
+            journaled.push_elements(batch).unwrap();
+            twin.push_elements(batch).unwrap();
+        }
+        let ref2 = twin.publish().unwrap().summary.to_bytes();
+        drop(journaled); // the crash
+
+        let segment = wal_files(&wal).pop().unwrap();
+        let mut bytes = fs::read(&segment).unwrap();
+        bytes.truncate(plan.next_below(bytes.len() as u64 + 1) as usize);
+        fs::write(&segment, &bytes).unwrap();
+        let ctx = format!("{ctx}, tail cut at {}", bytes.len());
+
+        let mut store = SnapshotStore::open(&store_dir, 4).unwrap();
+        let recovery =
+            recover_from_store_and_wal(builder().journal(WalConfig::new(&wal)), &mut store)
+                .unwrap_or_else(|error| panic!("{ctx}: recovery must never fail: {error:?}"));
+        assert_eq!(recovery.pipeline.latest().unwrap().to_bytes(), ref1, "{ctx}");
+        let replay = &recovery.replay;
+        let survived = &tail[..replay.frames_replayed];
+        let poison = survived.iter().flatten().filter(|element| element.2.is_nan()).count() as u64;
+        assert_eq!(replay.rejected_records, poison, "{ctx}: only the poison is unabsorbed");
+        assert_eq!(replay.records_replayed, survived.len() as u64 * batch_len - poison, "{ctx}");
+        let mut pipeline = recovery.pipeline;
+        for batch in &tail[replay.frames_replayed..] {
+            pipeline.push_elements(batch).unwrap();
+        }
+        assert_eq!(pipeline.publish().unwrap().summary.to_bytes(), ref2, "{ctx}: epoch 2");
     }
 }
