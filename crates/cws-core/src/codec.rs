@@ -631,20 +631,6 @@ impl DispersedSummary {
         self.write_to(&mut bytes).expect("writing to a Vec cannot fail");
         bytes
     }
-
-    /// Reads a dispersed summary from `reader`.
-    ///
-    /// # Errors
-    /// As [`read_summary`]; additionally a typed error if the stream holds a
-    /// colocated summary.
-    pub fn read_from<R: Read>(reader: &mut R) -> Result<Self> {
-        match read_summary(reader)? {
-            DecodedSummary::Dispersed(summary) => Ok(summary),
-            DecodedSummary::Colocated(_) => {
-                Err(invalid("expected a dispersed summary, found a colocated one", 6))
-            }
-        }
-    }
 }
 
 impl ColocatedSummary {
@@ -663,20 +649,6 @@ impl ColocatedSummary {
         let mut bytes = Vec::new();
         self.write_to(&mut bytes).expect("writing to a Vec cannot fail");
         bytes
-    }
-
-    /// Reads a colocated summary from `reader`.
-    ///
-    /// # Errors
-    /// As [`read_summary`]; additionally a typed error if the stream holds a
-    /// dispersed summary.
-    pub fn read_from<R: Read>(reader: &mut R) -> Result<Self> {
-        match read_summary(reader)? {
-            DecodedSummary::Colocated(summary) => Ok(summary),
-            DecodedSummary::Dispersed(_) => {
-                Err(invalid("expected a colocated summary, found a dispersed one", 6))
-            }
-        }
     }
 }
 
@@ -699,13 +671,20 @@ mod tests {
         SummaryConfig::new(16, family, mode, 99)
     }
 
+    fn read_dispersed(bytes: &[u8]) -> DispersedSummary {
+        match read_summary(&mut &bytes[..]).unwrap() {
+            DecodedSummary::Dispersed(summary) => summary,
+            other => panic!("expected a dispersed summary, got {other:?}"),
+        }
+    }
+
     #[test]
     fn dispersed_round_trip_is_bit_exact() {
         let data = fixture();
         let summary =
             DispersedSummary::build(&data, &config(CoordinationMode::SharedSeed, RankFamily::Ipps));
         let bytes = summary.to_bytes();
-        let decoded = DispersedSummary::read_from(&mut bytes.as_slice()).unwrap();
+        let decoded = read_dispersed(&bytes);
         assert_eq!(decoded, summary);
         assert_eq!(decoded.to_bytes(), bytes, "re-encoding reproduces the bytes");
         for (a, b) in decoded.sketches().iter().zip(summary.sketches()) {
@@ -723,7 +702,10 @@ mod tests {
         ] {
             let summary = ColocatedSummary::build(&data, &config(mode, family));
             let bytes = summary.to_bytes();
-            let decoded = ColocatedSummary::read_from(&mut bytes.as_slice()).unwrap();
+            let decoded = match read_summary(&mut bytes.as_slice()).unwrap() {
+                DecodedSummary::Colocated(summary) => summary,
+                other => panic!("expected a colocated summary, got {other:?}"),
+            };
             assert_eq!(decoded, summary, "{mode:?} {family:?}");
             assert_eq!(decoded.to_bytes(), bytes);
         }
@@ -742,15 +724,6 @@ mod tests {
         assert_eq!(read_summary(&mut cursor).unwrap(), DecodedSummary::Dispersed(dispersed));
         assert_eq!(read_summary(&mut cursor).unwrap(), DecodedSummary::Colocated(colocated));
         assert!(cursor.is_empty());
-    }
-
-    #[test]
-    fn layout_mismatch_is_a_typed_error() {
-        let data = fixture();
-        let cfg = config(CoordinationMode::SharedSeed, RankFamily::Ipps);
-        let bytes = DispersedSummary::build(&data, &cfg).to_bytes();
-        let err = ColocatedSummary::read_from(&mut bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, CwsError::Codec { kind: CodecErrorKind::Invalid { .. }, .. }));
     }
 
     #[test]
@@ -782,7 +755,7 @@ mod tests {
         let cfg = SummaryConfig::new(4, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
         let summary = DispersedSummary::build(&empty, &cfg);
         assert_eq!(summary.num_distinct_keys(), 0);
-        let decoded = DispersedSummary::read_from(&mut summary.to_bytes().as_slice()).unwrap();
+        let decoded = read_dispersed(&summary.to_bytes());
         assert_eq!(decoded, summary);
     }
 }

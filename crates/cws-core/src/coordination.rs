@@ -42,16 +42,6 @@ impl CoordinationMode {
     pub fn is_coordinated(self) -> bool {
         !matches!(self, CoordinationMode::Independent)
     }
-
-    /// Human-readable name used by the experiment harness.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            CoordinationMode::Independent => "independent",
-            CoordinationMode::SharedSeed => "shared-seed",
-            CoordinationMode::IndependentDifferences => "independent-differences",
-        }
-    }
 }
 
 /// Generates rank values / rank vectors for keys.
@@ -486,6 +476,5 @@ mod tests {
         assert!(!CoordinationMode::Independent.is_coordinated());
         assert!(CoordinationMode::SharedSeed.is_coordinated());
         assert!(CoordinationMode::IndependentDifferences.is_coordinated());
-        assert_eq!(CoordinationMode::SharedSeed.name(), "shared-seed");
     }
 }

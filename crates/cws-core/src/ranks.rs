@@ -94,15 +94,6 @@ impl RankFamily {
     pub(crate) fn seed_from_rank(self, weight: f64, rank: f64) -> f64 {
         self.inclusion_probability(weight, rank)
     }
-
-    /// Human-readable name used by the experiment harness.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            RankFamily::Exp => "exp",
-            RankFamily::Ipps => "ipps",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -214,11 +205,5 @@ mod tests {
             / n as f64;
         let expected = 1.0 / (w1 + w2);
         assert!((mean - expected).abs() < 0.01, "mean {mean} expected {expected}");
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(RankFamily::Exp.name(), "exp");
-        assert_eq!(RankFamily::Ipps.name(), "ipps");
     }
 }

@@ -152,12 +152,6 @@ impl IpTrace {
         &self.config
     }
 
-    /// Number of generated flows.
-    #[must_use]
-    pub fn num_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     fn key_of(&self, flow: &FlowRecord, key: IpKey) -> u64 {
         match key {
             IpKey::DestIp => flow.dest_ip,
@@ -287,7 +281,7 @@ mod tests {
         let a = IpTrace::generate(&small_config());
         let b = IpTrace::generate(&small_config());
         assert_eq!(a, b);
-        assert_eq!(a.num_flows(), 3000);
+        assert_eq!(a.flows.len(), 3000);
         let mut other = small_config();
         other.seed = 43;
         assert_ne!(a, IpTrace::generate(&other));

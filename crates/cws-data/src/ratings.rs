@@ -98,12 +98,6 @@ impl RatingsData {
     pub fn dataset(&self) -> &LabeledDataset {
         &self.dataset
     }
-
-    /// The underlying multi-assignment data.
-    #[must_use]
-    pub fn data(&self) -> &MultiWeighted {
-        &self.dataset.data
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +131,7 @@ mod tests {
     fn monthly_totals_are_near_target() {
         let data = RatingsData::generate(&small_config());
         for month in 0..12 {
-            let total = data.data().assignment_total(month);
+            let total = data.dataset.data.assignment_total(month);
             assert!(total > 10_000.0 && total < 250_000.0, "month {month}: total {total}");
         }
     }
@@ -145,8 +139,8 @@ mod tests {
     #[test]
     fn adjacent_months_are_more_similar_than_distant_months() {
         let data = RatingsData::generate(&small_config());
-        let near = weighted_jaccard(data.data(), 0, 1, |_| true);
-        let far = weighted_jaccard(data.data(), 0, 11, |_| true);
+        let near = weighted_jaccard(&data.dataset.data, 0, 1, |_| true);
+        let far = weighted_jaccard(&data.dataset.data, 0, 11, |_| true);
         assert!(near > far, "near {near} far {far}");
         assert!(near > 0.5, "adjacent months should be strongly correlated: {near}");
     }
@@ -154,7 +148,8 @@ mod tests {
     #[test]
     fn most_movies_are_rated_every_month() {
         let data = RatingsData::generate(&small_config());
-        let always: usize = data.data().iter().filter(|(_, w)| w.iter().all(|&x| x > 0.0)).count();
+        let always: usize =
+            data.dataset.data.iter().filter(|(_, w)| w.iter().all(|&x| x > 0.0)).count();
         assert!(
             always as f64 > 0.5 * data.dataset().num_keys() as f64,
             "only {always} movies present in all months"
@@ -164,7 +159,7 @@ mod tests {
     #[test]
     fn ratings_are_non_negative_integers() {
         let data = RatingsData::generate(&small_config());
-        for (_, weights) in data.data().iter() {
+        for (_, weights) in data.dataset.data.iter() {
             for &w in weights {
                 assert!(w >= 0.0);
                 assert_eq!(w.fract(), 0.0);
@@ -177,8 +172,12 @@ mod tests {
         let mut config = small_config();
         config.late_arrivals = 0.3;
         let data = RatingsData::generate(&config);
-        let late =
-            data.data().iter().filter(|(_, w)| w[0] == 0.0 && w.iter().any(|&x| x > 0.0)).count();
+        let late = data
+            .dataset
+            .data
+            .iter()
+            .filter(|(_, w)| w[0] == 0.0 && w.iter().any(|&x| x > 0.0))
+            .count();
         assert!(late > 0, "expected some movies released after month 0");
     }
 }

@@ -126,12 +126,6 @@ impl StocksData {
         &self.config
     }
 
-    /// Number of tickers.
-    #[must_use]
-    pub fn num_tickers(&self) -> usize {
-        self.tickers.len()
-    }
-
     /// The colocated view of one trading day: six weight assignments
     /// (open, high, low, close, adjusted close, volume).
     ///
@@ -190,7 +184,7 @@ mod tests {
         let a = StocksData::generate(&small_config());
         let b = StocksData::generate(&small_config());
         assert_eq!(a, b);
-        assert_eq!(a.num_tickers(), 800);
+        assert_eq!(a.tickers.len(), 800);
         let day = a.colocated_day(0);
         assert_eq!(day.num_assignments(), 6);
         assert_eq!(day.num_keys(), 800);

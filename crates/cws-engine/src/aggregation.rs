@@ -51,6 +51,27 @@
 //! a duplicate key), so flush-early runs are bit-exact with uncapped runs
 //! exactly when no key's fragments straddle a flush.
 //!
+//! # One path, one refusal rule
+//!
+//! Every push shape — one element, an element batch, one record, a column
+//! batch — is absorbed in two steps: a *stage* checks the arity,
+//! validates, resolves every key to its dense slot and settles admission
+//! once; a *commit* quarantines the batch's poison and combines. Shapes
+//! differ only in how they treat an invalid weight (see below) and in
+//! that a record-shaped row checks every lane's sum before it writes any
+//! lane. One rule holds for every shape:
+//!
+//! * a push that absorbs nothing leaves the keys, the lanes and the index
+//!   length exactly as they were;
+//! * a push refused mid-way — a sum that overflows `f64` — keeps exactly
+//!   what absorbing its fragments one at a time would have kept up to the
+//!   refusal, and no zero-weight row of a later fragment;
+//! * admission is checked only when the push adds a key.
+//!
+//! So a refused push that left [`KeyAggregator::absorbed`] where it was
+//! left the table where it was too, which is what lets a write-ahead
+//! journal withdraw it.
+//!
 //! # Poison-record quarantine
 //!
 //! The *batched* absorb paths validate record-granularly: an invalid
@@ -66,11 +87,11 @@
 use std::collections::VecDeque;
 
 use cws_core::budget::{QuarantinedRecords, ResourceBudget};
-use cws_core::columns::{
-    check_arity, first_invalid_weight, invalid_weight_error, weight_is_valid, RecordColumns,
-};
+use cws_core::columns::{check_arity, invalid_weight_error, weight_is_valid, RecordColumns};
 use cws_core::{CwsError, Key, Result};
 use cws_hash::KeyHasher;
+
+use crate::pipeline::Push;
 
 /// Salt for the aggregation-table hash stream: deterministic per master
 /// seed, uncorrelated with the rank and shard-routing hashes.
@@ -81,7 +102,11 @@ const AGGREGATOR_STREAM: u64 = 0x5AAD_EDC0_DE00_0003;
 /// oldest first.
 pub type QuarantineDrain = (QuarantinedRecords, Vec<(Key, usize, f64)>);
 
-/// A staged absorb: slots resolved (new keys inserted as zero-weight rows)
+/// A poison fragment held for quarantine: `(key, assignment, weight)` and
+/// the error that condemned it.
+type Poison = (Key, usize, f64, CwsError);
+
+/// A staged push: slots resolved (new keys inserted as zero-weight rows)
 /// and admission settled, nothing combined. Holds what
 /// [`KeyAggregator::abort`] needs to restore the table exactly, and the
 /// poison the commit will quarantine.
@@ -89,7 +114,7 @@ pub type QuarantineDrain = (QuarantinedRecords, Vec<(Key, usize, f64)>);
 pub(crate) struct Staged {
     old_len: usize,
     old_table_len: usize,
-    poison: Vec<(Key, usize, f64, CwsError)>,
+    poison: Vec<Poison>,
 }
 
 /// How a [`Pipeline`](crate::Pipeline) treats incoming weights.
@@ -132,7 +157,7 @@ pub struct KeyAggregator {
     table: Vec<u32>,
     /// `table.len() - 1`; the table is always a power of two.
     mask: u64,
-    /// Reusable slot buffer for the batched element path.
+    /// The staged push's resolved slots, one per fragment, reused across pushes.
     slot_scratch: Vec<u32>,
     /// Number of absorbed elements / records (accepted pushes).
     absorbed: u64,
@@ -161,7 +186,7 @@ impl KeyAggregator {
     /// (the lifetime count keeps counting).
     pub const DEAD_LETTER_CAPACITY: usize = 256;
 
-    /// Sentinel slot marking a quarantined element in the batched paths.
+    /// Sentinel slot marking a poison fragment in a stage.
     const QUARANTINED: u32 = u32::MAX;
 
     /// Creates an aggregator for `num_assignments` assignments.
@@ -215,7 +240,7 @@ impl KeyAggregator {
     /// counts, not allocator internals.
     #[must_use]
     pub fn tracked_bytes(&self) -> u64 {
-        self.tracked_bytes_for(self.keys.len())
+        self.tracked_bytes_at(self.keys.len(), self.table.len())
     }
 
     /// The high-water mark of tracked bytes over the aggregator's
@@ -225,21 +250,15 @@ impl KeyAggregator {
         self.peak_bytes.max(self.tracked_bytes())
     }
 
-    /// Tracked bytes the table would hold at `total_keys` keys, including
-    /// the index doublings needed to keep ≤50% load.
-    fn tracked_bytes_for(&self, total_keys: usize) -> u64 {
-        let per_key = 8 * (1 + self.lanes.len()) as u64;
-        let mut table_len = self.table.len();
-        while total_keys * 2 > table_len {
-            table_len *= 2;
-        }
-        per_key * total_keys as u64 + 4 * table_len as u64
+    /// Tracked bytes of `keys` keys under an index of `table_len` entries.
+    fn tracked_bytes_at(&self, keys: usize, table_len: usize) -> u64 {
+        8 * (1 + self.lanes.len() as u64) * keys as u64 + 4 * table_len as u64
     }
 
-    /// Admission check for a push that takes the table from `held` keys
-    /// (`held_bytes` tracked) to `total` keys: a breach of the key cap, then
-    /// of the byte cap, is reported against what the table held.
-    fn admit(&self, held: usize, held_bytes: u64, total: usize) -> Result<()> {
+    /// Admission check for a stage that added keys: a breach of the key
+    /// cap, then of the byte cap, is reported against what the table held
+    /// before the stage.
+    fn admit(&self, staged: &Staged) -> Result<()> {
         let check = |resource, used: u64, total: u64, limit: Option<u64>| match limit {
             Some(limit) if total > limit => Err(CwsError::BudgetExceeded {
                 resource,
@@ -249,13 +268,9 @@ impl KeyAggregator {
             }),
             _ => Ok(()),
         };
-        check("keys", held as u64, total as u64, self.max_keys)?;
-        check("bytes", held_bytes, self.tracked_bytes_for(total), self.max_bytes)
-    }
-
-    /// Admission check for one new key.
-    fn admit_one(&self) -> Result<()> {
-        self.admit(self.keys.len(), self.tracked_bytes(), self.keys.len() + 1)
+        check("keys", staged.old_len as u64, self.keys.len() as u64, self.max_keys)?;
+        let held_bytes = self.tracked_bytes_at(staged.old_len, staged.old_table_len);
+        check("bytes", held_bytes, self.tracked_bytes(), self.max_bytes)
     }
 
     /// Number of distinct keys currently held.
@@ -311,7 +326,7 @@ impl KeyAggregator {
     }
 
     /// Rebuilds the index at `new_len` entries and re-links every dense
-    /// slot (used by growth and by the cap-breach rollback path).
+    /// slot (used by growth, flushes and aborted stages).
     fn rebuild_table(&mut self, new_len: usize) {
         self.mask = (new_len - 1) as u64;
         self.table.clear();
@@ -325,44 +340,27 @@ impl KeyAggregator {
         }
     }
 
-    /// The dense slot of `key` if it is already held — never inserts.
-    #[inline]
-    fn find_slot(&self, key: Key) -> Option<usize> {
-        let mut position = self.hasher.hash_u64(key) & self.mask;
-        loop {
-            let entry = self.table[position as usize];
-            if entry == 0 {
-                return None;
-            }
-            let slot = (entry - 1) as usize;
-            if self.keys[slot] == key {
-                return Some(slot);
-            }
-            position = (position + 1) & self.mask;
-        }
-    }
-
-    /// Aborts a stage: every key it inserted is removed and the index is
-    /// rebuilt at its old size, so the aggregator is exactly as it was
-    /// before the stage began. Nothing was combined and nothing
-    /// quarantined, so nothing else needs undoing.
-    pub(crate) fn abort(&mut self, staged: Staged) {
-        if self.keys.len() != staged.old_len || self.table.len() != staged.old_table_len {
-            self.rollback_keys_to(staged.old_len, staged.old_table_len);
-        }
-    }
-
-    /// Undoes every insert a batched path performed past `old_len` keys:
-    /// truncates the dense storage and rebuilds the index at
-    /// `old_table_len`, restoring the exact pre-batch state. `#[cold]` —
-    /// this is the cap-breach and failed-journal-sync path.
+    /// Aborts a stage: every key it inserted past its first `old_len` is
+    /// removed, and the index is rebuilt at the length inserting only
+    /// those keys grows `old_table_len` to. The table is then exactly as
+    /// absorbing just the kept keys would have left it — as it was before
+    /// the stage, for a stage aborted whole. An aborted stage combined
+    /// nothing, so nothing else needs undoing. `#[cold]` — this is the
+    /// cap-breach, overflow and failed-journal-sync path.
     #[cold]
-    fn rollback_keys_to(&mut self, old_len: usize, old_table_len: usize) {
-        self.keys.truncate(old_len);
-        for lane in &mut self.lanes {
-            lane.truncate(old_len);
+    pub(crate) fn abort(&mut self, staged: Staged) {
+        if self.keys.len() == staged.old_len {
+            return;
         }
-        self.rebuild_table(old_table_len);
+        let mut table_len = staged.old_table_len;
+        while staged.old_len * 2 > table_len {
+            table_len *= 2;
+        }
+        self.keys.truncate(staged.old_len);
+        for lane in &mut self.lanes {
+            lane.truncate(staged.old_len);
+        }
+        self.rebuild_table(table_len);
     }
 
     /// Diverts one poison element to the dead-letter ring.
@@ -417,28 +415,17 @@ impl KeyAggregator {
         RecordColumns::from_parts(keys, lanes)
     }
 
-    /// Combines one fragment into a slot cell. Returns `false` when a sum
-    /// overflows to `+∞` (the cell is left unchanged) — the one way valid
-    /// inputs can produce a weight the samplers would reject, caught here
-    /// so the error names the real cause instead of surfacing as a
-    /// confusing invalid-weight failure at finalize. A max of two finite
-    /// non-negative values is always finite, so `MaxByKey` cannot fail.
+    /// Combines one fragment with a slot cell's value. `None` when a sum
+    /// overflows to `+∞` — the one way valid inputs can produce a weight
+    /// the samplers would reject, caught here so the error names the real
+    /// cause instead of surfacing as a confusing invalid-weight failure at
+    /// finalize. A max of two finite non-negative values is always finite,
+    /// so `MaxByKey` cannot fail.
     #[inline]
-    fn combine(mode: Aggregation, cell: &mut f64, weight: f64) -> bool {
+    fn combined(mode: Aggregation, cell: f64, weight: f64) -> Option<f64> {
         match mode {
-            Aggregation::SumByKey => {
-                let sum = *cell + weight;
-                if sum < f64::INFINITY {
-                    *cell = sum;
-                    true
-                } else {
-                    false
-                }
-            }
-            Aggregation::MaxByKey => {
-                *cell = cell.max(weight);
-                true
-            }
+            Aggregation::SumByKey => Some(cell + weight).filter(|&sum| sum < f64::INFINITY),
+            Aggregation::MaxByKey => Some(cell.max(weight)),
             Aggregation::PreAggregated => unreachable!("constructor rejects PreAggregated"),
         }
     }
@@ -455,6 +442,223 @@ impl KeyAggregator {
         }
     }
 
+    /// Stages `push`, the first half of every absorb: checks its arity,
+    /// validates it, resolves the key of every valid fragment to its dense
+    /// slot (new keys become zero-weight rows) and settles admission once.
+    /// Nothing is combined; finish with [`commit`](Self::commit) on the same
+    /// push or undo with [`abort`](Self::abort).
+    ///
+    /// Validation and resolution are separate passes, so the probe loop
+    /// has the memory system to itself and consecutive probes overlap. A
+    /// batch's poison is held in the stage for the commit to quarantine; a
+    /// scalar push's poison is its error.
+    ///
+    /// # Errors
+    /// A wrong arity, a scalar push's invalid fragment, or — only when the
+    /// push adds a key — a [`CwsError::BudgetExceeded`] breach, with the
+    /// table exactly as before.
+    pub(crate) fn stage(&mut self, push: Push<'_>) -> Result<Staged> {
+        let width = match push {
+            Push::Record(_, weights) => weights.len(),
+            Push::Columns(columns) => columns.num_assignments(),
+            Push::Element(..) | Push::Elements(_) => self.lanes.len(),
+        };
+        check_arity(self.lanes.len(), width)?;
+        let mut staged = Staged {
+            old_len: self.keys.len(),
+            old_table_len: self.table.len(),
+            poison: Vec::new(),
+        };
+        let mut slots = std::mem::take(&mut self.slot_scratch);
+        slots.clear();
+        let poison = &mut staged.poison;
+        match push {
+            Push::Element(key, assignment, weight) => {
+                self.screen_elements(&[(key, assignment, weight)], &mut slots, poison);
+                self.resolve(&mut slots, [key]);
+            }
+            Push::Elements(elements) => {
+                self.screen_elements(elements, &mut slots, poison);
+                self.resolve(&mut slots, elements.iter().map(|&(key, ..)| key));
+            }
+            Push::Record(key, weights) => {
+                self.screen_rows(&[key], |_, assignment| weights[assignment], &mut slots, poison);
+                self.resolve(&mut slots, [key]);
+            }
+            Push::Columns(columns) => {
+                let weight = |row, assignment| columns.lane(assignment)[row];
+                self.screen_rows(columns.keys(), weight, &mut slots, poison);
+                self.resolve(&mut slots, columns.keys().iter().copied());
+            }
+        }
+        self.slot_scratch = slots;
+        if matches!(push, Push::Element(..) | Push::Record(..)) {
+            if let Some((.., error)) = staged.poison.pop() {
+                return Err(error);
+            }
+        }
+        if self.governed() && self.keys.len() > staged.old_len {
+            if let Err(error) = self.admit(&staged) {
+                self.abort(staged);
+                return Err(error);
+            }
+        }
+        Ok(staged)
+    }
+
+    /// Validates elements: each gets slot 0, or the quarantine sentinel and
+    /// a poison entry naming its out-of-range assignment or invalid weight.
+    fn screen_elements(
+        &self,
+        elements: &[(Key, usize, f64)],
+        slots: &mut Vec<u32>,
+        poison: &mut Vec<Poison>,
+    ) {
+        slots.reserve(elements.len());
+        for &(key, assignment, weight) in elements {
+            let error = if assignment >= self.lanes.len() {
+                CwsError::AssignmentOutOfRange { index: assignment, available: self.lanes.len() }
+            } else if weight_is_valid(weight) {
+                slots.push(0);
+                continue;
+            } else {
+                invalid_weight_error(key, assignment, weight)
+            };
+            poison.push((key, assignment, weight, error));
+            slots.push(Self::QUARANTINED);
+        }
+    }
+
+    /// Validates rows (`weight(row, assignment)`): a row with an invalid
+    /// weight gets the quarantine sentinel, its first bad lane the poison
+    /// entry; every other row gets slot 0.
+    fn screen_rows(
+        &self,
+        keys: &[Key],
+        weight: impl Fn(usize, usize) -> f64,
+        slots: &mut Vec<u32>,
+        poison: &mut Vec<Poison>,
+    ) {
+        slots.reserve(keys.len());
+        for (row, &key) in keys.iter().enumerate() {
+            match (0..self.lanes.len()).find(|&a| !weight_is_valid(weight(row, a))) {
+                Some(a) => {
+                    let bad = weight(row, a);
+                    poison.push((key, a, bad, invalid_weight_error(key, a, bad)));
+                    slots.push(Self::QUARANTINED);
+                }
+                None => slots.push(0),
+            }
+        }
+    }
+
+    /// Resolves the key of every fragment not marked poison to its dense
+    /// slot — the tight probe loop.
+    #[inline]
+    fn resolve(&mut self, slots: &mut [u32], keys: impl IntoIterator<Item = Key>) {
+        for (slot, key) in slots.iter_mut().zip(keys) {
+            if *slot != Self::QUARANTINED {
+                *slot = self.slot_of(key) as u32;
+            }
+        }
+    }
+
+    /// Commits a stage of `push` (the push it was staged from): quarantines
+    /// its poison, then combines the valid fragments into the lanes in
+    /// order and counts them absorbed.
+    ///
+    /// # Errors
+    /// A sum overflow. The fragments before the refused one stay combined;
+    /// the keys only later fragments brought are removed again, so the
+    /// table is exactly what absorbing the fragments one at a time would
+    /// have left at the refusal.
+    pub(crate) fn commit(&mut self, mut staged: Staged, push: Push<'_>) -> Result<()> {
+        for (key, assignment, weight, error) in std::mem::take(&mut staged.poison) {
+            self.quarantine(key, assignment, weight, error);
+        }
+        let slots = std::mem::take(&mut self.slot_scratch);
+        let refused = match push {
+            Push::Element(key, assignment, weight) => {
+                self.combine_elements(&[(key, assignment, weight)], &slots)
+            }
+            Push::Elements(elements) => self.combine_elements(elements, &slots),
+            Push::Record(key, weights) => self.combine_rows(&[key], |_, a| weights[a], &slots),
+            Push::Columns(columns) => {
+                self.combine_rows(columns.keys(), |row, a| columns.lane(a)[row], &slots)
+            }
+        };
+        let result = match refused {
+            None => Ok(()),
+            Some((index, error)) => {
+                // Slots are numbered in first-seen order, so the prefix
+                // brought every key up to its largest slot.
+                let prefix = slots[..index].iter().filter(|&&slot| slot != Self::QUARANTINED);
+                let kept = prefix.map(|&slot| slot as usize + 1).fold(staged.old_len, usize::max);
+                self.abort(Staged { old_len: kept, ..staged });
+                Err(error)
+            }
+        };
+        self.slot_scratch = slots;
+        result
+    }
+
+    /// Combines staged elements in order; the index and error of the first
+    /// one whose sum overflows, which is left uncombined.
+    #[inline]
+    fn combine_elements(
+        &mut self,
+        elements: &[(Key, usize, f64)],
+        slots: &[u32],
+    ) -> Option<(usize, CwsError)> {
+        for (index, (&(key, assignment, weight), &slot)) in elements.iter().zip(slots).enumerate() {
+            if slot == Self::QUARANTINED {
+                continue;
+            }
+            let cell = &mut self.lanes[assignment][slot as usize];
+            match Self::combined(self.mode, *cell, weight) {
+                Some(value) => *cell = value,
+                None => return Some((index, Self::overflow_error(key, assignment))),
+            }
+            self.absorbed += 1;
+        }
+        None
+    }
+
+    /// Combines staged rows in order, each lane-wise and whole: a row checks
+    /// every lane's sum before it writes any lane. The index and error of
+    /// the first row with an overflowing lane, which is left uncombined.
+    fn combine_rows(
+        &mut self,
+        keys: &[Key],
+        weight: impl Fn(usize, usize) -> f64,
+        slots: &[u32],
+    ) -> Option<(usize, CwsError)> {
+        let mode = self.mode;
+        for (row, (&key, &slot)) in keys.iter().zip(slots).enumerate() {
+            if slot == Self::QUARANTINED {
+                continue;
+            }
+            let slot = slot as usize;
+            let sum = |a: usize, lane: &[f64]| Self::combined(mode, lane[slot], weight(row, a));
+            if let Some(a) = (0..self.lanes.len()).find(|&a| sum(a, &self.lanes[a]).is_none()) {
+                return Some((row, Self::overflow_error(key, a)));
+            }
+            for (a, lane) in self.lanes.iter_mut().enumerate() {
+                lane[slot] = sum(a, lane).expect("every lane's sum was checked");
+            }
+            self.absorbed += 1;
+        }
+        None
+    }
+
+    /// Stages `push` and commits it: the one path behind every `absorb_*`
+    /// method.
+    #[inline]
+    fn absorb(&mut self, push: Push<'_>) -> Result<()> {
+        let staged = self.stage(push)?;
+        self.commit(staged, push)
+    }
+
     /// Absorbs one element: a fragment of `key`'s weight under `assignment`.
     ///
     /// # Errors
@@ -464,151 +668,34 @@ impl KeyAggregator {
     /// `+∞`, and — under an installed [`ResourceBudget`] — a
     /// [`CwsError::BudgetExceeded`] when `key` is *new* and admitting it
     /// would breach the key/byte cap (flush with
-    /// [`KeyAggregator::flush_columns`] and retry). Rejected elements
-    /// leave the table untouched.
+    /// [`KeyAggregator::flush_columns`] and retry). A refused element
+    /// absorbs nothing and leaves the table exactly as it was (the module
+    /// docs' refusal rule).
     #[inline]
     pub fn absorb_element(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
-        if assignment >= self.lanes.len() {
-            return Err(CwsError::AssignmentOutOfRange {
-                index: assignment,
-                available: self.lanes.len(),
-            });
-        }
-        if !weight_is_valid(weight) {
-            return Err(invalid_weight_error(key, assignment, weight));
-        }
-        let slot = if self.governed() {
-            match self.find_slot(key) {
-                Some(slot) => slot,
-                None => {
-                    self.admit_one()?;
-                    self.slot_of(key)
-                }
-            }
-        } else {
-            self.slot_of(key)
-        };
-        if !Self::combine(self.mode, &mut self.lanes[assignment][slot], weight) {
-            return Err(Self::overflow_error(key, assignment));
-        }
-        self.absorbed += 1;
-        Ok(())
+        self.absorb(Push::Element(key, assignment, weight))
     }
 
     /// Absorbs a batch of elements — the high-throughput form of
     /// [`KeyAggregator::absorb_element`], and bit-identical to absorbing
-    /// each element in order.
-    ///
-    /// The work is split into three passes so the memory system sees one
-    /// tight access stream at a time instead of interleaved dependent
-    /// chains: (1) validate every element, (2) resolve every key to its
-    /// dense slot (the probe loop — nothing else competes for
-    /// load-buffer entries, so consecutive probes overlap), (3) combine
-    /// the fragments into the lanes. Passes 1 and 2 are the stage
-    /// (`stage_elements`), pass 3 the commit.
+    /// each element in order. Every key is resolved to its slot in one
+    /// tight probe pass before any weight is combined.
     ///
     /// # Errors
     /// Invalid elements (NaN/∞/negative weight, out-of-range assignment)
-    /// no longer fail the batch: they are diverted **record-granularly**
-    /// to the dead-letter ring (see [`KeyAggregator::quarantined`]) while
+    /// do not fail the batch: they are diverted **record-granularly** to
+    /// the dead-letter ring (see [`KeyAggregator::quarantined`]) while
     /// every valid element ingests bit-exactly — identical to absorbing
     /// the valid elements alone. Under an installed [`ResourceBudget`], a
-    /// batch whose new keys would breach the key/byte cap is rejected
+    /// batch whose new keys would breach the key/byte cap is refused
     /// *whole* with [`CwsError::BudgetExceeded`] and the table (and the
     /// quarantine counters) exactly as before the call, so the same batch
-    /// can be re-offered after a flush. An overflow in pass 3 leaves the
-    /// elements before the offending one combined (treat the stream as
-    /// poisoned); because slots were already resolved for the whole batch,
-    /// keys whose fragments follow the overflow point may remain as
-    /// zero-weight rows — harmless downstream (zero-weight records are
-    /// never sampled), but [`KeyAggregator::num_keys`] can exceed what
-    /// element-at-a-time absorption of the same truncated stream would
-    /// report.
+    /// can be re-offered after a flush. A sum overflow refuses the batch
+    /// at the overflowing element, keeping exactly what absorbing the
+    /// elements one at a time would have kept up to it (the module docs'
+    /// refusal rule).
     pub fn absorb_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
-        let staged = self.stage_elements(elements)?;
-        self.commit_elements(staged, elements)
-    }
-
-    /// Stages a batch of elements: validates every element (poison is
-    /// held in the stage, not yet quarantined), resolves every surviving
-    /// key to its dense slot and settles admission. Nothing is combined;
-    /// finish with [`KeyAggregator::commit_elements`] on the same batch or
-    /// undo with [`KeyAggregator::abort`].
-    ///
-    /// # Errors
-    /// [`CwsError::BudgetExceeded`] on a cap breach, with the stage
-    /// already aborted.
-    pub(crate) fn stage_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<Staged> {
-        let mut staged = Staged {
-            old_len: self.keys.len(),
-            old_table_len: self.table.len(),
-            poison: Vec::new(),
-        };
-        let held_bytes = self.tracked_bytes();
-        // Pass 1: record-granular validation — poison elements are marked
-        // with the sentinel so the later passes skip them.
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        slots.clear();
-        slots.reserve(elements.len());
-        for &(key, assignment, weight) in elements {
-            if assignment >= self.lanes.len() {
-                let error = CwsError::AssignmentOutOfRange {
-                    index: assignment,
-                    available: self.lanes.len(),
-                };
-                staged.poison.push((key, assignment, weight, error));
-                slots.push(Self::QUARANTINED);
-            } else if !weight_is_valid(weight) {
-                let error = invalid_weight_error(key, assignment, weight);
-                staged.poison.push((key, assignment, weight, error));
-                slots.push(Self::QUARANTINED);
-            } else {
-                slots.push(0);
-            }
-        }
-        // Pass 2: resolve every surviving key to its dense slot (the tight
-        // probe loop), then settle admission once for the whole batch.
-        for (slot, &(key, _, _)) in slots.iter_mut().zip(elements) {
-            if *slot != Self::QUARANTINED {
-                *slot = self.slot_of(key) as u32;
-            }
-        }
-        self.slot_scratch = slots;
-        if self.governed() {
-            if let Err(error) = self.admit(staged.old_len, held_bytes, self.keys.len()) {
-                self.abort(staged);
-                return Err(error);
-            }
-        }
-        Ok(staged)
-    }
-
-    /// Commits a stage of `elements` (the batch it was staged from):
-    /// quarantines its poison, combines the surviving fragments into the
-    /// lanes and counts them absorbed.
-    ///
-    /// # Errors
-    /// As [`KeyAggregator::absorb_elements`]'s pass 3: a sum overflow.
-    pub(crate) fn commit_elements(
-        &mut self,
-        staged: Staged,
-        elements: &[(Key, usize, f64)],
-    ) -> Result<()> {
-        debug_assert_eq!(self.slot_scratch.len(), elements.len(), "commit the staged batch");
-        for (key, assignment, weight, error) in staged.poison {
-            self.quarantine(key, assignment, weight, error);
-        }
-        // Pass 3: combine the surviving fragments into the lanes.
-        for (&(key, assignment, weight), &slot) in elements.iter().zip(&self.slot_scratch) {
-            if slot == Self::QUARANTINED {
-                continue;
-            }
-            if !Self::combine(self.mode, &mut self.lanes[assignment][slot as usize], weight) {
-                return Err(Self::overflow_error(key, assignment));
-            }
-            self.absorbed += 1;
-        }
-        Ok(())
+        self.absorb(Push::Elements(elements))
     }
 
     /// Absorbs one record-shaped fragment: a key with a full weight vector,
@@ -617,29 +704,15 @@ impl KeyAggregator {
     /// # Errors
     /// Returns a typed error for a vector whose length differs from the
     /// number of assignments, an invalid-weight error for a NaN, infinite
-    /// or negative entry (the fragment is rejected whole), an overflow
-    /// error if a lane's running sum would reach `+∞` (lanes before the
-    /// overflowing one were combined; treat the stream as poisoned), or —
-    /// under an installed [`ResourceBudget`] —
+    /// or negative entry, an overflow error if a lane's running sum would
+    /// reach `+∞`, or — under an installed [`ResourceBudget`] —
     /// [`CwsError::BudgetExceeded`] when admitting a new key would breach
-    /// the cap (the table is untouched; flush and retry).
+    /// the cap (flush and retry). Every lane's sum is checked before any
+    /// lane is written, so a refused record absorbs nothing and leaves the
+    /// table exactly as it was (the module docs' refusal rule).
     #[inline]
     pub fn absorb_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        check_arity(self.lanes.len(), weights.len())?;
-        if let Some(assignment) = first_invalid_weight(weights) {
-            return Err(invalid_weight_error(key, assignment, weights[assignment]));
-        }
-        if self.governed() && self.find_slot(key).is_none() {
-            self.admit_one()?;
-        }
-        let slot = self.slot_of(key);
-        for (assignment, (lane, &weight)) in self.lanes.iter_mut().zip(weights).enumerate() {
-            if !Self::combine(self.mode, &mut lane[slot], weight) {
-                return Err(Self::overflow_error(key, assignment));
-            }
-        }
-        self.absorbed += 1;
-        Ok(())
+        self.absorb(Push::Record(key, weights))
     }
 
     /// Absorbs a structure-of-arrays batch of record-shaped fragments.
@@ -648,71 +721,15 @@ impl KeyAggregator {
     /// A record with any invalid weight (NaN/∞/negative) is diverted
     /// **whole** to the dead-letter ring (its first bad lane recorded as
     /// the cause) while the remaining records ingest bit-exactly — see
-    /// [`KeyAggregator::quarantined`]. Under an installed
-    /// [`ResourceBudget`], a batch whose new keys would breach the cap is
-    /// rejected whole with [`CwsError::BudgetExceeded`] and the table as
-    /// before the call. An overflow mid-batch leaves the records before
-    /// the offending one combined. A batch whose assignment count differs
-    /// from the aggregator's is rejected whole with a typed error.
+    /// [`KeyAggregator::quarantined`]. A batch whose assignment count
+    /// differs from the aggregator's, or — under an installed
+    /// [`ResourceBudget`] — whose new keys would breach the cap, is refused
+    /// whole with a typed error and the table as before the call. A row
+    /// whose sum overflows in any lane refuses the batch there, keeping
+    /// exactly what absorbing the rows one at a time would have kept up to
+    /// it (the module docs' refusal rule).
     pub fn absorb_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        check_arity(self.lanes.len(), columns.num_assignments())?;
-        let old_len = self.keys.len();
-        let old_table_len = self.table.len();
-        let held_bytes = self.tracked_bytes();
-        let mut staged_poison: Vec<(Key, usize, f64, CwsError)> = Vec::new();
-
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        slots.clear();
-        slots.reserve(columns.len());
-        if columns.validate().is_ok() {
-            // Clean batch (the overwhelmingly common case): one branch-free
-            // lane-wise validation, no row-wise rescan.
-            slots.resize(columns.len(), 0);
-        } else {
-            'rows: for (index, &key) in columns.keys().iter().enumerate() {
-                for assignment in 0..self.lanes.len() {
-                    let weight = columns.lane(assignment)[index];
-                    if !weight_is_valid(weight) {
-                        let error = invalid_weight_error(key, assignment, weight);
-                        staged_poison.push((key, assignment, weight, error));
-                        slots.push(Self::QUARANTINED);
-                        continue 'rows;
-                    }
-                }
-                slots.push(0);
-            }
-        }
-        for (slot, &key) in slots.iter_mut().zip(columns.keys()) {
-            if *slot != Self::QUARANTINED {
-                *slot = self.slot_of(key) as u32;
-            }
-        }
-        if self.governed() {
-            if let Err(error) = self.admit(old_len, held_bytes, self.keys.len()) {
-                self.rollback_keys_to(old_len, old_table_len);
-                self.slot_scratch = slots;
-                return Err(error);
-            }
-        }
-        for (key, assignment, weight, error) in staged_poison {
-            self.quarantine(key, assignment, weight, error);
-        }
-        let mut result = Ok(());
-        'combine: for (index, (&key, &slot)) in columns.keys().iter().zip(&slots).enumerate() {
-            if slot == Self::QUARANTINED {
-                continue;
-            }
-            for (assignment, lane) in self.lanes.iter_mut().enumerate() {
-                let weight = columns.lane(assignment)[index];
-                if !Self::combine(self.mode, &mut lane[slot as usize], weight) {
-                    result = Err(Self::overflow_error(key, assignment));
-                    break 'combine;
-                }
-            }
-            self.absorbed += 1;
-        }
-        self.slot_scratch = slots;
-        result
+        self.absorb(Push::Columns(columns))
     }
 
     /// Finishes aggregation, handing the dense storage over as one
@@ -1049,6 +1066,42 @@ mod tests {
         aggregator.absorb_element(7, 0, f64::MAX).unwrap();
         aggregator.absorb_element(7, 0, f64::MAX).unwrap();
         assert_eq!(aggregator.absorbed(), 2);
+
+        // A record, or the same row as a one-row column batch, whose later
+        // lane overflows is refused whole: no lane is combined.
+        let mut aggregator = KeyAggregator::new(Aggregation::SumByKey, 2, 1);
+        aggregator.absorb_record(1, &[1.0, f64::MAX]).unwrap();
+        let before = state(&aggregator);
+        let err = aggregator.absorb_record(1, &[2.0, f64::MAX]).unwrap_err();
+        assert!(err.to_string().contains("assignment 1"), "{err}");
+        assert_eq!(state(&aggregator), before, "a refused record left a trace");
+        let mut row = RecordColumns::new(2);
+        row.push(1, &[2.0, f64::MAX]);
+        assert!(aggregator.absorb_columns(&row).is_err());
+        assert_eq!(state(&aggregator), before, "a refused row left a trace");
+
+        // An element batch refused mid-way leaves what element-at-a-time
+        // absorption up to the first error leaves: no zero-weight rows of
+        // the keys after it, and the index no longer than those keys need.
+        let held = [(1, 0, f64::MAX)];
+        let fresh: Vec<(Key, usize, f64)> = (2..600u64).map(|key| (key, 1, 1.0)).collect();
+        let later: Vec<(Key, usize, f64)> = (600..1200u64).map(|key| (key, 0, 1.0)).collect();
+        let batches = [
+            [&held[..], &[(2, 0, 5.0), (3, 0, 1.0)]].concat(),
+            [&fresh[..], &held[..], &later[..]].concat(),
+        ];
+        for batch in batches {
+            let mut batched = KeyAggregator::new(Aggregation::SumByKey, 2, 1);
+            batched.absorb_elements(&held).unwrap();
+            let mut scalar = batched.clone();
+            assert!(batched.absorb_elements(&batch).is_err());
+            for &(key, assignment, weight) in &batch {
+                if scalar.absorb_element(key, assignment, weight).is_err() {
+                    break;
+                }
+            }
+            assert_eq!(state(&batched), state(&scalar), "{} elements", batch.len());
+        }
     }
 
     /// Everything observable about an aggregator (scratch buffers
@@ -1160,8 +1213,8 @@ mod tests {
                 let elements = seeded_elements(round, 700, 3000);
                 let columns = as_columns(&elements[..300]);
                 let (key, row) = (elements[0].0, [1.5, 0.0, 2.5]);
-                let stage = staged.stage_elements(&elements).unwrap();
-                staged.commit_elements(stage, &elements).unwrap();
+                let stage = staged.stage(Push::Elements(&elements)).unwrap();
+                staged.commit(stage, Push::Elements(&elements)).unwrap();
                 staged.absorb_columns(&columns).unwrap();
                 staged.absorb_record(key, &row).unwrap();
                 poison += absorb_scalar(&mut scalar, &elements, &columns, (key, row));
@@ -1184,7 +1237,7 @@ mod tests {
                     let elements = seeded_elements(100 + round, 700, 3000);
                     let before = state(&aggregator);
                     let reference = aggregator.clone();
-                    match aggregator.stage_elements(&elements) {
+                    match aggregator.stage(Push::Elements(&elements)) {
                         Ok(stage) => aggregator.abort(stage),
                         Err(CwsError::BudgetExceeded { .. }) => breaches += 1,
                         Err(other) => panic!("unexpected {other:?}"),

@@ -42,10 +42,11 @@
 //! durable, and a push that returns `Err` absorbed nothing and left no
 //! frame in the journal: a failed write or fsync is cut back off, and so
 //! is a push the pipeline refuses whole, so a retry is journaled once. Only
-//! a refusal after part of the push was absorbed (a sum overflow
-//! mid-batch) keeps its frame, for recovery to replay. While an element
-//! batch's fsync runs on the journal's helper thread the aggregation stage
-//! resolves its keys, but no weight is combined before the fsync has
+//! a refusal after part of a batch was absorbed (a sum overflow mid-batch)
+//! keeps its frame, for recovery to replay. While the fsync of any push
+//! into an aggregating pipeline runs on the journal's helper thread the
+//! aggregation stage stages the push — validates it, resolves its keys,
+//! settles admission — but no weight is combined before the fsync has
 //! completed; a failed fsync aborts the staged keys.
 //! [`publish_into`](EpochedPipeline::publish_into) writes an epoch barrier
 //! (always fsynced) before swapping epochs and prunes fully-covered
@@ -388,39 +389,31 @@ impl EpochedPipeline {
     /// Write-ahead ordering, shared by every push. With a journal attached
     /// the push's frames are written under the epoch it will publish as,
     /// and no weight of the push is combined before their fsync has
-    /// completed. An element batch into an aggregating pipeline is staged
-    /// while the fsync runs (keys resolved, nothing combined) and commits
-    /// once it succeeded; any other push runs after the fsync. A failed
+    /// completed. Every push is staged while the fsync runs (in an
+    /// aggregating pipeline: validated, keys resolved, admission settled,
+    /// nothing combined) and commits once the fsync succeeded. A failed
     /// fsync aborts the stage, and the journal has already cut the frames
     /// back off. A push the pipeline refuses without absorbing any of it —
     /// an expired deadline, an invalid record, a batch wider than the key
-    /// cap — is withdrawn from the journal too, so its retry is journaled
-    /// once. A refusal after part of the push was absorbed (a sum overflow
-    /// mid-batch) keeps the frames, so recovery replays what was absorbed.
+    /// cap, a record whose sum overflows — is withdrawn from the journal
+    /// too, so its retry is journaled once. A refusal after part of a batch
+    /// was absorbed (a sum overflow mid-batch) keeps the frames, so
+    /// recovery replays what was absorbed.
     #[inline]
     fn journaled(&mut self, push: Push<'_>) -> Result<()> {
         let Some(journal) = self.journal.as_mut() else {
             return self.current.push(push);
         };
-        let staged_elements = match push {
-            Push::Elements(elements) if self.current.is_aggregating() => Some(elements),
-            _ => None,
-        };
-        journal.append(self.epoch + 1, push, staged_elements.is_some())?;
+        journal.append(self.epoch + 1, push, self.current.is_aggregating())?;
         let processed = self.current.processed();
-        let staged = staged_elements.map(|elements| (elements, self.current.stage(elements)));
+        let staged = self.current.stage(push);
         if let Err(error) = journal.sync() {
-            if let Some((_, Ok(staged))) = staged {
+            if let Ok(staged) = staged {
                 self.current.abort(staged);
             }
             return Err(error);
         }
-        let pushed = match staged {
-            Some((elements, staged)) => {
-                staged.and_then(|staged| self.current.commit(staged, elements))
-            }
-            None => self.current.push(push),
-        };
+        let pushed = staged.and_then(|staged| self.current.commit(staged, push));
         if pushed.is_err() && self.current.processed() == processed {
             journal.withdraw();
         } else {
@@ -939,6 +932,10 @@ mod tests {
             late.absorb_elements(&ten).unwrap();
             late.set_budget(&budget);
             note(&format!("{name} update"), late.absorb_element(3, 0, 1.0), &late);
+            let update = late.absorb_elements(&[(3, 0, 1.0)]);
+            note(&format!("{name} elements batch update"), update, &late);
+            let update = late.absorb_columns(&columns(&[3]));
+            note(&format!("{name} columns batch update"), update, &late);
             note(&format!("{name} element over"), late.absorb_element(10, 0, 1.0), &late);
             late.flush_columns();
             note(&format!("{name} flushed"), late.absorb_element(10, 0, 1.0), &late);
@@ -1018,9 +1015,13 @@ mod tests {
             "mixed keys over: keys used 3 requested 3 limit 5 | keys 3 peak 4168",
             "mixed element over: bytes used 4168 requested 24 limit 4168 | keys 3 peak 4168",
             "late keys update: ok | keys 10 peak 4336",
+            "late keys elements batch update: ok | keys 10 peak 4336",
+            "late keys columns batch update: ok | keys 10 peak 4336",
             "late keys element over: keys used 10 requested 1 limit 4 | keys 10 peak 4336",
             "late keys flushed: ok | keys 1 peak 4336",
             "late bytes update: ok | keys 10 peak 4336",
+            "late bytes elements batch update: ok | keys 10 peak 4336",
+            "late bytes columns batch update: ok | keys 10 peak 4336",
             "late bytes element over: bytes used 4336 requested 24 limit 4192 | keys 10 peak 4336",
             // The peak keeps what the table held before the flush, also
             // above a byte cap installed late.

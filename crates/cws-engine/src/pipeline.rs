@@ -369,10 +369,7 @@ impl Pipeline {
     /// negative.
     #[inline]
     pub fn push_element(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
-        self.governed_push(
-            |aggregator| aggregator.absorb_element(key, assignment, weight),
-            |_| Err(requires_aggregation("push_element")),
-        )
+        self.push(Push::Element(key, assignment, weight))
     }
 
     /// Absorbs a batch of unaggregated elements — bit-identical to pushing
@@ -385,10 +382,7 @@ impl Pipeline {
     /// As [`Pipeline::push_element`]; the batch is validated before any of
     /// it is absorbed.
     pub fn push_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
-        self.governed_push(
-            |aggregator| aggregator.absorb_elements(elements),
-            |_| Err(requires_aggregation("push_elements")),
-        )
+        self.push(Push::Elements(elements))
     }
 
     /// Merges summaries computed over **disjoint** key partitions (different
@@ -479,81 +473,73 @@ impl Pipeline {
             None => Ok(()),
         }
     }
-
-    /// The one governed push behind every ingestion method (and behind
-    /// [`stage`](Self::stage)). It checks the ingest deadline; without an
-    /// aggregation stage it hands the push to the back-end through
-    /// `forward`, and with one it absorbs through `absorb`. On a budget
-    /// breach it flushes early — the aggregate goes to the back-end exactly
-    /// as at finalize, the table recharges to empty, lifetime counters
-    /// (processed, quarantined, peak bytes) survive — and absorbs once
-    /// more.
-    #[inline]
-    fn governed_push<T>(
-        &mut self,
-        mut absorb: impl FnMut(&mut KeyAggregator) -> Result<T>,
-        forward: impl FnOnce(&mut Backend) -> Result<T>,
-    ) -> Result<T> {
-        self.check_ingest_deadline()?;
-        let Some(aggregator) = &mut self.aggregator else {
-            return forward(&mut self.backend);
-        };
-        match absorb(aggregator) {
-            Err(CwsError::BudgetExceeded { .. }) => {
-                self.backend.hand_off(&self.config, &aggregator.flush_columns(), false);
-                absorb(aggregator)
-            }
-            other => other,
-        }
-    }
 }
 
-/// Staged pushes: the journaled epoch wrapper stages an element batch
-/// while its fsync is in flight, then commits or aborts it by the fsync's
-/// outcome.
+/// The one governed push behind every ingestion method, in two halves so
+/// the journaled epoch wrapper can stage a push while its fsync is in
+/// flight, then commit or abort it by the fsync's outcome.
 impl Pipeline {
-    /// Pushes `push` through the method of its shape.
+    /// Pushes `push`: [`stage`](Self::stage), then [`commit`](Self::commit).
+    #[inline]
     pub(crate) fn push(&mut self, push: Push<'_>) -> Result<()> {
-        match push {
-            Push::Record(key, weights) => self.push_record(key, weights),
-            Push::Columns(columns) => self.push_columns(columns),
-            Push::Element(key, assignment, weight) => self.push_element(key, assignment, weight),
-            Push::Elements(elements) => self.push_elements(elements),
+        let staged = self.stage(push)?;
+        self.commit(staged, push)
+    }
+
+    /// Stages `push`: checks the ingest deadline and, with an aggregation
+    /// stage, stages the push in its table — validation, slot resolution
+    /// and admission, nothing combined. On a budget breach it flushes
+    /// early — the aggregate goes to the back-end exactly as at finalize,
+    /// the table recharges to empty, lifetime counters (processed,
+    /// quarantined, peak bytes) survive — and stages once more. `None`
+    /// without an aggregation stage: nothing is staged, and the commit
+    /// hands the push to the back-end.
+    ///
+    /// # Errors
+    /// The expired deadline, or the table's refusal of the push (see
+    /// [`KeyAggregator`]'s refusal rule), with none of it absorbed.
+    #[inline]
+    pub(crate) fn stage(&mut self, push: Push<'_>) -> Result<Option<Staged>> {
+        self.check_ingest_deadline()?;
+        let Some(aggregator) = &mut self.aggregator else {
+            return Ok(None);
+        };
+        let staged = match aggregator.stage(push) {
+            Err(CwsError::BudgetExceeded { .. }) => {
+                self.backend.hand_off(&self.config, &aggregator.flush_columns(), false);
+                aggregator.stage(push)
+            }
+            other => other,
+        };
+        staged.map(Some)
+    }
+
+    /// Commits what [`stage`](Self::stage) staged from `push`, or hands
+    /// `push` to the back-end when nothing was staged.
+    ///
+    /// # Errors
+    /// A sum overflow in the table; without an aggregation stage, the
+    /// back-end's refusal, or a typed error for an element push.
+    #[inline]
+    pub(crate) fn commit(&mut self, staged: Option<Staged>, push: Push<'_>) -> Result<()> {
+        if let (Some(staged), Some(aggregator)) = (staged, self.aggregator.as_mut()) {
+            return aggregator.commit(staged, push);
         }
-    }
-
-    /// Stages an element batch in the aggregation table: everything
-    /// [`push_elements`](Self::push_elements) does short of combining a
-    /// weight — the deadline check, the probe pass and admission, flushing early and probing again on a
-    /// budget breach. [`commit`](Self::commit) then finishes it exactly as
-    /// `push_elements` would have; [`abort`](Self::abort) removes the
-    /// staged keys again.
-    ///
-    /// # Errors
-    /// As [`push_elements`](Self::push_elements), with none of the batch
-    /// absorbed.
-    ///
-    /// # Panics
-    /// Panics without an aggregation stage.
-    pub(crate) fn stage(&mut self, elements: &[(Key, usize, f64)]) -> Result<Staged> {
-        self.governed_push(
-            |aggregator| aggregator.stage_elements(elements),
-            |_| unreachable!("only an aggregating pipeline stages"),
-        )
-    }
-
-    /// Commits what [`stage`](Self::stage) staged from `elements`.
-    ///
-    /// # Errors
-    /// A sum overflow, as on [`push_elements`](Self::push_elements).
-    pub(crate) fn commit(&mut self, staged: Staged, elements: &[(Key, usize, f64)]) -> Result<()> {
-        let aggregator = self.aggregator.as_mut().expect("only an aggregating pipeline stages");
-        aggregator.commit_elements(staged, elements)
+        match push {
+            Push::Record(key, weights) => {
+                for_backend!(&mut self.backend, sampler => sampler.push_record(key, weights))
+            }
+            Push::Columns(columns) => {
+                for_backend!(&mut self.backend, sampler => sampler.push_columns(columns))
+            }
+            Push::Element(..) => Err(requires_aggregation("push_element")),
+            Push::Elements(_) => Err(requires_aggregation("push_elements")),
+        }
     }
 
     /// Undoes what [`stage`](Self::stage) staged.
-    pub(crate) fn abort(&mut self, staged: Staged) {
-        if let Some(aggregator) = self.aggregator.as_mut() {
+    pub(crate) fn abort(&mut self, staged: Option<Staged>) {
+        if let (Some(staged), Some(aggregator)) = (staged, self.aggregator.as_mut()) {
             aggregator.abort(staged);
         }
     }
@@ -593,17 +579,11 @@ impl Ingest for Pipeline {
     }
 
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        self.governed_push(
-            |aggregator| aggregator.absorb_record(key, weights),
-            |backend| for_backend!(backend, sampler => Ingest::push_record(sampler, key, weights)),
-        )
+        self.push(Push::Record(key, weights))
     }
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        self.governed_push(
-            |aggregator| aggregator.absorb_columns(columns),
-            |backend| for_backend!(backend, sampler => Ingest::push_columns(sampler, columns)),
-        )
+        self.push(Push::Columns(columns))
     }
 
     fn finalize(self) -> Result<Summary> {

@@ -93,23 +93,19 @@ impl SeedSequence {
         Self { hasher: self.hasher.derive(run) }
     }
 
-    /// Hashes `key` **once** and returns a state from which the shared seed
-    /// and every per-assignment seed derive without touching the key again.
+    /// Hashes `key` **once** and returns a state from which every
+    /// per-assignment seed derives without touching the key again.
     ///
     /// This is the hash-once ingestion path: a multi-assignment record pays
     /// one key hash, then fans out across all assignments with only the
     /// cheap per-assignment finalization left. Every seed produced by the
     /// returned [`KeySeeds`] is bit-identical to the corresponding
-    /// [`SeedSequence::shared_seed`] / [`SeedSequence::assignment_seed`]
-    /// call, so samples built either way coordinate perfectly.
+    /// [`SeedSequence::assignment_seed`] call, so samples built either way
+    /// coordinate perfectly.
     #[inline]
     #[must_use]
     pub fn key_seeds(&self, key: u64) -> KeySeeds {
-        KeySeeds {
-            shared: u64_to_open01(self.hasher.hash_u64(key)),
-            pair_base: self.hasher.pair_base(key),
-            hasher: self.hasher,
-        }
+        KeySeeds { pair_base: self.hasher.pair_base(key), hasher: self.hasher }
     }
 }
 
@@ -117,19 +113,11 @@ impl SeedSequence {
 /// (see [`SeedSequence::key_seeds`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeySeeds {
-    shared: f64,
     pair_base: u64,
     hasher: KeyHasher,
 }
 
 impl KeySeeds {
-    /// The shared seed `u(i)`; bit-identical to [`SeedSequence::shared_seed`].
-    #[inline]
-    #[must_use]
-    pub fn shared_seed(&self) -> f64 {
-        self.shared
-    }
-
     /// The per-assignment seed; bit-identical to
     /// [`SeedSequence::assignment_seed`] but re-using the pre-hashed key
     /// state instead of rehashing the key per assignment.
@@ -192,7 +180,6 @@ mod tests {
         let s = SeedSequence::new(123);
         for key in 0..2_000u64 {
             let once = s.key_seeds(key);
-            assert_eq!(once.shared_seed().to_bits(), s.shared_seed(key).to_bits());
             for b in 0..16 {
                 assert_eq!(
                     once.assignment_seed(b).to_bits(),

@@ -219,14 +219,6 @@ impl ColocatedStreamSampler {
         ColocatedSummary::from_parts(self.config, self.config.k, kth_ranks, next_ranks, records)
             .expect("the sampler's own parts form a valid summary")
     }
-
-    /// Snapshots the current state into a summary **without** consuming the
-    /// sampler: ingestion can continue afterwards. The snapshot is exactly
-    /// what [`finalize`](Self::finalize) would return right now.
-    #[must_use]
-    pub fn snapshot(&self) -> ColocatedSummary {
-        self.clone().finalize()
-    }
 }
 
 /// The weight vectors of candidate keys, stored row after row in one flat
@@ -548,7 +540,7 @@ mod tests {
                         if batch > 1 && index == 1 {
                             // Mid-stream state, not only the end result.
                             let prefix = pushed_per_record(config, &columns, 2 * batch);
-                            assert_eq!(columnar.snapshot(), prefix.finalize(), "{context}");
+                            assert_eq!(columnar.clone().finalize(), prefix.finalize(), "{context}");
                         }
                     }
                     if batch == 1 {

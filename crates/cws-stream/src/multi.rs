@@ -264,14 +264,6 @@ impl MultiAssignmentStreamSampler {
         DispersedSummary::from_sketches(self.config, sketches)
             .expect("one sketch per assignment, each at k")
     }
-
-    /// Snapshots the current state into a summary **without** consuming the
-    /// sampler: ingestion can continue afterwards. The snapshot is exactly
-    /// what [`finalize`](Self::finalize) would return right now.
-    #[must_use]
-    pub fn snapshot(&self) -> DispersedSummary {
-        self.clone().finalize()
-    }
 }
 
 #[cfg(test)]
@@ -390,7 +382,7 @@ mod tests {
             assert!(err.to_string().contains("assignment 1"), "{err}");
             assert_eq!(sampler.processed(), 0, "rejected record must not count");
             // Assignment 0 must not have seen the rejected record's weight.
-            assert_eq!(sampler.snapshot().num_distinct_keys(), 0);
+            assert_eq!(sampler.clone().finalize().num_distinct_keys(), 0);
 
             let err = sampler.push_observation(9, 1, bad).unwrap_err();
             assert!(err.to_string().contains("finite and non-negative"), "{err}");

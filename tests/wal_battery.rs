@@ -636,19 +636,47 @@ fn governed_batches_replay_their_flush_early_points() {
 
 /// A sum that overflows mid-batch keeps the elements before it and the
 /// frame, and refuses the rest: the replay absorbs the same one element
-/// and ingests no key after the overflow.
+/// and ingests no key after the overflow. A record whose later lane
+/// overflows, pushed alone or as a one-row column batch, absorbs nothing —
+/// not even its earlier lanes — so its frame is withdrawn and it offers
+/// nothing to the replay counts.
 #[test]
 fn a_mid_batch_overflow_replays_the_same_prefix() {
     let batch = [(1u64, 0usize, f64::MAX), (1, 0, f64::MAX), (2, 0, 5.0)];
+    // (key, weights, records the push leaves in the journal)
+    let records = [(1u64, [1.0, f64::MAX], 1u64), (1, [2.0, f64::MAX], 0)];
     for layout in [Layout::Colocated, Layout::Dispersed] {
+        let builder = || governed_builder(layout, Aggregation::SumByKey, 300);
         let replay = crash_and_compare_with_twin(
             &format!("overflow-{layout:?}"),
-            || governed_builder(layout, Aggregation::SumByKey, 300),
+            builder,
             &[&batch[..]],
             |pipeline, batch| pipeline.push_elements(batch),
             |batch| batch.len() as u64,
         );
         assert_eq!((replay.records_replayed, replay.rejected_records), (1, 2), "{layout:?}");
+        let replay = crash_and_compare_with_twin(
+            &format!("record-overflow-{layout:?}"),
+            builder,
+            &records,
+            |pipeline, &(key, weights, _)| pipeline.push_record(key, &weights),
+            |&(.., journaled)| journaled,
+        );
+        let counts = (replay.frames_replayed, replay.records_replayed, replay.rejected_records);
+        assert_eq!(counts, (1, 1, 0), "{layout:?} record");
+        let replay = crash_and_compare_with_twin(
+            &format!("row-overflow-{layout:?}"),
+            builder,
+            &records,
+            |pipeline, &(key, weights, _)| {
+                let mut row = RecordColumns::new(2);
+                row.push(key, &weights);
+                pipeline.push_columns(&row)
+            },
+            |&(.., journaled)| journaled,
+        );
+        let counts = (replay.frames_replayed, replay.records_replayed, replay.rejected_records);
+        assert_eq!(counts, (1, 1, 0), "{layout:?} row");
     }
 }
 
@@ -671,57 +699,127 @@ fn a_column_batch_refused_mid_way_replays_its_prefix_only() {
     assert_eq!((replay.records_replayed, replay.rejected_records), (1, 2));
 }
 
-/// Seed-driven governed batches: a plan-chosen layout, aggregation, key
-/// space, key cap and batch length; element batches with repeated keys
-/// and some NaN poison, flushed early by the cap. Epoch 1 is published,
-/// the rest crashes in the journal, whose tail is then cut at a
-/// plan-chosen byte. Recovery replays the surviving frames one batch
-/// each; after re-offering the lost batches, the next publish equals the
-/// undisturbed twin's epoch 2 byte for byte. CI widens coverage with
-/// `CWS_WAL_SEEDS=1,2,3,…` in release mode.
+/// One planned push of the seeded governed scene, in one of the three
+/// shapes a governed pipeline stages: an element batch, a column batch, or
+/// one record.
+enum Planned {
+    Elements(Vec<(u64, usize, f64)>),
+    Columns(RecordColumns),
+    Record(u64, [f64; 2]),
+}
+
+impl Planned {
+    fn push(&self, pipeline: &mut EpochedPipeline) -> Result<()> {
+        match self {
+            Planned::Elements(elements) => pipeline.push_elements(elements),
+            Planned::Columns(columns) => pipeline.push_columns(columns),
+            Planned::Record(key, weights) => pipeline.push_record(*key, weights),
+        }
+    }
+
+    /// Records or elements the push offers.
+    fn len(&self) -> u64 {
+        match self {
+            Planned::Elements(elements) => elements.len() as u64,
+            Planned::Columns(columns) => columns.len() as u64,
+            Planned::Record(..) => 1,
+        }
+    }
+}
+
+/// Seed-driven governed pushes: a plan-chosen layout, aggregation, key
+/// space, key cap and batch length. Each batch has repeated keys and some
+/// NaN poison, now and then a planted pair of `f64::MAX` fragments for one
+/// key and lane (a sum that overflows mid-batch), and goes in as the plan
+/// picks: an element batch, a column batch, or the same rows as single
+/// records. The cap flushes early. Epoch 1 is published, the rest crashes
+/// in the journal, whose tail is then cut at a plan-chosen byte. Recovery
+/// replays the surviving frames one push each — a push refused without
+/// absorbing anything left none — and after re-offering the lost pushes,
+/// the next publish equals the undisturbed twin's epoch 2 byte for byte.
+/// CI widens coverage with `CWS_WAL_SEEDS=1,2,3,…` in release mode.
 #[test]
 fn multi_seed_governed_batches_replay_bit_exactly() {
     for seed in wal_seeds() {
         let mut plan = FaultPlan::new(seed);
         let layout = if plan.coin(2) { Layout::Colocated } else { Layout::Dispersed };
-        let aggregation = if plan.coin(2) { Aggregation::SumByKey } else { Aggregation::MaxByKey };
+        // Mostly sums, the only aggregation a planted pair overflows.
+        let aggregation = if plan.coin(4) { Aggregation::MaxByKey } else { Aggregation::SumByKey };
         let keys = 100 + plan.next_below(500);
         let batch_len = 20 + plan.next_below(200);
         // At least one batch wide, so no batch is refused whole.
         let cap = batch_len + plan.next_below(keys);
         let (published, total) = (1 + plan.next_below(4), 6 + plan.next_below(8));
-        let batches: Vec<Vec<(u64, usize, f64)>> = (0..published + total)
-            .map(|_| {
-                (0..batch_len)
-                    .map(|_| {
-                        let weight =
-                            if plan.coin(64) { f64::NAN } else { 0.5 + plan.next_below(99) as f64 };
-                        (plan.next_below(keys), plan.next_below(2) as usize, weight)
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut pushes: Vec<Planned> = Vec::new();
+        let (mut epoch1_len, mut shapes, mut planted) = (0, [0u32; 3], 0u32);
+        for batch in 0..published + total {
+            let mut elements: Vec<(u64, usize, f64)> = (0..batch_len)
+                .map(|_| {
+                    let weight =
+                        if plan.coin(64) { f64::NAN } else { 0.5 + plan.next_below(99) as f64 };
+                    (plan.next_below(keys), plan.next_below(2) as usize, weight)
+                })
+                .collect();
+            if plan.coin(4) {
+                let at = plan.next_below(batch_len - 1) as usize;
+                // In the last lane, so a row's earlier lane would show a
+                // partial combine.
+                let key = elements[at].0;
+                elements[at..at + 2].fill((key, 1, f64::MAX));
+                planted += 1;
+            }
+            // A planted row is `[1e300, MAX]`: a partial combine would move
+            // a weight that is sampled for sure.
+            let rows = elements.iter().map(|&(key, assignment, weight)| {
+                (key, if assignment == 0 { [weight, 1.0] } else { [weight.min(1e300), weight] })
+            });
+            let shape = plan.next_below(3) as usize;
+            shapes[shape] += 1;
+            match shape {
+                0 => pushes.push(Planned::Elements(elements)),
+                1 => {
+                    let mut columns = RecordColumns::new(2);
+                    rows.for_each(|(key, weights)| columns.push(key, &weights));
+                    pushes.push(Planned::Columns(columns));
+                }
+                _ => pushes.extend(rows.map(|(key, weights)| Planned::Record(key, weights))),
+            }
+            if batch + 1 == published {
+                epoch1_len = pushes.len();
+            }
+        }
         let ctx = format!(
-            "seed {seed}: {layout:?} {aggregation:?} {keys} keys cap {cap} batch {batch_len}"
+            "seed {seed}: {layout:?} {aggregation:?} {keys} keys cap {cap} batch {batch_len}, \
+             shapes {shapes:?}, {planted} planted overflows"
         );
         let builder = || governed_builder(layout, aggregation, cap);
-        let (epoch1, tail) = batches.split_at(published as usize);
+        let tail = &pushes[epoch1_len..];
 
         let mut twin = EpochedPipeline::new(builder()).unwrap();
         let wal = scratch_dir(&format!("governed{seed}-wal"));
         let store_dir = scratch_dir(&format!("governed{seed}-store"));
         let mut store = SnapshotStore::open(&store_dir, 4).unwrap();
         let mut journaled = EpochedPipeline::new(builder().journal(WalConfig::new(&wal))).unwrap();
-        for batch in epoch1 {
-            journaled.push_elements(batch).unwrap();
-            twin.push_elements(batch).unwrap();
+        // Every push's outcome, and (tail index, offered, absorbed) of each
+        // tail push that kept its frame.
+        let (mut outcomes, mut framed) = (Vec::new(), Vec::new());
+        for (index, planned) in pushes.iter().enumerate() {
+            if index == epoch1_len {
+                let ref1 = twin.publish().unwrap().summary.to_bytes();
+                let published = journaled.publish_into(&mut store).unwrap().summary.to_bytes();
+                assert_eq!(published, ref1, "{ctx}");
+            }
+            let before = journaled.processed();
+            let (pushed, expected) = (planned.push(&mut journaled), planned.push(&mut twin));
+            let outcome = format!("{pushed:?}");
+            assert_eq!(outcome, format!("{expected:?}"), "{ctx}: push {index}");
+            let absorbed = journaled.processed() - before;
+            if index >= epoch1_len && (pushed.is_ok() || absorbed > 0) {
+                framed.push((index - epoch1_len, planned.len(), absorbed));
+            }
+            outcomes.push(outcome);
         }
-        let ref1 = twin.publish().unwrap().summary.to_bytes();
-        assert_eq!(journaled.publish_into(&mut store).unwrap().summary.to_bytes(), ref1, "{ctx}");
-        for batch in tail {
-            journaled.push_elements(batch).unwrap();
-            twin.push_elements(batch).unwrap();
-        }
+        let ref1 = twin.latest().unwrap().to_bytes();
         let ref2 = twin.publish().unwrap().summary.to_bytes();
         drop(journaled); // the crash
 
@@ -737,13 +835,16 @@ fn multi_seed_governed_batches_replay_bit_exactly() {
                 .unwrap_or_else(|error| panic!("{ctx}: recovery must never fail: {error:?}"));
         assert_eq!(recovery.pipeline.latest().unwrap().to_bytes(), ref1, "{ctx}");
         let replay = &recovery.replay;
-        let survived = &tail[..replay.frames_replayed];
-        let poison = survived.iter().flatten().filter(|element| element.2.is_nan()).count() as u64;
-        assert_eq!(replay.rejected_records, poison, "{ctx}: only the poison is unabsorbed");
-        assert_eq!(replay.records_replayed, survived.len() as u64 * batch_len - poison, "{ctx}");
+        let survived = &framed[..replay.frames_replayed];
+        let absorbed: u64 = survived.iter().map(|&(.., absorbed)| absorbed).sum();
+        let offered: u64 = survived.iter().map(|&(_, offered, _)| offered).sum();
+        assert_eq!(replay.records_replayed, absorbed, "{ctx}: absorbed as in the original run");
+        assert_eq!(replay.rejected_records, offered - absorbed, "{ctx}: only what was refused");
         let mut pipeline = recovery.pipeline;
-        for batch in &tail[replay.frames_replayed..] {
-            pipeline.push_elements(batch).unwrap();
+        let resume = survived.last().map_or(0, |&(index, ..)| index + 1);
+        for (index, planned) in tail.iter().enumerate().skip(resume) {
+            let outcome = format!("{:?}", planned.push(&mut pipeline));
+            assert_eq!(outcome, outcomes[epoch1_len + index], "{ctx}: re-offered push {index}");
         }
         assert_eq!(pipeline.publish().unwrap().summary.to_bytes(), ref2, "{ctx}: epoch 2");
     }
